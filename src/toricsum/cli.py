@@ -95,6 +95,11 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
                 f"ideal {current['name']!r} has {len(current['rows'])} rows "
                 f"but {len(current['params'])} parameters",
             )
+        for j, var in enumerate(current["vars"]):
+            if not any(row[j] for row in current["rows"]):
+                raise IdealFileError(
+                    line, f"variable {var!r} of ideal {current['name']!r} has a zero column"
+                )
         vars_ = VariableSet(tuple(current["vars"]))
         params = VariableSet(tuple(current["params"]))
         matrix = IntegerMatrix.from_rows(current["rows"], cols=len(vars_))
@@ -264,7 +269,8 @@ def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     names = [i.name for i in ideals]
     result, report = sum_family([i.parametrization for i in ideals], names)
-    print(format_ideal_block("+".join(names) if names else "empty", result))
+    if names:
+        print(format_ideal_block("+".join(names), result))
     print(f"k={report.graph.k} r={report.graph.r}")
     print(f"dim(rank)={report.rank_dimension}")
     print(f"predicted(thm)={report.iterated_prediction}")

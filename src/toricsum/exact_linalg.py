@@ -6,6 +6,12 @@ that witness them, integer kernel lattices in a canonical basis, lattice
 saturation, deterministic rational solves, greedy column selection and
 exact inverses.
 
+Rank, row and column selection, rational solves, inverses and
+determinants all go through one fraction-free Gauss-Jordan elimination on
+integer rows (:func:`row_reduce`); ``Fraction`` appears only in the one
+division at the end.  The Hermite and Smith forms use unimodular Euclid
+steps instead, since they must preserve the integer lattice.
+
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
 ever rounds.  Matrices are small and dense, so the classical quadratic
@@ -101,13 +107,6 @@ class IntegerMatrix:
             for i in range(self.rows)
         )
         return IntegerMatrix(self.rows, other.cols, data)
-
-    def to_rational(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(Fraction(x) for x in row) for row in self.entries),
-        )
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -222,29 +221,49 @@ class SmithDecomposition:
         return sum(1 for k in range(min(self.D.rows, self.D.cols)) if self.D.entries[k][k])
 
 
+def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are searched only in the first ``ncols`` columns, left to right,
+    taking the first remaining row with a nonzero entry; later columns (an
+    augmented right-hand side) are carried along.  Returns
+    ``(pivot_cols, d, sign)``.  Afterwards the pivot rows come first, in
+    pivot order, every pivot equals ``d``, each pivot column is zero
+    elsewhere, and the rows below the pivots are zero in the searched
+    columns; so ``rows / d`` is the reduced row echelon form.  For a square
+    nonsingular matrix ``sign * d`` is its determinant.
+
+    Each update ``(pv * a - f * b) // d`` is exact (Bareiss 1968): every
+    intermediate entry is, up to sign, a minor of the input, so nothing is ever rounded
+    and no ``Fraction`` is needed.
+    """
+    pivots: list[int] = []
+    d = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (f or pv != d):
+                rows[i] = [(pv * a - f * b) // d for a, b in zip(row, pivot_row)]
+        pivots.append(c)
+        d = pv
+    return pivots, d, sign
+
+
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant, read off the fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = row_reduce([list(row) for row in m.entries], m.cols)
+    return sign * d if len(pivots) == m.rows else 0
 
 
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
@@ -384,45 +403,18 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(D, P, Q)
 
 
-class _RationalEchelon:
-    """Incremental fully reduced echelon over Q, for rank-growth tests.
-
-    Stored rows keep the Gauss-Jordan invariant (zero at every other
-    stored pivot), so candidate reduction is order independent.
-    """
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def try_add(self, vec: Sequence[int]) -> bool:
-        v = [Fraction(x) for x in vec]
-        for pivot_col, row in self.rows:
-            f = v[pivot_col]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        pivot_col = next((k for k, x in enumerate(v) if x), None)
-        if pivot_col is None:
-            return False
-        inv = v[pivot_col]
-        new_row = [x / inv for x in v]
-        for idx, (pc, row) in enumerate(self.rows):
-            f = row[pivot_col]
-            if f:
-                self.rows[idx] = (pc, [a - f * b for a, b in zip(row, new_row)])
-        self.rows.append((pivot_col, new_row))
-        return True
-
-
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals."""
-    echelon = _RationalEchelon()
-    return sum(1 for i in range(m.rows) if echelon.try_add(m.entries[i]))
+    return len(row_reduce([list(row) for row in m.entries], m.cols)[0])
 
 
 def independent_rows(m: IntegerMatrix) -> tuple[int, ...]:
-    """Greedy row basis: keep rows in increasing index while the rank grows."""
-    echelon = _RationalEchelon()
-    return tuple(i for i in range(m.rows) if echelon.try_add(m.entries[i]))
+    """Greedy row basis: keep rows in increasing index while the rank grows.
+
+    These are the pivot columns of the transpose.
+    """
+    columns = [list(col) for col in zip(*m.entries)]
+    return tuple(row_reduce(columns, m.rows)[0])
 
 
 def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
@@ -481,28 +473,16 @@ def solve_row_rational(
     if len(rhs) != a.cols:
         raise ValueError(f"expected a right-hand side of length {a.cols}, got {len(rhs)}")
 
-    rows = [[Fraction(a.entries[k][c]) for k in range(m)] + [Fraction(rhs[c])] for c in mask]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][m]:
-            return None
+    # Reduce [A_mask^T | L * rhs] with L clearing the rhs denominators.
+    values = [Fraction(rhs[c]) for c in mask]
+    scale = lcm(1, *(v.denominator for v in values))
+    rows = [[a.entries[k][c] for k in range(m)] + [int(v * scale)] for c, v in zip(mask, values)]
+    pivots, d, _ = row_reduce(rows, m)
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
     omega = [Fraction(0)] * m
-    for idx, c in enumerate(pivots):
-        omega[c] = rows[idx][m]
+    for row, c in zip(rows, pivots):
+        omega[c] = Fraction(row[m], d * scale)
     return tuple(omega)
 
 
@@ -513,26 +493,17 @@ def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:
     deterministic: start from ``{i}`` and walk the remaining columns in
     increasing index order, keeping a column iff it increases the rank.
     The returned tuple lists ``i`` first and then the kept columns in
-    increasing order.
+    increasing order; these are the pivots with column ``i`` moved first.
     """
     if not 0 <= i < a.cols:
         raise ValueError(f"column index {i} out of range")
     if not any(a.column(i)):
         raise ValueError(f"column {i} is zero and cannot be extended to a basis")
-    if rank(a) != a.rows:
+    order = [i] + [j for j in range(a.cols) if j != i]
+    pivots, _, _ = row_reduce([[row[j] for j in order] for row in a.entries], a.cols)
+    if len(pivots) != a.rows:
         raise ValueError(f"matrix rank is below its row count {a.rows}")
-    echelon = _RationalEchelon()
-    echelon.try_add(a.column(i))
-    selected = [i]
-    for j in range(a.cols):
-        if len(selected) == a.rows:
-            break
-        if j == i:
-            continue
-        if echelon.try_add(a.column(j)):
-            selected.append(j)
-    assert len(selected) == a.rows
-    return tuple(selected)
+    return tuple(order[c] for c in pivots)
 
 
 def inverse_and_clear(a: IntegerMatrix) -> tuple[RationalMatrix, int]:
@@ -541,29 +512,18 @@ def inverse_and_clear(a: IntegerMatrix) -> tuple[RationalMatrix, int]:
     Returns ``(B, q)`` where ``B = a^{-1}`` over Q and ``q`` is the least
     common multiple of the denominators of ``B`` (so ``q * B`` is integral;
     callers that multiply ``B`` by something else may be able to clear with
-    a smaller factor, see :func:`clear_denominators`).
+    a smaller factor, see :func:`clear_denominators`).  ``[a | I]`` is
+    reduced to ``[d I | d B]`` and divided by ``d`` once at the end.
     """
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    aug = [[Fraction(x) for x in a.entries[i]] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inverse = RationalMatrix.from_rows([row[n:] for row in aug], cols=n)
-    q = 1
-    for row in inverse.entries:
-        for x in row:
-            q = lcm(q, x.denominator)
+    aug = [list(row) + unit for row, unit in zip(a.entries, _identity_lists(n))]
+    pivots, d, _ = row_reduce(aug, n)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    inverse = RationalMatrix.from_rows([[Fraction(x, d) for x in row[n:]] for row in aug], cols=n)
+    q = lcm(1, *(x.denominator for row in inverse.entries for x in row))
     return inverse, q
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .binomials import Binomial, VariableSet
@@ -22,11 +23,9 @@ from .exact_linalg import (
     RationalMatrix,
     clear_denominators,
     determinant,
-    extend_to_basis,
-    independent_rows,
-    inverse_and_clear,
     kernel_lattice,
     rank,
+    row_reduce,
     solve_row_rational,
 )
 
@@ -161,11 +160,12 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     """Re-parametrize at maximal rank so one variable maps to t_j^q.
 
-    The rows are first thinned to a greedy row basis (increasing index,
-    keep while the rank grows), the pinned column is extended to a
-    nonsingular column selection, and the matrix is multiplied by the
-    exact inverse of that block.  ``q`` is the least positive integer
-    making the product integral; the kernel lattice is untouched.
+    The result is the reduced row echelon form of the matrix with the
+    pinned column moved first, scaled by the least positive ``q`` that
+    makes it integral.  Its rows span the same rational row space, so the
+    kernel lattice is untouched; its pivot columns (the pinned one first,
+    then greedily in increasing index) form ``q`` times the identity, and
+    the gcd of all its entries is 1, which fixes it uniquely.
     """
     idx = p.vars.index(var) if isinstance(var, str) else var
     if not 0 <= idx < len(p.vars):
@@ -175,12 +175,18 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
             f"variable {p.vars.names[idx]!r} maps to 1 and cannot be pinned"
         )
 
-    kept = independent_rows(p.matrix)
-    row_basis = p.matrix.take(kept, range(len(p.vars)))
-    selected = extend_to_basis(row_basis, idx)
-    block = row_basis.take(range(row_basis.rows), selected)
-    inverse, _ = inverse_and_clear(block)
-    new_matrix, q = clear_denominators(inverse @ row_basis)
+    # Move the pinned column first, reduce, then move it back.
+    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
+    pivots, d, _ = row_reduce(rows, len(p.vars))
+    rows = rows[: len(pivots)]
+    g = gcd(*(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    new_matrix = IntegerMatrix.from_rows(
+        [[x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]] for row in rows],
+        cols=len(p.vars),
+    )
+    q = d // g
 
     pinned_col = new_matrix.column(idx)
     nonzero = [k for k, x in enumerate(pinned_col) if x]

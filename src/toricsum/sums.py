@@ -85,10 +85,10 @@ class FamilyReport:
 
     ``iterated_prediction`` is sum(dims) - (k - r), the value obtained by
     iterating the two-ideal dimension formula along the trees;
-    ``global_formula`` is sum(dims) + r - k + 1.  The two differ by one
-    whenever any merging happens, so ``formulas_disagree`` is set unless
-    rank, iterated and global values all coincide; the rank is
-    authoritative.
+    ``global_formula`` is sum(dims) + r - k + 1, which is always
+    ``iterated_prediction + 1`` (also for k=1 and for an empty family), so
+    ``formulas_disagree``, set unless rank, iterated and global values all
+    coincide, is always True; the rank is authoritative.
     """
 
     graph: IdealFamilyGraph

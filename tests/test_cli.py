@@ -108,6 +108,11 @@ class TestParse:
         with pytest.raises(IdealFileError, match="line 4"):
             parse_ideal_file(bad)
 
+    def test_zero_column_names_ideal_line(self):
+        bad = "# header\nideal I\nvars a b\nparams t\nrow 0 1\n"
+        with pytest.raises(IdealFileError, match="line 2: variable 'a' .* zero column"):
+            parse_ideal_file(bad)
+
     def test_malformed_integer(self):
         bad = "ideal I\nvars a b\nparams t\nrow 1 x\n"
         with pytest.raises(IdealFileError, match="malformed integer"):
@@ -213,6 +218,13 @@ class TestCommands:
         assert parsed[0].name == "I1+I2"
         assert parsed[0].parametrization.matrix.rows == 3
 
+    def test_sum_empty_file_output_is_reparseable(self, tmp_path, capsys):
+        f = write(tmp_path, "empty.ideal", "# nothing here\n")
+        assert main(["sum", f]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("k=0 r=0\n")
+        assert parse_ideal_file(out.split("k=")[0]) == []
+
     def test_sum_missing_generator_exits_one(self, tmp_path, capsys):
         text = GLUED.replace("gen w1*w2 - x^2\n", "")
         f = write(tmp_path, "g.ideal", text)
@@ -245,6 +257,11 @@ class TestCommands:
         f = write(tmp_path, "bad.ideal", "ideal I\nvars a\nparams t\nrow 1 2\n")
         assert main(["dim", f]) == 2
         assert "error: line 4" in capsys.readouterr().err
+
+    def test_zero_column_exits_two(self, tmp_path, capsys):
+        f = write(tmp_path, "z.ideal", "ideal I\nvars a b\nparams t\nrow 0 1\n")
+        assert main(["dim", f]) == 2
+        assert "error: line 1: variable 'a'" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["dim", str(tmp_path / "nope.ideal")]) == 2

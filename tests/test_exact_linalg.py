@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from helpers import boxed_kernel_vectors, random_matrix
 from toricsum import (
     IntegerMatrix,
     LatticeBasis,
+    RationalMatrix,
     determinant,
     extend_to_basis,
     hermite_normal_form,
@@ -267,3 +269,19 @@ class TestInverseAndClear:
 def test_independent_rows_greedy():
     m = IntegerMatrix.from_rows([[1, 1], [2, 2], [0, 1]])
     assert independent_rows(m) == (0, 2)
+
+
+def test_numpy_cross_check():
+    """Rank, determinant and inverse against an independent float computation."""
+    rng = random.Random(707)
+    for _ in range(200):
+        m = random_matrix(rng, max_rows=5, max_cols=5)
+        assert rank(m) == np.linalg.matrix_rank(np.array(m.entries, dtype=float))
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, rows=n, cols=n)
+        det = determinant(a)
+        assert det == round(np.linalg.det(np.array(a.entries, dtype=float)))
+        if det:
+            inverse, q = inverse_and_clear(a)
+            assert RationalMatrix.from_rows(a.entries) @ inverse == RationalMatrix.identity(n)
+            assert all((q * x).denominator == 1 for row in inverse.entries for x in row)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,9 +25,11 @@ from toricsum import (
     dimension,
     enumerate_kernel_binomials,
     evaluate,
+    extend_to_basis,
     homogeneity_certificate,
     homogenize_binomial,
     dehomogenize_binomial,
+    independent_rows,
     is_maximal_rank,
     kernel_lattice,
     normalize_pin,
@@ -189,6 +192,15 @@ class TestNormalizePin:
                 pin.exponent if k == pin.pinned_param_index else 0 for k in range(new.matrix.rows)
             )
             assert col == expected
+            # Pivot block q*I plus content 1 determine the pinned matrix.
+            row_basis = p.matrix.take(independent_rows(p.matrix), range(len(p.vars)))
+            selection = extend_to_basis(row_basis, i)
+            q_identity = tuple(
+                tuple(pin.exponent * (r == c) for c in range(new.matrix.rows))
+                for r in range(new.matrix.rows)
+            )
+            assert new.matrix.take(range(new.matrix.rows), selection).entries == q_identity
+            assert gcd(*(x for row in new.matrix.entries for x in row)) == 1
 
 
 class TestDehomogenize:
