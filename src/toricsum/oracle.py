@@ -4,11 +4,17 @@ Three independent routes into the same questions:
 
 * enumerate kernel binomials degree by degree, bucketing monomials by
   their image and emitting star-pattern differences inside each bucket;
+  each degree-e monomial's image is its degree-(e-1) parent's image plus
+  one column, so no matrix product is taken per monomial;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
-  exact on degree-balanced generators and degree-capped otherwise;
+  exact on degree-balanced generators and degree-capped otherwise.  Moves
+  are reversible, so the monomials reachable from one another within a
+  degree cap form connected components; a rewrite forest explores each
+  component once, as one breadth-first tree, and answers every query on
+  it by comparing roots;
 * cross-check a sum construction against generator lists in both
   inclusion directions, returning a verdict with a concrete witness on
-  failure.
+  failure.  One forest per degree cap serves the whole certification.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .binomials import Binomial, Monomial, split_disjoint, total_degree
-from .parametrization import Parametrization, contains_binomial, evaluate
+from .parametrization import Parametrization, contains_binomial
 
 if TYPE_CHECKING:
     from .sums import SumConstruction
@@ -78,18 +84,31 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binomial]:
     """Kernel binomials found by bucketing monomials degree by degree.
 
-    Within each bucket of equal-image monomials, differences are emitted
-    against the lexicographically smallest member (star pattern), which
-    spans the same relations as all pairs.  For a homogeneous
-    parametrization the output is complete for the kernel up to the
-    degree bound; output is deduplicated and sorted.
+    Degree-e monomials are grown from degree e-1 by adding one variable
+    j no smaller than the last one added, in the order of
+    ``combinations_with_replacement``; each image is the parent's image
+    plus column j.  Within each bucket of equal-image monomials,
+    differences are emitted against the lexicographically smallest member
+    (star pattern), which spans the same relations as all pairs.  For a
+    homogeneous parametrization the output is complete for the kernel up
+    to the degree bound; output is deduplicated and sorted.
     """
     found: set[Binomial] = set()
     n = len(p.vars)
-    for e in range(1, d.max_degree + 1):
+    columns = [p.matrix.column(j) for j in range(n)]
+    # (monomial, image, last variable added); the degree-0 monomial may
+    # be extended by any variable.
+    layer: list[tuple[Monomial, tuple[int, ...], int]] = [((0,) * n, (0,) * p.matrix.rows, 0)]
+    for _ in range(d.max_degree):
+        grown: list[tuple[Monomial, tuple[int, ...], int]] = []
         buckets: dict[tuple[int, ...], list[Monomial]] = {}
-        for mono in _monomials_of_degree(n, e):
-            buckets.setdefault(evaluate(p, mono), []).append(mono)
+        for mono, image, last in layer:
+            for j in range(last, n):
+                child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                child_image = tuple(x + y for x, y in zip(image, columns[j]))
+                grown.append((child, child_image, j))
+                buckets.setdefault(child_image, []).append(child)
+        layer = grown
         for members in buckets.values():
             if len(members) < 2:
                 continue
@@ -98,6 +117,84 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
             for other in members[1:]:
                 found.add(split_disjoint(tuple(a - b for a, b in zip(other, rep))))
     return sorted(found, key=lambda b: b.sort_key())
+
+
+# (root, previous monomial, generator index, direction); the root's own
+# entry has no previous monomial.
+_TreeEntry = tuple[Monomial, Optional[Monomial], int, int]
+
+
+class _RewriteForest:
+    """Breadth-first trees over the rewrite graph of ``gens``, one per component.
+
+    Moves replace a divisor equal to one side of a generator by the other
+    side, in either orientation, and never leave the degree cap.  Every
+    move can be undone, so the monomials reachable from one another
+    under a cap form connected components.  A query explores the
+    component of ``b.u_plus`` once, as a tree rooted there, and keeps it
+    for every later query under the same cap.  With degree-balanced
+    generators the cap is the degree of the query and the search is exact
+    for its graded piece; otherwise the cap adds ``d.search_slack``.
+    """
+
+    def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
+        active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
+        self._nvars = {g.nvars for _, g in active}
+        self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
+        # (generator index, direction, divisor support, exponent change, degree change)
+        self._moves: list[tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...], int]] = []
+        for k, g in active:
+            for a, bb, direction in ((g.u_plus, g.u_minus, 1), (g.u_minus, g.u_plus, -1)):
+                support = tuple((i, x) for i, x in enumerate(a) if x)
+                delta = tuple(y - x for x, y in zip(a, bb))
+                self._moves.append((k, direction, support, delta, sum(delta)))
+        self._trees: dict[int, dict[Monomial, _TreeEntry]] = {}
+
+    def chain(self, b: Binomial) -> Optional[list[tuple[int, int]]]:
+        """(generator index, direction) steps from ``b.u_plus`` to ``b.u_minus``.
+
+        None when the two sides lie in different components under the cap.
+        """
+        if self._nvars - {b.nvars}:
+            raise ValueError("generators and binomial are over different variable sets")
+        if b.is_zero:
+            return []
+        start, target = b.u_plus, b.u_minus
+        cap = max(total_degree(start), total_degree(target)) + self._slack
+        tree = self._trees.setdefault(cap, {})
+        if start not in tree:
+            self._explore(start, tree, cap)
+        root = tree[start][0]
+        if target not in tree or tree[target][0] != root:
+            return None
+        up = [(k, -direction) for k, direction in self._path_to_root(start, tree)]
+        down = self._path_to_root(target, tree)
+        down.reverse()
+        return up + down
+
+    def _explore(self, root: Monomial, tree: dict[Monomial, _TreeEntry], cap: int) -> None:
+        tree[root] = (root, None, -1, 0)
+        queue: deque[Monomial] = deque([root])
+        while queue:
+            mono = queue.popleft()
+            degree = total_degree(mono)
+            for k, direction, support, delta, step in self._moves:
+                if degree + step > cap or any(mono[i] < x for i, x in support):
+                    continue
+                image = tuple(m + x for m, x in zip(mono, delta))
+                if image not in tree:
+                    tree[image] = (root, mono, k, direction)
+                    queue.append(image)
+
+    @staticmethod
+    def _path_to_root(node: Monomial, tree: dict[Monomial, _TreeEntry]) -> list[tuple[int, int]]:
+        """The moves into ``node``, ``node``'s parent, ... up to the root."""
+        steps = []
+        _, prev, k, direction = tree[node]
+        while prev is not None:
+            steps.append((k, direction))
+            _, prev, k, direction = tree[prev]
+        return steps
 
 
 def rewrite_chain(
@@ -109,42 +206,29 @@ def rewrite_chain(
     side, in either orientation.  Returns the chain as (generator index,
     direction) steps, or None when the target is unreachable within the
     degree cap.  With degree-balanced generators the cap is tight and the
-    search is exact for the graded piece.
+    search is exact for the graded piece.  This is one query on a fresh
+    rewrite forest: the component of ``b.u_plus`` under the query's degree
+    cap is explored as one tree rooted at ``b.u_plus``, so the chain is a
+    shortest one.
     """
-    active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
-    for _, g in active:
-        if g.nvars != b.nvars:
-            raise ValueError("generators and binomial are over different variable sets")
-    if b.is_zero:
-        return []
-    start, target = b.u_plus, b.u_minus
-    balanced = all(g.is_balanced for _, g in active)
-    cap = max(total_degree(start), total_degree(target))
-    if not balanced:
-        cap += d.search_slack
+    return _RewriteForest(gens, d).chain(b)
 
-    parents: dict[Monomial, Optional[tuple[Monomial, int, int]]] = {start: None}
-    queue: deque[Monomial] = deque([start])
-    while queue:
-        mono = queue.popleft()
-        for k, g in active:
-            for a, bb, direction in ((g.u_plus, g.u_minus, 1), (g.u_minus, g.u_plus, -1)):
-                if all(m >= x for m, x in zip(mono, a)):
-                    image = tuple(m - x + y for m, x, y in zip(mono, a, bb))
-                    if total_degree(image) > cap or image in parents:
-                        continue
-                    parents[image] = (mono, k, direction)
-                    if image == target:
-                        chain: list[tuple[int, int]] = []
-                        node: Monomial = target
-                        while parents[node] is not None:
-                            prev, gi, direc = parents[node]  # type: ignore[misc]
-                            chain.append((gi, direc))
-                            node = prev
-                        chain.reverse()
-                        return chain
-                    queue.append(image)
-    return None
+
+def _replay_chain(b: Binomial, gens: Sequence[Binomial], chain: Sequence[tuple[int, int]]) -> None:
+    """Apply ``chain`` to ``b.u_plus`` move by move; it must end at ``b.u_minus``.
+
+    Raises RuntimeError on a move whose divisor does not divide the
+    current monomial, or on a wrong endpoint.
+    """
+    mono = b.u_plus
+    for step, (gi, direction) in enumerate(chain):
+        g = gens[gi]
+        a, bb = (g.u_plus, g.u_minus) if direction == 1 else (g.u_minus, g.u_plus)
+        if any(m < x for m, x in zip(mono, a)):
+            raise RuntimeError(f"rewrite chain step {step} does not apply to {mono}")
+        mono = tuple(m - x + y for m, x, y in zip(mono, a, bb))
+    if mono != b.u_minus:
+        raise RuntimeError(f"rewrite chain ends at {mono}, not {b.u_minus}")
 
 
 def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bool:
@@ -157,13 +241,7 @@ def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bo
     chain = rewrite_chain(b, gens, d)
     if chain is None:
         return False
-    mono = b.u_plus
-    for gi, direction in chain:
-        g = gens[gi]
-        a, bb = (g.u_plus, g.u_minus) if direction == 1 else (g.u_minus, g.u_plus)
-        assert all(m >= x for m, x in zip(mono, a))
-        mono = tuple(m - x + y for m, x, y in zip(mono, a, bb))
-    assert mono == b.u_minus
+    _replay_chain(b, gens, chain)
     return True
 
 
@@ -215,14 +293,22 @@ def certify_presentation(
     First every generator must lie in the kernel of ``p``; then every
     enumerated kernel binomial up to the degree bound must rewrite to zero
     modulo the generators.  The first failure is returned as a witness.
+    One rewrite forest serves every binomial.  It keeps one map of
+    breadth-first trees per degree cap, so each connected component under
+    each cap is searched once; every chain it returns is replayed move by
+    move before it counts.  The enumeration builds each monomial's image
+    incrementally from its parent's.
     """
     gens = tuple(gens)
     for g in gens:
         if not contains_binomial(p, g):
             return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree)
+    forest = _RewriteForest(gens, d)
     for b in enumerate_kernel_binomials(p, d):
-        if not reduces_to_zero(b, gens, d):
+        chain = forest.chain(b)
+        if chain is None:
             return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree)
+        _replay_chain(b, gens, chain)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree)
 
 

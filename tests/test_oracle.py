@@ -1,10 +1,11 @@
 """Kernel enumeration, monomial rewriting, and sum certification."""
 
 import random
+from collections import deque
 
 import pytest
 
-from helpers import quadric, random_homogeneous_parametrization
+from helpers import quadric, random_homogeneous_parametrization, random_parametrization
 from toricsum import (
     Binomial,
     DegreeBound,
@@ -28,6 +29,7 @@ from toricsum import (
     split_disjoint,
     sum_shared,
 )
+from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain
 
 
 TWISTED_CUBIC = Parametrization(
@@ -35,6 +37,44 @@ TWISTED_CUBIC = Parametrization(
     VariableSet.of("x0", "x1", "x2", "x3"),
     IntegerMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]]),
 )
+
+# the monomial curve (2, 3): a = t^2, b = t, c = t^3, cut out by
+# generators that are not degree-balanced
+CURVE_23 = Parametrization(
+    VariableSet.of("t"), VariableSet.of("a", "b", "c"), IntegerMatrix.from_rows([[2, 1, 3]])
+)
+CURVE_23_GENS = [parse_binomial("a - b^2", CURVE_23.vars), parse_binomial("c - b^3", CURVE_23.vars)]
+
+
+def reference_kernel_binomials(p, degree):
+    """Star-pattern enumeration with one ``evaluate`` per monomial."""
+    found = set()
+    for e in range(1, degree + 1):
+        buckets = {}
+        for mono in _monomials_of_degree(len(p.vars), e):
+            buckets.setdefault(evaluate(p, mono), []).append(mono)
+        for members in buckets.values():
+            rep = min(members)
+            found.update(Binomial.from_pair(m, rep) for m in members if m != rep)
+    return sorted(found, key=lambda b: b.sort_key())
+
+
+def bfs_distance(b, gens, cap):
+    """Fewest rewrite moves from ``b.u_plus`` to ``b.u_minus`` within ``cap``."""
+    dist = {b.u_plus: 0}
+    queue = deque([b.u_plus])
+    while queue:
+        mono = queue.popleft()
+        if mono == b.u_minus:
+            return dist[mono]
+        for g in gens:
+            for a, c in ((g.u_plus, g.u_minus), (g.u_minus, g.u_plus)):
+                if all(m >= x for m, x in zip(mono, a)):
+                    image = tuple(m - x + y for m, x, y in zip(mono, a, c))
+                    if sum(image) <= cap and image not in dist:
+                        dist[image] = dist[mono] + 1
+                        queue.append(image)
+    return None
 
 
 class TestEnumerate:
@@ -200,3 +240,129 @@ class TestCertify:
                 for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
         verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
         assert verdict.status == EQUAL_UP_TO_DEGREE
+
+
+class TestIncrementalEnumeration:
+    def test_matches_per_monomial_evaluation(self):
+        rng = random.Random(73)
+        ps = [TWISTED_CUBIC, CURVE_23]
+        ps += [random_homogeneous_parametrization(rng, max_params=3, max_vars=5) for _ in range(8)]
+        ps += [random_parametrization(rng, max_params=3, max_vars=5) for _ in range(8)]
+        ps += [
+            # no parameters: every monomial of a degree shares one image
+            Parametrization(VariableSet(()), VariableSet.of("a", "b", "c"),
+                            IntegerMatrix.zero(0, 3), allow_degenerate=True),
+            # a zero column, so b times anything has the image of anything
+            Parametrization(VariableSet.of("t", "s"), VariableSet.of("a", "b", "c"),
+                            IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 1]]),
+                            allow_degenerate=True),
+            Parametrization(VariableSet.of("t"), VariableSet(()), IntegerMatrix.zero(1, 0)),
+        ]
+        for p in ps:
+            for degree in range(1, 5):
+                assert enumerate_kernel_binomials(p, DegreeBound(degree)) == \
+                    reference_kernel_binomials(p, degree)
+
+
+class TestRewriteForest:
+    def test_replay_rejects_corrupted_chains(self):
+        vs = VariableSet.of("z1", "z2", "w1", "w2", "x")
+        gens = [parse_binomial("z1*z2 - x^2", vs), parse_binomial("w1*w2 - x^2", vs)]
+        b = parse_binomial("z1*z2 - w1*w2", vs)
+        chain = rewrite_chain(b, gens, DegreeBound(3))
+        _replay_chain(b, gens, chain)
+        (k, direction), rest = chain[0], chain[1:]
+        with pytest.raises(RuntimeError, match="does not apply"):
+            _replay_chain(b, gens, [(k, -direction)] + rest)
+        with pytest.raises(RuntimeError, match="ends at"):
+            _replay_chain(b, gens, chain[:1])
+        with pytest.raises(RuntimeError, match="ends at"):
+            _replay_chain(b, gens, [])
+
+    def test_chain_is_shortest(self):
+        rng = random.Random(79)
+        cases = [(CURVE_23_GENS, parse_binomial("a^3 - c^2", CURVE_23.vars), DegreeBound(3, 2))]
+        for _ in range(40):
+            p = random_homogeneous_parametrization(rng, max_params=3, max_vars=4)
+            gens = enumerate_kernel_binomials(p, DegreeBound(2))
+            for b in enumerate_kernel_binomials(p, DegreeBound(3))[:6]:
+                cases.append((gens, b, DegreeBound(3)))
+        hits = 0
+        for gens, b, d in cases:
+            cap = b.degree + (0 if all(g.is_balanced for g in gens) else d.search_slack)
+            chain = rewrite_chain(b, gens, d)
+            distance = bfs_distance(b, gens, cap)
+            assert (chain is None) == (distance is None)
+            if chain is not None:
+                hits += 1
+                assert len(chain) == distance
+                _replay_chain(b, gens, chain)
+        assert hits > len(cases) // 2
+
+    def test_chains_through_a_shared_root(self):
+        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
+        forest = _RewriteForest(gens, DegreeBound(3))
+        for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(3)):
+            _replay_chain(b, gens, forest.chain(b))
+        vs = TWISTED_CUBIC.vars
+        assert forest.chain(parse_binomial("x0^2 - x1*x2", vs)) is None
+        with pytest.raises(ValueError, match="different variable sets"):
+            forest.chain(Binomial.zero(3))
+
+    def test_certification_explores_each_component_once(self, monkeypatch):
+        explored = []
+        original = _RewriteForest._explore
+
+        def recording(self, root, tree, cap):
+            assert root not in tree
+            explored.append((cap, root))
+            original(self, root, tree, cap)
+
+        monkeypatch.setattr(_RewriteForest, "_explore", recording)
+        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
+        verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
+        assert verdict.status == EQUAL_UP_TO_DEGREE
+        # the presentation is complete, so each fiber is one component
+        fibers = {
+            (b.degree, evaluate(TWISTED_CUBIC, b.u_plus))
+            for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
+        }
+        assert len(explored) == len(fibers)
+
+
+def reference_certify(p, gens, degree, slack):
+    """First enumerated binomial with no rewrite chain, by per-binomial BFS."""
+    for g in gens:
+        if not contains_binomial(p, g):
+            return MISSING_IN_KERNEL, g
+    balanced = all(g.is_balanced for g in gens)
+    for b in reference_kernel_binomials(p, degree):
+        cap = b.degree + (0 if balanced else slack)
+        if bfs_distance(b, gens, cap) is None:
+            return MISSING_IN_SUM, b
+    return EQUAL_UP_TO_DEGREE, None
+
+
+class TestCertifyAgainstReference:
+    def test_random_generator_subsets(self):
+        rng = random.Random(83)
+        missing = 0
+        for _ in range(60):
+            p = random_homogeneous_parametrization(rng, max_params=3, max_vars=5)
+            quadrics = enumerate_kernel_binomials(p, DegreeBound(2))
+            gens = [g for g in quadrics if rng.random() < 0.7]
+            verdict = certify_presentation(p, gens, DegreeBound(3))
+            expected = EQUAL_UP_TO_DEGREE, None
+            for b in reference_kernel_binomials(p, 3):
+                if not membership_by_classes(b, gens):
+                    expected = MISSING_IN_SUM, b
+                    break
+            assert (verdict.status, verdict.witness) == expected
+            missing += expected[0] == MISSING_IN_SUM
+        assert 0 < missing < 60
+
+    @pytest.mark.parametrize("slack, status", [(0, MISSING_IN_SUM), (2, EQUAL_UP_TO_DEGREE)])
+    def test_unbalanced_curve(self, slack, status):
+        verdict = certify_presentation(CURVE_23, CURVE_23_GENS, DegreeBound(3, slack))
+        assert (verdict.status, verdict.witness) == reference_certify(CURVE_23, CURVE_23_GENS, 3, slack)
+        assert verdict.status == status
