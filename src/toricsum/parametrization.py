@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .binomials import Binomial, VariableSet
@@ -83,9 +83,11 @@ class HomogeneityCertificate:
     def certifies(self, p: Parametrization) -> bool:
         if len(self.omega) != len(p.params):
             return False
-        for j in range(len(p.vars)):
-            col = p.column(j)
-            if any(col) and sum(w * x for w, x in zip(self.omega, col)) != 1:
+        # alpha . omega == 1 iff alpha . (L * omega) == L, L the common denominator.
+        denom = lcm(*(w.denominator for w in self.omega))
+        weights = [w.numerator * (denom // w.denominator) for w in self.omega]
+        for col in zip(*p.matrix.entries):
+            if any(col) and sum(w * x for w, x in zip(weights, col)) != denom:
                 return False
         return True
 
@@ -188,12 +190,14 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     )
     q = d // g
 
-    pinned_col = new_matrix.column(idx)
-    nonzero = [k for k, x in enumerate(pinned_col) if x]
-    assert nonzero == [0] and pinned_col[0] == q
+    # The pivot columns (the pinned one first) must form q * I; that also
+    # proves the result has maximal rank.
+    for k, c in enumerate(pivots):
+        col = new_matrix.column(idx if c == 0 else c - 1 if c <= idx else c)
+        if any(x != (q if r == k else 0) for r, x in enumerate(col)):
+            raise RuntimeError(f"pin of {p.vars.names[idx]!r}: pivot column {k} is not q * e_{k}")
     fresh = VariableSet(tuple(f"t{k + 1}" for k in range(new_matrix.rows)))
     result = Parametrization(fresh, p.vars, new_matrix, p.allow_degenerate)
-    assert is_maximal_rank(result)
     return PinResult(result, pinned_param_index=0, exponent=q)
 
 

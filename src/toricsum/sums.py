@@ -12,9 +12,15 @@ A family of ideals combines the same way along the edges of its sharing
 graph, provided every connected component is a tree; components are then
 joined block-diagonally.
 
-The reported dimension is always the rank of the assembled matrix.  Two
-closed-form predictions are carried along for comparison and flagged when
-they disagree with each other or with the rank.
+Each merge carries its facts forward instead of recomputing them on the
+assembled matrix.  The assembled matrix has maximal rank by construction,
+so its rank, the reported dimension, is read off its row count; its
+grading vector is stitched from the two sides' and checked on every merge;
+and the variables that occur in low-degree kernel binomials of each input
+ideal are found once, when that ideal first enters a merge, and carried
+along for the shared-variable usage check.  Two closed-form predictions
+are carried along for comparison and flagged when they disagree with each
+other or with the rank.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, rank
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
@@ -34,7 +40,6 @@ from .parametrization import (
     Parametrization,
     dimension,
     homogeneity_certificate,
-    is_maximal_rank,
     normalize_pin,
 )
 
@@ -43,8 +48,16 @@ from .parametrization import (
 class SumConstruction:
     """Assembled two-ideal sum with its dimension bookkeeping.
 
-    ``rank_dimension`` is computed from the matrix and is authoritative;
-    ``predicted_dimension`` is dim(I1) + dim(I2) - 1.
+    ``rank_dimension`` is the rank of ``result``.  The assembled matrix has
+    maximal rank by construction, so this is its row count, m1 + m2 + 1;
+    ``predicted_dimension`` is dim(I1) + dim(I2) - 1.  ``certificate`` is a
+    grading vector of ``result``, stitched from the two sides and checked.
+
+    ``used_variables`` holds the variables that occur in some kernel
+    binomial of degree at most ``usage_degree`` of one of the input ideals
+    (each searched on its own); it is empty when ``usage_degree`` is None.
+    A construction can be passed back to :func:`sum_shared` in place of a
+    parametrization, which then reuses these facts.
     """
 
     result: Parametrization
@@ -52,6 +65,11 @@ class SumConstruction:
     predicted_dimension: int
     rank_dimension: int
     certificate: HomogeneityCertificate
+    usage_degree: Optional[int] = None
+    used_variables: frozenset[str] = frozenset()
+
+
+Summand = Union[Parametrization, SumConstruction]
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,9 @@ class IdealFamilyGraph:
 class FamilyReport:
     """Dimension accounting for a family sum.
 
+    ``rank_dimension`` is the rank of the family sum, added up from the
+    components: a merged component contributes its last construction's
+    ``rank_dimension``, an isolated ideal its own rank.
     ``iterated_prediction`` is sum(dims) - (k - r), the value obtained by
     iterating the two-ideal dimension formula along the trees;
     ``global_formula`` is sum(dims) + r - k + 1, which is always
@@ -147,24 +168,56 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
     )
 
 
-def _pinned_last(p: Parametrization, shared: str) -> tuple[Parametrization, int]:
+class _PinnedSide(NamedTuple):
+    """One side reshaped for assembly, with its grading and rank.
+
+    ``omega`` grades the rows above the pinned one; the pinned row's entry
+    is not kept, since the shared column forces it to 1 / gamma.
+    """
+
+    p: Parametrization
+    gamma: int
+    omega: tuple[Fraction, ...]
+    dimension: int
+
+
+def _pinned_last(side: Summand, shared: str, which: str) -> _PinnedSide:
     """Reshape so the shared variable is the last column, pinned on the last row.
 
     Runs the pin normalization unless the matrix is already maximal rank
     with a single-support shared column, in which case only the row and
-    column permutations are applied.  Returns the reshaped parametrization
-    and the positive pinned exponent.
+    column permutations are applied.  The grading vector follows along: it
+    is carried from a construction or solved for once on a plain input with
+    a single-support column, and forced to (1/q, ..., 1/q) on a pinned
+    side, whose pivot columns are q * e_i; row permutation permutes it.
+    Returns the reshaped parametrization, the positive pinned exponent, the
+    grading of the unpinned rows and the rank.
     """
+    if isinstance(side, SumConstruction):
+        p, cert, dim = side.result, side.certificate, side.rank_dimension
+    else:
+        p, cert, dim = side, None, None
     idx = p.vars.index(shared)
     col = p.column(idx)
     if not any(col):
         raise ConstructionError(f"shared variable {shared!r} maps to 1 and cannot be pinned")
     support = [k for k, x in enumerate(col) if x]
-    if len(support) == 1 and is_maximal_rank(p):
+    if len(support) == 1 and dim is None:
+        dim = rank(p.matrix)
+    if len(support) == 1 and dim == len(p.params):
         pinned, j = p, support[0]
+        if cert is None:
+            cert = homogeneity_certificate(p)
     else:
         pin = normalize_pin(p, idx)
         pinned, j = pin.parametrization, pin.pinned_param_index
+        dim = len(pinned.params)
+        # The forced grading is the only candidate, so on a plain input
+        # whether it certifies decides homogeneity.
+        forced = HomogeneityCertificate((Fraction(1, pin.exponent),) * dim)
+        cert = forced if cert is not None or forced.certifies(pinned) else None
+    if cert is None:
+        raise ConstructionError(f"{which} input is not homogeneous (no grading vector)")
 
     gamma = pinned.matrix.column(idx)[j]
     entries = [list(row) for row in pinned.matrix.entries]
@@ -181,7 +234,12 @@ def _pinned_last(p: Parametrization, shared: str) -> tuple[Parametrization, int]
     )
     vars_ = VariableSet(tuple(pinned.vars.names[c] for c in col_order))
     params = VariableSet(tuple(pinned.params.names[r] for r in row_order))
-    return Parametrization(params, vars_, reshaped, pinned.allow_degenerate), gamma
+    return _PinnedSide(
+        Parametrization(params, vars_, reshaped, pinned.allow_degenerate),
+        gamma,
+        tuple(cert.omega[r] for r in row_order[:-1]),
+        dim,
+    )
 
 
 def _scale_last_row(p: Parametrization, factor: int) -> Parametrization:
@@ -194,10 +252,27 @@ def _scale_last_row(p: Parametrization, factor: int) -> Parametrization:
     )
 
 
-def _warn_if_variable_unused(p: Parametrization, shared: str, degree: int, side: str) -> None:
-    idx = p.vars.index(shared)
-    bound = DegreeBound(degree, 0)
-    if not any(b.involves(idx) for b in enumerate_kernel_binomials(p, bound)):
+def _used_variables(side: Summand, degree: int) -> frozenset[str]:
+    """Variables occurring in a kernel binomial of degree <= ``degree``.
+
+    A construction checked at the same degree answers from its carried set
+    without a search; a plain input is searched here.  A construction
+    checked at another degree, or not at all, has its assembled result
+    searched instead, as one ideal.
+    """
+    if isinstance(side, SumConstruction):
+        if side.usage_degree == degree:
+            return side.used_variables
+        side = side.result
+    names = side.vars.names
+    used: set[str] = set()
+    for b in enumerate_kernel_binomials(side, DegreeBound(degree, 0)):
+        used.update(names[i] for i, (a, c) in enumerate(zip(b.u_plus, b.u_minus)) if a or c)
+    return frozenset(used)
+
+
+def _warn_if_unused(used: frozenset[str], shared: str, degree: int, side: str) -> None:
+    if shared not in used:
         warnings.warn(
             f"no kernel binomial of the {side} ideal involves {shared!r} up to degree "
             f"{degree}; the shared variable may not occur in any generator",
@@ -206,8 +281,8 @@ def _warn_if_variable_unused(p: Parametrization, shared: str, degree: int, side:
 
 
 def sum_shared(
-    p1: Parametrization,
-    p2: Parametrization,
+    p1: Summand,
+    p2: Summand,
     shared: str,
     *,
     usage_degree: Optional[int] = 2,
@@ -218,36 +293,43 @@ def sum_shared(
     single parameter power, the pinned exponents are rescaled to their
     lcm, and the blocks are assembled over fresh disjoint parameters
     (prefixes ``t1_`` and ``t2_``, shared parameter ``s``).  The result
-    carries a homogeneity certificate stitched from the two sides.
+    carries a homogeneity certificate stitched from the two sides; it is
+    checked against the assembled matrix, and a failure raises
+    RuntimeError.
+
+    Either input may be an earlier :class:`SumConstruction`, which stands
+    for its ``result``; its certificate, rank and usage facts are reused
+    instead of recomputed, so folding this function over a tree pays for
+    each input ideal's facts once.
 
     ``usage_degree`` bounds a cheap search for a kernel binomial actually
     involving the shared variable on each side; a miss is a warning, not
-    an error.  Pass None to skip the search.
+    an error.  The search runs on each input ideal, once: a construction
+    built with the same ``usage_degree`` answers for the input ideals it
+    was built from, so it can warn where a search of the assembled matrix
+    would not.  Pass None to skip the search.
     """
-    shared_set = set(p1.vars.names) & set(p2.vars.names)
+    base1 = p1.result if isinstance(p1, SumConstruction) else p1
+    base2 = p2.result if isinstance(p2, SumConstruction) else p2
+    shared_set = set(base1.vars.names) & set(base2.vars.names)
     if shared_set != {shared}:
         raise ConstructionError(
             f"variable sets share {sorted(shared_set)}, expected exactly [{shared!r}]"
         )
-    if homogeneity_certificate(p1) is None:
-        raise ConstructionError("first input is not homogeneous (no grading vector)")
-    if homogeneity_certificate(p2) is None:
-        raise ConstructionError("second input is not homogeneous (no grading vector)")
+    side1 = _pinned_last(p1, shared, "first")
+    side2 = _pinned_last(p2, shared, "second")
 
+    used: frozenset[str] = frozenset()
     if usage_degree is not None:
-        _warn_if_variable_unused(p1, shared, usage_degree, "first")
-        _warn_if_variable_unused(p2, shared, usage_degree, "second")
+        used1 = _used_variables(p1, usage_degree)
+        used2 = _used_variables(p2, usage_degree)
+        _warn_if_unused(used1, shared, usage_degree, "first")
+        _warn_if_unused(used2, shared, usage_degree, "second")
+        used = used1 | used2
 
-    pinned1, gamma1 = _pinned_last(p1, shared)
-    pinned2, gamma2 = _pinned_last(p2, shared)
-    gamma = lcm(gamma1, gamma2)
-    scaled1 = _scale_last_row(pinned1, gamma // gamma1)
-    scaled2 = _scale_last_row(pinned2, gamma // gamma2)
-
-    cert1 = homogeneity_certificate(scaled1)
-    cert2 = homogeneity_certificate(scaled2)
-    assert cert1 is not None and cert2 is not None
-    assert cert1.omega[-1] == Fraction(1, gamma) == cert2.omega[-1]
+    gamma = lcm(side1.gamma, side2.gamma)
+    scaled1 = _scale_last_row(side1.p, gamma // side1.gamma)
+    scaled2 = _scale_last_row(side2.p, gamma // side2.gamma)
 
     m1 = scaled1.matrix.rows - 1
     m2 = scaled2.matrix.rows - 1
@@ -270,20 +352,27 @@ def sum_shared(
         + ("s",)
     )
     result = Parametrization(
-        params, vars_, matrix, p1.allow_degenerate or p2.allow_degenerate
+        params, vars_, matrix, base1.allow_degenerate or base2.allow_degenerate
     )
 
+    # Scaling a pinned row by gamma / gamma_i divides its grading entry,
+    # 1 / gamma_i, by the same factor, which leaves 1 / gamma on both sides.
     certificate = HomogeneityCertificate(
-        cert1.omega[:-1] + cert2.omega[:-1] + (Fraction(1, gamma),)
+        side1.omega + side2.omega + (Fraction(1, gamma),)
     )
-    assert certificate.certifies(result)
+    if not certificate.certifies(result):
+        raise RuntimeError(
+            f"stitched grading vector does not certify the sum over {shared!r}"
+        )
 
     return SumConstruction(
         result=result,
         gamma=gamma,
-        predicted_dimension=dimension(p1) + dimension(p2) - 1,
-        rank_dimension=dimension(result),
+        predicted_dimension=side1.dimension + side2.dimension - 1,
+        rank_dimension=m1 + m2 + 1,
         certificate=certificate,
+        usage_degree=usage_degree,
+        used_variables=used,
     )
 
 
@@ -348,6 +437,11 @@ def sum_family(
     :func:`sum_shared`, and the component results are joined with
     :func:`sum_disjoint`.  Ideals that take part in a merge must be
     homogeneous; isolated vertices are exempt.
+
+    Each merge is passed the previous :class:`SumConstruction` rather than
+    its bare result, so certificates, ranks and the usage search are paid
+    once per input ideal; the usage check thus runs per input ideal and
+    incident edge.
     """
     ps = list(ps)
     if names is None:
@@ -373,34 +467,39 @@ def sum_family(
                     "and cannot enter a shared-variable sum"
                 )
 
+    dims = tuple(dimension(p) for p in ps)
     merges: list[tuple[str, str, str]] = []
     component_results: list[Parametrization] = []
+    rank_dim = 0
     for comp in graph.components:
         adj: dict[int, dict[int, str]] = {v: {} for v in comp.vertices}
         for i, j, var in graph.edges:
             if i in adj:
                 adj[i][j] = var
                 adj[j][i] = var
-        current = {v: ps[v] for v in comp.vertices}
+        current: dict[int, Summand] = {v: ps[v] for v in comp.vertices}
         while len(current) > 1:
             leaf = min(v for v in current if len(adj[v]) == 1)
             neighbour, var = next(iter(adj[leaf].items()))
-            construction = sum_shared(
+            current[neighbour] = sum_shared(
                 current[leaf], current[neighbour], var, usage_degree=usage_degree
             )
-            current[neighbour] = construction.result
             merges.append((names[leaf], names[neighbour], var))
             del current[leaf]
             del adj[neighbour][leaf]
             del adj[leaf]
-        component_results.append(next(iter(current.values())))
+        (v, last), = current.items()
+        if isinstance(last, SumConstruction):
+            component_results.append(last.result)
+            rank_dim += last.rank_dimension
+        else:
+            component_results.append(last)
+            rank_dim += dims[v]
 
     combined = sum_disjoint(component_results)
-    dims = tuple(dimension(p) for p in ps)
     k, r = graph.k, graph.r
     iterated = sum(dims) - (k - r)
     global_form = sum(dims) + r - k + 1
-    rank_dim = dimension(combined)
     report = FamilyReport(
         graph=graph,
         input_dimensions=dims,

@@ -15,6 +15,7 @@ from toricsum import (
     Binomial,
     ConstructionError,
     DegreeBound,
+    HomogeneityCertificate,
     IntegerMatrix,
     LatticeBasis,
     Parametrization,
@@ -116,6 +117,52 @@ class TestHomogeneityCertificate:
             for v in kernel_lattice(p.matrix).vectors:
                 assert split_disjoint(v).is_balanced
 
+    def test_certifies_matches_fraction_reference(self):
+        def reference(omega, p):
+            if len(omega) != len(p.params):
+                return False
+            for j in range(len(p.vars)):
+                col = p.column(j)
+                if any(col) and sum(Fraction(w) * x for w, x in zip(omega, col)) != 1:
+                    return False
+            return True
+
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(300):
+            m, n = rng.randint(0, 3), rng.randint(1, 4)
+            rows = [[rng.choice([0, 0, 1, 2, -1, 3]) for _ in range(n)] for _ in range(m)]
+            p = Parametrization(
+                VariableSet(tuple(f"t{k}" for k in range(m))),
+                VariableSet(tuple(f"x{j}" for j in range(n))),
+                IntegerMatrix.from_rows(rows, cols=n),
+                allow_degenerate=True,
+            )
+            true_cert = homogeneity_certificate(p)
+            candidates = [
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)),
+                tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m + 1)),
+                tuple(Fraction(0) for _ in range(m)),
+                tuple(Fraction(rng.choice([0, 1]), rng.randint(1, 3)) for _ in range(m)),
+            ]
+            if m:
+                candidates.append(candidates[0][:-1])
+            if true_cert is not None:
+                candidates.append(true_cert.omega)
+                if m:
+                    k = rng.randrange(m)
+                    bumped = list(true_cert.omega)
+                    bumped[k] += Fraction(1, rng.randint(1, 5))
+                    candidates.append(tuple(bumped))
+                    zeroed = list(true_cert.omega)
+                    zeroed[k] = Fraction(0)
+                    candidates.append(tuple(zeroed))
+            for omega in candidates:
+                expected = reference(omega, p)
+                assert HomogeneityCertificate(omega).certifies(p) == expected, (rows, omega)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
 
 class TestReparametrize:
     def test_hand_example(self):
@@ -170,6 +217,20 @@ class TestNormalizePin:
     def test_accepts_variable_names(self):
         p = make([[1, 1, 1], [0, 1, 2]], ["x1", "x2", "x3"], ["t", "s"])
         assert normalize_pin(p, "x3") == normalize_pin(p, 2)
+
+    def test_corrupted_reduction_is_caught(self, monkeypatch):
+        import toricsum.parametrization as parametrization
+
+        real = parametrization.row_reduce
+
+        def corrupted(rows, ncols):
+            pivots, d, sign = real(rows, ncols)
+            rows[0][pivots[-1]] += d  # off the diagonal of the last pivot column
+            return pivots, d, sign
+
+        monkeypatch.setattr(parametrization, "row_reduce", corrupted)
+        with pytest.raises(RuntimeError, match="pivot column 1"):
+            normalize_pin(TWISTED_CUBIC, 1)
 
     def test_redundant_rows_are_dropped(self):
         p = make([[1, 1, 1], [2, 2, 2], [0, 1, 2]], ["x1", "x2", "x3"], ["t", "s", "u"])

@@ -1,23 +1,33 @@
 """Disjoint and shared-variable sums, the sharing graph, and leaf peeling."""
 
 import random
+import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from helpers import kernel_in_sorted_vars, quadric, random_homogeneous_parametrization
+from helpers import (
+    kernel_in_sorted_vars,
+    quadric,
+    random_homogeneous_parametrization,
+    random_parametrization,
+)
 from toricsum import (
     Binomial,
     ConstructionError,
     DegreeBound,
+    HomogeneityCertificate,
     IntegerMatrix,
     LatticeBasis,
     Parametrization,
+    SumConstruction,
     VariableSet,
     build_family_graph,
     contains_binomial,
     dimension,
     enumerate_kernel_binomials,
+    homogeneity_certificate,
     kernel_lattice,
     relabel_binomial,
     sum_disjoint,
@@ -305,3 +315,222 @@ class TestPeelingOrderIndependence:
                 acc = sum_shared(leaves[var], acc, var, usage_degree=None).result
             results.append(kernel_in_sorted_vars(acc))
         assert results[0] == results[1] == results[2]
+
+
+def _random_block(rng, shared_names, prefix):
+    """Random homogeneous block on ``shared_names`` plus one or two own variables.
+
+    Three styles: ``mixed`` hides the all-ones grading row by unimodular row
+    mixing, so shared columns mostly have several nonzero entries and need
+    pinning; ``single`` keeps every shared column on the grading row alone,
+    negated half the time (a negative pinned exponent); ``redundant`` is
+    ``single`` plus a copy of a row, so the block is never maximal rank and
+    is always pinned.
+    """
+    style = rng.choice(["mixed", "single", "redundant"])
+    names = list(shared_names) + [f"{prefix}{j}" for j in range(rng.randint(1, 2))]
+    n, m = len(names), rng.randint(1, 3)
+    free = range(len(shared_names) if style != "mixed" else 0, n)
+    rows = [[rng.randint(-2, 2) if j in free else 0 for j in range(n)] for _ in range(m - 1)]
+    rows.append([1] * n)
+    if style == "mixed":
+        for _ in range(3):
+            i, j = rng.randrange(m), rng.randrange(m)
+            if i != j:
+                c = rng.choice([-1, 1])
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    else:
+        if rng.random() < 0.5:
+            rows[-1] = [-x for x in rows[-1]]
+        if style == "redundant":
+            rows.append(list(rows[rng.randrange(m)]))
+    rng.shuffle(rows)
+    order = list(range(n))
+    rng.shuffle(order)
+    return make(
+        [[row[j] for j in order] for row in rows],
+        [names[j] for j in order],
+        [f"t{k}" for k in range(len(rows))],
+    )
+
+
+def _random_tree(kind, k, rng):
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(k - 1)]
+    elif kind == "star":
+        edges = [(0, i) for i in range(1, k)]
+    else:  # caterpillar: a spine with legs hanging off it
+        spine = max(2, k // 2)
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        edges += [(rng.randrange(spine), i) for i in range(spine, k)]
+    label = list(range(k))
+    rng.shuffle(label)
+    return [(label[a], label[b], f"e{n}") for n, (a, b) in enumerate(edges)]
+
+
+def _random_family(rng, kind, k):
+    edges = _random_tree(kind, k, rng)
+    ps = [
+        _random_block(rng, [var for a, b, var in edges if v in (a, b)], f"v{v}_")
+        for v in range(k)
+    ]
+    return ps, edges
+
+
+def _fold(ps, edges, carry):
+    """Leaf peeling as sum_family does it, on one tree, without the usage check.
+
+    With ``carry`` False each merge sees only the previous result, so every
+    fact is recomputed from the accumulated matrix.
+    """
+    adj = {v: {} for v in range(len(ps))}
+    for a, b, var in edges:
+        adj[a][b] = adj[b][a] = var
+    current = dict(enumerate(ps))
+    constructions = []
+    while len(current) > 1:
+        leaf = min(v for v in current if len(adj[v]) == 1)
+        neighbour, var = next(iter(adj[leaf].items()))
+        c = sum_shared(current[leaf], current[neighbour], var, usage_degree=None)
+        constructions.append(c)
+        current[neighbour] = c if carry else c.result
+        del current[leaf], adj[neighbour][leaf], adj[leaf]
+    (last,) = current.values()
+    return (last.result if carry else last), constructions
+
+
+class TestCarriedFacts:
+    @pytest.mark.parametrize("kind", ["path", "star", "caterpillar"])
+    def test_family_matches_recomputing_fold(self, kind):
+        rng = random.Random(f"carried:{kind}")
+        for trial in range(25):
+            ps, edges = _random_family(rng, kind, rng.randint(2, 6))
+            expected, plain = _fold(ps, edges, carry=False)
+            carried_result, carried = _fold(ps, edges, carry=True)
+            assert carried_result == expected
+            for c in plain + carried:
+                assert c.rank_dimension == dimension(c.result)
+                assert c.predicted_dimension == c.rank_dimension
+                assert c.certificate.certifies(c.result)
+            if trial % 2:
+                # an isolated, possibly non-homogeneous block joins block-diagonally
+                ps.append(random_parametrization(rng, max_params=2, max_vars=3, prefix="iso"))
+                expected = sum_disjoint([expected, ps[-1]])
+            usage_degree = 2 if trial % 3 else None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result, report = sum_family(ps, usage_degree=usage_degree)
+            if usage_degree is not None:
+                # one check per input ideal and incident edge, each on that ideal alone
+                unused = [
+                    var
+                    for a, b, var in edges
+                    for v in (a, b)
+                    if not any(
+                        g.involves(ps[v].vars.index(var))
+                        for g in enumerate_kernel_binomials(ps[v], DegreeBound(2, 0))
+                    )
+                ]
+                named = [re.search(r"involves '(\w+)'", str(w.message))[1] for w in caught]
+                assert sorted(named) == sorted(unused)
+            assert result.matrix == expected.matrix
+            assert result.vars == expected.vars
+            assert result.params == expected.params
+            assert report.rank_dimension == dimension(result)
+            assert report.input_dimensions == tuple(dimension(p) for p in ps)
+
+    def test_negative_pinned_exponent_on_carried_side(self):
+        # grading (-1, 1): after the merge over y, x maps to the inverse of a
+        # single parameter, so the carried grading entry must be negated with
+        # its row on the next merge
+        p1 = make([[1, 0, 0, -1], [2, 1, 1, 0]], ["z1", "z2", "y", "x"], ["t", "s"])
+        c = sum_shared(quadric("w1", "w2", "y"), p1, "y", usage_degree=None)
+        assert sorted(c.result.column(c.result.vars.index("x"))) == [-1, 0, 0]
+        c2 = sum_shared(c, quadric("v1", "v2", "x"), "x", usage_degree=None)
+        expected = sum_shared(c.result, quadric("v1", "v2", "x"), "x", usage_degree=None)
+        assert c2.result == expected.result
+        assert c2.certificate == expected.certificate
+        assert c2.rank_dimension == dimension(c2.result)
+
+    def test_non_homogeneous_side_rejected_on_either_path(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(60):
+            p = random_parametrization(rng, max_params=3, max_vars=3, prefix="a")
+            column = [rng.choice([-2, -1, 0, 0, 1, 2]) for _ in range(p.matrix.rows)]
+            if not any(column):
+                continue
+            p = make(
+                [list(row) + [x] for row, x in zip(p.matrix.entries, column)],
+                p.vars.names + ("x",),
+                p.params.names,
+            )
+            homogeneous = homogeneity_certificate(p) is not None
+            outcomes.add((homogeneous, sum(map(bool, column)) == 1))
+            for args, which in (((p, quadric("w1", "w2", "x")), "first"),
+                                ((quadric("w1", "w2", "x"), p), "second")):
+                if homogeneous:
+                    c = sum_shared(*args, "x", usage_degree=None)
+                    assert c.certificate.certifies(c.result)
+                else:
+                    with pytest.raises(ConstructionError, match=f"{which} input is not homogeneous"):
+                        sum_shared(*args, "x", usage_degree=None)
+        assert len(outcomes) == 4
+
+    def test_wrong_carried_certificate_raises(self):
+        fake = SumConstruction(
+            result=quadric("z1", "z2", "y"),
+            gamma=1,
+            predicted_dimension=2,
+            rank_dimension=2,
+            certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
+        )
+        with pytest.raises(RuntimeError, match="stitched grading vector"):
+            sum_shared(fake, quadric("w1", "w2", "y"), "y", usage_degree=None)
+
+
+# x, y and the d's sit in a block whose only kernel binomial, d1*d2^2 - y^3,
+# has degree 3; c1*c2 - x^2 involves x at degree 2.
+CENTRE = make(
+    [
+        [1, -1, 0, 0, 0, 0],
+        [1, 1, 1, 0, 0, 0],
+        [0, 0, 0, 3, 0, 1],
+        [0, 0, 0, 0, 3, 2],
+    ],
+    ["c1", "c2", "x", "d1", "d2", "y"],
+    ["t", "s", "a", "b"],
+)
+CUBIC_X = make([[3, 0, 1], [0, 3, 2]], ["a1", "a2", "x"], ["t", "s"])
+
+
+class TestUsageWarnings:
+    def test_unused_shared_variable_warns_and_names_it(self):
+        with pytest.warns(UserWarning, match=r"first ideal involves 'x' up to degree 2") as caught:
+            sum_shared(CUBIC_X, quadric("w1", "w2", "x"), "x")
+        assert len(caught) == 1
+
+    def test_star_centre_warns_once_on_later_edge(self):
+        family = [CENTRE, quadric("p1", "p2", "x"), quadric("q1", "q2", "y")]
+        with pytest.warns(UserWarning, match="'y'") as caught:
+            _, report = sum_family(family, ["C", "X", "Y"])
+        assert report.merges == (("X", "C", "x"), ("C", "Y", "y"))
+        assert [str(w.message).count("'y'") for w in caught] == [1]
+
+    def test_no_warning_without_usage_degree(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sum_shared(CUBIC_X, quadric("w1", "w2", "x"), "x", usage_degree=None)
+            sum_family([CENTRE, quadric("p1", "p2", "x"), quadric("q1", "q2", "y")],
+                       usage_degree=None)
+
+    def test_carried_set_answers_only_its_own_degree(self):
+        c = sum_shared(quadric("p1", "p2", "x"), CENTRE, "x")
+        assert c.usage_degree == 2
+        assert c.used_variables == {"p1", "p2", "x", "c1", "c2"}
+        with pytest.warns(UserWarning, match="'y'"):
+            sum_shared(c, quadric("q1", "q2", "y"), "y")
+        # at degree 3 the result is searched afresh and d1*d2^2 - y^3 is found
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sum_shared(c, quadric("q1", "q2", "y"), "y", usage_degree=3)
