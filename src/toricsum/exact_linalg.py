@@ -315,8 +315,9 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with both unimodular transformations.
 
-    The returned decomposition satisfies ``D == P @ M @ Q`` exactly; the
-    function asserts this before returning.
+    The returned decomposition satisfies ``D == P @ M @ Q`` exactly with
+    ``|det P| == |det Q| == 1``; both are checked before returning, and a
+    failure raises RuntimeError.
     """
     nrows, ncols = m.rows, m.cols
     d = [list(row) for row in m.entries]
@@ -398,8 +399,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     D = IntegerMatrix.from_rows(d, cols=ncols)
     P = IntegerMatrix.from_rows(p, cols=nrows)
     Q = IntegerMatrix.from_rows(q, cols=ncols)
-    assert (P @ m) @ Q == D
-    assert abs(determinant(P)) == 1 and abs(determinant(Q)) == 1
+    if (P @ m) @ Q != D:
+        raise RuntimeError("Smith normal form: P @ M @ Q does not equal D")
+    if abs(determinant(P)) != 1 or abs(determinant(Q)) != 1:
+        raise RuntimeError("Smith normal form: a transform is not unimodular")
     return SmithDecomposition(D, P, Q)
 
 

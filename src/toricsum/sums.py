@@ -12,15 +12,19 @@ A family of ideals combines the same way along the edges of its sharing
 graph, provided every connected component is a tree; components are then
 joined block-diagonally.
 
-Each merge carries its facts forward instead of recomputing them on the
-assembled matrix.  The assembled matrix has maximal rank by construction,
-so its rank, the reported dimension, is read off its row count; its
-grading vector is stitched from the two sides' and checked on every merge;
-and the variables that occur in low-degree kernel binomials of each input
-ideal are found once, when that ideal first enters a merge, and carried
-along for the shared-variable usage check.  Two closed-form predictions
-are carried along for comparison and flagged when they disagree with each
-other or with the rank.
+A merge reads one summand shape, :class:`SumConstruction`.  A plain
+input is lifted into a single-summand construction when it enters, which
+solves its grading vector (rejecting a non-homogeneous input) and its rank
+once; gamma is 1 and the predicted dimension is the rank.  Each merge then
+carries its facts forward instead of recomputing them on the assembled
+matrix.  The assembled matrix has maximal rank by construction, so its
+rank, the reported dimension, is read off its row count; its grading
+vector is stitched from the two sides' and checked on every merge; and the
+variables that occur in low-degree kernel binomials of each input ideal
+are found once, at that ideal's first merge, and carried along for the
+shared-variable usage check.  Two closed-form predictions are carried
+along for comparison and flagged when they disagree with each other or
+with the rank.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix, rank
+from .exact_linalg import IntegerMatrix
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
@@ -46,7 +50,7 @@ from .parametrization import (
 
 @dataclass(frozen=True)
 class SumConstruction:
-    """Assembled two-ideal sum with its dimension bookkeeping.
+    """Assembled sum with its dimension bookkeeping; the shape a merge reads.
 
     ``rank_dimension`` is the rank of ``result``.  The assembled matrix has
     maximal rank by construction, so this is its row count, m1 + m2 + 1;
@@ -57,7 +61,9 @@ class SumConstruction:
     binomial of degree at most ``usage_degree`` of one of the input ideals
     (each searched on its own); it is empty when ``usage_degree`` is None.
     A construction can be passed back to :func:`sum_shared` in place of a
-    parametrization, which then reuses these facts.
+    parametrization, which then reuses these facts.  Inside a merge a plain
+    input becomes a single summand: its own ``result``, gamma 1, both
+    dimensions its rank, its solved grading vector, usage not yet searched.
     """
 
     result: Parametrization
@@ -149,7 +155,6 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
         var_names.extend(p.vars)
         param_names.extend(f"t{k + 1}_{name}" for name in p.params)
 
-    total_rows = sum(p.matrix.rows for p in ps)
     total_cols = sum(p.matrix.cols for p in ps)
     rows: list[list[int]] = []
     col_offset = 0
@@ -158,126 +163,115 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
             padded = [0] * col_offset + list(row) + [0] * (total_cols - col_offset - p.matrix.cols)
             rows.append(padded)
         col_offset += p.matrix.cols
-    matrix = IntegerMatrix.from_rows(rows, cols=total_cols)
-    assert matrix.rows == total_rows
     return Parametrization(
         VariableSet(tuple(param_names)),
         VariableSet(tuple(var_names)),
-        matrix,
+        IntegerMatrix.from_rows(rows, cols=total_cols),
         any(p.allow_degenerate for p in ps),
     )
 
 
 class _PinnedSide(NamedTuple):
-    """One side reshaped for assembly, with its grading and rank.
+    """One side reshaped for assembly: rows, names, pinned exponent, grading.
 
-    ``omega`` grades the rows above the pinned one; the pinned row's entry
-    is not kept, since the shared column forces it to 1 / gamma.
+    ``rows`` drop the shared column and end with the pinned row, whose
+    shared entry is ``gamma``; ``params`` names the rows above it.
+    ``omega`` grades those rows; the pinned row's entry is not kept, since
+    the shared column forces it to 1 / gamma.
     """
 
-    p: Parametrization
+    rows: list[list[int]]
+    params: tuple[str, ...]
+    vars: tuple[str, ...]
     gamma: int
     omega: tuple[Fraction, ...]
-    dimension: int
 
 
-def _pinned_last(side: Summand, shared: str, which: str) -> _PinnedSide:
-    """Reshape so the shared variable is the last column, pinned on the last row.
+def _lift(p: Parametrization, refusal: str) -> SumConstruction:
+    """A plain input as a single summand: gamma = lcm() = 1, predicted = rank.
+
+    Solves the grading vector, raising ConstructionError with ``refusal``
+    when there is none, and the rank; the usage search is left to the merge.
+    """
+    cert = homogeneity_certificate(p)
+    if cert is None:
+        raise ConstructionError(refusal)
+    dim = dimension(p)
+    return SumConstruction(p, 1, dim, dim, cert)
+
+
+def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
+    """Reshape so the shared variable is pinned on the last row, then drop it.
 
     Runs the pin normalization unless the matrix is already maximal rank
     with a single-support shared column, in which case only the row and
-    column permutations are applied.  The grading vector follows along: it
-    is carried from a construction or solved for once on a plain input with
-    a single-support column, and forced to (1/q, ..., 1/q) on a pinned
-    side, whose pivot columns are q * e_i; row permutation permutes it.
-    Returns the reshaped parametrization, the positive pinned exponent, the
-    grading of the unpinned rows and the rank.
+    column permutations are applied.  The grading vector follows along: on
+    that shortcut the carried one is permuted with the rows; a pinned side,
+    whose pivot columns are q * e_i, has it forced to (1/q, ..., 1/q).
     """
-    if isinstance(side, SumConstruction):
-        p, cert, dim = side.result, side.certificate, side.rank_dimension
-    else:
-        p, cert, dim = side, None, None
+    p = side.result
     idx = p.vars.index(shared)
-    col = p.column(idx)
-    if not any(col):
-        raise ConstructionError(f"shared variable {shared!r} maps to 1 and cannot be pinned")
-    support = [k for k, x in enumerate(col) if x]
-    if len(support) == 1 and dim is None:
-        dim = rank(p.matrix)
-    if len(support) == 1 and dim == len(p.params):
-        pinned, j = p, support[0]
-        if cert is None:
-            cert = homogeneity_certificate(p)
+    support = [k for k, x in enumerate(p.column(idx)) if x]
+    if len(support) == 1 and side.rank_dimension == len(p.params):
+        pinned, j, omega = p, support[0], side.certificate.omega
     else:
         pin = normalize_pin(p, idx)
         pinned, j = pin.parametrization, pin.pinned_param_index
-        dim = len(pinned.params)
-        # The forced grading is the only candidate, so on a plain input
-        # whether it certifies decides homogeneity.
-        forced = HomogeneityCertificate((Fraction(1, pin.exponent),) * dim)
-        cert = forced if cert is not None or forced.certifies(pinned) else None
-    if cert is None:
-        raise ConstructionError(f"{which} input is not homogeneous (no grading vector)")
+        omega = (Fraction(1, pin.exponent),) * len(pinned.params)
 
-    gamma = pinned.matrix.column(idx)[j]
-    entries = [list(row) for row in pinned.matrix.entries]
+    row_order = [k for k in range(len(pinned.params)) if k != j] + [j]
+    col_order = [c for c in range(len(pinned.vars)) if c != idx]
+    entries = pinned.matrix.entries
+    rows = [[entries[r][c] for c in col_order] for r in row_order]
+    gamma = entries[j][idx]
     if gamma < 0:
         # Row negation keeps the kernel; it only flips the parameter.
-        entries[j] = [-x for x in entries[j]]
+        rows[-1] = [-x for x in rows[-1]]
         gamma = -gamma
-
-    row_order = [k for k in range(len(entries)) if k != j] + [j]
-    col_order = [c for c in range(len(pinned.vars)) if c != idx] + [idx]
-    reshaped = IntegerMatrix.from_rows(
-        [[entries[r][c] for c in col_order] for r in row_order],
-        cols=len(col_order),
-    )
-    vars_ = VariableSet(tuple(pinned.vars.names[c] for c in col_order))
-    params = VariableSet(tuple(pinned.params.names[r] for r in row_order))
     return _PinnedSide(
-        Parametrization(params, vars_, reshaped, pinned.allow_degenerate),
+        rows,
+        tuple(pinned.params.names[r] for r in row_order[:-1]),
+        tuple(pinned.vars.names[c] for c in col_order),
         gamma,
-        tuple(cert.omega[r] for r in row_order[:-1]),
-        dim,
+        tuple(omega[r] for r in row_order[:-1]),
     )
 
 
-def _scale_last_row(p: Parametrization, factor: int) -> Parametrization:
-    if factor == 1:
-        return p
-    entries = [list(row) for row in p.matrix.entries]
-    entries[-1] = [x * factor for x in entries[-1]]
-    return Parametrization(
-        p.params, p.vars, IntegerMatrix.from_rows(entries, cols=p.matrix.cols), p.allow_degenerate
-    )
-
-
-def _used_variables(side: Summand, degree: int) -> frozenset[str]:
+def _used_variables(side: SumConstruction, degree: int) -> frozenset[str]:
     """Variables occurring in a kernel binomial of degree <= ``degree``.
 
-    A construction checked at the same degree answers from its carried set
-    without a search; a plain input is searched here.  A construction
-    checked at another degree, or not at all, has its assembled result
-    searched instead, as one ideal.
+    A construction checked at the same degree answers from its carried set;
+    any other, a single summand included, has its result searched.
     """
-    if isinstance(side, SumConstruction):
-        if side.usage_degree == degree:
-            return side.used_variables
-        side = side.result
-    names = side.vars.names
+    if side.usage_degree == degree:
+        return side.used_variables
+    names = side.result.vars.names
     used: set[str] = set()
-    for b in enumerate_kernel_binomials(side, DegreeBound(degree, 0)):
+    for b in enumerate_kernel_binomials(side.result, DegreeBound(degree, 0)):
         used.update(names[i] for i, (a, c) in enumerate(zip(b.u_plus, b.u_minus)) if a or c)
     return frozenset(used)
 
 
-def _warn_if_unused(used: frozenset[str], shared: str, degree: int, side: str) -> None:
-    if shared not in used:
-        warnings.warn(
-            f"no kernel binomial of the {side} ideal involves {shared!r} up to degree "
-            f"{degree}; the shared variable may not occur in any generator",
-            stacklevel=3,
+def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumConstruction]:
+    """Check the shared variable, then lift each plain input (see :func:`_lift`).
+
+    The checks keep their order: the shared-variable set first, then per
+    side its shared column and, for a plain input, its homogeneity.
+    """
+    results = [p.result if isinstance(p, SumConstruction) else p for p in (p1, p2)]
+    shared_set = set(results[0].vars.names) & set(results[1].vars.names)
+    if shared_set != {shared}:
+        raise ConstructionError(
+            f"variable sets share {sorted(shared_set)}, expected exactly [{shared!r}]"
         )
+    sides = []
+    for side, p, which in zip((p1, p2), results, ("first", "second")):
+        if not any(p.column(p.vars.index(shared))):
+            raise ConstructionError(f"shared variable {shared!r} maps to 1 and cannot be pinned")
+        if side is p:
+            side = _lift(p, f"{which} input is not homogeneous (no grading vector)")
+        sides.append(side)
+    return sides[0], sides[1]
 
 
 def sum_shared(
@@ -297,10 +291,12 @@ def sum_shared(
     checked against the assembled matrix, and a failure raises
     RuntimeError.
 
-    Either input may be an earlier :class:`SumConstruction`, which stands
-    for its ``result``; its certificate, rank and usage facts are reused
-    instead of recomputed, so folding this function over a tree pays for
-    each input ideal's facts once.
+    Every input is handled as a :class:`SumConstruction`.  An earlier
+    construction stands for its ``result`` and its certificate, rank and
+    usage facts are reused; a plain parametrization is lifted into a
+    single-summand construction on entry, which solves its grading vector
+    and rank once.  Folding this function over a tree that passes each
+    construction on thus pays for each input ideal's facts once.
 
     ``usage_degree`` bounds a cheap search for a kernel binomial actually
     involving the shared variable on each side; a miss is a warning, not
@@ -309,67 +305,50 @@ def sum_shared(
     was built from, so it can warn where a search of the assembled matrix
     would not.  Pass None to skip the search.
     """
-    base1 = p1.result if isinstance(p1, SumConstruction) else p1
-    base2 = p2.result if isinstance(p2, SumConstruction) else p2
-    shared_set = set(base1.vars.names) & set(base2.vars.names)
-    if shared_set != {shared}:
-        raise ConstructionError(
-            f"variable sets share {sorted(shared_set)}, expected exactly [{shared!r}]"
-        )
-    side1 = _pinned_last(p1, shared, "first")
-    side2 = _pinned_last(p2, shared, "second")
+    c1, c2 = _enter(p1, p2, shared)
+    side1 = _pinned_last(c1, shared)
+    side2 = _pinned_last(c2, shared)
 
     used: frozenset[str] = frozenset()
     if usage_degree is not None:
-        used1 = _used_variables(p1, usage_degree)
-        used2 = _used_variables(p2, usage_degree)
-        _warn_if_unused(used1, shared, usage_degree, "first")
-        _warn_if_unused(used2, shared, usage_degree, "second")
-        used = used1 | used2
+        for c, which in ((c1, "first"), (c2, "second")):
+            found = _used_variables(c, usage_degree)
+            if shared not in found:
+                warnings.warn(
+                    f"no kernel binomial of the {which} ideal involves {shared!r} up to "
+                    f"degree {usage_degree}; the shared variable may not occur in any generator",
+                    stacklevel=2,
+                )
+            used |= found
 
     gamma = lcm(side1.gamma, side2.gamma)
-    scaled1 = _scale_last_row(side1.p, gamma // side1.gamma)
-    scaled2 = _scale_last_row(side2.p, gamma // side2.gamma)
-
-    m1 = scaled1.matrix.rows - 1
-    m2 = scaled2.matrix.rows - 1
-    n1 = scaled1.matrix.cols - 1
-    n2 = scaled2.matrix.cols - 1
-    rows: list[list[int]] = []
-    for k in range(m1):
-        rows.append(list(scaled1.matrix.entries[k][:n1]) + [0] * n2 + [0])
-    for k in range(m2):
-        rows.append([0] * n1 + list(scaled2.matrix.entries[k][:n2]) + [0])
-    rows.append(
-        list(scaled1.matrix.entries[m1][:n1]) + list(scaled2.matrix.entries[m2][:n2]) + [gamma]
-    )
-    matrix = IntegerMatrix.from_rows(rows, cols=n1 + n2 + 1)
-
-    vars_ = VariableSet(tuple(scaled1.vars.names[:n1]) + tuple(scaled2.vars.names[:n2]) + (shared,))
-    params = VariableSet(
-        tuple(f"t1_{name}" for name in scaled1.params.names[:m1])
-        + tuple(f"t2_{name}" for name in scaled2.params.names[:m2])
-        + ("s",)
-    )
+    s1, s2 = gamma // side1.gamma, gamma // side2.gamma
+    n1, n2 = len(side1.vars), len(side2.vars)
+    rows = [row + [0] * (n2 + 1) for row in side1.rows[:-1]]
+    rows += [[0] * n1 + row + [0] for row in side2.rows[:-1]]
+    rows.append([s1 * x for x in side1.rows[-1]] + [s2 * x for x in side2.rows[-1]] + [gamma])
     result = Parametrization(
-        params, vars_, matrix, base1.allow_degenerate or base2.allow_degenerate
+        VariableSet(
+            tuple(f"t1_{name}" for name in side1.params)
+            + tuple(f"t2_{name}" for name in side2.params)
+            + ("s",)
+        ),
+        VariableSet(side1.vars + side2.vars + (shared,)),
+        IntegerMatrix.from_rows(rows, cols=n1 + n2 + 1),
+        c1.result.allow_degenerate or c2.result.allow_degenerate,
     )
 
     # Scaling a pinned row by gamma / gamma_i divides its grading entry,
     # 1 / gamma_i, by the same factor, which leaves 1 / gamma on both sides.
-    certificate = HomogeneityCertificate(
-        side1.omega + side2.omega + (Fraction(1, gamma),)
-    )
+    certificate = HomogeneityCertificate(side1.omega + side2.omega + (Fraction(1, gamma),))
     if not certificate.certifies(result):
-        raise RuntimeError(
-            f"stitched grading vector does not certify the sum over {shared!r}"
-        )
+        raise RuntimeError(f"stitched grading vector does not certify the sum over {shared!r}")
 
     return SumConstruction(
         result=result,
         gamma=gamma,
-        predicted_dimension=side1.dimension + side2.dimension - 1,
-        rank_dimension=m1 + m2 + 1,
+        predicted_dimension=c1.rank_dimension + c2.rank_dimension - 1,
+        rank_dimension=len(rows),
         certificate=certificate,
         usage_degree=usage_degree,
         used_variables=used,
@@ -436,12 +415,13 @@ def sum_family(
     lowest-indexed leaf is repeatedly merged into its neighbour with
     :func:`sum_shared`, and the component results are joined with
     :func:`sum_disjoint`.  Ideals that take part in a merge must be
-    homogeneous; isolated vertices are exempt.
+    homogeneous; isolated vertices are exempt and stay plain.
 
-    Each merge is passed the previous :class:`SumConstruction` rather than
-    its bare result, so certificates, ranks and the usage search are paid
-    once per input ideal; the usage check thus runs per input ideal and
-    incident edge.
+    Each ideal of a merged component is lifted into a single-summand
+    :class:`SumConstruction` up front, which solves its grading vector and
+    rank, and each merge is passed constructions, so certificates, ranks
+    and the usage search are paid once per input ideal; the usage check
+    thus runs per input ideal and incident edge.
     """
     ps = list(ps)
     if names is None:
@@ -457,27 +437,33 @@ def sum_family(
             raise ConstructionError(
                 f"component {{{members}}} contains a cycle; the sharing graph must be a tree"
             )
+    lifted: dict[int, SumConstruction] = {}
     for comp in graph.components:
-        if len(comp.vertices) < 2:
-            continue
-        for v in comp.vertices:
-            if homogeneity_certificate(ps[v]) is None:
-                raise ConstructionError(
+        if len(comp.vertices) > 1:
+            for v in comp.vertices:
+                lifted[v] = _lift(
+                    ps[v],
                     f"ideal {names[v]!r} is not homogeneous (no grading vector) "
-                    "and cannot enter a shared-variable sum"
+                    "and cannot enter a shared-variable sum",
                 )
+    dims = tuple(lifted[v].rank_dimension if v in lifted else dimension(p)
+                 for v, p in enumerate(ps))
 
-    dims = tuple(dimension(p) for p in ps)
     merges: list[tuple[str, str, str]] = []
     component_results: list[Parametrization] = []
     rank_dim = 0
     for comp in graph.components:
+        if len(comp.vertices) == 1:
+            (v,) = comp.vertices
+            component_results.append(ps[v])
+            rank_dim += dims[v]
+            continue
         adj: dict[int, dict[int, str]] = {v: {} for v in comp.vertices}
         for i, j, var in graph.edges:
             if i in adj:
                 adj[i][j] = var
                 adj[j][i] = var
-        current: dict[int, Summand] = {v: ps[v] for v in comp.vertices}
+        current = {v: lifted[v] for v in comp.vertices}
         while len(current) > 1:
             leaf = min(v for v in current if len(adj[v]) == 1)
             neighbour, var = next(iter(adj[leaf].items()))
@@ -488,13 +474,9 @@ def sum_family(
             del current[leaf]
             del adj[neighbour][leaf]
             del adj[leaf]
-        (v, last), = current.items()
-        if isinstance(last, SumConstruction):
-            component_results.append(last.result)
-            rank_dim += last.rank_dimension
-        else:
-            component_results.append(last)
-            rank_dim += dims[v]
+        (last,) = current.values()
+        component_results.append(last.result)
+        rank_dim += last.rank_dimension
 
     combined = sum_disjoint(component_results)
     k, r = graph.k, graph.r

@@ -87,6 +87,24 @@ class TestSmith:
         snf = smith_normal_form(IntegerMatrix.from_rows([[6]]))
         assert snf.D.entries == ((6,),)
 
+    def test_corrupted_transforms_are_caught(self, monkeypatch):
+        # The self-checks raise rather than assert, so they hold under python -O.
+        import toricsum.exact_linalg as exact_linalg
+
+        m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+
+        def doubled(n):
+            return [[2 * (i == j) for j in range(n)] for i in range(n)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "_identity_lists", doubled)
+            with pytest.raises(RuntimeError, match="does not equal D"):
+                smith_normal_form(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "determinant", lambda _: 2)
+            with pytest.raises(RuntimeError, match="not unimodular"):
+                smith_normal_form(m)
+
     def test_random_divisibility_chain(self):
         rng = random.Random(202)
         for _ in range(50):

@@ -489,6 +489,55 @@ class TestCarriedFacts:
             sum_shared(fake, quadric("w1", "w2", "y"), "y", usage_degree=None)
 
 
+
+def _cubic(a, d, prefix):
+    """Twisted cubic with ends ``a`` and ``d`` and private middle variables."""
+    return make([[3, 2, 1, 0], [0, 1, 2, 3]], [a, f"{prefix}b", f"{prefix}c", d], ["t", "s"])
+
+
+NON_HOMOGENEOUS_X = make([[1, 2, 1]], ["u1", "u2", "x"], ["t"])
+ZERO_X = Parametrization(
+    VariableSet.of("t"), VariableSet.of("v1", "v2", "x"), IntegerMatrix.from_rows([[1, 2, 0]]), True
+)
+
+
+class TestPlainInputs:
+    def test_each_input_solved_once(self, monkeypatch):
+        import toricsum.parametrization as parametrization
+        import toricsum.sums as sums
+
+        calls = {"homogeneity_certificate": 0, "rank": 0}
+        for module in (sums, parametrization):
+            for name in calls:
+                if hasattr(module, name):
+                    def counted(*args, _real=getattr(module, name), _name=name):
+                        calls[_name] += 1
+                        return _real(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        family = [_cubic(f"x{k}", f"x{k + 1}", f"c{k}_") for k in range(6)]
+        family.append(quadric("w1", "w2", "x6"))
+        _, report = sum_family(family)
+        assert len(report.merges) == 6
+        assert calls == {"homogeneity_certificate": 7, "rank": 7}
+
+    @pytest.mark.parametrize(
+        "p1, p2, message",
+        [
+            # both sides share x and y and neither is homogeneous
+            (make([[1, 2, 1, 1]], ["u1", "u2", "x", "y"], ["t"]),
+             make([[1, 2, 1, 1]], ["w1", "w2", "x", "y"], ["t"]), "share"),
+            (ZERO_X, quadric("w1", "w2", "x"), "maps to 1"),
+            (quadric("w1", "w2", "x"), ZERO_X, "maps to 1"),
+            (ZERO_X, NON_HOMOGENEOUS_X, "maps to 1"),
+            (NON_HOMOGENEOUS_X, ZERO_X, "first input is not homogeneous"),
+        ],
+        ids=["shared-set", "zero-first", "zero-second", "zero-then-other", "first-side-first"],
+    )
+    def test_shared_variable_errors_come_before_homogeneity(self, p1, p2, message):
+        with pytest.raises(ConstructionError, match=message):
+            sum_shared(p1, p2, "x")
+
 # x, y and the d's sit in a block whose only kernel binomial, d1*d2^2 - y^3,
 # has degree 3; c1*c2 - x^2 involves x at degree 2.
 CENTRE = make(
