@@ -275,12 +275,6 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     print(f"dim(rank)={report.rank_dimension}")
     print(f"predicted(thm)={report.iterated_prediction}")
     print(f"predicted(global)={report.global_formula}")
-    if report.formulas_disagree:
-        print(
-            f"note: dimension formulas disagree (rank={report.rank_dimension} "
-            f"iterated={report.iterated_prediction} global={report.global_formula}); "
-            "the rank value is authoritative"
-        )
     if not args.certify:
         return 0
 

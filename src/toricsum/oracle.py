@@ -12,7 +12,7 @@ Three independent routes into the same questions:
   degree cap form connected components; a rewrite forest explores each
   component once, as one breadth-first tree, and answers every query on
   it by comparing roots;
-* cross-check a sum construction against generator lists in both
+* cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  One forest per degree cap serves the whole certification.
 """
@@ -22,13 +22,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .binomials import Binomial, Monomial, split_disjoint, total_degree
 from .parametrization import Parametrization, contains_binomial
-
-if TYPE_CHECKING:
-    from .sums import SumConstruction
 
 EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
 MISSING_IN_SUM = "missing-in-sum"
@@ -310,17 +307,3 @@ def certify_presentation(
             return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree)
         _replay_chain(b, gens, chain)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree)
-
-
-def certify_sum(
-    construction: "SumConstruction",
-    gens1: Sequence[Binomial],
-    gens2: Sequence[Binomial],
-    d: DegreeBound,
-) -> CertificationVerdict:
-    """Certify that a two-ideal sum presents exactly the combined ideal.
-
-    Generator lists must already be zero-extended to the merged variable
-    set of ``construction.result``.
-    """
-    return certify_presentation(construction.result, tuple(gens1) + tuple(gens2), d)

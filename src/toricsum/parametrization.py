@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -63,8 +64,10 @@ class Parametrization:
                 f"matrix has {self.matrix.cols} columns but there are {len(self.vars)} variables"
             )
         if not self.allow_degenerate:
-            for j, name in enumerate(self.vars):
-                if not any(self.matrix.column(j)):
+            # zip(*rows) yields no columns for a matrix without rows, whose columns are all zero.
+            columns = zip(*self.matrix.entries) if self.matrix.rows else repeat(())
+            for name, column in zip(self.vars, columns):
+                if not any(column):
                     raise ConstructionError(
                         f"variable {name!r} maps to 1 (zero column); "
                         "pass allow_degenerate=True to admit it"
@@ -120,11 +123,6 @@ def contains_binomial(p: Parametrization, b: Binomial) -> bool:
 def dimension(p: Parametrization) -> int:
     """Dimension of the parametrized quotient, the rank of the matrix."""
     return rank(p.matrix)
-
-
-def is_maximal_rank(p: Parametrization) -> bool:
-    """True when the rank equals the number of parameters."""
-    return rank(p.matrix) == len(p.params)
 
 
 def homogeneity_certificate(p: Parametrization) -> Optional[HomogeneityCertificate]:

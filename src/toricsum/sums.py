@@ -15,16 +15,15 @@ joined block-diagonally.
 A merge reads one summand shape, :class:`SumConstruction`.  A plain
 input is lifted into a single-summand construction when it enters, which
 solves its grading vector (rejecting a non-homogeneous input) and its rank
-once; gamma is 1 and the predicted dimension is the rank.  Each merge then
-carries its facts forward instead of recomputing them on the assembled
-matrix.  The assembled matrix has maximal rank by construction, so its
-rank, the reported dimension, is read off its row count; its grading
-vector is stitched from the two sides' and checked on every merge; and the
-variables that occur in low-degree kernel binomials of each input ideal
-are found once, at that ideal's first merge, and carried along for the
-shared-variable usage check.  Two closed-form predictions are carried
-along for comparison and flagged when they disagree with each other or
-with the rank.
+once; gamma is 1.  Each merge then carries its facts forward instead of
+recomputing them on the assembled matrix.  The pinned sides have maximal
+rank, so the assembled matrix does too and its rank, the reported
+dimension, is its row count, which is the paper's dim(I1) + dim(I2) - 1;
+its grading vector is stitched from the two sides' and checked on every
+merge; and the variables that occur in low-degree kernel binomials of each
+input ideal are found once, at that ideal's first merge, and carried along
+for the shared-variable usage check.  A family report stores the input
+dimensions and the rank and derives the paper's two closed forms from them.
 """
 
 from __future__ import annotations
@@ -47,32 +46,33 @@ from .parametrization import (
     normalize_pin,
 )
 
+# Degree bound of the search for a kernel binomial involving a shared variable.
+_USAGE_DEGREE = 2
+
 
 @dataclass(frozen=True)
 class SumConstruction:
-    """Assembled sum with its dimension bookkeeping; the shape a merge reads.
+    """Assembled sum with its rank and grading; the shape a merge reads.
 
     ``rank_dimension`` is the rank of ``result``.  The assembled matrix has
-    maximal rank by construction, so this is its row count, m1 + m2 + 1;
-    ``predicted_dimension`` is dim(I1) + dim(I2) - 1.  ``certificate`` is a
-    grading vector of ``result``, stitched from the two sides and checked.
+    maximal rank by construction, so this is its row count, m1 + m2 + 1,
+    which equals dim(I1) + dim(I2) - 1.  ``certificate`` is a grading
+    vector of ``result``, stitched from the two sides and checked.
 
     ``used_variables`` holds the variables that occur in some kernel
-    binomial of degree at most ``usage_degree`` of one of the input ideals
-    (each searched on its own); it is empty when ``usage_degree`` is None.
-    A construction can be passed back to :func:`sum_shared` in place of a
-    parametrization, which then reuses these facts.  Inside a merge a plain
-    input becomes a single summand: its own ``result``, gamma 1, both
-    dimensions its rank, its solved grading vector, usage not yet searched.
+    binomial of degree at most 2 of one of the input ideals (each searched
+    on its own), or None while no input has been searched.  A construction
+    can be passed back to :func:`sum_shared` in place of a parametrization,
+    which then reuses these facts.  Inside a merge a plain input becomes a
+    single summand: its own ``result``, gamma 1, its rank, its solved
+    grading vector, usage not yet searched.
     """
 
     result: Parametrization
     gamma: int
-    predicted_dimension: int
     rank_dimension: int
     certificate: HomogeneityCertificate
-    usage_degree: Optional[int] = None
-    used_variables: frozenset[str] = frozenset()
+    used_variables: Optional[frozenset[str]] = None
 
 
 Summand = Union[Parametrization, SumConstruction]
@@ -109,22 +109,25 @@ class FamilyReport:
 
     ``rank_dimension`` is the rank of the family sum, added up from the
     components: a merged component contributes its last construction's
-    ``rank_dimension``, an isolated ideal its own rank.
-    ``iterated_prediction`` is sum(dims) - (k - r), the value obtained by
-    iterating the two-ideal dimension formula along the trees;
-    ``global_formula`` is sum(dims) + r - k + 1, which is always
-    ``iterated_prediction + 1`` (also for k=1 and for an empty family), so
-    ``formulas_disagree``, set unless rank, iterated and global values all
-    coincide, is always True; the rank is authoritative.
+    ``rank_dimension``, an isolated ideal its own rank.  It always equals
+    ``iterated_prediction``; the paper's ``global_formula`` is always one
+    more.
     """
 
     graph: IdealFamilyGraph
     input_dimensions: tuple[int, ...]
     rank_dimension: int
-    iterated_prediction: int
-    global_formula: int
-    formulas_disagree: bool
     merges: tuple[tuple[str, str, str], ...]
+
+    @property
+    def iterated_prediction(self) -> int:
+        """sum(dims) - (k - r): the two-ideal formula iterated along the trees."""
+        return sum(self.input_dimensions) - (self.graph.k - self.graph.r)
+
+    @property
+    def global_formula(self) -> int:
+        """sum(dims) + r - k + 1, the paper's closed form for the whole family."""
+        return sum(self.input_dimensions) + self.graph.r - self.graph.k + 1
 
 
 def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
@@ -188,7 +191,7 @@ class _PinnedSide(NamedTuple):
 
 
 def _lift(p: Parametrization, refusal: str) -> SumConstruction:
-    """A plain input as a single summand: gamma = lcm() = 1, predicted = rank.
+    """A plain input as a single summand: gamma = lcm() = 1.
 
     Solves the grading vector, raising ConstructionError with ``refusal``
     when there is none, and the rank; the usage search is left to the merge.
@@ -196,8 +199,7 @@ def _lift(p: Parametrization, refusal: str) -> SumConstruction:
     cert = homogeneity_certificate(p)
     if cert is None:
         raise ConstructionError(refusal)
-    dim = dimension(p)
-    return SumConstruction(p, 1, dim, dim, cert)
+    return SumConstruction(p, 1, dimension(p), cert)
 
 
 def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
@@ -237,17 +239,17 @@ def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
     )
 
 
-def _used_variables(side: SumConstruction, degree: int) -> frozenset[str]:
-    """Variables occurring in a kernel binomial of degree <= ``degree``.
+def _used_variables(side: SumConstruction) -> frozenset[str]:
+    """Variables occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``.
 
-    A construction checked at the same degree answers from its carried set;
-    any other, a single summand included, has its result searched.
+    A construction answers from its carried set; a single summand, which
+    has none yet, has its result searched.
     """
-    if side.usage_degree == degree:
+    if side.used_variables is not None:
         return side.used_variables
     names = side.result.vars.names
     used: set[str] = set()
-    for b in enumerate_kernel_binomials(side.result, DegreeBound(degree, 0)):
+    for b in enumerate_kernel_binomials(side.result, DegreeBound(_USAGE_DEGREE, 0)):
         used.update(names[i] for i, (a, c) in enumerate(zip(b.u_plus, b.u_minus)) if a or c)
     return frozenset(used)
 
@@ -274,13 +276,7 @@ def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumC
     return sides[0], sides[1]
 
 
-def sum_shared(
-    p1: Summand,
-    p2: Summand,
-    shared: str,
-    *,
-    usage_degree: Optional[int] = 2,
-) -> SumConstruction:
+def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     """Sum of two homogeneous kernels sharing exactly one variable.
 
     Both inputs are pinned automatically so the shared variable maps to a
@@ -298,28 +294,26 @@ def sum_shared(
     and rank once.  Folding this function over a tree that passes each
     construction on thus pays for each input ideal's facts once.
 
-    ``usage_degree`` bounds a cheap search for a kernel binomial actually
-    involving the shared variable on each side; a miss is a warning, not
-    an error.  The search runs on each input ideal, once: a construction
-    built with the same ``usage_degree`` answers for the input ideals it
-    was built from, so it can warn where a search of the assembled matrix
-    would not.  Pass None to skip the search.
+    Each side is also searched for a kernel binomial of degree at most 2
+    that involves the shared variable; a miss is a warning, not an error.
+    The search runs on each input ideal, once: a construction answers for
+    the input ideals it was built from, so it can warn where a search of
+    the assembled matrix would not.
     """
     c1, c2 = _enter(p1, p2, shared)
     side1 = _pinned_last(c1, shared)
     side2 = _pinned_last(c2, shared)
 
     used: frozenset[str] = frozenset()
-    if usage_degree is not None:
-        for c, which in ((c1, "first"), (c2, "second")):
-            found = _used_variables(c, usage_degree)
-            if shared not in found:
-                warnings.warn(
-                    f"no kernel binomial of the {which} ideal involves {shared!r} up to "
-                    f"degree {usage_degree}; the shared variable may not occur in any generator",
-                    stacklevel=2,
-                )
-            used |= found
+    for c, which in ((c1, "first"), (c2, "second")):
+        found = _used_variables(c)
+        if shared not in found:
+            warnings.warn(
+                f"no kernel binomial of the {which} ideal involves {shared!r} up to "
+                f"degree {_USAGE_DEGREE}; the shared variable may not occur in any generator",
+                stacklevel=2,
+            )
+        used |= found
 
     gamma = lcm(side1.gamma, side2.gamma)
     s1, s2 = gamma // side1.gamma, gamma // side2.gamma
@@ -347,10 +341,8 @@ def sum_shared(
     return SumConstruction(
         result=result,
         gamma=gamma,
-        predicted_dimension=c1.rank_dimension + c2.rank_dimension - 1,
         rank_dimension=len(rows),
         certificate=certificate,
-        usage_degree=usage_degree,
         used_variables=used,
     )
 
@@ -406,8 +398,6 @@ def build_family_graph(ideals: Sequence[tuple[str, VariableSet]]) -> IdealFamily
 def sum_family(
     ps: Sequence[Parametrization],
     names: Optional[Sequence[str]] = None,
-    *,
-    usage_degree: Optional[int] = 2,
 ) -> tuple[Parametrization, FamilyReport]:
     """Sum a family of kernels along its sharing graph by leaf peeling.
 
@@ -421,7 +411,9 @@ def sum_family(
     :class:`SumConstruction` up front, which solves its grading vector and
     rank, and each merge is passed constructions, so certificates, ranks
     and the usage search are paid once per input ideal; the usage check
-    thus runs per input ideal and incident edge.
+    thus runs per input ideal and incident edge.  The report stores the
+    input dimensions and the rank of the sum; the paper's closed forms are
+    derived from them.
     """
     ps = list(ps)
     if names is None:
@@ -467,9 +459,7 @@ def sum_family(
         while len(current) > 1:
             leaf = min(v for v in current if len(adj[v]) == 1)
             neighbour, var = next(iter(adj[leaf].items()))
-            current[neighbour] = sum_shared(
-                current[leaf], current[neighbour], var, usage_degree=usage_degree
-            )
+            current[neighbour] = sum_shared(current[leaf], current[neighbour], var)
             merges.append((names[leaf], names[neighbour], var))
             del current[leaf]
             del adj[neighbour][leaf]
@@ -478,17 +468,5 @@ def sum_family(
         component_results.append(last.result)
         rank_dim += last.rank_dimension
 
-    combined = sum_disjoint(component_results)
-    k, r = graph.k, graph.r
-    iterated = sum(dims) - (k - r)
-    global_form = sum(dims) + r - k + 1
-    report = FamilyReport(
-        graph=graph,
-        input_dimensions=dims,
-        rank_dimension=rank_dim,
-        iterated_prediction=iterated,
-        global_formula=global_form,
-        formulas_disagree=len({rank_dim, iterated, global_form}) > 1,
-        merges=tuple(merges),
-    )
-    return combined, report
+    report = FamilyReport(graph, dims, rank_dim, tuple(merges))
+    return sum_disjoint(component_results), report

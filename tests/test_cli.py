@@ -202,12 +202,20 @@ class TestCommands:
     def test_sum_glued_certified(self, tmp_path, capsys):
         f = write(tmp_path, "g.ideal", GLUED)
         assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "row 1 -1 0 0 0\nrow 0 0 1 -1 0\nrow 1 1 1 1 1" in out
-        assert "dim(rank)=3" in out
-        assert "predicted(thm)=3" in out
-        assert "predicted(global)=4" in out
-        assert "verdict: equal-up-to-degree (degree 3)" in out
+        # the paper's global formula is one above the rank, and nothing flags it
+        assert capsys.readouterr().out == (
+            "ideal I1+I2\n"
+            "vars z1 z2 w1 w2 x\n"
+            "params t1_t t2_t s\n"
+            "row 1 -1 0 0 0\n"
+            "row 0 0 1 -1 0\n"
+            "row 1 1 1 1 1\n"
+            "k=2 r=1\n"
+            "dim(rank)=3\n"
+            "predicted(thm)=3\n"
+            "predicted(global)=4\n"
+            "verdict: equal-up-to-degree (degree 3)\n"
+        )
 
     def test_sum_output_is_reparseable(self, tmp_path, capsys):
         f = write(tmp_path, "g.ideal", GLUED)

@@ -16,7 +16,6 @@ from toricsum import (
     Parametrization,
     VariableSet,
     certify_presentation,
-    certify_sum,
     contains_binomial,
     enumerate_kernel_binomials,
     evaluate,
@@ -198,7 +197,7 @@ class TestCertify:
         vs = c.result.vars
         gens1 = [parse_binomial("z1*z2 - x^2", vs)]
         gens2 = [parse_binomial("w1*w2 - x^2", vs)]
-        verdict = certify_sum(c, gens1, gens2, DegreeBound(3))
+        verdict = certify_presentation(c.result, gens1 + gens2, DegreeBound(3))
         assert verdict.status == EQUAL_UP_TO_DEGREE
         assert verdict.degree_checked == 3
         assert verdict.witness is None
@@ -207,7 +206,7 @@ class TestCertify:
         c = sum_shared(quadric("z1", "z2", "x"), quadric("w1", "w2", "x"), "x")
         vs = c.result.vars
         gens1 = [parse_binomial("z1*z2 - x^2", vs)]
-        verdict = certify_sum(c, gens1, [], DegreeBound(3))
+        verdict = certify_presentation(c.result, gens1, DegreeBound(3))
         assert verdict.status == MISSING_IN_SUM
         assert format_binomial(verdict.witness, vs) == "w1*w2 - x^2"
 
@@ -216,7 +215,7 @@ class TestCertify:
         vs = c.result.vars
         gens1 = [parse_binomial("z1*z2 - x^2", vs)]
         gens2 = [parse_binomial("w1 - w2", vs)]  # not a relation of the sum
-        verdict = certify_sum(c, gens1, gens2, DegreeBound(3))
+        verdict = certify_presentation(c.result, gens1 + gens2, DegreeBound(3))
         assert verdict.status == MISSING_IN_KERNEL
         assert verdict.witness == parse_binomial("w1 - w2", vs)
 
@@ -231,8 +230,10 @@ class TestCertify:
             VariableSet.of("w1", "x"),
             IntegerMatrix.identity(2),
         )
-        c = sum_shared(p1, p2, "x", usage_degree=None)
-        verdict = certify_sum(c, [], [], DegreeBound(3))
+        with pytest.warns(UserWarning, match="involves 'x'") as caught:
+            c = sum_shared(p1, p2, "x")
+        assert len(caught) == 2
+        verdict = certify_presentation(c.result, (), DegreeBound(3))
         assert verdict.status == EQUAL_UP_TO_DEGREE
 
     def test_certify_presentation_directly(self):

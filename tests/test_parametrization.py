@@ -31,7 +31,6 @@ from toricsum import (
     homogenize_binomial,
     dehomogenize_binomial,
     independent_rows,
-    is_maximal_rank,
     kernel_lattice,
     normalize_pin,
     parametrization_from_lattice,
@@ -79,9 +78,11 @@ class TestContains:
 
 def test_dimension_and_maximal_rank():
     assert dimension(TWISTED_CUBIC) == 2
-    assert is_maximal_rank(TWISTED_CUBIC)
-    assert is_maximal_rank(make([[1, -1], [1, 1]], ["a", "b"], ["t", "s"]))
-    assert not is_maximal_rank(make([[1, 1], [1, 1]], ["a", "b"], ["t", "s"]))
+    assert rank(TWISTED_CUBIC.matrix) == len(TWISTED_CUBIC.params)
+    p = make([[1, -1], [1, 1]], ["a", "b"], ["t", "s"])
+    assert rank(p.matrix) == len(p.params)
+    p = make([[1, 1], [1, 1]], ["a", "b"], ["t", "s"])
+    assert rank(p.matrix) != len(p.params)
     p = make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["a", "b", "c"], ["t", "s", "u"])
     assert dimension(p) == 3
 
@@ -90,6 +91,15 @@ def test_zero_column_rejected_without_flag():
     with pytest.raises(ConstructionError, match="maps to 1"):
         make([[1, 0]], ["a", "b"], ["t"])
     make([[1, 0]], ["a", "b"], ["t"], allow_degenerate=True)
+    # the first zero column is named
+    with pytest.raises(ConstructionError, match="'b' maps to 1"):
+        make([[1, 0, 2, 0], [0, 0, 1, 0]], ["a", "b", "c", "d"], ["t", "s"])
+    # without rows every variable maps to 1
+    no_rows = (VariableSet(()), VariableSet.of("a", "b"), IntegerMatrix(0, 2, ()))
+    with pytest.raises(ConstructionError, match="'a' maps to 1"):
+        Parametrization(*no_rows)
+    Parametrization(*no_rows, allow_degenerate=True)
+    Parametrization(VariableSet(()), VariableSet(()), IntegerMatrix(0, 0, ()))
 
 
 class TestHomogeneityCertificate:
@@ -246,7 +256,7 @@ class TestNormalizePin:
             i = rng.randrange(len(p.vars))
             pin = normalize_pin(p, i)
             new = pin.parametrization
-            assert is_maximal_rank(new)
+            assert rank(new.matrix) == len(new.params)
             assert kernel_lattice(new.matrix) == kernel_lattice(p.matrix)
             col = new.column(i)
             expected = tuple(

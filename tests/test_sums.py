@@ -94,7 +94,6 @@ class TestSumShared:
         assert c.result.matrix.entries == GLUED_RESULT
         assert c.result.vars.names == ("z1", "z2", "w1", "w2", "x")
         assert c.gamma == 1
-        assert c.predicted_dimension == 3
         assert c.rank_dimension == 3
         assert c.certificate.certifies(c.result)
 
@@ -118,14 +117,14 @@ class TestSumShared:
     def test_non_homogeneous_rejected(self):
         p2 = make([[1, 2]], ["w1", "x"], ["t"])
         with pytest.raises(ConstructionError, match="homogeneous"):
-            sum_shared(quadric("z1", "z2", "x"), p2, "x", usage_degree=None)
+            sum_shared(quadric("z1", "z2", "x"), p2, "x")
 
     def test_unpinned_input_is_normalized(self):
         # y has a two-row support here, so pinning must kick in
         p1 = make([[1, 2, 1], [1, 1, 1]], ["z1", "x", "y"], ["t", "s"])
         assert dimension(p1) == 2
         p2 = quadric("w1", "w2", "y")
-        c = sum_shared(p1, p2, "y", usage_degree=None)
+        c = sum_shared(p1, p2, "y")
         assert c.rank_dimension == dimension(p1) + dimension(p2) - 1
         for b in enumerate_kernel_binomials(p1, DegreeBound(3)):
             assert contains_binomial(c.result, relabel_binomial(b, p1.vars, c.result.vars))
@@ -137,7 +136,7 @@ class TestSumShared:
         from toricsum import homogeneity_certificate
 
         assert homogeneity_certificate(p1) is not None
-        c = sum_shared(p1, quadric("w1", "w2", "x"), "x", usage_degree=None)
+        c = sum_shared(p1, quadric("w1", "w2", "x"), "x")
         assert c.gamma == 1
         assert c.result.column(len(c.result.vars) - 1)[-1] == 1
         assert c.certificate.certifies(c.result)
@@ -240,7 +239,6 @@ class TestSumFamily:
         assert report.rank_dimension == 4
         assert report.iterated_prediction == 4
         assert report.global_formula == 5
-        assert report.formulas_disagree
         assert report.merges == (("I1", "I2", "x"), ("I2", "I3", "y"))
         assert dimension(result) == 4
 
@@ -281,16 +279,14 @@ class TestSumFamily:
 class TestPeelingOrderIndependence:
     def test_path_orders(self):
         via_left = sum_shared(
-            sum_shared(PATH_I1, PATH_I2, "x", usage_degree=None).result,
+            sum_shared(PATH_I1, PATH_I2, "x").result,
             PATH_I3,
             "y",
-            usage_degree=None,
         ).result
         via_right = sum_shared(
             PATH_I1,
-            sum_shared(PATH_I3, PATH_I2, "y", usage_degree=None).result,
+            sum_shared(PATH_I3, PATH_I2, "y").result,
             "x",
-            usage_degree=None,
         ).result
         assert kernel_in_sorted_vars(via_left) == kernel_in_sorted_vars(via_right)
 
@@ -312,7 +308,9 @@ class TestPeelingOrderIndependence:
             rng.shuffle(order)
             acc = center
             for var in order:
-                acc = sum_shared(leaves[var], acc, var, usage_degree=None).result
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # u occurs in no degree-2 binomial
+                    acc = sum_shared(leaves[var], acc, var).result
             results.append(kernel_in_sorted_vars(acc))
         assert results[0] == results[1] == results[2]
 
@@ -378,10 +376,11 @@ def _random_family(rng, kind, k):
 
 
 def _fold(ps, edges, carry):
-    """Leaf peeling as sum_family does it, on one tree, without the usage check.
+    """Leaf peeling as sum_family does it, on one tree, ignoring usage warnings.
 
     With ``carry`` False each merge sees only the previous result, so every
-    fact is recomputed from the accumulated matrix.
+    fact is recomputed from the accumulated matrix.  Each construction is
+    returned with the parametrizations of its two inputs.
     """
     adj = {v: {} for v in range(len(ps))}
     for a, b, var in edges:
@@ -391,8 +390,12 @@ def _fold(ps, edges, carry):
     while len(current) > 1:
         leaf = min(v for v in current if len(adj[v]) == 1)
         neighbour, var = next(iter(adj[leaf].items()))
-        c = sum_shared(current[leaf], current[neighbour], var, usage_degree=None)
-        constructions.append(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            c = sum_shared(current[leaf], current[neighbour], var)
+        inputs = [x.result if isinstance(x, SumConstruction) else x
+                  for x in (current[leaf], current[neighbour])]
+        constructions.append((c, *inputs))
         current[neighbour] = c if carry else c.result
         del current[leaf], adj[neighbour][leaf], adj[leaf]
     (last,) = current.values()
@@ -408,35 +411,34 @@ class TestCarriedFacts:
             expected, plain = _fold(ps, edges, carry=False)
             carried_result, carried = _fold(ps, edges, carry=True)
             assert carried_result == expected
-            for c in plain + carried:
+            for c, q1, q2 in plain + carried:
                 assert c.rank_dimension == dimension(c.result)
-                assert c.predicted_dimension == c.rank_dimension
+                assert c.rank_dimension == dimension(q1) + dimension(q2) - 1
                 assert c.certificate.certifies(c.result)
             if trial % 2:
                 # an isolated, possibly non-homogeneous block joins block-diagonally
                 ps.append(random_parametrization(rng, max_params=2, max_vars=3, prefix="iso"))
                 expected = sum_disjoint([expected, ps[-1]])
-            usage_degree = 2 if trial % 3 else None
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result, report = sum_family(ps, usage_degree=usage_degree)
-            if usage_degree is not None:
-                # one check per input ideal and incident edge, each on that ideal alone
-                unused = [
-                    var
-                    for a, b, var in edges
-                    for v in (a, b)
-                    if not any(
-                        g.involves(ps[v].vars.index(var))
-                        for g in enumerate_kernel_binomials(ps[v], DegreeBound(2, 0))
-                    )
-                ]
-                named = [re.search(r"involves '(\w+)'", str(w.message))[1] for w in caught]
-                assert sorted(named) == sorted(unused)
+                result, report = sum_family(ps)
+            # one check per input ideal and incident edge, each on that ideal alone
+            unused = [
+                var
+                for a, b, var in edges
+                for v in (a, b)
+                if not any(
+                    g.involves(ps[v].vars.index(var))
+                    for g in enumerate_kernel_binomials(ps[v], DegreeBound(2, 0))
+                )
+            ]
+            named = [re.search(r"involves '(\w+)'", str(w.message))[1] for w in caught]
+            assert sorted(named) == sorted(unused)
             assert result.matrix == expected.matrix
             assert result.vars == expected.vars
             assert result.params == expected.params
-            assert report.rank_dimension == dimension(result)
+            assert report.iterated_prediction == report.rank_dimension == dimension(result)
+            assert report.global_formula == report.iterated_prediction + 1
             assert report.input_dimensions == tuple(dimension(p) for p in ps)
 
     def test_negative_pinned_exponent_on_carried_side(self):
@@ -444,10 +446,10 @@ class TestCarriedFacts:
         # single parameter, so the carried grading entry must be negated with
         # its row on the next merge
         p1 = make([[1, 0, 0, -1], [2, 1, 1, 0]], ["z1", "z2", "y", "x"], ["t", "s"])
-        c = sum_shared(quadric("w1", "w2", "y"), p1, "y", usage_degree=None)
+        c = sum_shared(quadric("w1", "w2", "y"), p1, "y")
         assert sorted(c.result.column(c.result.vars.index("x"))) == [-1, 0, 0]
-        c2 = sum_shared(c, quadric("v1", "v2", "x"), "x", usage_degree=None)
-        expected = sum_shared(c.result, quadric("v1", "v2", "x"), "x", usage_degree=None)
+        c2 = sum_shared(c, quadric("v1", "v2", "x"), "x")
+        expected = sum_shared(c.result, quadric("v1", "v2", "x"), "x")
         assert c2.result == expected.result
         assert c2.certificate == expected.certificate
         assert c2.rank_dimension == dimension(c2.result)
@@ -470,23 +472,24 @@ class TestCarriedFacts:
             for args, which in (((p, quadric("w1", "w2", "x")), "first"),
                                 ((quadric("w1", "w2", "x"), p), "second")):
                 if homogeneous:
-                    c = sum_shared(*args, "x", usage_degree=None)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        c = sum_shared(*args, "x")
                     assert c.certificate.certifies(c.result)
                 else:
                     with pytest.raises(ConstructionError, match=f"{which} input is not homogeneous"):
-                        sum_shared(*args, "x", usage_degree=None)
+                        sum_shared(*args, "x")
         assert len(outcomes) == 4
 
     def test_wrong_carried_certificate_raises(self):
         fake = SumConstruction(
             result=quadric("z1", "z2", "y"),
             gamma=1,
-            predicted_dimension=2,
             rank_dimension=2,
             certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
         )
         with pytest.raises(RuntimeError, match="stitched grading vector"):
-            sum_shared(fake, quadric("w1", "w2", "y"), "y", usage_degree=None)
+            sum_shared(fake, quadric("w1", "w2", "y"), "y")
 
 
 
@@ -506,7 +509,7 @@ class TestPlainInputs:
         import toricsum.parametrization as parametrization
         import toricsum.sums as sums
 
-        calls = {"homogeneity_certificate": 0, "rank": 0}
+        calls = {"homogeneity_certificate": 0, "rank": 0, "enumerate_kernel_binomials": 0}
         for module in (sums, parametrization):
             for name in calls:
                 if hasattr(module, name):
@@ -519,7 +522,8 @@ class TestPlainInputs:
         family.append(quadric("w1", "w2", "x6"))
         _, report = sum_family(family)
         assert len(report.merges) == 6
-        assert calls == {"homogeneity_certificate": 7, "rank": 7}
+        # the usage search, too, runs once per input ideal, never on a merged result
+        assert calls == {"homogeneity_certificate": 7, "rank": 7, "enumerate_kernel_binomials": 7}
 
     @pytest.mark.parametrize(
         "p1, p2, message",
@@ -566,20 +570,8 @@ class TestUsageWarnings:
         assert report.merges == (("X", "C", "x"), ("C", "Y", "y"))
         assert [str(w.message).count("'y'") for w in caught] == [1]
 
-    def test_no_warning_without_usage_degree(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sum_shared(CUBIC_X, quadric("w1", "w2", "x"), "x", usage_degree=None)
-            sum_family([CENTRE, quadric("p1", "p2", "x"), quadric("q1", "q2", "y")],
-                       usage_degree=None)
-
     def test_carried_set_answers_only_its_own_degree(self):
         c = sum_shared(quadric("p1", "p2", "x"), CENTRE, "x")
-        assert c.usage_degree == 2
         assert c.used_variables == {"p1", "p2", "x", "c1", "c2"}
         with pytest.warns(UserWarning, match="'y'"):
             sum_shared(c, quadric("q1", "q2", "y"), "y")
-        # at degree 3 the result is searched afresh and d1*d2^2 - y^3 is found
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sum_shared(c, quadric("q1", "q2", "y"), "y", usage_degree=3)
