@@ -5,16 +5,14 @@ binomial is an ordered pair of monomials with disjoint supports and a
 canonical sign, standing for the difference of its two sides; this is the
 only polynomial shape the package needs.  The textual form is
 ``z1^2*z2 - x^3`` with exponent 1 omitted and the canonically positive
-side first.
+side first.  An ideal's generators are a plain tuple of binomials over
+the variables of its parametrization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from .parametrization import Parametrization
+from typing import Sequence
 
 Monomial = tuple[int, ...]
 
@@ -108,22 +106,6 @@ class Binomial:
         return (self.degree, self.u_plus, self.u_minus)
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
-    """A variable set with binomial generators and an optional parametrization."""
-
-    vars: VariableSet
-    generators: tuple[Binomial, ...]
-    parametrization: "Parametrization | None" = None
-
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.nvars != len(self.vars):
-                raise ValueError("generator does not match the variable set")
-        if self.parametrization is not None and self.parametrization.vars != self.vars:
-            raise ValueError("attached parametrization is over a different variable set")
-
-
 def split_disjoint(u: Sequence[int]) -> Binomial:
     """Split an integer vector into the canonical disjoint-support binomial.
 
@@ -137,11 +119,6 @@ def split_disjoint(u: Sequence[int]) -> Binomial:
     plus = tuple(x if x > 0 else 0 for x in vec)
     minus = tuple(-x if x < 0 else 0 for x in vec)
     return Binomial(plus, minus)
-
-
-def total_degree(u: Sequence[int]) -> int:
-    """Sum of the exponents of a monomial."""
-    return sum(u)
 
 
 def homogenize_binomial(b: Binomial) -> Binomial:

@@ -9,13 +9,14 @@ The file format is line oriented, with ``#`` comments:
     row 1 1 1
     gen z1*z2 - x^2     # optional, used by --certify
 
-One ``row`` line per parameter, one integer per variable.  Variable names
-shared across blocks identify shared variables; parameter names are local
-to their block.
+Any run of whitespace separates a directive from its arguments and the
+arguments from each other.  One ``row`` line per parameter, one integer
+per variable.  Variable names shared across blocks identify shared
+variables; parameter names are local to their block.
 
 Exit codes: 0 success, 1 mathematical rejection (cycle, two shared
 variables, non-homogeneous input, failed certification), 2 parse or usage
-error.
+error, including a file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Optional, Sequence
 
 from .binomials import (
     Binomial,
-    IdealPresentation,
     VariableSet,
     format_binomial,
     parse_binomial,
@@ -65,13 +65,15 @@ class IdealFileError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedIdeal:
-    name: str
-    presentation: IdealPresentation
+    """One ideal block: its name, its parametrization and its ``gen`` lines.
 
-    @property
-    def parametrization(self) -> Parametrization:
-        assert self.presentation.parametrization is not None
-        return self.presentation.parametrization
+    The generators are parsed over ``parametrization.vars``, the block's
+    own variable set.
+    """
+
+    name: str
+    parametrization: Parametrization
+    generators: tuple[Binomial, ...]
 
 
 def parse_ideal_file(text: str) -> list[ParsedIdeal]:
@@ -110,20 +112,18 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
                 gens.append(parse_binomial(gen_text, vars_))
             except ValueError as exc:
                 raise IdealFileError(gen_line, str(exc)) from None
-        ideals.append(
-            ParsedIdeal(current["name"], IdealPresentation(vars_, tuple(gens), parametrization))
-        )
+        ideals.append(ParsedIdeal(current["name"], parametrization, tuple(gens)))
         current = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword, *tail = line.split(None, 1)
+        rest = tail[0] if tail else ""
         if keyword == "ideal":
             finish()
-            if not rest or " " in rest:
+            if len(rest.split()) != 1:
                 raise IdealFileError(lineno, "ideal needs exactly one name")
             if rest in block_names:
                 raise IdealFileError(lineno, f"duplicate ideal name {rest!r}")
@@ -198,7 +198,7 @@ def format_ideal_block(name: str, p: Parametrization, gens: Sequence[Binomial] =
 
 def format_ideal_file(ideals: Sequence[ParsedIdeal]) -> str:
     blocks = [
-        format_ideal_block(i.name, i.parametrization, i.presentation.generators)
+        format_ideal_block(i.name, i.parametrization, i.generators)
         for i in ideals
     ]
     return "\n\n".join(blocks) + "\n"
@@ -225,14 +225,14 @@ def _cmd_kernel(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         bound = (
             DegreeBound(args.max_degree)
             if args.max_degree is not None
-            else default_degree_bound(ideal.presentation.generators)
+            else default_degree_bound(ideal.generators)
         )
         found = enumerate_kernel_binomials(ideal.parametrization, bound)
         print(f"{ideal.name}: kernel binomials up to degree {bound.max_degree}")
         if not found:
             print("(none)")
         for b in found:
-            print(format_binomial(b, ideal.presentation.vars))
+            print(format_binomial(b, ideal.parametrization.vars))
     return 0
 
 
@@ -241,7 +241,7 @@ def _cmd_normalize(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     if ideal is None:
         print(f"error: no ideal named {args.ideal!r} in the file", file=sys.stderr)
         return 2
-    if args.pin not in ideal.presentation.vars:
+    if args.pin not in ideal.parametrization.vars:
         print(f"error: no variable named {args.pin!r} in ideal {ideal.name!r}", file=sys.stderr)
         return 2
     pin = normalize_pin(ideal.parametrization, args.pin)
@@ -253,7 +253,7 @@ def _cmd_normalize(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
-    graph = build_family_graph([(i.name, i.presentation.vars) for i in ideals])
+    graph = build_family_graph([(i.name, i.parametrization.vars) for i in ideals])
     for i, j, var in graph.edges:
         print(f"edge {graph.ids[i]} -- {graph.ids[j]} via {var}")
     all_trees = True
@@ -280,8 +280,8 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 
     gens: list[Binomial] = []
     for ideal in ideals:
-        for g in ideal.presentation.generators:
-            gens.append(relabel_binomial(g, ideal.presentation.vars, result.vars))
+        for g in ideal.generators:
+            gens.append(relabel_binomial(g, ideal.parametrization.vars, result.vars))
     bound = (
         DegreeBound(args.max_degree)
         if args.max_degree is not None
@@ -345,6 +345,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
         ideals = parse_ideal_file(text)

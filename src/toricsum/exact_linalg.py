@@ -80,13 +80,6 @@ class IntegerMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
     def take(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "IntegerMatrix":
         """Submatrix with the given rows and columns, in the given order."""
         data = tuple(tuple(self.entries[i][j] for j in col_indices) for i in row_indices)
@@ -107,9 +100,6 @@ class IntegerMatrix:
             for i in range(self.rows)
         )
         return IntegerMatrix(self.rows, other.cols, data)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
 
 
 @dataclass(frozen=True)
@@ -143,9 +133,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def __matmul__(self, other: "RationalMatrix | IntegerMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -433,18 +420,25 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     return LatticeBasis.spanning(vectors, m.cols)
 
 
+def annihilator(basis: LatticeBasis) -> IntegerMatrix:
+    """Integer matrix whose rows are a basis of the annihilator of a lattice.
+
+    The rows span ``{w in Z^n : w . v == 0 for every v in L}`` in canonical
+    form; a full-rank lattice gives a matrix with no rows.
+    """
+    n = basis.ambient_dim
+    orthogonal = kernel_lattice(IntegerMatrix.from_rows(basis.vectors, cols=n))
+    return IntegerMatrix.from_rows(orthogonal.vectors, cols=n)
+
+
 def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:
     """Saturation ``span_Q(L) intersect Z^n`` of a lattice ``L``.
 
-    Computed as the integer kernel of a matrix whose rows span the
-    rational annihilator of the lattice, so the result contains the input
-    with finite index and the operation is idempotent.
+    The integer kernel of :func:`annihilator`, so the result contains the
+    input with finite index, the operation is idempotent, and it is the
+    kernel lattice of :func:`parametrization_from_lattice`'s matrix.
     """
-    n = basis.ambient_dim
-    vectors_as_rows = IntegerMatrix.from_rows(basis.vectors, cols=n)
-    annihilator = kernel_lattice(vectors_as_rows)
-    a = IntegerMatrix.from_rows(annihilator.vectors, cols=n)
-    return kernel_lattice(a)
+    return kernel_lattice(annihilator(basis))
 
 
 def solve_row_rational(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .binomials import Binomial, Monomial, split_disjoint, total_degree
+from .binomials import Binomial, Monomial, split_disjoint
 from .parametrization import Parametrization, contains_binomial
 
 EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
@@ -157,7 +157,7 @@ class _RewriteForest:
         if b.is_zero:
             return []
         start, target = b.u_plus, b.u_minus
-        cap = max(total_degree(start), total_degree(target)) + self._slack
+        cap = max(sum(start), sum(target)) + self._slack
         tree = self._trees.setdefault(cap, {})
         if start not in tree:
             self._explore(start, tree, cap)
@@ -174,7 +174,7 @@ class _RewriteForest:
         queue: deque[Monomial] = deque([root])
         while queue:
             mono = queue.popleft()
-            degree = total_degree(mono)
+            degree = sum(mono)
             for k, direction, support, delta, step in self._moves:
                 if degree + step > cap or any(mono[i] < x for i, x in support):
                     continue
@@ -259,7 +259,7 @@ def membership_by_classes(b: Binomial, gens: Sequence[Binomial]) -> bool:
     if not b.is_balanced:
         return False
 
-    monos = _monomials_of_degree(b.nvars, total_degree(b.u_plus))
+    monos = _monomials_of_degree(b.nvars, sum(b.u_plus))
     index = {m: i for i, m in enumerate(monos)}
     parent = list(range(len(monos)))
 

@@ -22,9 +22,9 @@ from .exact_linalg import (
     IntegerMatrix,
     LatticeBasis,
     RationalMatrix,
+    annihilator,
     clear_denominators,
     determinant,
-    kernel_lattice,
     rank,
     row_reduce,
     solve_row_rational,
@@ -234,15 +234,14 @@ def parametrization_from_lattice(
 ) -> Parametrization:
     """Parametrization whose kernel is the saturation of the given lattice.
 
-    The matrix rows form an integer basis of the rational annihilator of
-    the lattice, so ``A @ B == 0`` and ``rank(A) == n - rank(B)``.  When
-    the annihilator is trivial the matrix has no rows and every variable
-    maps to 1; the result is then flagged degenerate.
+    The matrix is :func:`~toricsum.exact_linalg.annihilator` of the
+    lattice, the same matrix :func:`saturate_lattice` takes the kernel of,
+    so ``A @ B == 0`` and ``rank(A) == n - rank(B)``.  When the
+    annihilator is trivial the matrix has no rows and every variable maps
+    to 1; the result is then flagged degenerate.
     """
     n = basis.ambient_dim
-    vectors_as_rows = IntegerMatrix.from_rows(basis.vectors, cols=n)
-    annihilator = kernel_lattice(vectors_as_rows)
-    a = IntegerMatrix.from_rows(annihilator.vectors, cols=n)
+    a = annihilator(basis)
     if var_names is None:
         var_names = tuple(f"x{k + 1}" for k in range(n))
     params = VariableSet(tuple(f"t{k + 1}" for k in range(a.rows)))

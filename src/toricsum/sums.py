@@ -80,17 +80,24 @@ Summand = Union[Parametrization, SumConstruction]
 
 @dataclass(frozen=True)
 class GraphComponent:
+    """Connected component of a sharing graph, vertices ascending.
+
+    ``is_tree`` holds when it has one edge fewer than vertices.
+    """
+
     vertices: tuple[int, ...]
-    edge_count: int
     is_tree: bool
 
 
 @dataclass(frozen=True)
 class IdealFamilyGraph:
-    """Sharing graph: one vertex per ideal, an edge per shared variable."""
+    """Sharing graph: one vertex per ideal, an edge per shared variable.
+
+    ``ids[v]`` names vertex ``v``; an edge ``(i, j, var)`` with ``i < j``
+    says ideals ``i`` and ``j`` share exactly the variable ``var``.
+    """
 
     ids: tuple[str, ...]
-    variable_sets: tuple[VariableSet, ...]
     edges: tuple[tuple[int, int, str], ...]
     components: tuple[GraphComponent, ...]
 
@@ -249,7 +256,7 @@ def _used_variables(side: SumConstruction) -> frozenset[str]:
         return side.used_variables
     names = side.result.vars.names
     used: set[str] = set()
-    for b in enumerate_kernel_binomials(side.result, DegreeBound(_USAGE_DEGREE, 0)):
+    for b in enumerate_kernel_binomials(side.result, DegreeBound(_USAGE_DEGREE)):
         used.update(names[i] for i, (a, c) in enumerate(zip(b.u_plus, b.u_minus)) if a or c)
     return frozenset(used)
 
@@ -387,12 +394,10 @@ def build_family_graph(ideals: Sequence[tuple[str, VariableSet]]) -> IdealFamily
             comp.add(v)
             stack.extend(adjacency[v] - comp)
         seen |= comp
-        edge_count = sum(1 for i, j, _ in edges if i in comp)
-        components.append(
-            GraphComponent(tuple(sorted(comp)), edge_count, edge_count == len(comp) - 1)
-        )
+        is_tree = sum(1 for i, _, _ in edges if i in comp) == len(comp) - 1
+        components.append(GraphComponent(tuple(sorted(comp)), is_tree))
 
-    return IdealFamilyGraph(tuple(ids), tuple(vsets), tuple(edges), tuple(components))
+    return IdealFamilyGraph(tuple(ids), tuple(edges), tuple(components))
 
 
 def sum_family(

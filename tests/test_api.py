@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "GraphComponent",
     "HomogeneityCertificate",
     "IdealFamilyGraph",
-    "IdealPresentation",
     "IntegerMatrix",
     "LatticeBasis",
     "MISSING_IN_KERNEL",
@@ -60,12 +59,11 @@ PUBLIC_NAMES = [
     "sum_disjoint",
     "sum_family",
     "sum_shared",
-    "total_degree",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 56
     assert sorted(toricsum.__all__) == PUBLIC_NAMES
 
 

@@ -13,7 +13,6 @@ from toricsum import (
     parse_binomial,
     relabel_binomial,
     split_disjoint,
-    total_degree,
 )
 
 
@@ -39,12 +38,6 @@ class TestSplitDisjoint:
             diff = tuple(p - m for p, m in zip(b.u_plus, b.u_minus))
             assert diff == u or diff == tuple(-x for x in u)
             assert split_disjoint(diff) == b
-
-
-def test_total_degree():
-    assert total_degree((2, 1)) == 3
-    assert total_degree((0, 0)) == 0
-    assert total_degree((3,)) == 3
 
 
 def test_invalid_binomials_rejected():

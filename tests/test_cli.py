@@ -90,9 +90,9 @@ class TestParse:
         assert [i.name for i in ideals] == ["I1", "I2"]
         assert ideals[0].parametrization.vars.names == ("z1", "z2", "x")
         assert ideals[0].parametrization.matrix.entries == ((1, -1, 0), (1, 1, 1))
-        assert len(ideals[0].presentation.generators) == 1
-        shared = set(ideals[0].presentation.vars.names) & set(ideals[1].presentation.vars.names)
-        assert shared == {"x"}
+        assert len(ideals[0].generators) == 1
+        first, second = (set(i.parametrization.vars.names) for i in ideals)
+        assert first & second == {"x"}
 
     def test_empty_file(self):
         assert parse_ideal_file("") == []
@@ -144,6 +144,19 @@ class TestParse:
     def test_bad_generator_reports_its_line(self):
         bad = "ideal I\nvars a b\nparams t\nrow 1 1\ngen a*q - b\n"
         with pytest.raises(IdealFileError, match="line 5"):
+            parse_ideal_file(bad)
+
+    def test_tab_after_keyword_parses_as_space(self):
+        tabbed = "\n".join(
+            line.replace(" ", "\t", 1) if line and not line.startswith("#") else line
+            for line in GLUED.splitlines()
+        )
+        assert "vars\tz1 z2 x" in tabbed and "gen\tz1*z2 - x^2" in tabbed
+        assert parse_ideal_file(tabbed) == parse_ideal_file(GLUED)
+
+    def test_ideal_name_with_tab_rejected(self):
+        bad = "# header\nideal I\tJ\nvars a\nparams t\nrow 1\n"
+        with pytest.raises(IdealFileError, match="line 2: ideal needs exactly one name"):
             parse_ideal_file(bad)
 
 
@@ -273,6 +286,13 @@ class TestCommands:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["dim", str(tmp_path / "nope.ideal")]) == 2
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin.ideal"
+        path.write_bytes(b"ideal I\nvars a\xff b\n")
+        assert main(["dim", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
     def test_kernel_default_degree_from_generators(self, tmp_path, capsys):
         f = write(tmp_path, "g.ideal", GLUED)

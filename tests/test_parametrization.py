@@ -36,6 +36,7 @@ from toricsum import (
     parametrization_from_lattice,
     rank,
     reparametrize,
+    saturate_lattice,
     split_disjoint,
 )
 
@@ -361,3 +362,28 @@ class TestFromLattice:
             basis = kernel_lattice(m)
             p = parametrization_from_lattice(basis)
             assert kernel_lattice(p.matrix) == basis
+
+    def test_saturation_is_kernel_of_matrix(self):
+        # Both sides read the one annihilator; tie them on lattices of every
+        # kind: zero, full rank, saturated and of index > 1.
+        rng = random.Random(77)
+        seen = set()
+        lattices = [LatticeBasis(3, ()), LatticeBasis.spanning([(2, 1), (0, 3)], 2)]
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            vectors = [
+                [rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))
+            ]
+            if vectors and rng.random() < 0.5:
+                vectors[0] = [rng.randint(2, 4) * x for x in vectors[0]]
+            lattices.append(LatticeBasis.spanning(vectors, n))
+        for basis in lattices:
+            sat = saturate_lattice(basis)
+            assert sat == kernel_lattice(parametrization_from_lattice(basis).matrix)
+            seen.add(
+                "zero" if basis.rank == 0
+                else "full" if basis.rank == basis.ambient_dim
+                else "saturated" if sat == basis
+                else "index > 1"
+            )
+        assert seen == {"zero", "full", "saturated", "index > 1"}
