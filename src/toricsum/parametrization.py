@@ -157,15 +157,45 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     return Parametrization(p.params, p.vars, cleared, p.allow_degenerate)
 
 
+def _pin_rows(
+    rows: Sequence[Sequence[int]], idx: int, name: str
+) -> tuple[list[list[int]], list[int], int]:
+    """The pin core: RREF of ``rows`` with column ``idx`` first, divided by its content.
+
+    Returns ``(reduced, pivot_cols, q)``: the nonzero rows of the reduced
+    row echelon form computed with column ``idx`` moved first, back in the
+    original column order and scaled by the least positive ``q`` that makes
+    them integral; ``pivot_cols`` are their pivot columns in the original
+    order, ``idx`` first.  Column ``idx`` must not be zero.  Raises
+    RuntimeError unless the pivot columns form ``q`` times the identity,
+    which also proves the reduced rows independent.
+    """
+    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in rows]
+    pivots, d, _ = row_reduce(rows, len(rows[0]))
+    rows = rows[: len(pivots)]
+    g = gcd(*(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    reduced = [[x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]] for row in rows]
+    q = d // g
+    pivot_cols = [idx if c == 0 else c - 1 if c <= idx else c for c in pivots]
+    for k, c in enumerate(pivot_cols):
+        if any(row[c] != (q if r == k else 0) for r, row in enumerate(reduced)):
+            raise RuntimeError(f"pin of {name!r}: pivot column {k} is not q * e_{k}")
+    return reduced, pivot_cols, q
+
+
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     """Re-parametrize at maximal rank so one variable maps to t_j^q.
 
-    The result is the reduced row echelon form of the matrix with the
+    The result is the reduced row echelon form of the whole matrix with the
     pinned column moved first, scaled by the least positive ``q`` that
-    makes it integral.  Its rows span the same rational row space, so the
-    kernel lattice is untouched; its pivot columns (the pinned one first,
-    then greedily in increasing index) form ``q`` times the identity, and
-    the gcd of all its entries is 1, which fixes it uniquely.
+    makes it integral (see :func:`_pin_rows`, whose row set here is every
+    row).  Its rows span the same rational row space, so the kernel lattice
+    is untouched; its pivot columns (the pinned one first, then greedily in
+    increasing index) form ``q`` times the identity, and the gcd of all its
+    entries is 1, which fixes it uniquely.  The parameters are renamed
+    ``t1, t2, ...``.
     """
     idx = p.vars.index(var) if isinstance(var, str) else var
     if not 0 <= idx < len(p.vars):
@@ -174,28 +204,10 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
         raise ConstructionError(
             f"variable {p.vars.names[idx]!r} maps to 1 and cannot be pinned"
         )
-
-    # Move the pinned column first, reduce, then move it back.
-    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
-    pivots, d, _ = row_reduce(rows, len(p.vars))
-    rows = rows[: len(pivots)]
-    g = gcd(*(x for row in rows for x in row))
-    if d < 0:
-        g = -g
-    new_matrix = IntegerMatrix.from_rows(
-        [[x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]] for row in rows],
-        cols=len(p.vars),
-    )
-    q = d // g
-
-    # The pivot columns (the pinned one first) must form q * I; that also
-    # proves the result has maximal rank.
-    for k, c in enumerate(pivots):
-        col = new_matrix.column(idx if c == 0 else c - 1 if c <= idx else c)
-        if any(x != (q if r == k else 0) for r, x in enumerate(col)):
-            raise RuntimeError(f"pin of {p.vars.names[idx]!r}: pivot column {k} is not q * e_{k}")
-    fresh = VariableSet(tuple(f"t{k + 1}" for k in range(new_matrix.rows)))
-    result = Parametrization(fresh, p.vars, new_matrix, p.allow_degenerate)
+    reduced, _, q = _pin_rows(p.matrix.entries, idx, p.vars.names[idx])
+    fresh = VariableSet(tuple(f"t{k + 1}" for k in range(len(reduced))))
+    matrix = IntegerMatrix.from_rows(reduced, cols=len(p.vars))
+    result = Parametrization(fresh, p.vars, matrix, p.allow_degenerate)
     return PinResult(result, pinned_param_index=0, exponent=q)
 
 

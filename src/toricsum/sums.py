@@ -7,10 +7,24 @@ Two kernels sharing exactly one variable combine into a block matrix
      [a1,  a2,  g]]
 
 after each side is pinned so the shared variable maps to a single
-parameter power and the pinned exponents are rescaled to their lcm ``g``.
-A family of ideals combines the same way along the edges of its sharing
-graph, provided every connected component is a tree; components are then
-joined block-diagonally.
+parameter power and the pinned exponents are rescaled to their lcm ``g``
+(the semigroup gluing of Rosales, Semigroup Forum 1997).  A family of
+ideals combines the same way along the edges of its sharing graph,
+provided every connected component is a tree; components are then joined
+block-diagonally.
+
+Pinning a side touches as few rows as it can.  With maximal rank and the
+shared column nonzero on a single row, only rows and columns are permuted.
+With maximal rank and the column nonzero on a set S of two or more rows but
+not all of them, only the rows in S are reduced, by the same
+pinned-column-first reduced echelon form as :func:`normalize_pin`, and
+every other row stays; the grading vector is carried, so the k-th new row,
+with pivot column c_k and pivot q, gets (1 - sum over r not in S of
+omega_r * A[r][c_k]) / q.  Otherwise (rank-deficient, or S is every row)
+the whole matrix goes through :func:`normalize_pin`.  The support stays a
+few rows however large the accumulated side grows (on paths, stars and
+caterpillars of two-row blocks it is never more than two), so a merge no
+longer re-reduces the whole matrix built so far.
 
 A merge reads one summand shape, :class:`SumConstruction`.  A plain
 input is lifted into a single-summand construction when it enters, which
@@ -41,6 +55,7 @@ from .parametrization import (
     ConstructionError,
     HomogeneityCertificate,
     Parametrization,
+    _pin_rows,
     dimension,
     homogeneity_certificate,
     normalize_pin,
@@ -186,8 +201,8 @@ class _PinnedSide(NamedTuple):
 
     ``rows`` drop the shared column and end with the pinned row, whose
     shared entry is ``gamma``; ``params`` names the rows above it.
-    ``omega`` grades those rows; the pinned row's entry is not kept, since
-    the shared column forces it to 1 / gamma.
+    ``omega`` grades all the rows, the pinned one last; a grading vector
+    gives the pinned row 1 / gamma, since the shared column is gamma there.
     """
 
     rows: list[list[int]]
@@ -209,40 +224,84 @@ def _lift(p: Parametrization, refusal: str) -> SumConstruction:
     return SumConstruction(p, 1, dimension(p), cert)
 
 
+def _pin_support(
+    side: SumConstruction, idx: int, support: list[int]
+) -> tuple[list[Sequence[int]], list[Fraction]]:
+    """Pin column ``idx`` of a maximal-rank side by reducing its support rows only.
+
+    The rows in ``support`` (the nonzero entries of the column) go through
+    the pin core of :func:`normalize_pin` and are replaced, in order, by
+    its reduced rows: the first is the pinned row, with ``q > 0`` in column
+    ``idx``, and the k-th has ``q`` alone in its pivot column ``c_k`` among
+    the support rows.  Every other row, and its grading entry, stays.  The
+    grading vector is carried along the row operations: the k-th new row
+    gets ``omega'_k = sum(omega_s * A[s][c_k] for s in support) / q``.  When
+    ``omega`` grades A this equals ``(1 - sum over the other rows r of
+    omega_r * A[r][c_k]) / q``, the entry the pinned matrix forces; in any
+    case ``omega'`` pairs with each new column exactly as ``omega`` with the
+    old one, so the stitched check of the sum still tests every entry.
+    """
+    p = side.result
+    entries = p.matrix.entries
+    old = [entries[s] for s in support]
+    reduced, pivot_cols, q = _pin_rows(old, idx, p.vars.names[idx])
+    if len(reduced) != len(support):
+        raise RuntimeError(f"carried rank of a side pinned at {p.vars.names[idx]!r} is not maximal")
+    rows: list[Sequence[int]] = list(entries)
+    omega = list(side.certificate.omega)
+    weights = [omega[s] for s in support]
+    for s, row, c in zip(support, reduced, pivot_cols):
+        rows[s] = row
+        omega[s] = sum(w * a[c] for w, a in zip(weights, old)) / q
+    return rows, omega
+
+
 def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
     """Reshape so the shared variable is pinned on the last row, then drop it.
 
-    Runs the pin normalization unless the matrix is already maximal rank
-    with a single-support shared column, in which case only the row and
-    column permutations are applied.  The grading vector follows along: on
-    that shortcut the carried one is permuted with the rows; a pinned side,
-    whose pivot columns are q * e_i, has it forced to (1/q, ..., 1/q).
+    Three cases, by the rank of the side and the support S of its shared
+    column (the rows where that column is nonzero):
+
+    - maximal rank and |S| = 1: only the row and column permutations are
+      applied, and the carried grading vector is permuted with the rows;
+    - maximal rank and 2 <= |S| < rows: the rows in S alone are reduced
+      (see :func:`_pin_support`), the others and their grading entries stay
+      as they are, and the k-th new row, with pivot column c_k, is graded
+      (1 - sum over r not in S of omega_r * A[r][c_k]) / q; then as for
+      |S| = 1;
+    - rank-deficient, or S is every row of a side with two or more: the
+      whole matrix goes through :func:`normalize_pin`, whose pivot columns
+      are q * e_i, so the grading vector is forced to (1/q, ..., 1/q).
     """
     p = side.result
     idx = p.vars.index(shared)
-    support = [k for k, x in enumerate(p.column(idx)) if x]
-    if len(support) == 1 and side.rank_dimension == len(p.params):
-        pinned, j, omega = p, support[0], side.certificate.omega
-    else:
+    entries, params = p.matrix.entries, p.params.names
+    support = [r for r, row in enumerate(entries) if row[idx]]
+    if side.rank_dimension != len(params) or len(support) == len(params) > 1:
         pin = normalize_pin(p, idx)
-        pinned, j = pin.parametrization, pin.pinned_param_index
-        omega = (Fraction(1, pin.exponent),) * len(pinned.params)
+        entries, params = pin.parametrization.matrix.entries, pin.parametrization.params.names
+        j, omega = pin.pinned_param_index, (Fraction(1, pin.exponent),) * len(params)
+    else:
+        j, omega = support[0], side.certificate.omega
+        if len(support) > 1:
+            entries, omega = _pin_support(side, idx, support)
 
-    row_order = [k for k in range(len(pinned.params)) if k != j] + [j]
-    col_order = [c for c in range(len(pinned.vars)) if c != idx]
-    entries = pinned.matrix.entries
+    row_order = [k for k in range(len(params)) if k != j] + [j]
+    col_order = [c for c in range(len(p.vars)) if c != idx]
     rows = [[entries[r][c] for c in col_order] for r in row_order]
+    omega = [omega[r] for r in row_order]
     gamma = entries[j][idx]
     if gamma < 0:
         # Row negation keeps the kernel; it only flips the parameter.
         rows[-1] = [-x for x in rows[-1]]
+        omega[-1] = -omega[-1]
         gamma = -gamma
     return _PinnedSide(
         rows,
-        tuple(pinned.params.names[r] for r in row_order[:-1]),
-        tuple(pinned.vars.names[c] for c in col_order),
+        tuple(params[r] for r in row_order[:-1]),
+        tuple(p.vars.names[c] for c in col_order),
         gamma,
-        tuple(omega[r] for r in row_order[:-1]),
+        tuple(omega),
     )
 
 
@@ -291,8 +350,8 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     lcm, and the blocks are assembled over fresh disjoint parameters
     (prefixes ``t1_`` and ``t2_``, shared parameter ``s``).  The result
     carries a homogeneity certificate stitched from the two sides; it is
-    checked against the assembled matrix, and a failure raises
-    RuntimeError.
+    checked against the assembled matrix, with each side's pinned row
+    checked to be graded 1 / gamma_i, and a failure raises RuntimeError.
 
     Every input is handled as a :class:`SumConstruction`.  An earlier
     construction stands for its ``result`` and its certificate, rank and
@@ -339,10 +398,14 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
         c1.result.allow_degenerate or c2.result.allow_degenerate,
     )
 
-    # Scaling a pinned row by gamma / gamma_i divides its grading entry,
-    # 1 / gamma_i, by the same factor, which leaves 1 / gamma on both sides.
-    certificate = HomogeneityCertificate(side1.omega + side2.omega + (Fraction(1, gamma),))
-    if not certificate.certifies(result):
+    # Each side grades its pinned row 1 / gamma_i.  Scaling that row by
+    # gamma / gamma_i divides its entry by the same factor, which leaves
+    # 1 / gamma on both sides.
+    certificate = HomogeneityCertificate(
+        side1.omega[:-1] + side2.omega[:-1] + (Fraction(1, gamma),)
+    )
+    pinned_graded = all(side.omega[-1] * side.gamma == 1 for side in (side1, side2))
+    if not (pinned_graded and certificate.certifies(result)):
         raise RuntimeError(f"stitched grading vector does not certify the sum over {shared!r}")
 
     return SumConstruction(

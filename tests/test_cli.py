@@ -78,6 +78,13 @@ gen v1*v2 - y^2
 """
 
 
+CUBIC_PATH = "\n".join(
+    f"ideal C{v}\nvars a{v} m{v} m{v + 1} d{v}\nparams t s\nrow 3 2 1 0\nrow 0 1 2 3\n"
+    f"gen m{v}^2 - a{v}*m{v + 1}\ngen m{v + 1}^2 - m{v}*d{v}\ngen a{v}*d{v} - m{v}*m{v + 1}\n"
+    for v in range(6)
+)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -238,6 +245,22 @@ class TestCommands:
         parsed = parse_ideal_file(block)
         assert parsed[0].name == "I1+I2"
         assert parsed[0].parametrization.matrix.rows == 3
+
+    def test_sum_output_of_repinning_family_is_reparseable(self, tmp_path, capsys):
+        # each merge pins a middle variable of the cubics merged so far
+        f = write(tmp_path, "cubics.ideal", CUBIC_PATH)
+        assert main(["sum", f]) == 0
+        out = capsys.readouterr().out
+        block, report = out.split("k=6")
+        parsed = parse_ideal_file(block)
+        assert [i.name for i in parsed] == ["+".join(f"C{v}" for v in range(6))]
+        g = write(tmp_path, "sum.ideal", block)
+        assert main(["dim", g]) == 0
+        rank_line = next(line for line in report.splitlines() if line.startswith("dim(rank)="))
+        assert capsys.readouterr().out == f"{parsed[0].name}: {rank_line}\n"
+        assert rank_line == "dim(rank)=7"
+        assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: equal-up-to-degree")
 
     def test_sum_empty_file_output_is_reparseable(self, tmp_path, capsys):
         f = write(tmp_path, "empty.ideal", "# nothing here\n")

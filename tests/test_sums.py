@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import toricsum.parametrization as parametrization
+import toricsum.sums as sums
 from helpers import (
     kernel_in_sorted_vars,
     quadric,
@@ -29,6 +31,7 @@ from toricsum import (
     enumerate_kernel_binomials,
     homogeneity_certificate,
     kernel_lattice,
+    normalize_pin,
     relabel_binomial,
     sum_disjoint,
     sum_family,
@@ -491,6 +494,167 @@ class TestCarriedFacts:
         with pytest.raises(RuntimeError, match="stitched grading vector"):
             sum_shared(fake, quadric("w1", "w2", "y"), "y")
 
+
+
+def _local_side(rng):
+    """A maximal-rank homogeneous side whose column 0 has support 2 <= |S| < rows.
+
+    Grading entries are +-1, so every column is solved integrally in a row
+    of its support; the matrix is redrawn until it has maximal rank.
+    """
+    while True:
+        m = rng.randint(3, 5)
+        n = rng.randint(m + 1, m + 3)
+        omega = [rng.choice([1, -1]) for _ in range(m)]
+        support = sorted(rng.sample(range(m), rng.randint(2, m - 1)))
+        columns = []
+        for j in range(n):
+            rows = support if j == 0 else range(m)
+            col = [rng.randint(-3, 3) if r in rows else 0 for r in range(m)]
+            r = rng.choice(list(rows))
+            col[r] = 0
+            col[r] = omega[r] * (1 - sum(w * x for w, x in zip(omega, col)))
+            columns.append(col)
+        if not all(columns[0][r] for r in support):
+            continue
+        p = make([list(row) for row in zip(*columns)],
+                 [f"x{j}" for j in range(n)], [f"t{k}" for k in range(m)])
+        if dimension(p) == m:
+            cert = HomogeneityCertificate(tuple(Fraction(w) for w in omega))
+            assert cert.certifies(p)
+            return SumConstruction(p, 1, m, cert), support
+
+
+class TestSupportLocalPin:
+    def test_matches_whole_matrix_pin(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            side, support = _local_side(rng)
+            p = side.result
+            rows, omega = sums._pin_support(side, 0, support)
+            pinned = make(rows, p.vars.names, p.params.names)
+            # normalize_pin is canonical for the row space with column 0 pinned
+            assert normalize_pin(pinned, 0).parametrization == normalize_pin(p, 0).parametrization
+            q = rows[support[0]][0]
+            assert q > 0
+            assert [row[0] for row in rows] == [q if r == support[0] else 0 for r in range(len(rows))]
+            assert [tuple(rows[r]) for r in range(len(rows)) if r not in support] == [
+                p.matrix.entries[r] for r in range(len(rows)) if r not in support
+            ]
+            assert HomogeneityCertificate(tuple(omega)).certifies(pinned)
+            # the carried entries are the ones the pinned matrix forces; with
+            # the pinned column first, each rebuilt row starts at its pivot q
+            old = side.certificate.omega
+            others = [r for r in range(len(rows)) if r not in support]
+            for r in support:
+                c = next(c for c, x in enumerate(rows[r]) if x)
+                assert rows[r][c] == q
+                assert omega[r] == (1 - sum(old[o] * p.matrix.entries[o][c] for o in others)) / q
+
+    def test_whole_matrix_pin_only_without_local_support(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sums, "normalize_pin",
+                            lambda p, idx: calls.append(idx) or normalize_pin(p, idx))
+        rng = random.Random(71)
+        side, support = _local_side(rng)
+        p = side.result
+        shared = p.vars.names[0]
+        sums._pinned_last(side, shared)
+        assert calls == []
+        # rank-deficient: the lifted block repeats a row
+        doubled = make([*p.matrix.entries, p.matrix.entries[support[0]]],
+                       p.vars.names, p.params.names + ("extra",))
+        sums._pinned_last(sums._lift(doubled, "not homogeneous"), shared)
+        assert calls == [0]
+        # every row in the support: the quadric's shared column is (0, 1)
+        # after mixing its rows into (1, 0) + (0, 1)
+        full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
+        sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
+        assert calls == [0, 2]
+
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    @pytest.mark.parametrize("wrong", range(4))
+    def test_wrong_carried_entry_raises_on_local_path(self, wrong):
+        # the shared column x has support {0, 1} of three rows
+        p = make([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 1]],
+                 ["a", "b", "x", "c", "d"], ["t", "u", "v", "w"])
+        cert = homogeneity_certificate(p)
+        assert cert is not None and dimension(p) == 4
+        side = SumConstruction(p, 1, 4, cert)
+        c = sum_shared(side, quadric("w1", "w2", "x"), "x")
+        assert c.certificate.certifies(c.result)
+        omega = list(cert.omega)
+        omega[wrong] += 1  # rows 0 and 1 lie in the support, 2 and 3 outside it
+        fake = SumConstruction(p, 1, 4, HomogeneityCertificate(tuple(omega)))
+        with pytest.raises(RuntimeError, match="stitched grading vector"):
+            sum_shared(fake, quadric("w1", "w2", "x"), "x")
+
+    def test_false_maximal_rank_claim_raises(self):
+        # the support rows of x are dependent, so the claimed rank 3 is false
+        p = make([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], ["t", "u", "v"])
+        fake = SumConstruction(p, 1, 3, HomogeneityCertificate((1, 0, 1)))
+        with pytest.raises(RuntimeError, match="not maximal"):
+            sum_shared(fake, quadric("w1", "w2", "x"), "x")
+
+
+def _glued(block, edges, k):
+    """Copies of one block along a tree, edge ``e`` on a column of each end.
+
+    At each end the column is picked by rotating through the still free
+    ones, so the twisted cubic shares middle columns (two-row support) as
+    well as end ones, and a dense random block only two-row columns.
+    """
+    names = [[f"x{v}_{j}" for j in range(len(block[0]))] for v in range(k)]
+    for e, (u, v) in enumerate(edges):
+        for w in (u, v):
+            free = [j for j, n in enumerate(names[w]) if not n.startswith("s")]
+            names[w][free[(w + e) % len(free)]] = f"s{e}"
+    return [make(block, vs, ["t", "s"]) for vs in names]
+
+
+def _broom(k, cap):
+    """A star while the centre has room, then a broom of stars, degrees <= cap."""
+    degree = [0] * k
+    edges = []
+    for v in range(1, k):
+        u = next(u for u in range(v) if degree[u] < cap)
+        edges.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    return edges
+
+
+class TestPinSize:
+    """Family sums pin no more rows than an input block has."""
+
+    @pytest.mark.parametrize("kind", ["path", "star", "caterpillar"])
+    def test_pins_stay_block_sized(self, kind, monkeypatch):
+        reduced = []
+
+        def counted(rows, ncols, _real=parametrization.row_reduce):
+            reduced.append(len(rows))
+            return _real(rows, ncols)
+
+        monkeypatch.setattr(parametrization, "row_reduce", counted)
+        k = 64
+        rng = random.Random(73)
+        if kind == "path":
+            block = [[3, 2, 1, 0], [0, 1, 2, 3]]
+            edges = [(v - 1, v) for v in range(1, k)]
+        else:
+            block = [rng.sample(range(-3, 4), 4), [1] * 4]
+            if kind == "star":
+                edges = _broom(k, 4)
+            else:  # a path of k // 2 with one leg on each of its vertices
+                edges = [(v - 1, v) for v in range(1, k // 2)]
+                edges += [(v - k // 2, v) for v in range(k // 2, k)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result, report = sum_family(_glued(block, edges, k))
+        assert report.rank_dimension == k + 1
+        assert reduced and max(reduced) <= len(block)
+        if kind == "path":
+            assert max(abs(x) for row in result.matrix.entries for x in row) < 2**8
 
 
 def _cubic(a, d, prefix):
