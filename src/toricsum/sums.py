@@ -13,18 +13,15 @@ ideals combines the same way along the edges of its sharing graph,
 provided every connected component is a tree; components are then joined
 block-diagonally.
 
-Pinning a side touches as few rows as it can.  With maximal rank and the
-shared column nonzero on a single row, only rows and columns are permuted.
-With maximal rank and the column nonzero on a set S of two or more rows but
-not all of them, only the rows in S are reduced, by the same
-pinned-column-first reduced echelon form as :func:`normalize_pin`, and
-every other row stays; the grading vector is carried, so the k-th new row,
-with pivot column c_k and pivot q, gets (1 - sum over r not in S of
-omega_r * A[r][c_k]) / q.  Otherwise (rank-deficient, or S is every row)
-the whole matrix goes through :func:`normalize_pin`.  The support stays a
-few rows however large the accumulated side grows (on paths, stars and
-caterpillars of two-row blocks it is never more than two), so a merge no
-longer re-reduces the whole matrix built so far.
+Pinning a side touches as few rows as it can.  A side of maximal rank
+keeps every row outside the support S of its shared column (the rows where
+that column is nonzero); when |S| = 1 only rows and columns are permuted,
+and otherwise the rows in S alone are reduced and their grading entries
+carried (see :func:`_pin_support`).  A rank-deficient side goes through the
+whole-matrix :func:`normalize_pin`.  The support stays a few rows however
+large the accumulated side grows (on paths, stars and caterpillars of
+two-row blocks it is never more than two), so a merge no longer
+re-reduces the whole matrix built so far.
 
 A merge reads one summand shape, :class:`SumConstruction`.  A plain
 input is lifted into a single-summand construction when it enters, which
@@ -235,11 +232,11 @@ def _pin_support(
     ``idx``, and the k-th has ``q`` alone in its pivot column ``c_k`` among
     the support rows.  Every other row, and its grading entry, stays.  The
     grading vector is carried along the row operations: the k-th new row
-    gets ``omega'_k = sum(omega_s * A[s][c_k] for s in support) / q``.  When
-    ``omega`` grades A this equals ``(1 - sum over the other rows r of
-    omega_r * A[r][c_k]) / q``, the entry the pinned matrix forces; in any
-    case ``omega'`` pairs with each new column exactly as ``omega`` with the
-    old one, so the stitched check of the sum still tests every entry.
+    gets ``omega'_k = sum(omega_s * A[s][c_k] for s in support) / q``.  So
+    ``omega'`` pairs with each new column exactly as ``omega`` with the old
+    one, and the stitched check of the sum still tests every entry of
+    ``omega``, inside the support or not.  When the support is every row
+    and ``omega`` grades A, each ``omega'_k`` is ``1 / q``.
     """
     p = side.result
     entries = p.matrix.entries
@@ -252,32 +249,26 @@ def _pin_support(
     weights = [omega[s] for s in support]
     for s, row, c in zip(support, reduced, pivot_cols):
         rows[s] = row
-        omega[s] = sum(w * a[c] for w, a in zip(weights, old)) / q
+        omega[s] = Fraction(sum(w * a[c] for w, a in zip(weights, old)), q)
     return rows, omega
 
 
 def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
     """Reshape so the shared variable is pinned on the last row, then drop it.
 
-    Three cases, by the rank of the side and the support S of its shared
-    column (the rows where that column is nonzero):
-
-    - maximal rank and |S| = 1: only the row and column permutations are
-      applied, and the carried grading vector is permuted with the rows;
-    - maximal rank and 2 <= |S| < rows: the rows in S alone are reduced
-      (see :func:`_pin_support`), the others and their grading entries stay
-      as they are, and the k-th new row, with pivot column c_k, is graded
-      (1 - sum over r not in S of omega_r * A[r][c_k]) / q; then as for
-      |S| = 1;
-    - rank-deficient, or S is every row of a side with two or more: the
-      whole matrix goes through :func:`normalize_pin`, whose pivot columns
-      are q * e_i, so the grading vector is forced to (1/q, ..., 1/q).
+    A side of maximal rank keeps its parameter names.  When its shared
+    column is nonzero on a single row, only the row and column permutations
+    are applied and the carried grading vector is permuted with the rows;
+    on more rows, those rows are first re-pinned by :func:`_pin_support`.
+    A rank-deficient side goes through :func:`normalize_pin`, whose pivot
+    columns are q * e_i, so its grading vector is forced to (1/q, ..., 1/q)
+    and its parameters are renamed t1, t2, ....
     """
     p = side.result
     idx = p.vars.index(shared)
     entries, params = p.matrix.entries, p.params.names
     support = [r for r, row in enumerate(entries) if row[idx]]
-    if side.rank_dimension != len(params) or len(support) == len(params) > 1:
+    if side.rank_dimension != len(params):
         pin = normalize_pin(p, idx)
         entries, params = pin.parametrization.matrix.entries, pin.parametrization.params.names
         j, omega = pin.pinned_param_index, (Fraction(1, pin.exponent),) * len(params)

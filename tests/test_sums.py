@@ -551,7 +551,7 @@ class TestSupportLocalPin:
                 assert rows[r][c] == q
                 assert omega[r] == (1 - sum(old[o] * p.matrix.entries[o][c] for o in others)) / q
 
-    def test_whole_matrix_pin_only_without_local_support(self, monkeypatch):
+    def test_whole_matrix_pin_only_when_rank_deficient(self, monkeypatch):
         calls = []
         monkeypatch.setattr(sums, "normalize_pin",
                             lambda p, idx: calls.append(idx) or normalize_pin(p, idx))
@@ -560,17 +560,35 @@ class TestSupportLocalPin:
         p = side.result
         shared = p.vars.names[0]
         sums._pinned_last(side, shared)
+        # every row in the support: the quadric's shared column is (0, 1)
+        # after mixing its rows into (1, 0) + (0, 1); the local pin gives
+        # the whole-matrix rows and keeps the parameter names
+        full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
+        pinned = sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
+        whole = normalize_pin(full, "x")
         assert calls == []
+        assert pinned.rows == [[r[0], r[1]] for r in whole.parametrization.matrix.entries[::-1]]
+        assert pinned.params == ("s",)
+        assert pinned.gamma == whole.exponent
+        assert pinned.omega == (Fraction(1, whole.exponent),) * 2
         # rank-deficient: the lifted block repeats a row
         doubled = make([*p.matrix.entries, p.matrix.entries[support[0]]],
                        p.vars.names, p.params.names + ("extra",))
         sums._pinned_last(sums._lift(doubled, "not homogeneous"), shared)
         assert calls == [0]
-        # every row in the support: the quadric's shared column is (0, 1)
-        # after mixing its rows into (1, 0) + (0, 1)
-        full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
-        sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
-        assert calls == [0, 2]
+
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    def test_integer_carried_certificate(self):
+        rng = random.Random(79)
+        for _ in range(10):
+            side, support = _local_side(rng)
+            p = side.result
+            shared = p.vars.names[0]
+            omega = tuple(int(w) for w in side.certificate.omega)
+            ints = SumConstruction(p, 1, side.rank_dimension, HomogeneityCertificate(omega))
+            c = sum_shared(ints, quadric("w1", "w2", shared), shared)
+            assert not any(isinstance(w, float) for w in c.certificate.omega)
+            assert c.certificate.certifies(c.result)
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
     @pytest.mark.parametrize("wrong", range(4))
