@@ -11,10 +11,15 @@ the variables of its parametrization.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 Monomial = tuple[int, ...]
+
+# An integer as input text: an optional sign and ASCII digits, nothing else
+# (``int`` would also take underscores and non-ASCII digits).
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -203,10 +208,10 @@ def _parse_monomial(s: str, vars: VariableSet) -> tuple[int, ...]:
         name, caret, e = factor.partition("^")
         name = name.strip()
         if caret:
-            try:
-                exponent = int(e.strip())
-            except ValueError:
-                raise ValueError(f"malformed exponent in {factor!r}") from None
+            e = e.strip()
+            if not _INTEGER_RE.fullmatch(e):
+                raise ValueError(f"malformed exponent in {factor!r}")
+            exponent = int(e)
             if exponent < 0:
                 raise ValueError(f"negative exponent in {factor!r}")
         else:

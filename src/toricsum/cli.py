@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .binomials import (
+    _INTEGER_RE,
     Binomial,
     VariableSet,
     format_binomial,
@@ -162,11 +163,10 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
                     f"row has {len(tokens)} entries but there are "
                     f"{len(current['vars'])} variables",
                 )
-            try:
-                current["rows"].append([int(t) for t in tokens])
-            except ValueError:
-                bad = next(t for t in tokens if not _is_int(t))
-                raise IdealFileError(lineno, f"malformed integer {bad!r}") from None
+            bad = next((t for t in tokens if not _INTEGER_RE.fullmatch(t)), None)
+            if bad is not None:
+                raise IdealFileError(lineno, f"malformed integer {bad!r}")
+            current["rows"].append([int(t) for t in tokens])
         elif keyword == "gen":
             if current["vars"] is None:
                 raise IdealFileError(lineno, "gen before vars")
@@ -175,14 +175,6 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
             raise IdealFileError(lineno, f"unknown directive {keyword!r}")
     finish()
     return ideals
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
 
 
 def format_ideal_block(name: str, p: Parametrization, gens: Sequence[Binomial] = ()) -> str:

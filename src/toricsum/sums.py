@@ -13,28 +13,26 @@ ideals combines the same way along the edges of its sharing graph,
 provided every connected component is a tree; components are then joined
 block-diagonally.
 
-Pinning a side touches as few rows as it can.  A side of maximal rank
-keeps every row outside the support S of its shared column (the rows where
-that column is nonzero); when |S| = 1 only rows and columns are permuted,
-and otherwise the rows in S alone are reduced and their grading entries
-carried (see :func:`_pin_support`).  A rank-deficient side goes through the
-whole-matrix :func:`normalize_pin`.  The support stays a few rows however
-large the accumulated side grows (on paths, stars and caterpillars of
-two-row blocks it is never more than two), so a merge no longer
-re-reduces the whole matrix built so far.
+A merge reads one summand shape, :class:`SumConstruction`, of maximal
+rank.  A plain input is lifted into one when it enters: its rows are cut
+to a greedy row basis, which keeps the row space and so the kernel, and
+its grading vector is solved (rejecting a non-homogeneous input); gamma
+is 1.  Pinning a side keeps every row outside the support S of its shared
+column (the rows where that column is nonzero); when |S| = 1 only rows
+and columns are permuted, and otherwise the rows in S alone are reduced
+and their grading entries carried (see :func:`_pin_support`).  S stays a
+few rows however large the accumulated side grows (never more than two on
+paths, stars and caterpillars of two-row blocks).
 
-A merge reads one summand shape, :class:`SumConstruction`.  A plain
-input is lifted into a single-summand construction when it enters, which
-solves its grading vector (rejecting a non-homogeneous input) and its rank
-once; gamma is 1.  Each merge then carries its facts forward instead of
-recomputing them on the assembled matrix.  The pinned sides have maximal
-rank, so the assembled matrix does too and its rank, the reported
-dimension, is its row count, which is the paper's dim(I1) + dim(I2) - 1;
-its grading vector is stitched from the two sides' and checked on every
-merge; and the variables that occur in low-degree kernel binomials of each
-input ideal are found once, at that ideal's first merge, and carried along
-for the shared-variable usage check.  A family report stores the input
-dimensions and the rank and derives the paper's two closed forms from them.
+Each merge carries its facts forward instead of recomputing them on the
+assembled matrix.  The pinned sides have maximal rank, so the assembled
+matrix does too and its rank, the reported dimension, is its row count,
+which is the paper's dim(I1) + dim(I2) - 1; its grading vector is stitched
+from the two sides' and checked on every merge; and the variables that
+occur in low-degree kernel binomials of each input ideal are found once,
+at that ideal's first merge, and carried along for the shared-variable
+usage check.  A family report stores the input dimensions and the rank and
+derives the paper's two closed forms from them.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix
+from .exact_linalg import IntegerMatrix, independent_rows
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
@@ -55,7 +53,6 @@ from .parametrization import (
     _pin_rows,
     dimension,
     homogeneity_certificate,
-    normalize_pin,
 )
 
 # Degree bound of the search for a kernel binomial involving a shared variable.
@@ -64,25 +61,24 @@ _USAGE_DEGREE = 2
 
 @dataclass(frozen=True)
 class SumConstruction:
-    """Assembled sum with its rank and grading; the shape a merge reads.
+    """Assembled sum with its grading; the shape a merge reads.
 
-    ``rank_dimension`` is the rank of ``result``.  The assembled matrix has
-    maximal rank by construction, so this is its row count, m1 + m2 + 1,
-    which equals dim(I1) + dim(I2) - 1.  ``certificate`` is a grading
-    vector of ``result``, stitched from the two sides and checked.
+    ``result`` has maximal rank by construction, so its rank is its row
+    count, m1 + m2 + 1, which equals dim(I1) + dim(I2) - 1.
+    ``certificate`` is a grading vector of ``result``, stitched from the two
+    sides and checked.
 
     ``used_variables`` holds the variables that occur in some kernel
     binomial of degree at most 2 of one of the input ideals (each searched
     on its own), or None while no input has been searched.  A construction
     can be passed back to :func:`sum_shared` in place of a parametrization,
     which then reuses these facts.  Inside a merge a plain input becomes a
-    single summand: its own ``result``, gamma 1, its rank, its solved
+    single summand: its independent rows as ``result``, gamma 1, its solved
     grading vector, usage not yet searched.
     """
 
     result: Parametrization
     gamma: int
-    rank_dimension: int
     certificate: HomogeneityCertificate
     used_variables: Optional[frozenset[str]] = None
 
@@ -127,8 +123,8 @@ class FamilyReport:
     """Dimension accounting for a family sum.
 
     ``rank_dimension`` is the rank of the family sum, added up from the
-    components: a merged component contributes its last construction's
-    ``rank_dimension``, an isolated ideal its own rank.  It always equals
+    components: a merged component contributes the row count of its last
+    construction, an isolated ideal its own rank.  It always equals
     ``iterated_prediction``; the paper's ``global_formula`` is always one
     more.
     """
@@ -210,25 +206,36 @@ class _PinnedSide(NamedTuple):
 
 
 def _lift(p: Parametrization, refusal: str) -> SumConstruction:
-    """A plain input as a single summand: gamma = lcm() = 1.
+    """A plain input as a single summand of maximal rank: gamma = lcm() = 1.
 
-    Solves the grading vector, raising ConstructionError with ``refusal``
-    when there is none, and the rank; the usage search is left to the merge.
+    Keeps the greedy row basis of the matrix with those rows' parameter
+    names; the row space, and so the kernel and the homogeneity, is
+    unchanged.  Solves the grading vector on the kept rows, raising
+    ConstructionError with ``refusal`` when there is none; the usage search
+    is left to the merge.
     """
+    keep = independent_rows(p.matrix)
+    if len(keep) < len(p.params):
+        p = Parametrization(
+            VariableSet(tuple(p.params.names[r] for r in keep)),
+            p.vars,
+            p.matrix.take(keep, range(len(p.vars))),
+            p.allow_degenerate,
+        )
     cert = homogeneity_certificate(p)
     if cert is None:
         raise ConstructionError(refusal)
-    return SumConstruction(p, 1, dimension(p), cert)
+    return SumConstruction(p, 1, cert)
 
 
 def _pin_support(
     side: SumConstruction, idx: int, support: list[int]
 ) -> tuple[list[Sequence[int]], list[Fraction]]:
-    """Pin column ``idx`` of a maximal-rank side by reducing its support rows only.
+    """Pin column ``idx`` of a side by reducing its support rows only.
 
     The rows in ``support`` (the nonzero entries of the column) go through
-    the pin core of :func:`normalize_pin` and are replaced, in order, by
-    its reduced rows: the first is the pinned row, with ``q > 0`` in column
+    the pin core :func:`_pin_rows` and are replaced, in order, by its
+    reduced rows: the first is the pinned row, with ``q > 0`` in column
     ``idx``, and the k-th has ``q`` alone in its pivot column ``c_k`` among
     the support rows.  Every other row, and its grading entry, stays.  The
     grading vector is carried along the row operations: the k-th new row
@@ -256,26 +263,18 @@ def _pin_support(
 def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
     """Reshape so the shared variable is pinned on the last row, then drop it.
 
-    A side of maximal rank keeps its parameter names.  When its shared
-    column is nonzero on a single row, only the row and column permutations
-    are applied and the carried grading vector is permuted with the rows;
-    on more rows, those rows are first re-pinned by :func:`_pin_support`.
-    A rank-deficient side goes through :func:`normalize_pin`, whose pivot
-    columns are q * e_i, so its grading vector is forced to (1/q, ..., 1/q)
-    and its parameters are renamed t1, t2, ....
+    The side keeps its parameter names.  When its shared column is nonzero
+    on a single row, only the row and column permutations are applied and
+    the carried grading vector is permuted with the rows; on more rows,
+    those rows are first re-pinned by :func:`_pin_support`.
     """
     p = side.result
     idx = p.vars.index(shared)
     entries, params = p.matrix.entries, p.params.names
     support = [r for r, row in enumerate(entries) if row[idx]]
-    if side.rank_dimension != len(params):
-        pin = normalize_pin(p, idx)
-        entries, params = pin.parametrization.matrix.entries, pin.parametrization.params.names
-        j, omega = pin.pinned_param_index, (Fraction(1, pin.exponent),) * len(params)
-    else:
-        j, omega = support[0], side.certificate.omega
-        if len(support) > 1:
-            entries, omega = _pin_support(side, idx, support)
+    j, omega = support[0], side.certificate.omega
+    if len(support) > 1:
+        entries, omega = _pin_support(side, idx, support)
 
     row_order = [k for k in range(len(params)) if k != j] + [j]
     col_order = [c for c in range(len(p.vars)) if c != idx]
@@ -345,11 +344,12 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     checked to be graded 1 / gamma_i, and a failure raises RuntimeError.
 
     Every input is handled as a :class:`SumConstruction`.  An earlier
-    construction stands for its ``result`` and its certificate, rank and
-    usage facts are reused; a plain parametrization is lifted into a
-    single-summand construction on entry, which solves its grading vector
-    and rank once.  Folding this function over a tree that passes each
-    construction on thus pays for each input ideal's facts once.
+    construction stands for its ``result`` and its certificate and usage
+    facts are reused; a plain parametrization is lifted into a
+    single-summand construction on entry, which cuts it to its independent
+    rows and solves its grading vector once.  Folding this function over a
+    tree that passes each construction on thus pays for each input ideal's
+    facts once.
 
     Each side is also searched for a kernel binomial of degree at most 2
     that involves the shared variable; a miss is a warning, not an error.
@@ -402,7 +402,6 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     return SumConstruction(
         result=result,
         gamma=gamma,
-        rank_dimension=len(rows),
         certificate=certificate,
         used_variables=used,
     )
@@ -467,12 +466,12 @@ def sum_family(
     homogeneous; isolated vertices are exempt and stay plain.
 
     Each ideal of a merged component is lifted into a single-summand
-    :class:`SumConstruction` up front, which solves its grading vector and
-    rank, and each merge is passed constructions, so certificates, ranks
-    and the usage search are paid once per input ideal; the usage check
-    thus runs per input ideal and incident edge.  The report stores the
-    input dimensions and the rank of the sum; the paper's closed forms are
-    derived from them.
+    :class:`SumConstruction` up front, which cuts it to its independent rows
+    and solves its grading vector, and each merge is passed constructions,
+    so row bases, certificates and the usage search are paid once per input
+    ideal; the usage check thus runs per input ideal and incident edge.  The
+    report stores the input dimensions and the rank of the sum; the paper's
+    closed forms are derived from them.
     """
     ps = list(ps)
     if names is None:
@@ -497,7 +496,7 @@ def sum_family(
                     f"ideal {names[v]!r} is not homogeneous (no grading vector) "
                     "and cannot enter a shared-variable sum",
                 )
-    dims = tuple(lifted[v].rank_dimension if v in lifted else dimension(p)
+    dims = tuple(len(lifted[v].result.params) if v in lifted else dimension(p)
                  for v, p in enumerate(ps))
 
     merges: list[tuple[str, str, str]] = []
@@ -525,7 +524,7 @@ def sum_family(
             del adj[leaf]
         (last,) = current.values()
         component_results.append(last.result)
-        rank_dim += last.rank_dimension
+        rank_dim += len(last.result.params)
 
     report = FamilyReport(graph, dims, rank_dim, tuple(merges))
     return sum_disjoint(component_results), report

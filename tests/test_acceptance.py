@@ -83,7 +83,7 @@ def test_criterion_2_glued_quadrics_sum():
     )
     assert _rows_up_to_permutation_and_sign(construction.result.matrix) == \
         _rows_up_to_permutation_and_sign(expected)
-    assert construction.rank_dimension == 3 == 2 + 2 - 1
+    assert len(construction.result.params) == 3 == 2 + 2 - 1
     vs = construction.result.vars
     gens1 = [parse_binomial("z1*z2 - x^2", vs)]
     gens2 = [parse_binomial("w1*w2 - x^2", vs)]

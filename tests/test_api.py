@@ -1,4 +1,6 @@
-"""The public names of the package, pinned so that any change shows in a diff."""
+"""Public names and public record fields, pinned so that any change shows in a diff."""
+
+import dataclasses
 
 import toricsum
 
@@ -61,6 +63,15 @@ PUBLIC_NAMES = [
     "sum_shared",
 ]
 
+PUBLIC_FIELDS = {
+    "CertificationVerdict": ("status", "witness", "degree_checked"),
+    "FamilyReport": ("graph", "input_dimensions", "rank_dimension", "merges"),
+    "GraphComponent": ("vertices", "is_tree"),
+    "IdealFamilyGraph": ("ids", "edges", "components"),
+    "PinResult": ("parametrization", "pinned_param_index", "exponent"),
+    "SumConstruction": ("result", "gamma", "certificate", "used_variables"),
+}
+
 
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 56
@@ -70,3 +81,8 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in toricsum.__all__:
         assert getattr(toricsum, name) is not None, name
+
+
+def test_public_record_fields_are_pinned():
+    for name, fields in PUBLIC_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(toricsum, name))) == fields, name

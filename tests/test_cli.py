@@ -1,5 +1,6 @@
 """File format parsing, printing, subcommands, and the exit-code contract."""
 
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,22 @@ CUBIC_PATH = "\n".join(
 )
 
 
+RANK_DEFICIENT = """\
+ideal A
+vars a1 a2 x
+params t s u
+row 1 -1 0
+row 1 1 1
+row 2 2 2
+
+ideal B
+vars x b1 b2
+params t s
+row 1 1 1
+row 0 1 2
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -124,6 +141,24 @@ class TestParse:
         bad = "ideal I\nvars a b\nparams t\nrow 1 x\n"
         with pytest.raises(IdealFileError, match="malformed integer"):
             parse_ideal_file(bad)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "1.0", "+-1", "0x1", "2e1"])
+    def test_integer_is_ascii_digits_only(self, token):
+        bad = f"ideal I\nvars a b\nparams t\nrow 1 {token}\n"
+        with pytest.raises(IdealFileError, match=re.escape(f"line 4: malformed integer '{token}'")):
+            parse_ideal_file(bad)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "1.0", "++1"])
+    def test_exponent_is_ascii_digits_only(self, token):
+        bad = f"ideal I\nvars a b\nparams t s\nrow 1 1\nrow 0 1\ngen a^{token} - b\n"
+        with pytest.raises(IdealFileError, match=r"line 6: malformed exponent"):
+            parse_ideal_file(bad)
+
+    def test_signed_and_padded_integers_parse(self):
+        text = "ideal I\nvars a b\nparams t s\nrow +1 -0\nrow 007 1\ngen a^+02 - b^2\n"
+        (ideal,) = parse_ideal_file(text)
+        assert ideal.parametrization.matrix.entries == ((1, 0), (7, 1))
+        assert ideal.generators[0].u_plus == (2, 0)
 
     def test_duplicate_ideal_name(self):
         bad = "ideal I\nvars a\nparams t\nrow 1\nideal I\nvars b\nparams t\nrow 1\n"
@@ -262,6 +297,22 @@ class TestCommands:
         assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: equal-up-to-degree")
 
+    def test_sum_rank_deficient_input_keeps_its_row_names(self, tmp_path, capsys):
+        # A's third row is twice its second: A enters the sum as its rows t, s
+        f = write(tmp_path, "rd.ideal", RANK_DEFICIENT)
+        assert main(["sum", f]) == 0
+        block, report = capsys.readouterr().out.split("k=2 r=1\n")
+        assert block.splitlines()[2:] == [
+            "params t1_t t2_s s",
+            "row 1 -1 0 0 0",
+            "row 0 0 1 2 0",
+            "row 1 1 1 1 1",
+        ]
+        assert "dim(rank)=3\n" in report
+        g = write(tmp_path, "sum.ideal", block)
+        assert main(["dim", g]) == 0
+        assert capsys.readouterr().out == "A+B: dim(rank)=3\n"
+
     def test_sum_empty_file_output_is_reparseable(self, tmp_path, capsys):
         f = write(tmp_path, "empty.ideal", "# nothing here\n")
         assert main(["sum", f]) == 0
@@ -301,6 +352,12 @@ class TestCommands:
         f = write(tmp_path, "bad.ideal", "ideal I\nvars a\nparams t\nrow 1 2\n")
         assert main(["dim", f]) == 2
         assert "error: line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["row 1_0 \u0663", "gen a^\u0663 - b^1_0"])
+    def test_non_ascii_integer_exits_two(self, tmp_path, capsys, line):
+        f = write(tmp_path, "bad.ideal", f"ideal I\nvars a b\nparams t\nrow 1 1\n{line}\n")
+        assert main(["sum", f, "--certify"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 5: malformed ")
 
     def test_zero_column_exits_two(self, tmp_path, capsys):
         f = write(tmp_path, "z.ideal", "ideal I\nvars a b\nparams t\nrow 0 1\n")

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -97,7 +98,7 @@ class TestSumShared:
         assert c.result.matrix.entries == GLUED_RESULT
         assert c.result.vars.names == ("z1", "z2", "w1", "w2", "x")
         assert c.gamma == 1
-        assert c.rank_dimension == 3
+        assert len(c.result.params) == 3
         assert c.certificate.certifies(c.result)
 
     def test_doubled_last_row(self):
@@ -109,7 +110,7 @@ class TestSumShared:
             (0, 0, 1, -1, 0),
             (2, 2, 2, 2, 2),
         )
-        assert c.rank_dimension == 3
+        assert len(c.result.params) == 3
 
     def test_two_shared_variables_rejected(self):
         p1 = make([[1, 1, 1], [1, 0, 2]], ["z1", "x", "y"], ["t", "s"])
@@ -128,7 +129,7 @@ class TestSumShared:
         assert dimension(p1) == 2
         p2 = quadric("w1", "w2", "y")
         c = sum_shared(p1, p2, "y")
-        assert c.rank_dimension == dimension(p1) + dimension(p2) - 1
+        assert len(c.result.params) == dimension(p1) + dimension(p2) - 1
         for b in enumerate_kernel_binomials(p1, DegreeBound(3)):
             assert contains_binomial(c.result, relabel_binomial(b, p1.vars, c.result.vars))
 
@@ -143,7 +144,7 @@ class TestSumShared:
         assert c.gamma == 1
         assert c.result.column(len(c.result.vars) - 1)[-1] == 1
         assert c.certificate.certifies(c.result)
-        assert c.rank_dimension == dimension(p1) + 2 - 1
+        assert len(c.result.params) == dimension(p1) + 2 - 1
         assert contains_binomial(p1, Binomial((2, 0, 0), (0, 1, 1)))  # z1^2 - z2*x
         assert contains_binomial(c.result, Binomial((2, 0, 0, 0, 0), (0, 1, 0, 0, 1)))
 
@@ -158,7 +159,7 @@ class TestSumShared:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 c = sum_shared(p1, p2, "x")
-            assert c.rank_dimension == dimension(p1) + dimension(p2) - 1
+            assert len(c.result.params) == dimension(p1) + dimension(p2) - 1
             assert c.certificate.certifies(c.result)
             for p in (p1, p2):
                 for b in enumerate_kernel_binomials(p, DegreeBound(2)):
@@ -326,7 +327,7 @@ def _random_block(rng, shared_names, prefix):
     pinning; ``single`` keeps every shared column on the grading row alone,
     negated half the time (a negative pinned exponent); ``redundant`` is
     ``single`` plus a copy of a row, so the block is never maximal rank and
-    is always pinned.
+    is always cut to its independent rows when it is lifted.
     """
     style = rng.choice(["mixed", "single", "redundant"])
     names = list(shared_names) + [f"{prefix}{j}" for j in range(rng.randint(1, 2))]
@@ -415,8 +416,8 @@ class TestCarriedFacts:
             carried_result, carried = _fold(ps, edges, carry=True)
             assert carried_result == expected
             for c, q1, q2 in plain + carried:
-                assert c.rank_dimension == dimension(c.result)
-                assert c.rank_dimension == dimension(q1) + dimension(q2) - 1
+                assert len(c.result.params) == dimension(c.result)
+                assert len(c.result.params) == dimension(q1) + dimension(q2) - 1
                 assert c.certificate.certifies(c.result)
             if trial % 2:
                 # an isolated, possibly non-homogeneous block joins block-diagonally
@@ -455,7 +456,7 @@ class TestCarriedFacts:
         expected = sum_shared(c.result, quadric("v1", "v2", "x"), "x")
         assert c2.result == expected.result
         assert c2.certificate == expected.certificate
-        assert c2.rank_dimension == dimension(c2.result)
+        assert len(c2.result.params) == dimension(c2.result)
 
     def test_non_homogeneous_side_rejected_on_either_path(self):
         rng = random.Random(61)
@@ -488,12 +489,68 @@ class TestCarriedFacts:
         fake = SumConstruction(
             result=quadric("z1", "z2", "y"),
             gamma=1,
-            rank_dimension=2,
             certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
         )
         with pytest.raises(RuntimeError, match="stitched grading vector"):
             sum_shared(fake, quadric("w1", "w2", "y"), "y")
 
+
+
+def _count_whole_pins(monkeypatch):
+    """Record every call of ``normalize_pin`` made through a toricsum module."""
+    calls = []
+    real = parametrization.normalize_pin
+
+    def counted(p, var):
+        calls.append(var)
+        return real(p, var)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "toricsum":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _with_dependent_row(p, rng):
+    """``p`` with one more row in its row space, at a random position.
+
+    The row copies a row, or adds or subtracts two distinct rows.
+    """
+    rows = [list(row) for row in p.matrix.entries]
+    if len(rows) > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.choice([-1, 1])
+        extra = [a + c * b for a, b in zip(rows[i], rows[j])]
+    else:
+        extra = list(rng.choice(rows))
+    at = rng.randrange(len(rows) + 1)
+    params = list(p.params.names)
+    rows.insert(at, extra)
+    params.insert(at, "dep")
+    return make(rows, p.vars.names, params)
+
+
+class TestDependentRows:
+    @pytest.mark.parametrize("kind", ["path", "star", "caterpillar"])
+    def test_dependent_rows_change_nothing(self, kind, monkeypatch):
+        # _random_family's redundant blocks are rank-deficient already
+        whole_pins = _count_whole_pins(monkeypatch)
+        rng = random.Random(f"dependent:{kind}")
+        for _ in range(20):
+            ps, _ = _random_family(rng, kind, rng.randint(2, 6))
+            padded = [_with_dependent_row(p, rng) for p in ps]
+            assert all(dimension(q) == dimension(p) for p, q in zip(ps, padded))
+            outcomes = []
+            for family in (ps, padded):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result, report = sum_family(family)
+                outcomes.append((kernel_in_sorted_vars(result), report,
+                                 [str(w.message) for w in caught]))
+            assert outcomes[0] == outcomes[1]
+        assert whole_pins == []
 
 
 def _local_side(rng):
@@ -522,7 +579,7 @@ def _local_side(rng):
         if dimension(p) == m:
             cert = HomogeneityCertificate(tuple(Fraction(w) for w in omega))
             assert cert.certifies(p)
-            return SumConstruction(p, 1, m, cert), support
+            return SumConstruction(p, 1, cert), support
 
 
 class TestSupportLocalPin:
@@ -551,31 +608,48 @@ class TestSupportLocalPin:
                 assert rows[r][c] == q
                 assert omega[r] == (1 - sum(old[o] * p.matrix.entries[o][c] for o in others)) / q
 
-    def test_whole_matrix_pin_only_when_rank_deficient(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(sums, "normalize_pin",
-                            lambda p, idx: calls.append(idx) or normalize_pin(p, idx))
+    def test_pins_are_local_at_any_input_rank(self, monkeypatch):
+        whole_pins = _count_whole_pins(monkeypatch)
+        reduced = []
+        monkeypatch.setattr(sums, "_pin_rows", lambda rows, idx, name, _real=sums._pin_rows:
+                            reduced.append(len(rows)) or _real(rows, idx, name))
         rng = random.Random(71)
         side, support = _local_side(rng)
         p = side.result
         shared = p.vars.names[0]
         sums._pinned_last(side, shared)
+        assert reduced == [len(support)]
         # every row in the support: the quadric's shared column is (0, 1)
         # after mixing its rows into (1, 0) + (0, 1); the local pin gives
         # the whole-matrix rows and keeps the parameter names
         full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
         pinned = sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
         whole = normalize_pin(full, "x")
-        assert calls == []
         assert pinned.rows == [[r[0], r[1]] for r in whole.parametrization.matrix.entries[::-1]]
         assert pinned.params == ("s",)
         assert pinned.gamma == whole.exponent
         assert pinned.omega == (Fraction(1, whole.exponent),) * 2
-        # rank-deficient: the lifted block repeats a row
-        doubled = make([*p.matrix.entries, p.matrix.entries[support[0]]],
-                       p.vars.names, p.params.names + ("extra",))
-        sums._pinned_last(sums._lift(doubled, "not homogeneous"), shared)
-        assert calls == [0]
+        # rank-deficient: a copy of the first support row comes first, so the
+        # lifted block keeps the copy's name and drops the original's
+        s0 = support[0]
+        doubled = make([p.matrix.entries[s0], *p.matrix.entries],
+                       p.vars.names, ("extra",) + p.params.names)
+        lifted = sums._lift(doubled, "not homogeneous")
+        kept = [r for r in range(len(doubled.params)) if r != s0 + 1]
+        assert lifted.result.params.names == tuple(doubled.params.names[r] for r in kept)
+        assert lifted.result.matrix.entries == tuple(doubled.matrix.entries[r] for r in kept)
+        assert lifted.result.vars == p.vars
+        assert lifted.certificate.certifies(lifted.result)
+        reduced.clear()
+        pinned = sums._pinned_last(lifted, shared)
+        assert reduced == [len(support)]
+        assert pinned.params == lifted.result.params.names[1:]
+        for name, row in zip(pinned.params, pinned.rows):
+            original = lifted.result.matrix.entries[lifted.result.params.index(name)]
+            if not original[0]:
+                assert row == list(original[1:])
+        assert pinned.omega[-1] * pinned.gamma == 1
+        assert whole_pins == []
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
     def test_integer_carried_certificate(self):
@@ -585,7 +659,7 @@ class TestSupportLocalPin:
             p = side.result
             shared = p.vars.names[0]
             omega = tuple(int(w) for w in side.certificate.omega)
-            ints = SumConstruction(p, 1, side.rank_dimension, HomogeneityCertificate(omega))
+            ints = SumConstruction(p, 1, HomogeneityCertificate(omega))
             c = sum_shared(ints, quadric("w1", "w2", shared), shared)
             assert not any(isinstance(w, float) for w in c.certificate.omega)
             assert c.certificate.certifies(c.result)
@@ -598,19 +672,20 @@ class TestSupportLocalPin:
                  ["a", "b", "x", "c", "d"], ["t", "u", "v", "w"])
         cert = homogeneity_certificate(p)
         assert cert is not None and dimension(p) == 4
-        side = SumConstruction(p, 1, 4, cert)
+        side = SumConstruction(p, 1, cert)
         c = sum_shared(side, quadric("w1", "w2", "x"), "x")
         assert c.certificate.certifies(c.result)
         omega = list(cert.omega)
         omega[wrong] += 1  # rows 0 and 1 lie in the support, 2 and 3 outside it
-        fake = SumConstruction(p, 1, 4, HomogeneityCertificate(tuple(omega)))
+        fake = SumConstruction(p, 1, HomogeneityCertificate(tuple(omega)))
         with pytest.raises(RuntimeError, match="stitched grading vector"):
             sum_shared(fake, quadric("w1", "w2", "x"), "x")
 
     def test_false_maximal_rank_claim_raises(self):
-        # the support rows of x are dependent, so the claimed rank 3 is false
+        # the support rows of x are dependent, so the construction's claim
+        # of maximal rank is false
         p = make([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], ["t", "u", "v"])
-        fake = SumConstruction(p, 1, 3, HomogeneityCertificate((1, 0, 1)))
+        fake = SumConstruction(p, 1, HomogeneityCertificate((1, 0, 1)))
         with pytest.raises(RuntimeError, match="not maximal"):
             sum_shared(fake, quadric("w1", "w2", "x"), "x")
 
@@ -691,7 +766,8 @@ class TestPlainInputs:
         import toricsum.parametrization as parametrization
         import toricsum.sums as sums
 
-        calls = {"homogeneity_certificate": 0, "rank": 0, "enumerate_kernel_binomials": 0}
+        calls = {"homogeneity_certificate": 0, "independent_rows": 0,
+                 "enumerate_kernel_binomials": 0}
         for module in (sums, parametrization):
             for name in calls:
                 if hasattr(module, name):
@@ -705,7 +781,8 @@ class TestPlainInputs:
         _, report = sum_family(family)
         assert len(report.merges) == 6
         # the usage search, too, runs once per input ideal, never on a merged result
-        assert calls == {"homogeneity_certificate": 7, "rank": 7, "enumerate_kernel_binomials": 7}
+        assert calls == {"homogeneity_certificate": 7, "independent_rows": 7,
+                         "enumerate_kernel_binomials": 7}
 
     @pytest.mark.parametrize(
         "p1, p2, message",
