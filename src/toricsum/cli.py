@@ -16,12 +16,15 @@ variables; parameter names are local to their block.
 
 Exit codes: 0 success, 1 mathematical rejection (cycle, two shared
 variables, non-homogeneous input, failed certification), 2 parse or usage
-error, including a file that is not UTF-8.
+error, including a file that is not UTF-8, and 141 when the reader closes
+standard output early (``toricsum kernel FILE | head -1``), the status a
+shell reports for a command ended by SIGPIPE; nothing more is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -289,6 +292,10 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 
 
 def _positive_int(token: str) -> int:
+    # The integer rule of input files: ``int`` would also take ``1_0`` and
+    # non-ASCII digits.
+    if not _INTEGER_RE.fullmatch(token):
+        raise argparse.ArgumentTypeError(f"malformed integer {token!r}")
     value = int(token)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
@@ -330,7 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit status when standard output is closed before everything is written.
+_EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered, and the interpreter's flush at exit,
+        # to the null device so that neither raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -441,6 +441,31 @@ def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:
     return kernel_lattice(annihilator(basis))
 
 
+def _solve_transposed(
+    a: IntegerMatrix, rhs: Sequence[int], mask: Sequence[int], scale: int = 1
+) -> tuple[list[int], Optional[tuple[Fraction, ...]]]:
+    """One fraction-free reduction of ``[A_mask^T | rhs]``: row basis and solve.
+
+    ``rhs`` holds one integer per column in ``mask`` and stands for
+    ``rhs / scale``.  Returns the pivots, the greedy row basis of the masked
+    columns of ``A`` (and so of ``A`` when its other columns are zero), and
+    the particular solution of ``(omega @ A)[c] == rhs / scale`` over the
+    masked columns with the free coordinates zero, or None when that system
+    is inconsistent.  :func:`solve_row_rational` and the lift of a summand
+    in :mod:`sums` share this one elimination.
+    """
+    m = a.rows
+    columns = list(zip(*a.entries)) if m else [()] * a.cols
+    rows = [[*columns[c], v] for c, v in zip(mask, rhs)]
+    pivots, d, _ = row_reduce(rows, m)
+    if any(row[m] for row in rows[len(pivots):]):
+        return pivots, None
+    omega = [Fraction(0)] * m
+    for row, c in zip(rows, pivots):
+        omega[c] = Fraction(row[m], d * scale)
+    return pivots, tuple(omega)
+
+
 def solve_row_rational(
     a: IntegerMatrix,
     rhs: Sequence[Fraction | int],
@@ -459,7 +484,6 @@ def solve_row_rational(
         The deterministic particular solution with free coordinates set to
         zero, or None when the system is inconsistent.
     """
-    m = a.rows
     if column_mask is None:
         mask = list(range(a.cols))
     else:
@@ -470,17 +494,15 @@ def solve_row_rational(
     if len(rhs) != a.cols:
         raise ValueError(f"expected a right-hand side of length {a.cols}, got {len(rhs)}")
 
-    # Reduce [A_mask^T | L * rhs] with L clearing the rhs denominators.
-    values = [Fraction(rhs[c]) for c in mask]
-    scale = lcm(1, *(v.denominator for v in values))
-    rows = [[a.entries[k][c] for k in range(m)] + [int(v * scale)] for c, v in zip(mask, values)]
-    pivots, d, _ = row_reduce(rows, m)
-    if any(row[m] for row in rows[len(pivots):]):
-        return None
-    omega = [Fraction(0)] * m
-    for row, c in zip(rows, pivots):
-        omega[c] = Fraction(row[m], d * scale)
-    return tuple(omega)
+    # An integer right-hand side is used as it is; otherwise L * rhs, with L
+    # clearing the denominators.
+    values = [rhs[c] for c in mask]
+    scale = 1
+    if not all(isinstance(v, int) for v in values):
+        fractions = [Fraction(v) for v in values]
+        scale = lcm(1, *(v.denominator for v in fractions))
+        values = [int(v * scale) for v in fractions]
+    return _solve_transposed(a, values, mask, scale)[1]
 
 
 def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:

@@ -14,10 +14,11 @@ provided every connected component is a tree; components are then joined
 block-diagonally.
 
 A merge reads one summand shape, :class:`SumConstruction`, of maximal
-rank.  A plain input is lifted into one when it enters: its rows are cut
-to a greedy row basis, which keeps the row space and so the kernel, and
-its grading vector is solved (rejecting a non-homogeneous input); gamma
-is 1.  Pinning a side keeps every row outside the support S of its shared
+rank.  A plain input is lifted into one when it enters: one elimination
+of ``[A^T | 1]`` cuts its rows to a greedy row basis, which keeps the row
+space and so the kernel, and solves its grading vector (rejecting a
+non-homogeneous input); its usage set (below) is searched; gamma is 1.
+Pinning a side keeps every row outside the support S of its shared
 column (the rows where that column is nonzero); when |S| = 1 only rows
 and columns are permuted, and otherwise the rows in S alone are reduced
 and their grading entries carried (see :func:`_pin_support`).  S stays a
@@ -28,11 +29,14 @@ Each merge carries its facts forward instead of recomputing them on the
 assembled matrix.  The pinned sides have maximal rank, so the assembled
 matrix does too and its rank, the reported dimension, is its row count,
 which is the paper's dim(I1) + dim(I2) - 1; its grading vector is stitched
-from the two sides' and checked on every merge; and the variables that
-occur in low-degree kernel binomials of each input ideal are found once,
-at that ideal's first merge, and carried along for the shared-variable
-usage check.  A family report stores the input dimensions and the rank and
-derives the paper's two closed forms from them.
+from the two sides' and checked against the whole assembled matrix on
+every merge; and the variables that occur in low-degree kernel binomials
+of each input ideal are found when it is lifted and carried along for the
+shared-variable usage check.  A family is often many copies of one block
+on different variables, so :func:`sum_family` solves each distinct input
+matrix once and only relabels the facts for its copies.  A family report
+stores the input dimensions and the rank and derives the paper's two
+closed forms from them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix, independent_rows
+from .exact_linalg import IntegerMatrix, _solve_transposed
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
@@ -52,7 +56,6 @@ from .parametrization import (
     Parametrization,
     _pin_rows,
     dimension,
-    homogeneity_certificate,
 )
 
 # Degree bound of the search for a kernel binomial involving a shared variable.
@@ -74,7 +77,7 @@ class SumConstruction:
     can be passed back to :func:`sum_shared` in place of a parametrization,
     which then reuses these facts.  Inside a merge a plain input becomes a
     single summand: its independent rows as ``result``, gamma 1, its solved
-    grading vector, usage not yet searched.
+    grading vector and its searched usage set.
     """
 
     result: Parametrization
@@ -198,39 +201,85 @@ class _PinnedSide(NamedTuple):
     gives the pinned row 1 / gamma, since the shared column is gamma there.
     """
 
-    rows: list[list[int]]
+    rows: list[tuple[int, ...]]
     params: tuple[str, ...]
     vars: tuple[str, ...]
     gamma: int
     omega: tuple[Fraction, ...]
 
 
-def _lift(p: Parametrization, refusal: str) -> SumConstruction:
+def _used_columns(p: Parametrization) -> tuple[int, ...]:
+    """Columns occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``, ascending."""
+    used: set[int] = set()
+    for b in enumerate_kernel_binomials(p, DegreeBound(_USAGE_DEGREE)):
+        used.update(i for i, (x, y) in enumerate(zip(b.u_plus, b.u_minus)) if x or y)
+    return tuple(sorted(used))
+
+
+class _Block(NamedTuple):
+    """Facts of one input matrix, shared by every input of a family that has it.
+
+    ``keep`` is the greedy row basis and ``matrix`` those rows;
+    ``certificate`` grades them; ``used`` lists the columns that occur in a
+    kernel binomial of degree at most ``_USAGE_DEGREE``.
+    """
+
+    keep: tuple[int, ...]
+    matrix: IntegerMatrix
+    certificate: HomogeneityCertificate
+    used: tuple[int, ...]
+
+
+def _solve_block(p: Parametrization, refusal: str) -> _Block:
+    """Row basis and grading vector in one elimination, then the usage search.
+
+    One reduction of ``[A^T | 1]`` over the nonzero columns gives both: its
+    pivots are the greedy row basis, and its solution, zero off the pivots,
+    is the grading vector of the kept rows.  Raises ConstructionError with
+    ``refusal`` when there is none.  The usage search runs on ``p`` itself:
+    the dropped rows change neither the kernel nor which monomials share an
+    image.
+    """
+    a = p.matrix
+    mask = [j for j, col in enumerate(zip(*a.entries)) if any(col)]
+    keep, omega = _solve_transposed(a, [1] * len(mask), mask)
+    if omega is None:
+        raise ConstructionError(refusal)
+    matrix = a if len(keep) == a.rows else a.take(keep, range(a.cols))
+    certificate = HomogeneityCertificate(tuple(omega[r] for r in keep))
+    return _Block(tuple(keep), matrix, certificate, _used_columns(p))
+
+
+def _lift(
+    p: Parametrization, refusal: str, known: Optional[dict[IntegerMatrix, _Block]] = None
+) -> SumConstruction:
     """A plain input as a single summand of maximal rank: gamma = lcm() = 1.
 
     Keeps the greedy row basis of the matrix with those rows' parameter
     names; the row space, and so the kernel and the homogeneity, is
-    unchanged.  Solves the grading vector on the kept rows, raising
-    ConstructionError with ``refusal`` when there is none; the usage search
-    is left to the merge.
+    unchanged.  Carries the grading vector of the kept rows, raising
+    ConstructionError with ``refusal`` when there is none, and the usage
+    set (see :func:`_solve_block`).  ``known`` maps each matrix already
+    solved to its facts, so an input repeating a matrix is only relabelled.
     """
-    keep = independent_rows(p.matrix)
-    if len(keep) < len(p.params):
+    known = {} if known is None else known
+    block = known.get(p.matrix)
+    if block is None:
+        block = known[p.matrix] = _solve_block(p, refusal)
+    if len(block.keep) < len(p.params):
         p = Parametrization(
-            VariableSet(tuple(p.params.names[r] for r in keep)),
+            VariableSet(tuple(p.params.names[r] for r in block.keep)),
             p.vars,
-            p.matrix.take(keep, range(len(p.vars))),
+            block.matrix,
             p.allow_degenerate,
         )
-    cert = homogeneity_certificate(p)
-    if cert is None:
-        raise ConstructionError(refusal)
-    return SumConstruction(p, 1, cert)
+    used = frozenset(p.vars.names[j] for j in block.used)
+    return SumConstruction(p, 1, block.certificate, used)
 
 
 def _pin_support(
     side: SumConstruction, idx: int, support: list[int]
-) -> tuple[list[Sequence[int]], list[Fraction]]:
+) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """Pin column ``idx`` of a side by reducing its support rows only.
 
     The rows in ``support`` (the nonzero entries of the column) go through
@@ -251,12 +300,15 @@ def _pin_support(
     reduced, pivot_cols, q = _pin_rows(old, idx, p.vars.names[idx])
     if len(reduced) != len(support):
         raise RuntimeError(f"carried rank of a side pinned at {p.vars.names[idx]!r} is not maximal")
-    rows: list[Sequence[int]] = list(entries)
+    rows = list(entries)
     omega = list(side.certificate.omega)
+    # The weights over their common denominator L, so each sum is of integers.
     weights = [omega[s] for s in support]
+    denom = lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (denom // w.denominator) for w in weights]
     for s, row, c in zip(support, reduced, pivot_cols):
-        rows[s] = row
-        omega[s] = Fraction(sum(w * a[c] for w, a in zip(weights, old)), q)
+        rows[s] = tuple(row)
+        omega[s] = Fraction(sum(n * a[c] for n, a in zip(numerators, old)), q * denom)
     return rows, omega
 
 
@@ -277,19 +329,18 @@ def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
         entries, omega = _pin_support(side, idx, support)
 
     row_order = [k for k in range(len(params)) if k != j] + [j]
-    col_order = [c for c in range(len(p.vars)) if c != idx]
-    rows = [[entries[r][c] for c in col_order] for r in row_order]
+    rows = [entries[r][:idx] + entries[r][idx + 1 :] for r in row_order]
     omega = [omega[r] for r in row_order]
     gamma = entries[j][idx]
     if gamma < 0:
         # Row negation keeps the kernel; it only flips the parameter.
-        rows[-1] = [-x for x in rows[-1]]
+        rows[-1] = tuple(-x for x in rows[-1])
         omega[-1] = -omega[-1]
         gamma = -gamma
     return _PinnedSide(
         rows,
         tuple(params[r] for r in row_order[:-1]),
-        tuple(p.vars.names[c] for c in col_order),
+        p.vars.names[:idx] + p.vars.names[idx + 1 :],
         gamma,
         tuple(omega),
     )
@@ -298,16 +349,12 @@ def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
 def _used_variables(side: SumConstruction) -> frozenset[str]:
     """Variables occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``.
 
-    A construction answers from its carried set; a single summand, which
-    has none yet, has its result searched.
+    A construction answers from its carried set; one built by a caller
+    without it has its result searched.
     """
     if side.used_variables is not None:
         return side.used_variables
-    names = side.result.vars.names
-    used: set[str] = set()
-    for b in enumerate_kernel_binomials(side.result, DegreeBound(_USAGE_DEGREE)):
-        used.update(names[i] for i, (a, c) in enumerate(zip(b.u_plus, b.u_minus)) if a or c)
-    return frozenset(used)
+    return frozenset(side.result.vars.names[j] for j in _used_columns(side.result))
 
 
 def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumConstruction]:
@@ -347,7 +394,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     construction stands for its ``result`` and its certificate and usage
     facts are reused; a plain parametrization is lifted into a
     single-summand construction on entry, which cuts it to its independent
-    rows and solves its grading vector once.  Folding this function over a
+    rows, solves its grading vector and searches its usage set once.  Folding this function over a
     tree that passes each construction on thus pays for each input ideal's
     facts once.
 
@@ -375,9 +422,12 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     gamma = lcm(side1.gamma, side2.gamma)
     s1, s2 = gamma // side1.gamma, gamma // side2.gamma
     n1, n2 = len(side1.vars), len(side2.vars)
-    rows = [row + [0] * (n2 + 1) for row in side1.rows[:-1]]
-    rows += [[0] * n1 + row + [0] for row in side2.rows[:-1]]
-    rows.append([s1 * x for x in side1.rows[-1]] + [s2 * x for x in side2.rows[-1]] + [gamma])
+    right, left = (0,) * (n2 + 1), (0,) * n1
+    rows = [row + right for row in side1.rows[:-1]]
+    rows += [left + row + (0,) for row in side2.rows[:-1]]
+    rows.append(
+        tuple(s1 * x for x in side1.rows[-1]) + tuple(s2 * x for x in side2.rows[-1]) + (gamma,)
+    )
     result = Parametrization(
         VariableSet(
             tuple(f"t1_{name}" for name in side1.params)
@@ -385,7 +435,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
             + ("s",)
         ),
         VariableSet(side1.vars + side2.vars + (shared,)),
-        IntegerMatrix.from_rows(rows, cols=n1 + n2 + 1),
+        IntegerMatrix(len(rows), n1 + n2 + 1, tuple(rows)),
         c1.result.allow_degenerate or c2.result.allow_degenerate,
     )
 
@@ -466,12 +516,16 @@ def sum_family(
     homogeneous; isolated vertices are exempt and stay plain.
 
     Each ideal of a merged component is lifted into a single-summand
-    :class:`SumConstruction` up front, which cuts it to its independent rows
-    and solves its grading vector, and each merge is passed constructions,
-    so row bases, certificates and the usage search are paid once per input
-    ideal; the usage check thus runs per input ideal and incident edge.  The
-    report stores the input dimensions and the rank of the sum; the paper's
-    closed forms are derived from them.
+    :class:`SumConstruction` up front, which cuts it to its independent rows,
+    solves its grading vector and searches its usage set, and each merge is
+    passed constructions.  Those facts are paid once per distinct input
+    matrix: a dict local to the call maps each matrix to its kept rows,
+    lifted matrix, certificate and used columns, and an ideal repeating a
+    matrix only relabels them with its own names.  The usage check runs per
+    input ideal and incident edge, with the same warnings as a fold of
+    :func:`sum_shared` over the plain inputs.  The report stores the input
+    dimensions and the rank of the sum; the paper's closed forms are
+    derived from them.
     """
     ps = list(ps)
     if names is None:
@@ -488,6 +542,7 @@ def sum_family(
                 f"component {{{members}}} contains a cycle; the sharing graph must be a tree"
             )
     lifted: dict[int, SumConstruction] = {}
+    known: dict[IntegerMatrix, _Block] = {}
     for comp in graph.components:
         if len(comp.vertices) > 1:
             for v in comp.vertices:
@@ -495,6 +550,7 @@ def sum_family(
                     ps[v],
                     f"ideal {names[v]!r} is not homogeneous (no grading vector) "
                     "and cannot enter a shared-variable sum",
+                    known,
                 )
     dims = tuple(len(lifted[v].result.params) if v in lifted else dimension(p)
                  for v, p in enumerate(ps))

@@ -1,5 +1,6 @@
 """File format parsing, printing, subcommands, and the exit-code contract."""
 
+import os
 import re
 import subprocess
 import sys
@@ -403,3 +404,29 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert proc.stdout == "C: dim(rank)=2\n"
+
+    @pytest.mark.parametrize("degree", ["1_0", "\u0662"])
+    def test_max_degree_takes_ascii_digits_only(self, tmp_path, capsys, degree):
+        # int() would read these as 10 and 2
+        f = write(tmp_path, "c.ideal", TWISTED)
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", f, "--max-degree", degree])
+        assert exc.value.code == 2
+        assert f"malformed integer {degree!r}" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        f = write(tmp_path, "c.ideal", TWISTED)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricsum", "kernel", "--max-degree", "3", f],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

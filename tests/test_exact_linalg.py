@@ -208,6 +208,19 @@ class TestSolveRowRational:
             for c in mask:
                 assert sum(w * x for w, x in zip(omega, a.column(c))) == rhs[c]
 
+    def test_integer_and_fraction_rhs_agree(self):
+        # an integer right-hand side skips the Fraction scaling; a halved one
+        # halves the solution, whose free coordinates stay zero
+        rng = random.Random(506)
+        for _ in range(50):
+            a = random_matrix(rng)
+            mask = [c for c in range(a.cols) if rng.random() < 0.7]
+            rhs = [rng.randint(-2, 2) for _ in range(a.cols)]
+            omega = solve_row_rational(a, rhs, mask)
+            assert solve_row_rational(a, [Fraction(x) for x in rhs], mask) == omega
+            halved = solve_row_rational(a, [Fraction(x, 2) for x in rhs], mask)
+            assert halved == (None if omega is None else tuple(w / 2 for w in omega))
+
 
 class TestExtendToBasis:
     def test_hand_example(self):

@@ -31,6 +31,7 @@ from toricsum import (
     dimension,
     enumerate_kernel_binomials,
     homogeneity_certificate,
+    independent_rows,
     kernel_lattice,
     normalize_pin,
     relabel_binomial,
@@ -380,30 +381,34 @@ def _random_family(rng, kind, k):
 
 
 def _fold(ps, edges, carry):
-    """Leaf peeling as sum_family does it, on one tree, ignoring usage warnings.
+    """Leaf peeling as sum_family does it, on one tree.
 
     With ``carry`` False each merge sees only the previous result, so every
-    fact is recomputed from the accumulated matrix.  Each construction is
-    returned with the parametrizations of its two inputs.
+    fact is recomputed from the accumulated matrix.  Returns the last
+    result, each construction with the parametrizations of its two inputs,
+    the merges under sum_family's default names, and the texts of the usage
+    warnings.
     """
     adj = {v: {} for v in range(len(ps))}
     for a, b, var in edges:
         adj[a][b] = adj[b][a] = var
     current = dict(enumerate(ps))
-    constructions = []
+    constructions, merges, messages = [], [], []
     while len(current) > 1:
         leaf = min(v for v in current if len(adj[v]) == 1)
         neighbour, var = next(iter(adj[leaf].items()))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             c = sum_shared(current[leaf], current[neighbour], var)
+        messages += [str(w.message) for w in caught]
+        merges.append((f"I{leaf + 1}", f"I{neighbour + 1}", var))
         inputs = [x.result if isinstance(x, SumConstruction) else x
                   for x in (current[leaf], current[neighbour])]
         constructions.append((c, *inputs))
         current[neighbour] = c if carry else c.result
         del current[leaf], adj[neighbour][leaf], adj[leaf]
     (last,) = current.values()
-    return (last.result if carry else last), constructions
+    return (last.result if carry else last), constructions, merges, messages
 
 
 class TestCarriedFacts:
@@ -412,8 +417,8 @@ class TestCarriedFacts:
         rng = random.Random(f"carried:{kind}")
         for trial in range(25):
             ps, edges = _random_family(rng, kind, rng.randint(2, 6))
-            expected, plain = _fold(ps, edges, carry=False)
-            carried_result, carried = _fold(ps, edges, carry=True)
+            expected, plain, _, _ = _fold(ps, edges, carry=False)
+            carried_result, carried, _, _ = _fold(ps, edges, carry=True)
             assert carried_result == expected
             for c, q1, q2 in plain + carried:
                 assert len(c.result.params) == dimension(c.result)
@@ -494,6 +499,93 @@ class TestCarriedFacts:
         with pytest.raises(RuntimeError, match="stitched grading vector"):
             sum_shared(fake, quadric("w1", "w2", "y"), "y")
 
+
+
+def _pooled_family(rng, k):
+    """A tree family whose blocks repeat: each is drawn from a pool of three.
+
+    The pool holds 4-column homogeneous matrices with mixed rows, so shared
+    columns mostly need pinning, and one of them has a copied row, so it is
+    cut when lifted.  Vertices have degree at most 3; each takes its shared
+    variables at random columns.
+    """
+    pool = []
+    for copied in (False, False, True):
+        m = rng.randint(2, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(m - 1)] + [[1] * 4]
+        for _ in range(3):
+            i, j = rng.sample(range(m), 2)
+            c = rng.choice([-1, 1])
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if copied:
+            rows.append(list(rows[0]))
+        pool.append(rows)
+    degree = [0] * k
+    edges = []
+    for v in range(1, k):
+        u = rng.choice([u for u in range(v) if degree[u] < 3])
+        degree[u] += 1
+        degree[v] += 1
+        edges.append((u, v, f"s{len(edges)}"))
+    ps = []
+    for v in range(k):
+        names = [f"x{v}_{j}" for j in range(4)]
+        shared = [var for a, b, var in edges if v in (a, b)]
+        for j, var in zip(rng.sample(range(4), len(shared)), shared):
+            names[j] = var
+        rows = rng.choice(pool)
+        ps.append(make(rows, names, [f"t{r}" for r in range(len(rows))]))
+    return ps, edges
+
+
+class TestRepeatedBlocks:
+    def test_family_matches_fold_over_plain_inputs(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            ps, edges = _pooled_family(rng, rng.randint(4, 8))
+            assert len({p.matrix for p in ps}) < len(ps)
+            expected, _, merges, messages = _fold(ps, edges, carry=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result, report = sum_family(ps)
+            assert result.params == expected.params
+            assert result.vars == expected.vars
+            assert result.matrix == expected.matrix
+            graph = build_family_graph([(f"I{v + 1}", p.vars) for v, p in enumerate(ps)])
+            dims = tuple(dimension(p) for p in ps)
+            assert report == sums.FamilyReport(graph, dims, len(expected.params), tuple(merges))
+            assert [str(w.message) for w in caught] == messages
+
+    def test_lift_matches_row_basis_then_certificate(self):
+        # one elimination gives the kept rows, omega and the refusal of
+        # independent_rows followed by homogeneity_certificate
+        rng = random.Random(89)
+        kinds = set()
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            p = Parametrization(
+                VariableSet(tuple(f"t{r}" for r in range(m))),
+                VariableSet(tuple(f"x{j}" for j in range(n))),
+                IntegerMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]),
+                True,
+            )
+            keep = independent_rows(p.matrix)
+            cut = p.matrix.take(keep, range(n))
+            cert = homogeneity_certificate(
+                Parametrization(VariableSet(tuple(f"t{r}" for r in keep)), p.vars, cut, True)
+            )
+            kinds.add((len(keep) < m, not all(any(col) for col in zip(*p.matrix.entries)),
+                       cert is None))
+            if cert is None:
+                with pytest.raises(ConstructionError, match="^refused$"):
+                    sums._lift(p, "refused")
+                continue
+            lifted = sums._lift(p, "refused")
+            assert lifted.result.params.names == tuple(f"t{r}" for r in keep)
+            assert lifted.result.matrix == cut
+            assert lifted.certificate == cert
+        # rank-deficient, with a zero column, and non-homogeneous inputs all occurred
+        assert all(any(kind[i] for kind in kinds) for i in range(3))
 
 
 def _count_whole_pins(monkeypatch):
@@ -625,7 +717,7 @@ class TestSupportLocalPin:
         full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
         pinned = sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
         whole = normalize_pin(full, "x")
-        assert pinned.rows == [[r[0], r[1]] for r in whole.parametrization.matrix.entries[::-1]]
+        assert pinned.rows == [r[:2] for r in whole.parametrization.matrix.entries[::-1]]
         assert pinned.params == ("s",)
         assert pinned.gamma == whole.exponent
         assert pinned.omega == (Fraction(1, whole.exponent),) * 2
@@ -647,7 +739,7 @@ class TestSupportLocalPin:
         for name, row in zip(pinned.params, pinned.rows):
             original = lifted.result.matrix.entries[lifted.result.params.index(name)]
             if not original[0]:
-                assert row == list(original[1:])
+                assert row == original[1:]
         assert pinned.omega[-1] * pinned.gamma == 1
         assert whole_pins == []
 
@@ -766,8 +858,8 @@ class TestPlainInputs:
         import toricsum.parametrization as parametrization
         import toricsum.sums as sums
 
-        calls = {"homogeneity_certificate": 0, "independent_rows": 0,
-                 "enumerate_kernel_binomials": 0}
+        calls = {"_solve_transposed": 0, "enumerate_kernel_binomials": 0,
+                 "homogeneity_certificate": 0, "independent_rows": 0}
         for module in (sums, parametrization):
             for name in calls:
                 if hasattr(module, name):
@@ -776,13 +868,38 @@ class TestPlainInputs:
                         return _real(*args)
 
                     monkeypatch.setattr(module, name, counted)
+        # six copies of one cubic and a quadric: two distinct blocks
         family = [_cubic(f"x{k}", f"x{k + 1}", f"c{k}_") for k in range(6)]
         family.append(quadric("w1", "w2", "x6"))
         _, report = sum_family(family)
         assert len(report.merges) == 6
-        # the usage search, too, runs once per input ideal, never on a merged result
-        assert calls == {"homogeneity_certificate": 7, "independent_rows": 7,
-                         "enumerate_kernel_binomials": 7}
+        # one elimination and one usage search per distinct block, never on
+        # a merged result
+        assert calls == {"_solve_transposed": 2, "enumerate_kernel_binomials": 2,
+                         "homogeneity_certificate": 0, "independent_rows": 0}
+        # a path of k distinct blocks pays each of them once
+        for name in calls:
+            calls[name] = 0
+        k = 5
+        family = [make([[1, 1, 1, 1], [0, 1, 2, 3 + v]], [f"y{v}", f"b{v}", f"c{v}", f"y{v + 1}"],
+                       ["t", "s"]) for v in range(k)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sum_family(family)
+        assert calls == {"_solve_transposed": k, "enumerate_kernel_binomials": k,
+                         "homogeneity_certificate": 0, "independent_rows": 0}
+
+    def test_zero_row_blocks_of_different_widths_stay_apart(self):
+        # a matrix without rows has no entries at any width, so facts looked
+        # up by entries alone would hand the narrower block the wider one's
+        # usage columns
+        blocks = [
+            Parametrization(VariableSet(()), VariableSet(names), IntegerMatrix(0, len(names), ()), True)
+            for names in (("b", "c", "x"), ("a", "x"))
+        ]
+        assert blocks[0].matrix.entries == blocks[1].matrix.entries
+        with pytest.raises(ConstructionError, match="'x' maps to 1"):
+            sum_family(blocks)
 
     @pytest.mark.parametrize(
         "p1, p2, message",
