@@ -343,14 +343,18 @@ _EXIT_BROKEN_PIPE = 141
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        code = _run(argv)
-        sys.stdout.flush()
+        try:
+            return _run(argv)
+        finally:
+            # Also on SystemExit from argparse, whose --help goes to stdout.
+            sys.stdout.flush()
     except BrokenPipeError:
         # Send what is still buffered, and the interpreter's flush at exit,
         # to the null device so that neither raises again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return _EXIT_BROKEN_PIPE
-    return code
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:

@@ -17,7 +17,7 @@ A merge reads one summand shape, :class:`SumConstruction`, of maximal
 rank.  A plain input is lifted into one when it enters: one elimination
 of ``[A^T | 1]`` cuts its rows to a greedy row basis, which keeps the row
 space and so the kernel, and solves its grading vector (rejecting a
-non-homogeneous input); its usage set (below) is searched; gamma is 1.
+non-homogeneous input); gamma is 1.
 Pinning a side keeps every row outside the support S of its shared
 column (the rows where that column is nonzero); when |S| = 1 only rows
 and columns are permuted, and otherwise the rows in S alone are reduced
@@ -31,12 +31,12 @@ matrix does too and its rank, the reported dimension, is its row count,
 which is the paper's dim(I1) + dim(I2) - 1; its grading vector is stitched
 from the two sides' and checked against the whole assembled matrix on
 every merge; and the variables that occur in low-degree kernel binomials
-of each input ideal are found when it is lifted and carried along for the
-shared-variable usage check.  A family is often many copies of one block
-on different variables, so :func:`sum_family` solves each distinct input
-matrix once and only relabels the facts for its copies.  A family report
-stores the input dimensions and the rank and derives the paper's two
-closed forms from them.
+of each input ideal are found at its first merge and carried along for
+the shared-variable usage check.  A family is often many copies of one
+block on different variables, so :func:`sum_family` solves and searches
+each distinct input matrix once and only relabels the facts for its
+copies.  A family report stores the input dimensions and the rank and
+derives the paper's two closed forms from them.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class SumConstruction:
     can be passed back to :func:`sum_shared` in place of a parametrization,
     which then reuses these facts.  Inside a merge a plain input becomes a
     single summand: its independent rows as ``result``, gamma 1, its solved
-    grading vector and its searched usage set.
+    grading vector, usage not yet searched.
     """
 
     result: Parametrization
@@ -216,56 +216,65 @@ def _used_columns(p: Parametrization) -> tuple[int, ...]:
     return tuple(sorted(used))
 
 
-class _Block(NamedTuple):
+@dataclass
+class _Block:
     """Facts of one input matrix, shared by every input of a family that has it.
 
     ``keep`` is the greedy row basis and ``matrix`` those rows;
-    ``certificate`` grades them; ``used`` lists the columns that occur in a
-    kernel binomial of degree at most ``_USAGE_DEGREE``.
+    ``certificate`` grades them.  ``used`` lists the columns that occur in a
+    kernel binomial of degree at most ``_USAGE_DEGREE``, or is None until
+    the first merge of an input with this matrix searches them.
     """
 
     keep: tuple[int, ...]
     matrix: IntegerMatrix
     certificate: HomogeneityCertificate
-    used: tuple[int, ...]
+    used: Optional[tuple[int, ...]] = None
 
 
-def _solve_block(p: Parametrization, refusal: str) -> _Block:
-    """Row basis and grading vector in one elimination, then the usage search.
+@dataclass(frozen=True)
+class _Lifted(SumConstruction):
+    """A plain input lifted to a single summand, pointing at its matrix's facts.
+
+    Its usage set is left to its first merge, which fills ``block.used``
+    once for every input sharing the block (see :func:`_used_variables`).
+    """
+
+    block: Optional[_Block] = None
+
+
+def _solve_block(a: IntegerMatrix, refusal: str) -> _Block:
+    """Row basis and grading vector of ``a`` in one elimination.
 
     One reduction of ``[A^T | 1]`` over the nonzero columns gives both: its
     pivots are the greedy row basis, and its solution, zero off the pivots,
     is the grading vector of the kept rows.  Raises ConstructionError with
-    ``refusal`` when there is none.  The usage search runs on ``p`` itself:
-    the dropped rows change neither the kernel nor which monomials share an
-    image.
+    ``refusal`` when there is none.
     """
-    a = p.matrix
     mask = [j for j, col in enumerate(zip(*a.entries)) if any(col)]
     keep, omega = _solve_transposed(a, [1] * len(mask), mask)
     if omega is None:
         raise ConstructionError(refusal)
     matrix = a if len(keep) == a.rows else a.take(keep, range(a.cols))
-    certificate = HomogeneityCertificate(tuple(omega[r] for r in keep))
-    return _Block(tuple(keep), matrix, certificate, _used_columns(p))
+    return _Block(tuple(keep), matrix, HomogeneityCertificate(tuple(omega[r] for r in keep)))
 
 
 def _lift(
     p: Parametrization, refusal: str, known: Optional[dict[IntegerMatrix, _Block]] = None
-) -> SumConstruction:
+) -> _Lifted:
     """A plain input as a single summand of maximal rank: gamma = lcm() = 1.
 
     Keeps the greedy row basis of the matrix with those rows' parameter
     names; the row space, and so the kernel and the homogeneity, is
     unchanged.  Carries the grading vector of the kept rows, raising
-    ConstructionError with ``refusal`` when there is none, and the usage
-    set (see :func:`_solve_block`).  ``known`` maps each matrix already
-    solved to its facts, so an input repeating a matrix is only relabelled.
+    ConstructionError with ``refusal`` when there is none.  ``known`` maps
+    each matrix already solved to its facts, so an input repeating a
+    matrix is only relabelled.
     """
     known = {} if known is None else known
     block = known.get(p.matrix)
     if block is None:
-        block = known[p.matrix] = _solve_block(p, refusal)
+        block = known[p.matrix] = _solve_block(p.matrix, refusal)
     if len(block.keep) < len(p.params):
         p = Parametrization(
             VariableSet(tuple(p.params.names[r] for r in block.keep)),
@@ -273,8 +282,7 @@ def _lift(
             block.matrix,
             p.allow_degenerate,
         )
-    used = frozenset(p.vars.names[j] for j in block.used)
-    return SumConstruction(p, 1, block.certificate, used)
+    return _Lifted(p, 1, block.certificate, None, block)
 
 
 def _pin_support(
@@ -349,12 +357,22 @@ def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
 def _used_variables(side: SumConstruction) -> frozenset[str]:
     """Variables occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``.
 
-    A construction answers from its carried set; one built by a caller
-    without it has its result searched.
+    A construction answers from its carried set.  A lifted input has its
+    result searched once per block, the copies reading the columns found;
+    its kept rows have the input's kernel, so the search finds the input
+    ideal's binomials.  A construction built by a caller without the set
+    has its result searched.
     """
     if side.used_variables is not None:
         return side.used_variables
-    return frozenset(side.result.vars.names[j] for j in _used_columns(side.result))
+    block = side.block if isinstance(side, _Lifted) else None
+    if block is None:
+        used = _used_columns(side.result)
+    else:
+        if block.used is None:
+            block.used = _used_columns(side.result)
+        used = block.used
+    return frozenset(side.result.vars.names[j] for j in used)
 
 
 def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumConstruction]:
@@ -394,7 +412,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     construction stands for its ``result`` and its certificate and usage
     facts are reused; a plain parametrization is lifted into a
     single-summand construction on entry, which cuts it to its independent
-    rows, solves its grading vector and searches its usage set once.  Folding this function over a
+    rows and solves its grading vector once.  Folding this function over a
     tree that passes each construction on thus pays for each input ideal's
     facts once.
 
@@ -516,16 +534,16 @@ def sum_family(
     homogeneous; isolated vertices are exempt and stay plain.
 
     Each ideal of a merged component is lifted into a single-summand
-    :class:`SumConstruction` up front, which cuts it to its independent rows,
-    solves its grading vector and searches its usage set, and each merge is
-    passed constructions.  Those facts are paid once per distinct input
-    matrix: a dict local to the call maps each matrix to its kept rows,
-    lifted matrix, certificate and used columns, and an ideal repeating a
-    matrix only relabels them with its own names.  The usage check runs per
-    input ideal and incident edge, with the same warnings as a fold of
-    :func:`sum_shared` over the plain inputs.  The report stores the input
-    dimensions and the rank of the sum; the paper's closed forms are
-    derived from them.
+    :class:`SumConstruction` up front, which cuts it to its independent rows
+    and solves its grading vector, and each merge is passed constructions;
+    an ideal's usage set is searched at its first merge.  Those facts are
+    paid once per distinct input matrix: a dict local to the call maps each
+    matrix to its kept rows, lifted matrix, certificate and used columns,
+    and an ideal repeating a matrix only relabels them with its own names.
+    The usage check runs per input ideal and incident edge, with the same
+    warnings as a fold of :func:`sum_shared` over the plain inputs.  The
+    report stores the input dimensions and the rank of the sum; the
+    paper's closed forms are derived from them.
     """
     ps = list(ps)
     if names is None:

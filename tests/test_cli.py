@@ -414,16 +414,27 @@ class TestCommands:
         assert exc.value.code == 2
         assert f"malformed integer {degree!r}" in capsys.readouterr().err
 
-    def test_closed_stdout_exits_quietly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-m", "toricsum", "kernel", "--max-degree", "3"],
+            ["-u", "-m", "toricsum", "kernel", "--max-degree", "3"],
+            # argparse's --help ends in SystemExit, outside the command handlers
+            ["-m", "toricsum", "--help"],
+        ],
+    )
+    def test_closed_stdout_exits_quietly(self, tmp_path, args):
         f = write(tmp_path, "c.ideal", TWISTED)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first line is written
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "toricsum", "kernel", "--max-degree", "3", f],
+                [sys.executable, *args, f],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
+                env=env,
                 timeout=60,
             )
         finally:

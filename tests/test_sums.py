@@ -889,6 +889,32 @@ class TestPlainInputs:
         assert calls == {"_solve_transposed": k, "enumerate_kernel_binomials": k,
                          "homogeneity_certificate": 0, "independent_rows": 0}
 
+    def test_usage_search_runs_inside_a_merge(self, monkeypatch):
+        # perfbench times the usage check as the search done under sum_shared
+        import toricsum.sums as sums
+
+        depth, outside = [0], []
+        real_shared, real_search = sums.sum_shared, sums.enumerate_kernel_binomials
+
+        def shared(*args):
+            depth[0] += 1
+            try:
+                return real_shared(*args)
+            finally:
+                depth[0] -= 1
+
+        def search(*args):
+            if not depth[0]:
+                outside.append(args)
+            return real_search(*args)
+
+        monkeypatch.setattr(sums, "sum_shared", shared)
+        monkeypatch.setattr(sums, "enumerate_kernel_binomials", search)
+        family = [_cubic(f"x{k}", f"x{k + 1}", f"c{k}_") for k in range(3)]
+        family.append(quadric("w1", "w2", "x3"))
+        sum_family(family)
+        assert outside == []
+
     def test_zero_row_blocks_of_different_widths_stay_apart(self):
         # a matrix without rows has no entries at any width, so facts looked
         # up by entries alone would hand the narrower block the wider one's
