@@ -302,8 +302,15 @@ def _positive_int(token: str) -> int:
     return value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own writer drops an OSError, so an unbuffered --help
+        # into a closed pipe would exit 0; let it reach main instead.
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="toricsum",
         description="Toric ideal parametrizations, kernel enumeration, and sums.",
     )

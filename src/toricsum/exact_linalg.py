@@ -9,8 +9,10 @@ exact inverses.
 Rank, row and column selection, rational solves, inverses and
 determinants all go through one fraction-free Gauss-Jordan elimination on
 integer rows (:func:`row_reduce`); ``Fraction`` appears only in the one
-division at the end.  The Hermite and Smith forms use unimodular Euclid
-steps instead, since they must preserve the integer lattice.
+division at the end.  Everything that must preserve the integer lattice
+(the Hermite form, canonical lattice bases, kernel lattices and the Smith
+form) goes through one row-style Hermite reduction by unimodular Euclid
+steps (:func:`_hermite_rows`) instead.
 
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
@@ -167,9 +169,9 @@ class LatticeBasis:
     @classmethod
     def spanning(cls, vectors: Sequence[Sequence[int]], ambient_dim: int) -> "LatticeBasis":
         """Canonical basis of the lattice generated by ``vectors``."""
-        mat = IntegerMatrix.from_rows(vectors, cols=ambient_dim)
-        h, _ = hermite_normal_form(mat)
-        return cls(ambient_dim, tuple(row for row in h.entries if any(row)))
+        rows = [list(row) for row in IntegerMatrix.from_rows(vectors, cols=ambient_dim).entries]
+        r = _hermite_rows(rows, ambient_dim)
+        return cls(ambient_dim, tuple(tuple(row) for row in rows[:r]))
 
     @property
     def rank(self) -> int:
@@ -253,6 +255,62 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * d if len(pivots) == m.rows else 0
 
 
+def _hermite_rows(rows: list[list[int]], ncols: int) -> int:
+    """Row-style Hermite reduction of integer rows by unimodular steps, in place.
+
+    Pivots are searched only in the first ``ncols`` columns; later columns
+    (an augmented identity) are carried along.  Returns the rank ``r``.
+    Afterwards the first ``r`` rows are in echelon form in the searched
+    columns, with positive pivots and the entries above each pivot reduced
+    into ``[0, pivot)``, and the rows below them are zero there.  Every step
+    swaps two rows, negates one or subtracts an integer multiple of one from
+    another, so the row lattice is preserved and a carried identity records
+    a unimodular transform.
+    """
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        # Euclid on the column: move the smallest entry to row r and reduce
+        # the rows below by it, until it is the only nonzero one left.
+        while True:
+            nonzero = [i for i in range(r, n) if rows[i][c]]
+            if not nonzero:
+                break
+            best = min(nonzero, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[best] = rows[best], rows[r]
+            if len(nonzero) == 1:
+                break
+            for i in range(r + 1, n):
+                _sub_row(rows, i, r, rows[i][c] // rows[r][c])
+        if not nonzero:
+            continue
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            _sub_row(rows, i, r, rows[i][c] // rows[r][c])
+        r += 1
+    return r
+
+
+def _hermite_augmented(
+    a: Iterable[Sequence[int]], b: Iterable[Sequence[int]], ncols: int
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Reduce ``[a | b]`` by :func:`_hermite_rows` on the ``ncols`` columns of ``a``.
+
+    Returns the rank and the two parts, so a carried identity ``b`` comes
+    back as the unimodular transform.
+    """
+    rows = [[*x, *y] for x, y in zip(a, b)]
+    r = _hermite_rows(rows, ncols)
+    return r, [row[:ncols] for row in rows], [row[ncols:] for row in rows]
+
+
+def _is_diagonal(d: list[list[int]]) -> bool:
+    return not any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
+
+
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row-style Hermite normal form with its unimodular witness.
 
@@ -260,132 +318,48 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     echelon form with positive pivots and the entries above each pivot
     reduced into ``[0, pivot)``.  This form is unique for the row lattice
     of ``M``, which is what makes it usable as a canonical representative.
+    ``[M | I]`` is reduced to ``[H | U]``.
     """
-    h = [list(row) for row in m.entries]
-    u = _identity_lists(m.rows)
-    pivot_row = 0
-    for col in range(m.cols):
-        # Euclid on the column: shrink entries at and below pivot_row until
-        # a single nonzero survives in the pivot position.
-        while True:
-            nonzero = [r for r in range(pivot_row, m.rows) if h[r][col]]
-            if not nonzero:
-                break
-            best = min(nonzero, key=lambda r: (abs(h[r][col]), r))
-            if best != pivot_row:
-                h[pivot_row], h[best] = h[best], h[pivot_row]
-                u[pivot_row], u[best] = u[best], u[pivot_row]
-            clean = True
-            for r in range(pivot_row + 1, m.rows):
-                if h[r][col]:
-                    f = h[r][col] // h[pivot_row][col]
-                    _sub_row(h, r, pivot_row, f)
-                    _sub_row(u, r, pivot_row, f)
-                    if h[r][col]:
-                        clean = False
-            if clean:
-                break
-        if pivot_row < m.rows and h[pivot_row][col]:
-            if h[pivot_row][col] < 0:
-                h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            for r in range(pivot_row):
-                f = h[r][col] // h[pivot_row][col]
-                _sub_row(h, r, pivot_row, f)
-                _sub_row(u, r, pivot_row, f)
-            pivot_row += 1
-    H = IntegerMatrix.from_rows(h, cols=m.cols)
-    U = IntegerMatrix.from_rows(u, cols=m.rows)
-    return H, U
+    _, h, u = _hermite_augmented(m.entries, _identity_lists(m.rows), m.cols)
+    return IntegerMatrix.from_rows(h, cols=m.cols), IntegerMatrix.from_rows(u, cols=m.rows)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with both unimodular transformations.
 
-    The returned decomposition satisfies ``D == P @ M @ Q`` exactly with
+    Row-style Hermite reductions of ``[D | P]`` and ``[D^T | Q^T]``
+    alternate until ``D`` is diagonal (Kannan and Bachem 1979).  Where the
+    divisibility chain fails at ``d_k``, column ``k + 1`` is added to column
+    ``k`` and the alternation repeats, which replaces the pair by its gcd
+    and lcm.  ``D`` is unique; ``P`` and ``Q`` are not.  The returned
+    decomposition satisfies ``D == P @ M @ Q`` exactly with
     ``|det P| == |det Q| == 1``; both are checked before returning, and a
     failure raises RuntimeError.
     """
     nrows, ncols = m.rows, m.cols
     d = [list(row) for row in m.entries]
     p = _identity_lists(nrows)
-    q = _identity_lists(ncols)
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in q:
-                row[i], row[j] = row[j], row[i]
-
-    def col_sub(i: int, j: int, f: int) -> None:
-        # col_i -= f * col_j
-        if f:
-            for row in d:
-                row[i] -= f * row[j]
-            for row in q:
-                row[i] -= f * row[j]
-
-    def pivot_to(t: int) -> bool:
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            return False
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        return True
-
-    def diagonalize(start: int) -> None:
-        t = start
-        while t < min(nrows, ncols):
-            if not pivot_to(t):
-                break
-            while True:
-                dirty = False
-                for i in range(t + 1, nrows):
-                    if d[i][t]:
-                        f = d[i][t] // d[t][t]
-                        _sub_row(d, i, t, f)
-                        _sub_row(p, i, t, f)
-                        if d[i][t]:
-                            dirty = True
-                for j in range(t + 1, ncols):
-                    if d[t][j]:
-                        col_sub(j, t, d[t][j] // d[t][t])
-                        if d[t][j]:
-                            dirty = True
-                if not dirty:
-                    break
-                pivot_to(t)
-            if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-                p[t] = [-x for x in p[t]]
-            t += 1
-
-    diagonalize(0)
-    rank_ = sum(1 for k in range(min(nrows, ncols)) if d[k][k])
-    # Enforce the divisibility chain; each fix replaces a violating pair
-    # with (gcd, lcm), so the loop terminates.
+    qt = _identity_lists(ncols)  # Q^T: row j is column j of Q
     while True:
-        for k in range(rank_ - 1):
-            if d[k + 1][k + 1] % d[k][k]:
-                col_sub(k, k + 1, -1)
-                diagonalize(k)
+        while True:
+            _, d, p = _hermite_augmented(d, p, ncols)
+            if _is_diagonal(d):
                 break
-        else:
+            _, dt, qt = _hermite_augmented(zip(*d), qt, nrows)
+            d = [list(row) for row in zip(*dt)]
+            if _is_diagonal(d):
+                break
+        rank_ = sum(1 for k in range(min(nrows, ncols)) if d[k][k])
+        k = next((k for k in range(rank_ - 1) if d[k + 1][k + 1] % d[k][k]), None)
+        if k is None:
             break
+        for row in d:
+            row[k] += row[k + 1]
+        qt[k] = [a + b for a, b in zip(qt[k], qt[k + 1])]
 
     D = IntegerMatrix.from_rows(d, cols=ncols)
     P = IntegerMatrix.from_rows(p, cols=nrows)
-    Q = IntegerMatrix.from_rows(q, cols=ncols)
+    Q = IntegerMatrix.from_rows(list(zip(*qt)), cols=ncols)
     if (P @ m) @ Q != D:
         raise RuntimeError("Smith normal form: P @ M @ Q does not equal D")
     if abs(determinant(P)) != 1 or abs(determinant(Q)) != 1:
@@ -410,14 +384,22 @@ def independent_rows(m: IntegerMatrix) -> tuple[int, ...]:
 def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     """Canonical basis of the integer kernel ``{u : M u = 0}``.
 
-    The kernel of an integer matrix is automatically saturated; the basis
-    is read off the right Smith transformation and has ``cols - rank(M)``
-    vectors.
+    ``[M^T | I]`` is reduced to ``[H | U]``; the rows of ``U`` past the rank
+    span the kernel, and they span it over the integers (the kernel is
+    saturated) because ``U`` is unimodular.  The basis has
+    ``cols - rank(M)`` vectors.  That ``M`` annihilates each of them and
+    that ``|det U| == 1`` are checked before returning, and a failure
+    raises RuntimeError.
     """
-    snf = smith_normal_form(m)
-    r = snf.rank
-    vectors = [snf.Q.column(j) for j in range(r, m.cols)]
-    return LatticeBasis.spanning(vectors, m.cols)
+    n = m.cols
+    columns = zip(*m.entries) if m.rows else [()] * n
+    r, _, u = _hermite_augmented(columns, _identity_lists(n), m.rows)
+    basis = LatticeBasis.spanning(u[r:], n)
+    if any(any(m.apply(v)) for v in basis.vectors):
+        raise RuntimeError("kernel lattice: M does not annihilate a basis vector")
+    if abs(determinant(IntegerMatrix.from_rows(u, cols=n))) != 1:
+        raise RuntimeError("kernel lattice: the transform is not unimodular")
+    return basis
 
 
 def annihilator(basis: LatticeBasis) -> IntegerMatrix:

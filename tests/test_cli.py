@@ -421,6 +421,7 @@ class TestCommands:
             ["-u", "-m", "toricsum", "kernel", "--max-degree", "3"],
             # argparse's --help ends in SystemExit, outside the command handlers
             ["-m", "toricsum", "--help"],
+            ["-u", "-m", "toricsum", "--help"],
         ],
     )
     def test_closed_stdout_exits_quietly(self, tmp_path, args):

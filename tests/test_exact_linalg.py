@@ -1,6 +1,8 @@
 """Exact linear algebra: hand-checked values and randomized invariants."""
 
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -87,6 +89,29 @@ class TestSmith:
         snf = smith_normal_form(IntegerMatrix.from_rows([[6]]))
         assert snf.D.entries == ((6,),)
 
+    @pytest.mark.parametrize(
+        "diagonal, smith",
+        # already diagonal, so only the divisibility fix changes them
+        [((2, 3), ((1, 0), (0, 6))), ((4, 6), ((2, 0), (0, 12)))],
+    )
+    def test_divisibility_fix(self, diagonal, smith):
+        a, b = diagonal
+        assert smith_normal_form(IntegerMatrix.from_rows([[a, 0], [0, b]])).D.entries == smith
+
+    def test_invariants_are_determinantal_divisors(self):
+        # d1 * ... * dk is the gcd of the k x k minors
+        rng = random.Random(606)
+        for _ in range(100):
+            m = random_matrix(rng, max_rows=4, max_cols=5)
+            d = smith_normal_form(m).D
+            for k in range(1, min(m.rows, m.cols) + 1):
+                minors = (
+                    determinant(m.take(rows, cols))
+                    for rows in combinations(range(m.rows), k)
+                    for cols in combinations(range(m.cols), k)
+                )
+                assert abs(gcd(*minors)) == prod(d.entries[i][i] for i in range(k))
+
     def test_corrupted_transforms_are_caught(self, monkeypatch):
         # The self-checks raise rather than assert, so they hold under python -O.
         import toricsum.exact_linalg as exact_linalg
@@ -155,6 +180,42 @@ class TestKernelLattice:
                 assert m.apply(v) == (0,) * m.rows
             for v in boxed_kernel_vectors(m):
                 assert kl.contains(v)
+
+
+    def test_matches_smith_definition(self):
+        # The kernel is spanned by the columns of Smith's Q past the rank.
+        rng = random.Random(707)
+        for trial in range(300):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+            m = IntegerMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], cols=cols
+            )
+            if trial % 5 == 0:
+                m = IntegerMatrix.zero(rows, cols)
+            elif trial % 5 == 1 and rows >= 2:  # the last row a combination of the others
+                a, b = m.row(0), m.row(rows - 2)
+                m = IntegerMatrix.from_rows([*m.entries[:-1], [2 * x - 3 * y for x, y in zip(a, b)]], cols=cols)
+            snf = smith_normal_form(m)
+            oracle = LatticeBasis.spanning([snf.Q.column(j) for j in range(snf.rank, cols)], cols)
+            assert kernel_lattice(m) == oracle
+
+    @pytest.mark.parametrize(
+        "unit, message",
+        [
+            (lambda i, j: 2 * (i == j), "not unimodular"),
+            (lambda i, j: int(i == j or (i, j) == (0, 1)), "does not annihilate"),
+        ],
+    )
+    def test_corrupted_transform_is_caught(self, monkeypatch, unit, message):
+        # The self-checks raise rather than assert, so they hold under python -O.
+        import toricsum.exact_linalg as exact_linalg
+
+        def corrupted(n):
+            return [[unit(i, j) for j in range(n)] for i in range(n)]
+
+        monkeypatch.setattr(exact_linalg, "_identity_lists", corrupted)
+        with pytest.raises(RuntimeError, match=message):
+            kernel_lattice(IntegerMatrix.from_rows([[1, 1, 1]]))
 
 
 class TestSaturate:
