@@ -476,15 +476,10 @@ def solve_row_rational(
     if len(rhs) != a.cols:
         raise ValueError(f"expected a right-hand side of length {a.cols}, got {len(rhs)}")
 
-    # An integer right-hand side is used as it is; otherwise L * rhs, with L
-    # clearing the denominators.
-    values = [rhs[c] for c in mask]
-    scale = 1
-    if not all(isinstance(v, int) for v in values):
-        fractions = [Fraction(v) for v in values]
-        scale = lcm(1, *(v.denominator for v in fractions))
-        values = [int(v * scale) for v in fractions]
-    return _solve_transposed(a, values, mask, scale)[1]
+    # The system is solved for L * rhs, with L clearing the denominators.
+    fractions = [Fraction(rhs[c]) for c in mask]
+    scale = lcm(1, *(v.denominator for v in fractions))
+    return _solve_transposed(a, [int(v * scale) for v in fractions], mask, scale)[1]
 
 
 def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:

@@ -2,10 +2,11 @@
 
 Three independent routes into the same questions:
 
-* enumerate kernel binomials degree by degree, bucketing monomials by
-  their image and emitting star-pattern differences inside each bucket;
-  each degree-e monomial's image is its degree-(e-1) parent's image plus
-  one column, so no matrix product is taken per monomial;
+* enumerate kernel binomials that generate every fiber of monomials up
+  to a degree bound, homogeneous or not: monomials of all degrees share
+  one map of buckets by image, each bucket gives its star-pattern
+  differences, and each monomial's image is its parent's image plus one
+  column, so no matrix product is taken per monomial;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -79,26 +80,27 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 
 
 def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binomial]:
-    """Kernel binomials found by bucketing monomials degree by degree.
+    """Kernel binomials that generate every fiber up to degree d.
 
-    Degree-e monomials are grown from degree e-1 by adding one variable
-    j no smaller than the last one added, in the order of
-    ``combinations_with_replacement``; each image is the parent's image
-    plus column j.  Within each bucket of equal-image monomials,
-    differences are emitted against the lexicographically smallest member
-    (star pattern), which spans the same relations as all pairs.  For a
-    homogeneous parametrization the output is complete for the kernel up
-    to the degree bound; output is deduplicated and sorted.
+    Every binomial x^u - x^v with ``A u == A v`` and ``deg u, deg v <= d``
+    lies in the ideal the output generates, homogeneous ``p`` or not.
+    Monomials of degree 0..d fill one map of buckets by image; each is
+    grown from a parent of one degree less by a variable j no smaller than
+    the parent's last one, and its image is the parent's plus column j.
+    A bucket's differences against its smallest member (star pattern)
+    span all its pairs and have canonical sign; each distinct one becomes
+    one binomial.  Output is sorted.
     """
-    found: set[Binomial] = set()
     n = len(p.vars)
     columns = [p.matrix.column(j) for j in range(n)]
+    constant: Monomial = (0,) * n
+    zero = (0,) * p.matrix.rows
     # (monomial, image, last variable added); the degree-0 monomial may
     # be extended by any variable.
-    layer: list[tuple[Monomial, tuple[int, ...], int]] = [((0,) * n, (0,) * p.matrix.rows, 0)]
+    layer: list[tuple[Monomial, tuple[int, ...], int]] = [(constant, zero, 0)]
+    buckets: dict[tuple[int, ...], list[Monomial]] = {zero: [constant]}
     for _ in range(d.max_degree):
         grown: list[tuple[Monomial, tuple[int, ...], int]] = []
-        buckets: dict[tuple[int, ...], list[Monomial]] = {}
         for mono, image, last in layer:
             for j in range(last, n):
                 child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
@@ -106,14 +108,12 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
                 grown.append((child, child_image, j))
                 buckets.setdefault(child_image, []).append(child)
         layer = grown
-        for members in buckets.values():
-            if len(members) < 2:
-                continue
-            members.sort()
-            rep = members[0]
-            for other in members[1:]:
-                found.add(split_disjoint(tuple(a - b for a, b in zip(other, rep))))
-    return sorted(found, key=lambda b: b.sort_key())
+    differences: set[tuple[int, ...]] = set()
+    for members in buckets.values():
+        if len(members) > 1:
+            rep = min(members)
+            differences.update(tuple(a - b for a, b in zip(m, rep)) for m in members if m != rep)
+    return sorted(map(split_disjoint, differences), key=Binomial.sort_key)
 
 
 # (root, previous monomial, generator index, direction); the root's own

@@ -56,6 +56,14 @@ row 3 2 1 0
 row 0 1 2 3
 """
 
+# x^2 and y share the image t^2, so the kernel is not degree-balanced
+UNBALANCED = """\
+ideal A
+vars x y
+params t
+row 1 2
+"""
+
 PATH3 = """\
 ideal I1
 vars z1 z2 x
@@ -224,6 +232,21 @@ class TestCommands:
         assert "C: kernel binomials up to degree 2" in out
         for line in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"):
             assert line in out
+
+    def test_kernel_lists_unbalanced_binomials(self, tmp_path, capsys):
+        f = write(tmp_path, "a.ideal", UNBALANCED)
+        assert main(["kernel", f, "--max-degree", "2"]) == 0
+        assert capsys.readouterr().out == "A: kernel binomials up to degree 2\nx^2 - y\n"
+
+    def test_sum_certify_finds_unbalanced_witness(self, tmp_path, capsys):
+        f = write(tmp_path, "a.ideal", UNBALANCED)
+        assert main(["sum", f, "--certify"]) == 1
+        assert "verdict: missing-in-sum witness x^2 - y (degree 2)\n" in capsys.readouterr().out
+
+    def test_sum_certify_unbalanced_generator(self, tmp_path, capsys):
+        f = write(tmp_path, "a.ideal", UNBALANCED + "gen y - x^2\n")
+        assert main(["sum", f, "--certify"]) == 0
+        assert "verdict: equal-up-to-degree" in capsys.readouterr().out
 
     def test_normalize(self, tmp_path, capsys):
         text = "ideal I1\nvars x1 x2 x3\nparams t s\nrow 1 1 1\nrow 0 1 2\n"

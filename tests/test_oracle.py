@@ -28,6 +28,7 @@ from toricsum import (
     split_disjoint,
     sum_shared,
 )
+from toricsum import oracle
 from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain
 
 
@@ -46,15 +47,18 @@ CURVE_23_GENS = [parse_binomial("a - b^2", CURVE_23.vars), parse_binomial("c - b
 
 
 def reference_kernel_binomials(p, degree):
-    """Star-pattern enumeration with one ``evaluate`` per monomial."""
-    found = set()
-    for e in range(1, degree + 1):
-        buckets = {}
+    """Star-pattern enumeration with one ``evaluate`` per monomial.
+
+    One bucket map holds every degree from 0 to ``degree``.
+    """
+    buckets = {}
+    for e in range(degree + 1):
         for mono in _monomials_of_degree(len(p.vars), e):
             buckets.setdefault(evaluate(p, mono), []).append(mono)
-        for members in buckets.values():
-            rep = min(members)
-            found.update(Binomial.from_pair(m, rep) for m in members if m != rep)
+    found = set()
+    for members in buckets.values():
+        rep = min(members)
+        found.update(Binomial.from_pair(m, rep) for m in members if m != rep)
     return sorted(found, key=lambda b: b.sort_key())
 
 
@@ -97,6 +101,33 @@ class TestEnumerate:
         )
         found = enumerate_kernel_binomials(p, DegreeBound(1))
         assert found == [Binomial((1, 0), (0, 1))]
+
+    @pytest.mark.parametrize("rows, names, degree, expected", [
+        # x^2 and y share the image t^2 at different degrees
+        ([[1, 2]], ("x", "y"), 2, "x^2 - y"),
+        # x*y shares the image of the constant monomial
+        ([[1, -1]], ("x", "y"), 2, "x*y - 1"),
+        # so does a variable with a zero column
+        ([[1, 0, 2], [0, 0, 1]], ("a", "b", "c"), 1, "b - 1"),
+    ])
+    def test_unbalanced_fibers(self, rows, names, degree, expected):
+        params = VariableSet(tuple(f"t{i}" for i in range(len(rows))))
+        p = Parametrization(params, VariableSet(names), IntegerMatrix.from_rows(rows),
+                            allow_degenerate=True)
+        found = enumerate_kernel_binomials(p, DegreeBound(degree))
+        assert [format_binomial(b, p.vars) for b in found] == [expected]
+
+    def test_one_binomial_per_distinct_vector(self, monkeypatch):
+        calls = []
+
+        def counting(u):
+            calls.append(u)
+            return split_disjoint(u)
+
+        monkeypatch.setattr(oracle, "split_disjoint", counting)
+        found = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
+        assert len(found) == 8
+        assert len(calls) == len(found)
 
     def test_emitted_binomials_are_kernel_members(self):
         rng = random.Random(61)
