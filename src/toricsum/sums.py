@@ -2,16 +2,18 @@
 
 Two kernels sharing exactly one variable combine into a block matrix
 
-    [[A1', 0,   0],
-     [0,   A2', 0],
-     [a1,  a2,  g]]
+    [[A1',     0,       0],
+     [0,       A2',     0],
+     [s1*a1,   s2*a2,   g]]
 
 after each side is pinned so the shared variable maps to a single
-parameter power and the pinned exponents are rescaled to their lcm ``g``
-(the semigroup gluing of Rosales, Semigroup Forum 1997).  A family of
-ideals combines the same way along the edges of its sharing graph,
-provided every connected component is a tree; components are then joined
-block-diagonally.
+parameter power g_i on one row a_i (the semigroup gluing of Rosales,
+Semigroup Forum 1997).  Ai' is the rest of side i; every block drops the
+shared column, and the matrix is written row by row in one pass.  ``g``
+is lcm(g1, g2) and s_i = g / g_i is negative when g_i is, which negates
+that row and so keeps the kernel.  A family of ideals combines the same
+way along the edges of its sharing graph, provided every connected
+component is a tree; components are then joined block-diagonally.
 
 A merge reads one summand shape, :class:`SumConstruction`, of maximal
 rank.  A plain input is lifted into one when it enters: one elimination
@@ -19,9 +21,9 @@ of ``[A^T | 1]`` cuts its rows to a greedy row basis, which keeps the row
 space and so the kernel, and solves its grading vector (rejecting a
 non-homogeneous input); gamma is 1.
 Pinning a side keeps every row outside the support S of its shared
-column (the rows where that column is nonzero); when |S| = 1 only rows
-and columns are permuted, and otherwise the rows in S alone are reduced
-and their grading entries carried (see :func:`_pin_support`).  S stays a
+column (the rows where that column is nonzero); when |S| = 1 the side is
+read as it is, and otherwise the rows in S alone are reduced and their
+grading entries carried (see :func:`_pin_support`).  S stays a
 few rows however large the accumulated side grows (never more than two on
 paths, stars and caterpillars of two-row blocks).
 
@@ -45,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .binomials import VariableSet
 from .exact_linalg import IntegerMatrix, _solve_transposed
@@ -192,22 +194,6 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
     )
 
 
-class _PinnedSide(NamedTuple):
-    """One side reshaped for assembly: rows, names, pinned exponent, grading.
-
-    ``rows`` drop the shared column and end with the pinned row, whose
-    shared entry is ``gamma``; ``params`` names the rows above it.
-    ``omega`` grades all the rows, the pinned one last; a grading vector
-    gives the pinned row 1 / gamma, since the shared column is gamma there.
-    """
-
-    rows: list[tuple[int, ...]]
-    params: tuple[str, ...]
-    vars: tuple[str, ...]
-    gamma: int
-    omega: tuple[Fraction, ...]
-
-
 def _used_columns(p: Parametrization) -> tuple[int, ...]:
     """Columns occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``, ascending."""
     used: set[int] = set()
@@ -320,38 +306,23 @@ def _pin_support(
     return rows, omega
 
 
-def _pinned_last(side: SumConstruction, shared: str) -> _PinnedSide:
-    """Reshape so the shared variable is pinned on the last row, then drop it.
+def _pinned(
+    side: SumConstruction, shared: str
+) -> tuple[Sequence[tuple[int, ...]], Sequence[Fraction], int, int]:
+    """A side's rows and grading vector, its shared column ``idx`` and pinned row ``j``.
 
-    The side keeps its parameter names.  When its shared column is nonzero
-    on a single row, only the row and column permutations are applied and
-    the carried grading vector is permuted with the rows; on more rows,
-    those rows are first re-pinned by :func:`_pin_support`.
+    Row ``j`` is the one row where column ``idx`` is nonzero.  When the
+    column has a single nonzero row the side comes back as it is; on more
+    rows, those rows are first re-pinned by :func:`_pin_support`, and ``j``
+    is the first of them.
     """
     p = side.result
     idx = p.vars.index(shared)
-    entries, params = p.matrix.entries, p.params.names
+    entries, omega = p.matrix.entries, side.certificate.omega
     support = [r for r, row in enumerate(entries) if row[idx]]
-    j, omega = support[0], side.certificate.omega
     if len(support) > 1:
         entries, omega = _pin_support(side, idx, support)
-
-    row_order = [k for k in range(len(params)) if k != j] + [j]
-    rows = [entries[r][:idx] + entries[r][idx + 1 :] for r in row_order]
-    omega = [omega[r] for r in row_order]
-    gamma = entries[j][idx]
-    if gamma < 0:
-        # Row negation keeps the kernel; it only flips the parameter.
-        rows[-1] = tuple(-x for x in rows[-1])
-        omega[-1] = -omega[-1]
-        gamma = -gamma
-    return _PinnedSide(
-        rows,
-        tuple(params[r] for r in row_order[:-1]),
-        p.vars.names[:idx] + p.vars.names[idx + 1 :],
-        gamma,
-        tuple(omega),
-    )
+    return entries, omega, idx, support[0]
 
 
 def _used_variables(side: SumConstruction) -> frozenset[str]:
@@ -401,12 +372,16 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     """Sum of two homogeneous kernels sharing exactly one variable.
 
     Both inputs are pinned automatically so the shared variable maps to a
-    single parameter power, the pinned exponents are rescaled to their
-    lcm, and the blocks are assembled over fresh disjoint parameters
-    (prefixes ``t1_`` and ``t2_``, shared parameter ``s``).  The result
-    carries a homogeneity certificate stitched from the two sides; it is
-    checked against the assembled matrix, with each side's pinned row
-    checked to be graded 1 / gamma_i, and a failure raises RuntimeError.
+    single parameter power g_i on one row of side i, and the matrix is
+    written in one pass over fresh disjoint parameters (prefixes ``t1_``
+    and ``t2_``, shared parameter ``s``): each other row of a side once,
+    without the shared column and padded with zeros around its block, and
+    last the row sum_i (gamma / g_i) * (pinned row i without the shared
+    column), ending in gamma = lcm(g1, g2).  A negative g_i gives a
+    negative scale.  The result carries a homogeneity certificate stitched
+    from the two sides; it is checked against the assembled matrix on
+    every call, with each side's pinned row checked to be graded 1 / g_i,
+    and a failure raises RuntimeError.
 
     Every input is handled as a :class:`SumConstruction`.  An earlier
     construction stands for its ``result`` and its certificate and usage
@@ -423,8 +398,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     the assembled matrix would not.
     """
     c1, c2 = _enter(p1, p2, shared)
-    side1 = _pinned_last(c1, shared)
-    side2 = _pinned_last(c2, shared)
+    sides = [(c, *_pinned(c, shared)) for c in (c1, c2)]
 
     used: frozenset[str] = frozenset()
     for c, which in ((c1, "first"), (c2, "second")):
@@ -437,33 +411,36 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
             )
         used |= found
 
-    gamma = lcm(side1.gamma, side2.gamma)
-    s1, s2 = gamma // side1.gamma, gamma // side2.gamma
-    n1, n2 = len(side1.vars), len(side2.vars)
-    right, left = (0,) * (n2 + 1), (0,) * n1
-    rows = [row + right for row in side1.rows[:-1]]
-    rows += [left + row + (0,) for row in side2.rows[:-1]]
-    rows.append(
-        tuple(s1 * x for x in side1.rows[-1]) + tuple(s2 * x for x in side2.rows[-1]) + (gamma,)
-    )
+    # Row j of each side is its pinned row, with g_i = entries[j][idx] in the
+    # shared column; scaling it by gamma / g_i (negative when g_i is) puts
+    # gamma there and divides its grading entry 1 / g_i down to 1 / gamma.
+    gamma = lcm(*(entries[j][idx] for _, entries, _, idx, j in sides))
+    n1, n2 = (len(c.result.vars) - 1 for c in (c1, c2))
+    pads = (((), (0,) * (n2 + 1)), ((0,) * n1, (0,)))
+    rows: list[tuple[int, ...]] = []
+    params: list[str] = []
+    var_names: list[str] = []
+    omega: list[Fraction] = []
+    last: list[int] = []
+    for (c, entries, w, idx, j), (left, right), prefix in zip(sides, pads, ("t1_", "t2_")):
+        for r, row in enumerate(entries):
+            cut = row[:idx] + row[idx + 1 :]
+            if r == j:
+                last.extend(gamma // row[idx] * x for x in cut)
+            else:
+                rows.append(left + cut + right)
+                params.append(prefix + c.result.params.names[r])
+                omega.append(w[r])
+        var_names += c.result.vars.names[:idx] + c.result.vars.names[idx + 1 :]
+    rows.append(tuple(last) + (gamma,))
     result = Parametrization(
-        VariableSet(
-            tuple(f"t1_{name}" for name in side1.params)
-            + tuple(f"t2_{name}" for name in side2.params)
-            + ("s",)
-        ),
-        VariableSet(side1.vars + side2.vars + (shared,)),
-        IntegerMatrix(len(rows), n1 + n2 + 1, tuple(rows)),
+        VariableSet(tuple(params) + ("s",)),
+        VariableSet(tuple(var_names) + (shared,)),
+        IntegerMatrix(len(rows), len(var_names) + 1, tuple(rows)),
         c1.result.allow_degenerate or c2.result.allow_degenerate,
     )
-
-    # Each side grades its pinned row 1 / gamma_i.  Scaling that row by
-    # gamma / gamma_i divides its entry by the same factor, which leaves
-    # 1 / gamma on both sides.
-    certificate = HomogeneityCertificate(
-        side1.omega[:-1] + side2.omega[:-1] + (Fraction(1, gamma),)
-    )
-    pinned_graded = all(side.omega[-1] * side.gamma == 1 for side in (side1, side2))
+    certificate = HomogeneityCertificate(tuple(omega) + (Fraction(1, gamma),))
+    pinned_graded = all(w[j] * entries[j][idx] == 1 for _, entries, w, idx, j in sides)
     if not (pinned_graded and certificate.certifies(result)):
         raise RuntimeError(f"stitched grading vector does not certify the sum over {shared!r}")
 
@@ -476,47 +453,58 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
 
 
 def build_family_graph(ideals: Sequence[tuple[str, VariableSet]]) -> IdealFamilyGraph:
-    """Sharing graph of a family, rejecting pairs with two or more shared variables."""
+    """Sharing graph of a family, rejecting pairs with two or more shared variables.
+
+    The ideals are indexed by variable, so only pairs that share one are
+    visited, in (i, j) order; that order fixes the edges and the pair
+    reported.  Each component's edges are counted while it is traversed.
+    """
     ids = [name for name, _ in ideals]
     if len(set(ids)) != len(ids):
         dup = next(n for i, n in enumerate(ids) if n in ids[:i])
         raise ValueError(f"duplicate ideal identifier {dup!r}")
-    vsets = [vs for _, vs in ideals]
-    k = len(ids)
+    holders: dict[str, list[int]] = {}
+    for i, (_, vs) in enumerate(ideals):
+        for n in vs.names:
+            holders.setdefault(n, []).append(i)
 
-    name_sets = [set(vs.names) for vs in vsets]
     edges: list[tuple[int, int, str]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            shared = [n for n in vsets[i].names if n in name_sets[j]]
+    adjacency: list[list[int]] = [[] for _ in ids]
+    for i, (_, vs) in enumerate(ideals):
+        # the variables ideal i shares with each later ideal, in i's order
+        later: dict[int, list[str]] = {}
+        for n in vs.names:
+            for j in holders[n]:
+                if j > i:
+                    later.setdefault(j, []).append(n)
+        for j in sorted(later):
+            shared = later[j]
             if len(shared) >= 2:
                 raise ConstructionError(
                     f"ideals {ids[i]!r} and {ids[j]!r} share {len(shared)} variables "
                     f"({', '.join(shared)}); at most one shared variable is allowed"
                 )
-            if shared:
-                edges.append((i, j, shared[0]))
+            edges.append((i, j, shared[0]))
+            adjacency[i].append(j)
+            adjacency[j].append(i)
 
-    adjacency: dict[int, set[int]] = {v: set() for v in range(k)}
-    for i, j, _ in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen: set[int] = set()
+    seen = [False] * len(ids)
     components: list[GraphComponent] = []
-    for start in range(k):
-        if start in seen:
+    for start in range(len(ids)):
+        if seen[start]:
             continue
-        stack = [start]
-        comp = set()
+        seen[start] = True
+        stack, comp, degrees = [start], [], 0
         while stack:
             v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v] - comp)
-        seen |= comp
-        is_tree = sum(1 for i, _, _ in edges if i in comp) == len(comp) - 1
-        components.append(GraphComponent(tuple(sorted(comp)), is_tree))
+            comp.append(v)
+            degrees += len(adjacency[v])
+            for u in adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        # every edge is counted at both ends
+        components.append(GraphComponent(tuple(sorted(comp)), degrees == 2 * (len(comp) - 1)))
 
     return IdealFamilyGraph(tuple(ids), tuple(edges), tuple(components))
 

@@ -270,8 +270,8 @@ class TestSolveRowRational:
                 assert sum(w * x for w, x in zip(omega, a.column(c))) == rhs[c]
 
     def test_integer_and_fraction_rhs_agree(self):
-        # an integer right-hand side skips the Fraction scaling; a halved one
-        # halves the solution, whose free coordinates stay zero
+        # an integer right-hand side and its Fraction copy give one solution;
+        # a halved one halves it, and its free coordinates stay zero
         rng = random.Random(506)
         for _ in range(50):
             a = random_matrix(rng)

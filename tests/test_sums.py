@@ -1,5 +1,7 @@
 """Disjoint and shared-variable sums, the sharing graph, and leaf peeling."""
 
+import hashlib
+import json
 import random
 import re
 import sys
@@ -236,6 +238,66 @@ class TestFamilyGraph:
             ]
         )
         assert not graph.components[0].is_tree
+
+    def test_matches_pairwise_reference(self):
+        rng = random.Random(113)
+        seen = set()
+        for _ in range(400):
+            k = rng.randint(0, 9)
+            pool = [f"v{j}" for j in range(rng.randint(1, 14))]
+            ids = [f"I{rng.randrange(k)}" if rng.random() < 0.05 else f"J{v}" for v in range(k)]
+            ideals = [(ids[v], VariableSet(tuple(rng.sample(pool, rng.randint(0, min(4, len(pool)))))))
+                      for v in range(k)]
+            outcomes = []
+            for build in (build_family_graph, _pairwise_graph):
+                try:
+                    outcomes.append(build(ideals))
+                except (ValueError, ConstructionError) as e:
+                    outcomes.append((type(e), str(e)))
+            assert outcomes[0] == outcomes[1]
+            held = [sum(name in vs for _, vs in ideals) for name in pool]
+            seen.add(("held by three", max(held, default=0) >= 3))
+            if isinstance(outcomes[0], tuple):
+                seen.add(("error", outcomes[0][0]))
+            else:
+                seen.add(("isolated", any(len(c.vertices) == 1 for c in outcomes[0].components)))
+                seen.add(("tree", all(c.is_tree for c in outcomes[0].components)))
+        assert {("held by three", True), ("error", ValueError), ("error", ConstructionError),
+                ("isolated", True), ("tree", True), ("tree", False)} <= seen
+
+
+def _pairwise_graph(ideals):
+    """Reference sharing graph: every pair of ideals compared, in (i, j) order."""
+    ids = [name for name, _ in ideals]
+    dup = next((n for i, n in enumerate(ids) if n in ids[:i]), None)
+    if dup is not None:
+        raise ValueError(f"duplicate ideal identifier {dup!r}")
+    edges = []
+    for i, (_, a) in enumerate(ideals):
+        for j in range(i + 1, len(ideals)):
+            shared = [n for n in a.names if n in ideals[j][1].names]
+            if len(shared) >= 2:
+                raise ConstructionError(
+                    f"ideals {ids[i]!r} and {ids[j]!r} share {len(shared)} variables "
+                    f"({', '.join(shared)}); at most one shared variable is allowed"
+                )
+            if shared:
+                edges.append((i, j, shared[0]))
+    label = list(range(len(ids)))  # smallest vertex of each component, by relaxation
+    changed = True
+    while changed:
+        changed = False
+        for i, j, _ in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    components = []
+    for root in sorted(set(label)):
+        vertices = tuple(v for v in range(len(ids)) if label[v] == root)
+        count = sum(1 for i, _, _ in edges if label[i] == root)
+        components.append(sums.GraphComponent(vertices, count == len(vertices) - 1))
+    return sums.IdealFamilyGraph(tuple(ids), tuple(edges), tuple(components))
 
 
 class TestSumFamily:
@@ -700,6 +762,7 @@ class TestSupportLocalPin:
                 assert rows[r][c] == q
                 assert omega[r] == (1 - sum(old[o] * p.matrix.entries[o][c] for o in others)) / q
 
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
     def test_pins_are_local_at_any_input_rank(self, monkeypatch):
         whole_pins = _count_whole_pins(monkeypatch)
         reduced = []
@@ -709,18 +772,20 @@ class TestSupportLocalPin:
         side, support = _local_side(rng)
         p = side.result
         shared = p.vars.names[0]
-        sums._pinned_last(side, shared)
+        sums._pinned(side, shared)
         assert reduced == [len(support)]
         # every row in the support: the quadric's shared column is (0, 1)
         # after mixing its rows into (1, 0) + (0, 1); the local pin gives
         # the whole-matrix rows and keeps the parameter names
         full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
-        pinned = sums._pinned_last(sums._lift(full, "not homogeneous"), "x")
+        rows, omega, idx, j = sums._pinned(sums._lift(full, "not homogeneous"), "x")
         whole = normalize_pin(full, "x")
-        assert pinned.rows == [r[:2] for r in whole.parametrization.matrix.entries[::-1]]
-        assert pinned.params == ("s",)
-        assert pinned.gamma == whole.exponent
-        assert pinned.omega == (Fraction(1, whole.exponent),) * 2
+        assert (idx, j) == (2, whole.pinned_param_index)
+        assert tuple(rows) == whole.parametrization.matrix.entries
+        assert rows[j][idx] == whole.exponent
+        assert tuple(omega) == (Fraction(1, whole.exponent),) * 2
+        glued = sum_shared(full, quadric("w1", "w2", "x"), "x")
+        assert glued.result.params.names == ("t1_s", "t2_t", "s")
         # rank-deficient: a copy of the first support row comes first, so the
         # lifted block keeps the copy's name and drops the original's
         s0 = support[0]
@@ -733,14 +798,18 @@ class TestSupportLocalPin:
         assert lifted.result.vars == p.vars
         assert lifted.certificate.certifies(lifted.result)
         reduced.clear()
-        pinned = sums._pinned_last(lifted, shared)
+        rows, omega, idx, j = sums._pinned(lifted, shared)
         assert reduced == [len(support)]
-        assert pinned.params == lifted.result.params.names[1:]
-        for name, row in zip(pinned.params, pinned.rows):
-            original = lifted.result.matrix.entries[lifted.result.params.index(name)]
+        assert (idx, j) == (0, 0)
+        for row, original in zip(rows, lifted.result.matrix.entries):
             if not original[0]:
-                assert row == original[1:]
-        assert pinned.omega[-1] * pinned.gamma == 1
+                assert row == original
+        assert omega[j] * rows[j][idx] == 1
+        glued = sum_shared(lifted, quadric("w1", "w2", shared), shared)
+        assert reduced == [len(support)] * 2
+        assert glued.result.params.names == (
+            tuple(f"t1_{name}" for name in lifted.result.params.names[1:]) + ("t2_t", "s")
+        )
         assert whole_pins == []
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
@@ -977,3 +1046,86 @@ class TestUsageWarnings:
         assert c.used_variables == {"p1", "p2", "x", "c1", "c2"}
         with pytest.warns(UserWarning, match="'y'"):
             sum_shared(c, quadric("q1", "q2", "y"), "y")
+
+
+QUADRIC_ROWS = [[1, -1, 0], [1, 1, 1]]
+CUBIC_ROWS = [[3, 2, 1, 0], [0, 1, 2, 3]]
+
+
+def _golden_tree(kind, k, cap):
+    if kind == "path":
+        return [(v - 1, v) for v in range(1, k)]
+    if kind == "star":
+        return _broom(k, cap)
+    # caterpillar: a path of k // 2 with one leg on each of its vertices
+    return [(v - 1, v) for v in range(1, k // 2)] + [(v - k // 2, v) for v in range(k // 2, k)]
+
+
+def _golden_families():
+    """Seeded tree families whose sums the golden digest pins.
+
+    Paths, stars and caterpillars of the quadric, the twisted cubic, a pool
+    of random homogeneous blocks and the quadric mixed with a rank-deficient
+    copy of itself; a pair whose shared variable meets no degree-2 binomial,
+    beside an isolated ideal; and random families of mixed, negatively
+    pinned and redundant blocks.
+    """
+    rng = random.Random(109)
+    pool = []
+    while len(pool) < 3:
+        p = random_homogeneous_parametrization(rng, max_params=3, max_vars=4)
+        if len(p.vars) == 4:
+            pool.append([list(row) for row in p.matrix.entries])
+    deficient = QUADRIC_ROWS + [QUADRIC_ROWS[0]]
+    families = []
+    for kind in ("path", "star", "caterpillar"):
+        for blocks in ([QUADRIC_ROWS], [CUBIC_ROWS], pool, [QUADRIC_ROWS, deficient]):
+            k = 6
+            edges = _golden_tree(kind, k, min(len(b[0]) for b in blocks))
+            chosen = [rng.choice(blocks) for _ in range(k)]
+            # edge e's variable goes on a still free column of each end, as in _glued
+            names = [[f"x{v}_{j}" for j in range(len(chosen[v][0]))] for v in range(k)]
+            for e, (u, v) in enumerate(edges):
+                for w in (u, v):
+                    free = [j for j, n in enumerate(names[w]) if not n.startswith("s")]
+                    names[w][free[(w + e) % len(free)]] = f"s{e}"
+            families.append([make(rows, vs, [f"t{r}" for r in range(len(rows))])
+                             for rows, vs in zip(chosen, names)])
+    families.append([CUBIC_X, quadric("w1", "w2", "x"), quadric("u1", "u2", "u3")])
+    for kind in ("path", "star", "caterpillar"):
+        families += [_random_family(rng, kind, k)[0] for k in (3, 5, 7)]
+    return families
+
+
+def _golden_record(ps):
+    """Every printed field of a family sum, its report and its warnings, as JSON data."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result, report = sum_family(ps)
+    graph = report.graph
+    return {
+        "params": list(result.params.names),
+        "vars": list(result.vars.names),
+        "matrix": [list(row) for row in result.matrix.entries],
+        "ids": list(graph.ids),
+        "edges": [list(edge) for edge in graph.edges],
+        "components": [[list(c.vertices), c.is_tree] for c in graph.components],
+        "input_dimensions": list(report.input_dimensions),
+        "rank_dimension": report.rank_dimension,
+        "merges": [list(merge) for merge in report.merges],
+        "warnings": [str(w.message) for w in caught],
+    }
+
+
+# sha256 of the golden records.  A change that alters a printed sum updates
+# this constant and says so in CHANGES.md.
+GOLDEN_FAMILY_DIGEST = "cb580e49130f7ccaf5d71ba17c7d8468ed26dff8093a41194e091b2e68f71b5b"
+
+
+class TestGoldenOutputs:
+    def test_family_sums_unchanged(self):
+        records = [_golden_record(ps) for ps in _golden_families()]
+        assert any(r["warnings"] for r in records)
+        assert any(len(r["components"]) > 1 for r in records)
+        text = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FAMILY_DIGEST
