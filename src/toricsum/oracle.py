@@ -12,7 +12,8 @@ Three independent routes into the same questions:
   are reversible, so the monomials reachable from one another within a
   degree cap form connected components; a rewrite forest explores each
   component once, as one breadth-first tree, and answers every query on
-  it by comparing roots;
+  it by comparing roots.  A monomial tries only the moves indexed under
+  its own variables, and each move updates only the exponents it changes;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  One forest per degree cap serves the whole certification.
@@ -119,6 +120,9 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
 # (root, previous monomial, generator index, direction); the root's own
 # entry has no previous monomial.
 _TreeEntry = tuple[Monomial, Optional[Monomial], int, int]
+# (divisor support, degree change, changed coordinates, generator index,
+# direction), each support and change as (variable, exponent) pairs
+_Move = tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int], ...], int, int]
 
 
 class _RewriteForest:
@@ -132,19 +136,26 @@ class _RewriteForest:
     for every later query under the same cap.  With degree-balanced
     generators the cap is the degree of the query and the search is exact
     for its graded piece; otherwise the cap adds ``d.search_slack``.
+    Moves are indexed by the first variable of their divisor, and those
+    with a constant divisor are tried at every monomial.
     """
 
     def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
         active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
         self._nvars = {g.nvars for _, g in active}
         self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
-        # (generator index, direction, divisor support, exponent change, degree change)
-        self._moves: list[tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...], int]] = []
+        by_var: dict[int, list[_Move]] = {}
+        self._everywhere: list[_Move] = []
         for k, g in active:
             for a, bb, direction in ((g.u_plus, g.u_minus, 1), (g.u_minus, g.u_plus, -1)):
-                support = tuple((i, x) for i, x in enumerate(a) if x)
-                delta = tuple(y - x for x, y in zip(a, bb))
-                self._moves.append((k, direction, support, delta, sum(delta)))
+                divisor = tuple((i, x) for i, x in enumerate(a) if x)
+                delta = tuple((i, y - x) for i, (x, y) in enumerate(zip(a, bb)) if x != y)
+                move = (divisor, sum(bb) - sum(a), delta, k, direction)
+                if divisor:
+                    by_var.setdefault(divisor[0][0], []).append(move)
+                else:
+                    self._everywhere.append(move)
+        self._by_var = sorted(by_var.items())
         self._trees: dict[int, dict[Monomial, _TreeEntry]] = {}
 
     def chain(self, b: Binomial) -> Optional[list[tuple[int, int]]]:
@@ -174,14 +185,22 @@ class _RewriteForest:
         queue: deque[Monomial] = deque([root])
         while queue:
             mono = queue.popleft()
-            degree = sum(mono)
-            for k, direction, support, delta, step in self._moves:
-                if degree + step > cap or any(mono[i] < x for i, x in support):
-                    continue
-                image = tuple(m + x for m, x in zip(mono, delta))
-                if image not in tree:
-                    tree[image] = (root, mono, k, direction)
-                    queue.append(image)
+            room = cap - sum(mono)
+            for moves in [ms for i, ms in self._by_var if mono[i]] + [self._everywhere]:
+                for divisor, step, delta, k, direction in moves:
+                    if step > room:
+                        continue
+                    for i, x in divisor:
+                        if mono[i] < x:
+                            break
+                    else:
+                        moved = list(mono)
+                        for i, x in delta:
+                            moved[i] += x
+                        image = tuple(moved)
+                        if image not in tree:
+                            tree[image] = (root, mono, k, direction)
+                            queue.append(image)
 
     @staticmethod
     def _path_to_root(node: Monomial, tree: dict[Monomial, _TreeEntry]) -> list[tuple[int, int]]:

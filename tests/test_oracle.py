@@ -361,6 +361,39 @@ class TestRewriteForest:
         }
         assert len(explored) == len(fibers)
 
+    # generator sets the homogeneous helper never produces: constant
+    # divisors, repeated variables, zero generators and no generators
+    @pytest.mark.parametrize("names, texts, zeros", [
+        (("x", "y"), ["x*y - 1"], 0),
+        # x reaches y^2 only through x^2*y, so only by a constant-divisor move
+        (("x", "y"), ["x*y - 1", "x^2 - y"], 0),
+        (("a", "b", "c"), ["b - 1"], 0),
+        (("a", "b", "c"), ["a - b^2", "c - b^3"], 0),
+        (("a", "b", "c"), ["a^2 - b*c", "b^2 - a*c"], 1),
+        (("x", "y", "z"), ["x^2 - y", "y*z - 1"], 2),
+        (("x", "y"), [], 0),
+    ])
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_indexed_moves_match_bfs(self, names, texts, zeros, slack):
+        vs = VariableSet(names)
+        gens = [parse_binomial(t, vs) for t in texts]
+        for z in range(zeros):
+            gens.insert(2 * z, Binomial.zero(len(names)))
+        balanced = all(g.is_balanced for g in gens)
+        monos = [m for e in range(4) for m in _monomials_of_degree(len(names), e)]
+        hits = 0
+        for i, m1 in enumerate(monos):
+            for m2 in monos[i:]:
+                b = Binomial.from_pair(m1, m2)
+                chain = rewrite_chain(b, gens, DegreeBound(3, slack))
+                distance = bfs_distance(b, gens, b.degree + (0 if balanced else slack))
+                assert (chain is None) == (distance is None)
+                if chain is not None:
+                    hits += len(chain) > 0
+                    assert len(chain) == distance
+                    _replay_chain(b, gens, chain)
+        assert (hits > 0) == any(not g.is_zero for g in gens)
+
 
 def reference_certify(p, gens, degree, slack):
     """First enumerated binomial with no rewrite chain, by per-binomial BFS."""
@@ -398,3 +431,22 @@ class TestCertifyAgainstReference:
         verdict = certify_presentation(CURVE_23, CURVE_23_GENS, DegreeBound(3, slack))
         assert (verdict.status, verdict.witness) == reference_certify(CURVE_23, CURVE_23_GENS, 3, slack)
         assert verdict.status == status
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rational_normal_curve_minors(self, n):
+        # the 2x2 minors are minimal, so dropping any one leaves a fiber
+        # split; the witness pins which enumerated binomial is found first
+        names = tuple(f"y{i}" for i in range(n + 1))
+        p = Parametrization(VariableSet.of("s", "t"), VariableSet(names),
+                            IntegerMatrix.from_rows([[n - i for i in range(n + 1)], list(range(n + 1))]))
+        minors = [
+            parse_binomial(f"{names[i]}*{names[j + 1]} - {names[i + 1]}*{names[j]}", p.vars)
+            for i in range(n) for j in range(i + 1, n)
+        ]
+        verdict = certify_presentation(p, minors, DegreeBound(4))
+        assert (verdict.status, verdict.witness) == (EQUAL_UP_TO_DEGREE, None)
+        for k in range(len(minors)):
+            gens = minors[:k] + minors[k + 1:]
+            verdict = certify_presentation(p, gens, DegreeBound(4))
+            assert verdict.status == MISSING_IN_SUM
+            assert (verdict.status, verdict.witness) == reference_certify(p, gens, 4, 2)
