@@ -215,13 +215,16 @@ def _cmd_homog(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     return 0
 
 
+def _degree_bound(args: argparse.Namespace, gens: Sequence[Binomial]) -> DegreeBound:
+    """``--max-degree`` when given, else the default bound for ``gens``."""
+    if args.max_degree is not None:
+        return DegreeBound(args.max_degree)
+    return default_degree_bound(gens)
+
+
 def _cmd_kernel(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     for ideal in ideals:
-        bound = (
-            DegreeBound(args.max_degree)
-            if args.max_degree is not None
-            else default_degree_bound(ideal.generators)
-        )
+        bound = _degree_bound(args, ideal.generators)
         found = enumerate_kernel_binomials(ideal.parametrization, bound)
         print(f"{ideal.name}: kernel binomials up to degree {bound.max_degree}")
         if not found:
@@ -277,11 +280,7 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     for ideal in ideals:
         for g in ideal.generators:
             gens.append(relabel_binomial(g, ideal.parametrization.vars, result.vars))
-    bound = (
-        DegreeBound(args.max_degree)
-        if args.max_degree is not None
-        else default_degree_bound(gens)
-    )
+    bound = _degree_bound(args, gens)
     verdict = certify_presentation(result, gens, bound)
     if verdict.status == EQUAL_UP_TO_DEGREE:
         print(f"verdict: {verdict.status} (degree {verdict.degree_checked})")

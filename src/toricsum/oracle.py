@@ -230,21 +230,37 @@ def rewrite_chain(
     return _RewriteForest(gens, d).chain(b)
 
 
-def _replay_chain(b: Binomial, gens: Sequence[Binomial], chain: Sequence[tuple[int, int]]) -> None:
+_Sides = Sequence[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
+
+
+def _sparse_sides(gens: Sequence[Binomial]) -> _Sides:
+    """Each generator's ``u_plus`` and ``u_minus`` as (variable, exponent) pairs."""
+    return [
+        tuple(tuple((i, x) for i, x in enumerate(side) if x) for side in (g.u_plus, g.u_minus))
+        for g in gens
+    ]
+
+
+def _replay_chain(b: Binomial, sides: _Sides, chain: Sequence[tuple[int, int]]) -> None:
     """Apply ``chain`` to ``b.u_plus`` move by move; it must end at ``b.u_minus``.
 
-    Raises RuntimeError on a move whose divisor does not divide the
-    current monomial, or on a wrong endpoint.
+    ``sides`` is :func:`_sparse_sides` of the generators, so a move reads
+    and writes only the variables of its generator.  Raises RuntimeError on
+    a move whose divisor does not divide the current monomial, or on a
+    wrong endpoint.
     """
-    mono = b.u_plus
+    mono = list(b.u_plus)
     for step, (gi, direction) in enumerate(chain):
-        g = gens[gi]
-        a, bb = (g.u_plus, g.u_minus) if direction == 1 else (g.u_minus, g.u_plus)
-        if any(m < x for m, x in zip(mono, a)):
-            raise RuntimeError(f"rewrite chain step {step} does not apply to {mono}")
-        mono = tuple(m - x + y for m, x, y in zip(mono, a, bb))
-    if mono != b.u_minus:
-        raise RuntimeError(f"rewrite chain ends at {mono}, not {b.u_minus}")
+        plus, minus = sides[gi]
+        take, give = (plus, minus) if direction == 1 else (minus, plus)
+        if any(mono[i] < x for i, x in take):
+            raise RuntimeError(f"rewrite chain step {step} does not apply to {tuple(mono)}")
+        for i, x in take:
+            mono[i] -= x
+        for i, x in give:
+            mono[i] += x
+    if tuple(mono) != b.u_minus:
+        raise RuntimeError(f"rewrite chain ends at {tuple(mono)}, not {b.u_minus}")
 
 
 def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bool:
@@ -257,7 +273,7 @@ def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bo
     chain = rewrite_chain(b, gens, d)
     if chain is None:
         return False
-    _replay_chain(b, gens, chain)
+    _replay_chain(b, _sparse_sides(gens), chain)
     return True
 
 
@@ -312,7 +328,8 @@ def certify_presentation(
     One rewrite forest serves every binomial.  It keeps one map of
     breadth-first trees per degree cap, so each connected component under
     each cap is searched once; every chain it returns is replayed move by
-    move before it counts.  The enumeration builds each monomial's image
+    move before it counts, on the generators' sparse sides, built once from
+    ``gens`` apart from the forest's own move index.  The enumeration builds each monomial's image
     incrementally from its parent's.
     """
     gens = tuple(gens)
@@ -320,9 +337,10 @@ def certify_presentation(
         if not contains_binomial(p, g):
             return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree)
     forest = _RewriteForest(gens, d)
+    sides = _sparse_sides(gens)
     for b in enumerate_kernel_binomials(p, d):
         chain = forest.chain(b)
         if chain is None:
             return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree)
-        _replay_chain(b, gens, chain)
+        _replay_chain(b, sides, chain)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree)

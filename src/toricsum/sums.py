@@ -179,17 +179,17 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
         param_names.extend(f"t{k + 1}_{name}" for name in p.params)
 
     total_cols = sum(p.matrix.cols for p in ps)
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     col_offset = 0
     for p in ps:
-        for row in p.matrix.entries:
-            padded = [0] * col_offset + list(row) + [0] * (total_cols - col_offset - p.matrix.cols)
-            rows.append(padded)
+        left = (0,) * col_offset
+        right = (0,) * (total_cols - col_offset - p.matrix.cols)
+        rows.extend(left + row + right for row in p.matrix.entries)
         col_offset += p.matrix.cols
     return Parametrization(
         VariableSet(tuple(param_names)),
         VariableSet(tuple(var_names)),
-        IntegerMatrix.from_rows(rows, cols=total_cols),
+        IntegerMatrix(len(rows), total_cols, tuple(rows)),
         any(p.allow_degenerate for p in ps),
     )
 
@@ -561,6 +561,10 @@ def sum_family(
     dims = tuple(len(lifted[v].result.params) if v in lifted else dimension(p)
                  for v, p in enumerate(ps))
 
+    adj: dict[int, dict[int, str]] = {v: {} for v in range(len(ps))}
+    for i, j, var in graph.edges:
+        adj[i][j] = var
+        adj[j][i] = var
     merges: list[tuple[str, str, str]] = []
     component_results: list[Parametrization] = []
     rank_dim = 0
@@ -570,11 +574,6 @@ def sum_family(
             component_results.append(ps[v])
             rank_dim += dims[v]
             continue
-        adj: dict[int, dict[int, str]] = {v: {} for v in comp.vertices}
-        for i, j, var in graph.edges:
-            if i in adj:
-                adj[i][j] = var
-                adj[j][i] = var
         current = {v: lifted[v] for v in comp.vertices}
         while len(current) > 1:
             leaf = min(v for v in current if len(adj[v]) == 1)

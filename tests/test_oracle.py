@@ -29,7 +29,7 @@ from toricsum import (
     sum_shared,
 )
 from toricsum import oracle
-from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain
+from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain, _sparse_sides
 
 
 TWISTED_CUBIC = Parametrization(
@@ -302,14 +302,15 @@ class TestRewriteForest:
         gens = [parse_binomial("z1*z2 - x^2", vs), parse_binomial("w1*w2 - x^2", vs)]
         b = parse_binomial("z1*z2 - w1*w2", vs)
         chain = rewrite_chain(b, gens, DegreeBound(3))
-        _replay_chain(b, gens, chain)
+        sides = _sparse_sides(gens)
+        _replay_chain(b, sides, chain)
         (k, direction), rest = chain[0], chain[1:]
         with pytest.raises(RuntimeError, match="does not apply"):
-            _replay_chain(b, gens, [(k, -direction)] + rest)
+            _replay_chain(b, sides, [(k, -direction)] + rest)
         with pytest.raises(RuntimeError, match="ends at"):
-            _replay_chain(b, gens, chain[:1])
+            _replay_chain(b, sides, chain[:1])
         with pytest.raises(RuntimeError, match="ends at"):
-            _replay_chain(b, gens, [])
+            _replay_chain(b, sides, [])
 
     def test_chain_is_shortest(self):
         rng = random.Random(79)
@@ -328,18 +329,34 @@ class TestRewriteForest:
             if chain is not None:
                 hits += 1
                 assert len(chain) == distance
-                _replay_chain(b, gens, chain)
+                _replay_chain(b, _sparse_sides(gens), chain)
         assert hits > len(cases) // 2
 
     def test_chains_through_a_shared_root(self):
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
         forest = _RewriteForest(gens, DegreeBound(3))
         for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(3)):
-            _replay_chain(b, gens, forest.chain(b))
+            _replay_chain(b, _sparse_sides(gens), forest.chain(b))
         vs = TWISTED_CUBIC.vars
         assert forest.chain(parse_binomial("x0^2 - x1*x2", vs)) is None
         with pytest.raises(ValueError, match="different variable sets"):
             forest.chain(Binomial.zero(3))
+
+    def test_certification_replays_against_the_generators(self, monkeypatch):
+        # a move index that names the wrong generator for every move still
+        # finds each chain, but the replay reads the generators themselves
+        original = _RewriteForest.__init__
+
+        def mislabelled(self, gens, d):
+            original(self, gens, d)
+            self._by_var = [(i, [(div, step, delta, (k + 1) % len(gens), direction)
+                                 for div, step, delta, k, direction in moves])
+                            for i, moves in self._by_var]
+
+        monkeypatch.setattr(_RewriteForest, "__init__", mislabelled)
+        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
+        with pytest.raises(RuntimeError, match="rewrite chain"):
+            certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
 
     def test_certification_explores_each_component_once(self, monkeypatch):
         explored = []
@@ -391,7 +408,7 @@ class TestRewriteForest:
                 if chain is not None:
                     hits += len(chain) > 0
                     assert len(chain) == distance
-                    _replay_chain(b, gens, chain)
+                    _replay_chain(b, _sparse_sides(gens), chain)
         assert (hits > 0) == any(not g.is_zero for g in gens)
 
 
