@@ -328,9 +328,9 @@ def certify_presentation(
     One rewrite forest serves every binomial.  It keeps one map of
     breadth-first trees per degree cap, so each connected component under
     each cap is searched once; every chain it returns is replayed move by
-    move before it counts, on the generators' sparse sides, built once from
-    ``gens`` apart from the forest's own move index.  The enumeration builds each monomial's image
-    incrementally from its parent's.
+    move before it counts, on sparse sides built once from ``gens`` rather
+    than from the forest's move index.  The enumeration builds each
+    monomial's image incrementally from its parent's.
     """
     gens = tuple(gens)
     for g in gens:

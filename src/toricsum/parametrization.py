@@ -157,56 +157,40 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     return Parametrization(p.params, p.vars, cleared, p.allow_degenerate)
 
 
-def _pin_rows(
-    rows: Sequence[Sequence[int]], idx: int, name: str
-) -> tuple[list[list[int]], list[int], int]:
-    """The pin core: RREF of ``rows`` with column ``idx`` first, divided by its content.
-
-    Returns ``(reduced, pivot_cols, q)``: the nonzero rows of the reduced
-    row echelon form computed with column ``idx`` moved first, back in the
-    original column order and scaled by the least positive ``q`` that makes
-    them integral; ``pivot_cols`` are their pivot columns in the original
-    order, ``idx`` first.  Column ``idx`` must not be zero.  Raises
-    RuntimeError unless the pivot columns form ``q`` times the identity,
-    which also proves the reduced rows independent.
-    """
-    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in rows]
-    pivots, d, _ = row_reduce(rows, len(rows[0]))
-    rows = rows[: len(pivots)]
-    g = gcd(*(x for row in rows for x in row))
-    if d < 0:
-        g = -g
-    reduced = [[x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]] for row in rows]
-    q = d // g
-    pivot_cols = [idx if c == 0 else c - 1 if c <= idx else c for c in pivots]
-    for k, c in enumerate(pivot_cols):
-        if any(row[c] != (q if r == k else 0) for r, row in enumerate(reduced)):
-            raise RuntimeError(f"pin of {name!r}: pivot column {k} is not q * e_{k}")
-    return reduced, pivot_cols, q
-
-
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     """Re-parametrize at maximal rank so one variable maps to t_j^q.
 
     The result is the reduced row echelon form of the whole matrix with the
-    pinned column moved first, scaled by the least positive ``q`` that
-    makes it integral (see :func:`_pin_rows`, whose row set here is every
-    row).  Its rows span the same rational row space, so the kernel lattice
-    is untouched; its pivot columns (the pinned one first, then greedily in
-    increasing index) form ``q`` times the identity, and the gcd of all its
-    entries is 1, which fixes it uniquely.  The parameters are renamed
-    ``t1, t2, ...``.
+    pinned column moved first, back in the original column order and
+    scaled by the least positive ``q`` that makes it integral.  Its rows
+    span the same rational row space, so the kernel lattice is untouched;
+    its pivot columns (the pinned one first, then greedily in increasing
+    index) form ``q`` times the identity, which is checked and also proves
+    the rows independent, and the gcd of all its entries is 1, which fixes
+    it uniquely.  The parameters are renamed ``t1, t2, ...``.
     """
     idx = p.vars.index(var) if isinstance(var, str) else var
     if not 0 <= idx < len(p.vars):
         raise ConstructionError(f"variable index {idx} out of range")
+    name = p.vars.names[idx]
     if not any(p.column(idx)):
-        raise ConstructionError(
-            f"variable {p.vars.names[idx]!r} maps to 1 and cannot be pinned"
-        )
-    reduced, _, q = _pin_rows(p.matrix.entries, idx, p.vars.names[idx])
+        raise ConstructionError(f"variable {name!r} maps to 1 and cannot be pinned")
+    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
+    pivots, d, _ = row_reduce(rows, len(p.vars))
+    rows = rows[: len(pivots)]
+    g = gcd(*(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    reduced = tuple(
+        tuple(x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]) for row in rows
+    )
+    q = d // g
+    for k, c in enumerate(pivots):
+        c = idx if c == 0 else c - 1 if c <= idx else c
+        if any(row[c] != (q if r == k else 0) for r, row in enumerate(reduced)):
+            raise RuntimeError(f"pin of {name!r}: pivot column {k} is not q * e_{k}")
     fresh = VariableSet(tuple(f"t{k + 1}" for k in range(len(reduced))))
-    matrix = IntegerMatrix.from_rows(reduced, cols=len(p.vars))
+    matrix = IntegerMatrix(len(reduced), len(p.vars), reduced)
     result = Parametrization(fresh, p.vars, matrix, p.allow_degenerate)
     return PinResult(result, pinned_param_index=0, exponent=q)
 

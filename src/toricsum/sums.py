@@ -20,12 +20,13 @@ rank.  A plain input is lifted into one when it enters: one elimination
 of ``[A^T | 1]`` cuts its rows to a greedy row basis, which keeps the row
 space and so the kernel, and solves its grading vector (rejecting a
 non-homogeneous input); gamma is 1.
-Pinning a side keeps every row outside the support S of its shared
-column (the rows where that column is nonzero); when |S| = 1 the side is
-read as it is, and otherwise the rows in S alone are reduced and their
-grading entries carried (see :func:`_pin_support`).  S stays a
-few rows however large the accumulated side grows (never more than two on
-paths, stars and caterpillars of two-row blocks).
+Pinning a side is one elimination step against the first row j of the
+support S of its shared column (the rows where that column is nonzero):
+every other row of S is recombined with row j so that the column
+vanishes there, and its grading entry is carried exactly (see
+:func:`_pinned`).  Row j and the rows outside S stay as they are, and S
+stays a few rows however large the accumulated side grows (never more
+than two on paths, stars and caterpillars of two-row blocks).
 
 Each merge carries its facts forward instead of recomputing them on the
 assembled matrix.  The pinned sides have maximal rank, so the assembled
@@ -46,17 +47,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix, _solve_transposed
+from .exact_linalg import IntegerMatrix, _solve_transposed, row_reduce
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
     HomogeneityCertificate,
     Parametrization,
-    _pin_rows,
     dimension,
 )
 
@@ -271,58 +271,39 @@ def _lift(
     return _Lifted(p, 1, block.certificate, None, block)
 
 
-def _pin_support(
-    side: SumConstruction, idx: int, support: list[int]
-) -> tuple[list[tuple[int, ...]], list[Fraction]]:
-    """Pin column ``idx`` of a side by reducing its support rows only.
-
-    The rows in ``support`` (the nonzero entries of the column) go through
-    the pin core :func:`_pin_rows` and are replaced, in order, by its
-    reduced rows: the first is the pinned row, with ``q > 0`` in column
-    ``idx``, and the k-th has ``q`` alone in its pivot column ``c_k`` among
-    the support rows.  Every other row, and its grading entry, stays.  The
-    grading vector is carried along the row operations: the k-th new row
-    gets ``omega'_k = sum(omega_s * A[s][c_k] for s in support) / q``.  So
-    ``omega'`` pairs with each new column exactly as ``omega`` with the old
-    one, and the stitched check of the sum still tests every entry of
-    ``omega``, inside the support or not.  When the support is every row
-    and ``omega`` grades A, each ``omega'_k`` is ``1 / q``.
-    """
-    p = side.result
-    entries = p.matrix.entries
-    old = [entries[s] for s in support]
-    reduced, pivot_cols, q = _pin_rows(old, idx, p.vars.names[idx])
-    if len(reduced) != len(support):
-        raise RuntimeError(f"carried rank of a side pinned at {p.vars.names[idx]!r} is not maximal")
-    rows = list(entries)
-    omega = list(side.certificate.omega)
-    # The weights over their common denominator L, so each sum is of integers.
-    weights = [omega[s] for s in support]
-    denom = lcm(*(w.denominator for w in weights))
-    numerators = [w.numerator * (denom // w.denominator) for w in weights]
-    for s, row, c in zip(support, reduced, pivot_cols):
-        rows[s] = tuple(row)
-        omega[s] = Fraction(sum(n * a[c] for n, a in zip(numerators, old)), q * denom)
-    return rows, omega
-
-
 def _pinned(
     side: SumConstruction, shared: str
 ) -> tuple[Sequence[tuple[int, ...]], Sequence[Fraction], int, int]:
     """A side's rows and grading vector, its shared column ``idx`` and pinned row ``j``.
 
-    Row ``j`` is the one row where column ``idx`` is nonzero.  When the
-    column has a single nonzero row the side comes back as it is; on more
-    rows, those rows are first re-pinned by :func:`_pin_support`, and ``j``
-    is the first of them.
+    ``j`` is the first row of the support S of column ``idx`` (the rows
+    where it is nonzero) and ``c = A[j][idx]``.  One elimination step
+    clears the column below it: every other row ``s`` in S becomes
+    ``(c * row_s - c_s * row_j) / g_s``, ``c_s = A[s][idx]`` and ``g_s`` the
+    gcd of the new row, which keeps the row space and so the kernel.  Row
+    ``j`` and the rows outside S stay as they are.  The grading vector is
+    carried exactly: ``omega_j`` gains ``omega_s * c_s / c`` and ``omega_s``
+    becomes ``omega_s * g_s / c``, so it pairs with every column as before.
+    Raises RuntimeError when the new rows are dependent, which disproves
+    the side's claim of maximal rank.
     """
     p = side.result
     idx = p.vars.index(shared)
-    entries, omega = p.matrix.entries, side.certificate.omega
-    support = [r for r, row in enumerate(entries) if row[idx]]
-    if len(support) > 1:
-        entries, omega = _pin_support(side, idx, support)
-    return entries, omega, idx, support[0]
+    rows = list(p.matrix.entries)
+    omega = list(side.certificate.omega)
+    j, *others = (r for r, row in enumerate(rows) if row[idx])
+    pinned, c = rows[j], rows[j][idx]
+    for s in others:
+        cs = rows[s][idx]
+        row = [c * a - cs * b for a, b in zip(rows[s], pinned)]
+        g = gcd(*row) or 1  # a zero row is left to the rank check below
+        rows[s] = tuple(x // g for x in row)
+        w = omega[s]
+        omega[j] += Fraction(w.numerator * cs, w.denominator * c)
+        omega[s] = Fraction(w.numerator * g, w.denominator * c)
+    if others and len(row_reduce([list(rows[s]) for s in others], len(pinned))[0]) < len(others):
+        raise RuntimeError(f"carried rank of a side pinned at {shared!r} is not maximal")
+    return rows, omega, idx, j
 
 
 def _used_variables(side: SumConstruction) -> frozenset[str]:
@@ -372,16 +353,18 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     """Sum of two homogeneous kernels sharing exactly one variable.
 
     Both inputs are pinned automatically so the shared variable maps to a
-    single parameter power g_i on one row of side i, and the matrix is
-    written in one pass over fresh disjoint parameters (prefixes ``t1_``
-    and ``t2_``, shared parameter ``s``): each other row of a side once,
-    without the shared column and padded with zeros around its block, and
-    last the row sum_i (gamma / g_i) * (pinned row i without the shared
-    column), ending in gamma = lcm(g1, g2).  A negative g_i gives a
-    negative scale.  The result carries a homogeneity certificate stitched
-    from the two sides; it is checked against the assembled matrix on
-    every call, with each side's pinned row checked to be graded 1 / g_i,
-    and a failure raises RuntimeError.
+    single parameter power g_i on one row of side i, by one elimination
+    step against the first row where it occurs (see :func:`_pinned`);
+    g_i is that row's entry, sign and all.  The matrix is written in one
+    pass over fresh disjoint parameters (prefixes ``t1_`` and ``t2_``,
+    shared parameter ``s``): each other row of a side once, without the
+    shared column and padded with zeros around its block, and last the row
+    sum_i (gamma / g_i) * (pinned row i without the shared column), ending
+    in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.  The
+    result carries a homogeneity certificate stitched from the two sides;
+    it is checked against the assembled matrix on every call, with each
+    side's pinned row checked to be graded 1 / g_i, and a failure raises
+    RuntimeError.
 
     Every input is handled as a :class:`SumConstruction`.  An earlier
     construction stands for its ``result`` and its certificate and usage

@@ -7,6 +7,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -708,7 +709,7 @@ class TestDependentRows:
 
 
 def _local_side(rng):
-    """A maximal-rank homogeneous side whose column 0 has support 2 <= |S| < rows.
+    """A maximal-rank homogeneous side whose column 0 has support 1 <= |S| <= rows.
 
     Grading entries are +-1, so every column is solved integrally in a row
     of its support; the matrix is redrawn until it has maximal rank.
@@ -717,7 +718,7 @@ def _local_side(rng):
         m = rng.randint(3, 5)
         n = rng.randint(m + 1, m + 3)
         omega = [rng.choice([1, -1]) for _ in range(m)]
-        support = sorted(rng.sample(range(m), rng.randint(2, m - 1)))
+        support = sorted(rng.sample(range(m), rng.randint(1, m)))
         columns = []
         for j in range(n):
             rows = support if j == 0 else range(m)
@@ -736,58 +737,70 @@ def _local_side(rng):
             return SumConstruction(p, 1, cert), support
 
 
+def _count_supports(monkeypatch):
+    """Record, per ``sums._pinned`` call, the support size of its shared column."""
+    sizes = []
+    real = sums._pinned
+
+    def counted(side, shared):
+        idx = side.result.vars.index(shared)
+        sizes.append(sum(1 for row in side.result.matrix.entries if row[idx]))
+        return real(side, shared)
+
+    monkeypatch.setattr(sums, "_pinned", counted)
+    return sizes
+
+
 class TestSupportLocalPin:
     def test_matches_whole_matrix_pin(self):
         rng = random.Random(67)
-        for _ in range(60):
+        sizes, signs, scaled, divided = set(), set(), False, False
+        for _ in range(80):
             side, support = _local_side(rng)
             p = side.result
-            rows, omega = sums._pin_support(side, 0, support)
+            old = p.matrix.entries
+            rows, omega, idx, j = sums._pinned(side, p.vars.names[0])
+            assert (idx, j) == (0, support[0])
+            c = old[j][0]
             pinned = make(rows, p.vars.names, p.params.names)
             # normalize_pin is canonical for the row space with column 0 pinned
             assert normalize_pin(pinned, 0).parametrization == normalize_pin(p, 0).parametrization
-            q = rows[support[0]][0]
-            assert q > 0
-            assert [row[0] for row in rows] == [q if r == support[0] else 0 for r in range(len(rows))]
-            assert [tuple(rows[r]) for r in range(len(rows)) if r not in support] == [
-                p.matrix.entries[r] for r in range(len(rows)) if r not in support
-            ]
+            assert [row[0] for row in rows] == [c if r == j else 0 for r in range(len(rows))]
+            kept = [r for r in range(len(rows)) if r == j or r not in support]
+            assert [tuple(rows[r]) for r in kept] == [old[r] for r in kept]
             assert HomogeneityCertificate(tuple(omega)).certifies(pinned)
-            # the carried entries are the ones the pinned matrix forces; with
-            # the pinned column first, each rebuilt row starts at its pivot q
-            old = side.certificate.omega
-            others = [r for r in range(len(rows)) if r not in support]
-            for r in support:
-                c = next(c for c, x in enumerate(rows[r]) if x)
-                assert rows[r][c] == q
-                assert omega[r] == (1 - sum(old[o] * p.matrix.entries[o][c] for o in others)) / q
+            assert omega[j] * c == 1
+            sizes.add(len(support))
+            signs.add(c > 0)
+            scaled |= abs(c) > 1
+            divided |= any(gcd(*(c * a - old[s][0] * b for a, b in zip(old[s], old[j]))) > 1
+                           for s in support[1:])
+        # every support size, pinned entries of both signs and beyond +-1,
+        # and recombined rows divided by their content all occurred
+        assert sizes == {1, 2, 3, 4, 5}
+        assert signs == {True, False} and scaled and divided
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
     def test_pins_are_local_at_any_input_rank(self, monkeypatch):
         whole_pins = _count_whole_pins(monkeypatch)
-        reduced = []
-        monkeypatch.setattr(sums, "_pin_rows", lambda rows, idx, name, _real=sums._pin_rows:
-                            reduced.append(len(rows)) or _real(rows, idx, name))
-        rng = random.Random(71)
-        side, support = _local_side(rng)
-        p = side.result
-        shared = p.vars.names[0]
-        sums._pinned(side, shared)
-        assert reduced == [len(support)]
-        # every row in the support: the quadric's shared column is (0, 1)
-        # after mixing its rows into (1, 0) + (0, 1); the local pin gives
-        # the whole-matrix rows and keeps the parameter names
+        supports = _count_supports(monkeypatch)
+        # every row in the support: row s of the quadric becomes
+        # (1 * s - 1 * t) / 2, and the carried entries still grade it
         full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
         rows, omega, idx, j = sums._pinned(sums._lift(full, "not homogeneous"), "x")
-        whole = normalize_pin(full, "x")
-        assert (idx, j) == (2, whole.pinned_param_index)
-        assert tuple(rows) == whole.parametrization.matrix.entries
-        assert rows[j][idx] == whole.exponent
-        assert tuple(omega) == (Fraction(1, whole.exponent),) * 2
+        assert (idx, j) == (2, 0)
+        assert tuple(rows) == ((1, -1, 1), (0, 1, 0))
+        assert tuple(omega) == (1, 2)
         glued = sum_shared(full, quadric("w1", "w2", "x"), "x")
         assert glued.result.params.names == ("t1_s", "t2_t", "s")
+        assert supports == [2, 2, 1]
         # rank-deficient: a copy of the first support row comes first, so the
         # lifted block keeps the copy's name and drops the original's
+        rng = random.Random(71)
+        side, support = _local_side(rng)
+        assert 1 < len(support) < len(side.result.params)
+        p = side.result
+        shared = p.vars.names[0]
         s0 = support[0]
         doubled = make([p.matrix.entries[s0], *p.matrix.entries],
                        p.vars.names, ("extra",) + p.params.names)
@@ -797,16 +810,16 @@ class TestSupportLocalPin:
         assert lifted.result.matrix.entries == tuple(doubled.matrix.entries[r] for r in kept)
         assert lifted.result.vars == p.vars
         assert lifted.certificate.certifies(lifted.result)
-        reduced.clear()
+        supports.clear()
         rows, omega, idx, j = sums._pinned(lifted, shared)
-        assert reduced == [len(support)]
+        assert supports == [len(support)]
         assert (idx, j) == (0, 0)
         for row, original in zip(rows, lifted.result.matrix.entries):
             if not original[0]:
                 assert row == original
         assert omega[j] * rows[j][idx] == 1
         glued = sum_shared(lifted, quadric("w1", "w2", shared), shared)
-        assert reduced == [len(support)] * 2
+        assert supports == [len(support)] * 2 + [1]
         assert glued.result.params.names == (
             tuple(f"t1_{name}" for name in lifted.result.params.names[1:]) + ("t2_t", "s")
         )
@@ -844,11 +857,19 @@ class TestSupportLocalPin:
 
     def test_false_maximal_rank_claim_raises(self):
         # the support rows of x are dependent, so the construction's claim
-        # of maximal rank is false
-        p = make([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], ["t", "u", "v"])
-        fake = SumConstruction(p, 1, HomogeneityCertificate((1, 0, 1)))
-        with pytest.raises(RuntimeError, match="not maximal"):
-            sum_shared(fake, quadric("w1", "w2", "x"), "x")
+        # of maximal rank is false: on two rows the recombined row is zero;
+        # on three, v = t + u and the rows recombined against t are both
+        # (0, -1, 1, 0), nonzero but dependent
+        cases = [
+            ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], (1, 0, 1)),
+            ([[1, 1, 0, 0], [1, 0, 1, 0], [2, 1, 1, 0], [0, 0, 0, 1]],
+             ["x", "a", "b", "c"], (1, 0, 0, 1)),
+        ]
+        for rows, var_names, omega in cases:
+            p = make(rows, var_names, [f"t{r}" for r in range(len(rows))])
+            fake = SumConstruction(p, 1, HomogeneityCertificate(omega))
+            with pytest.raises(RuntimeError, match="not maximal"):
+                sum_shared(fake, quadric("w1", "w2", "x"), "x")
 
 
 def _glued(block, edges, k):
@@ -879,17 +900,11 @@ def _broom(k, cap):
 
 
 class TestPinSize:
-    """Family sums pin no more rows than an input block has."""
+    """Family sums recombine no more support rows than an input block has."""
 
     @pytest.mark.parametrize("kind", ["path", "star", "caterpillar"])
     def test_pins_stay_block_sized(self, kind, monkeypatch):
-        reduced = []
-
-        def counted(rows, ncols, _real=parametrization.row_reduce):
-            reduced.append(len(rows))
-            return _real(rows, ncols)
-
-        monkeypatch.setattr(parametrization, "row_reduce", counted)
+        supports = _count_supports(monkeypatch)
         k = 64
         rng = random.Random(73)
         if kind == "path":
@@ -906,9 +921,12 @@ class TestPinSize:
             warnings.simplefilter("ignore")
             result, report = sum_family(_glued(block, edges, k))
         assert report.rank_dimension == k + 1
-        assert reduced and max(reduced) <= len(block)
+        assert len(supports) == 2 * (k - 1) and max(supports) <= len(block)
+        largest = max(abs(x) for row in result.matrix.entries for x in row)
         if kind == "path":
-            assert max(abs(x) for row in result.matrix.entries for x in row) < 2**8
+            assert largest < 2**8
+        if kind == "caterpillar":
+            assert largest < 2**27
 
 
 def _cubic(a, d, prefix):
@@ -1119,7 +1137,7 @@ def _golden_record(ps):
 
 # sha256 of the golden records.  A change that alters a printed sum updates
 # this constant and says so in CHANGES.md.
-GOLDEN_FAMILY_DIGEST = "cb580e49130f7ccaf5d71ba17c7d8468ed26dff8093a41194e091b2e68f71b5b"
+GOLDEN_FAMILY_DIGEST = "a9ba034cb3474af70d74f6e32f10207a4aa4419620a176db880415311d4f4dc9"
 
 
 class TestGoldenOutputs:
