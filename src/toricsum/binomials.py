@@ -126,32 +126,6 @@ def split_disjoint(u: Sequence[int]) -> Binomial:
     return Binomial(plus, minus)
 
 
-def homogenize_binomial(b: Binomial) -> Binomial:
-    """Balance the two sides by a power of a fresh last variable.
-
-    The lower-degree side is multiplied by the degree gap; the fresh
-    variable occupies the appended final coordinate.  Both sides of the
-    result have equal total degree.
-    """
-    dp, dm = sum(b.u_plus), sum(b.u_minus)
-    return Binomial(
-        b.u_plus + (max(dm - dp, 0),),
-        b.u_minus + (max(dp - dm, 0),),
-    )
-
-
-def dehomogenize_binomial(b: Binomial, index: int) -> Binomial:
-    """Drop the variable at ``index`` from both sides and re-canonicalize.
-
-    Cancellation can collapse the binomial to zero, e.g. when the two
-    sides differed only in the dropped variable.
-    """
-    if not 0 <= index < b.nvars:
-        raise ValueError(f"variable index {index} out of range")
-    diff = tuple(p - m for k, (p, m) in enumerate(zip(b.u_plus, b.u_minus)) if k != index)
-    return split_disjoint(diff)
-
-
 def relabel_binomial(b: Binomial, old_vars: VariableSet, new_vars: VariableSet) -> Binomial:
     """Re-index a binomial into a larger variable set by name (zero-extend)."""
     if b.nvars != len(old_vars):

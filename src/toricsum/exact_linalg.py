@@ -424,21 +424,20 @@ def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:
 
 
 def _solve_transposed(
-    a: IntegerMatrix, rhs: Sequence[int], mask: Sequence[int], scale: int = 1
+    a: IntegerMatrix, rhs: Sequence[int], scale: int = 1
 ) -> tuple[list[int], Optional[tuple[Fraction, ...]]]:
-    """One fraction-free reduction of ``[A_mask^T | rhs]``: row basis and solve.
+    """One fraction-free reduction of ``[A^T | rhs]``: row basis and solve.
 
-    ``rhs`` holds one integer per column in ``mask`` and stands for
-    ``rhs / scale``.  Returns the pivots, the greedy row basis of the masked
-    columns of ``A`` (and so of ``A`` when its other columns are zero), and
-    the particular solution of ``(omega @ A)[c] == rhs / scale`` over the
-    masked columns with the free coordinates zero, or None when that system
-    is inconsistent.  :func:`solve_row_rational` and the lift of a summand
-    in :mod:`sums` share this one elimination.
+    ``rhs`` holds one integer per column of ``A`` and stands for
+    ``rhs / scale``.  Returns the pivots, the greedy row basis of ``A``,
+    and the particular solution of ``omega @ A == rhs / scale`` with the
+    free coordinates zero, or None when that system is inconsistent.
+    :func:`solve_row_rational` and the lift of a summand in :mod:`sums`
+    share this one elimination.
     """
     m = a.rows
-    columns = list(zip(*a.entries)) if m else [()] * a.cols
-    rows = [[*columns[c], v] for c, v in zip(mask, rhs)]
+    columns = zip(*a.entries) if m else [()] * a.cols
+    rows = [[*column, v] for column, v in zip(columns, rhs)]
     pivots, d, _ = row_reduce(rows, m)
     if any(row[m] for row in rows[len(pivots):]):
         return pivots, None
@@ -449,37 +448,27 @@ def _solve_transposed(
 
 
 def solve_row_rational(
-    a: IntegerMatrix,
-    rhs: Sequence[Fraction | int],
-    column_mask: Optional[Iterable[int]] = None,
+    a: IntegerMatrix, rhs: Sequence[Fraction | int]
 ) -> Optional[tuple[Fraction, ...]]:
-    """Solve ``(omega @ A)[i] == rhs[i]`` for ``i`` in the mask.
+    """Solve ``omega @ A == rhs`` for a rational row vector ``omega``.
 
     Args:
         a: coefficient matrix; omega ranges over row vectors of length
            ``a.rows``.
-        rhs: one value per column of ``a`` (only masked entries are read).
-        column_mask: column indices that constrain the solution; defaults
-           to all columns.
+        rhs: one value per column of ``a``; every column constrains the
+           solution, a zero column included.
 
     Returns:
         The deterministic particular solution with free coordinates set to
         zero, or None when the system is inconsistent.
     """
-    if column_mask is None:
-        mask = list(range(a.cols))
-    else:
-        mask = sorted(set(column_mask))
-        for c in mask:
-            if not 0 <= c < a.cols:
-                raise ValueError(f"column index {c} out of range")
     if len(rhs) != a.cols:
         raise ValueError(f"expected a right-hand side of length {a.cols}, got {len(rhs)}")
 
     # The system is solved for L * rhs, with L clearing the denominators.
-    fractions = [Fraction(rhs[c]) for c in mask]
+    fractions = [Fraction(v) for v in rhs]
     scale = lcm(1, *(v.denominator for v in fractions))
-    return _solve_transposed(a, [int(v * scale) for v in fractions], mask, scale)[1]
+    return _solve_transposed(a, [int(v * scale) for v in fractions], scale)[1]
 
 
 def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:

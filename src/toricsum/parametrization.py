@@ -6,14 +6,13 @@ annihilated by the matrix, describes a toric ideal through the binomials
 x^u_plus - x^u_minus with u_plus - u_minus in the kernel.  This module
 implements evaluation, kernel membership, dimension, the homogeneity
 certificate, base changes, pinning a variable to a single parameter power,
-dehomogenization, and the lattice <-> parametrization conversion.
+and the lattice <-> parametrization conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -43,16 +42,16 @@ class ConstructionError(ValueError):
 class Parametrization:
     """Named variables and parameters with the exponent matrix binding them.
 
-    Column i of ``matrix`` is the image exponent vector of variable i.
-    Zero columns mean a variable maps to 1; they are rejected unless
-    ``allow_degenerate`` is set, since most constructions assume every
-    variable genuinely appears.
+    Column i of ``matrix`` is the image exponent vector of variable i.  A
+    zero column is allowed and means the variable maps to 1, which puts
+    ``x - 1`` in the ideal; such an ideal is never homogeneous, so
+    :func:`homogeneity_certificate` and the sums that need a grading
+    refuse it.
     """
 
     params: VariableSet
     vars: VariableSet
     matrix: IntegerMatrix
-    allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
         if self.matrix.rows != len(self.params):
@@ -63,15 +62,6 @@ class Parametrization:
             raise ValueError(
                 f"matrix has {self.matrix.cols} columns but there are {len(self.vars)} variables"
             )
-        if not self.allow_degenerate:
-            # zip(*rows) yields no columns for a matrix without rows, whose columns are all zero.
-            columns = zip(*self.matrix.entries) if self.matrix.rows else repeat(())
-            for name, column in zip(self.vars, columns):
-                if not any(column):
-                    raise ConstructionError(
-                        f"variable {name!r} maps to 1 (zero column); "
-                        "pass allow_degenerate=True to admit it"
-                    )
 
     def column(self, j: int) -> tuple[int, ...]:
         return self.matrix.column(j)
@@ -79,7 +69,7 @@ class Parametrization:
 
 @dataclass(frozen=True)
 class HomogeneityCertificate:
-    """Rational grading vector with every nonzero column pairing to 1."""
+    """Rational grading vector with every column pairing to 1."""
 
     omega: tuple[Fraction, ...]
 
@@ -89,10 +79,8 @@ class HomogeneityCertificate:
         # alpha . omega == 1 iff alpha . (L * omega) == L, L the common denominator.
         denom = lcm(*(w.denominator for w in self.omega))
         weights = [w.numerator * (denom // w.denominator) for w in self.omega]
-        for col in zip(*p.matrix.entries):
-            if any(col) and sum(w * x for w, x in zip(weights, col)) != denom:
-                return False
-        return True
+        columns = zip(*p.matrix.entries) if p.matrix.rows else [()] * p.matrix.cols
+        return all(sum(w * x for w, x in zip(weights, col)) == denom for col in columns)
 
 
 @dataclass(frozen=True)
@@ -126,14 +114,14 @@ def dimension(p: Parametrization) -> int:
 
 
 def homogeneity_certificate(p: Parametrization) -> Optional[HomogeneityCertificate]:
-    """Grading vector omega with ``alpha_i . omega == 1`` on nonzero columns.
+    """Grading vector omega with ``alpha_i . omega == 1`` on every column.
 
     Such a vector exists iff the kernel ideal is homogeneous for the
-    standard grading; None means it is not.
+    standard grading; None means it is not.  A zero column pairs to 0 with
+    every omega, so it gives None: its variable maps to 1 and ``x - 1`` is
+    in the ideal.
     """
-    mask = [j for j in range(len(p.vars)) if any(p.column(j))]
-    ones = [1] * len(p.vars)
-    omega = solve_row_rational(p.matrix, ones, mask)
+    omega = solve_row_rational(p.matrix, [1] * len(p.vars))
     if omega is None:
         return None
     return HomogeneityCertificate(omega)
@@ -154,7 +142,7 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     if determinant(q_int) == 0:
         raise ConstructionError("base change matrix is singular")
     cleared, _ = clear_denominators(q @ p.matrix)
-    return Parametrization(p.params, p.vars, cleared, p.allow_degenerate)
+    return Parametrization(p.params, p.vars, cleared)
 
 
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
@@ -191,37 +179,8 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
             raise RuntimeError(f"pin of {name!r}: pivot column {k} is not q * e_{k}")
     fresh = VariableSet(tuple(f"t{k + 1}" for k in range(len(reduced))))
     matrix = IntegerMatrix(len(reduced), len(p.vars), reduced)
-    result = Parametrization(fresh, p.vars, matrix, p.allow_degenerate)
+    result = Parametrization(fresh, p.vars, matrix)
     return PinResult(result, pinned_param_index=0, exponent=q)
-
-
-def dehomogenize_parametrization(p: Parametrization, x: str, s: str) -> Parametrization:
-    """Remove a variable pinned to the last parameter, and that parameter.
-
-    Requires the column of ``x`` to be supported exactly on the row of
-    ``s``, which must be the last parameter; the remaining block is the
-    dehomogenized parametrization (every other variable simply loses its
-    ``s`` exponent).
-    """
-    xi = p.vars.index(x)
-    si = p.params.index(s)
-    if si != len(p.params) - 1:
-        raise ConstructionError(f"parameter {s!r} must be the last parameter row")
-    col = p.column(xi)
-    if col[si] == 0:
-        raise ConstructionError(f"variable {x!r} has zero exponent on {s!r}")
-    if any(col[k] for k in range(len(col)) if k != si):
-        raise ConstructionError(f"the column of {x!r} has support outside {s!r}")
-
-    keep_rows = [k for k in range(p.matrix.rows) if k != si]
-    keep_cols = [j for j in range(p.matrix.cols) if j != xi]
-    new_matrix = p.matrix.take(keep_rows, keep_cols)
-    new_vars = VariableSet(tuple(n for n in p.vars if n != x))
-    new_params = VariableSet(tuple(n for n in p.params if n != s))
-    degenerate = p.allow_degenerate or any(
-        not any(new_matrix.column(j)) for j in range(new_matrix.cols)
-    )
-    return Parametrization(new_params, new_vars, new_matrix, degenerate)
 
 
 def parametrization_from_lattice(
@@ -232,14 +191,14 @@ def parametrization_from_lattice(
 
     The matrix is :func:`~toricsum.exact_linalg.annihilator` of the
     lattice, the same matrix :func:`saturate_lattice` takes the kernel of,
-    so ``A @ B == 0`` and ``rank(A) == n - rank(B)``.  When the
-    annihilator is trivial the matrix has no rows and every variable maps
-    to 1; the result is then flagged degenerate.
+    so ``A @ B == 0`` and ``rank(A) == n - rank(B)``.  A variable whose
+    unit vector lies in the saturation gets a zero column and maps to 1;
+    when the saturation is all of Z^n the matrix has no rows and every
+    variable does.
     """
     n = basis.ambient_dim
     a = annihilator(basis)
     if var_names is None:
         var_names = tuple(f"x{k + 1}" for k in range(n))
     params = VariableSet(tuple(f"t{k + 1}" for k in range(a.rows)))
-    degenerate = any(not any(a.column(j)) for j in range(n))
-    return Parametrization(params, VariableSet(tuple(var_names)), a, degenerate)
+    return Parametrization(params, VariableSet(tuple(var_names)), a)

@@ -190,7 +190,6 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
         VariableSet(tuple(param_names)),
         VariableSet(tuple(var_names)),
         IntegerMatrix(len(rows), total_cols, tuple(rows)),
-        any(p.allow_degenerate for p in ps),
     )
 
 
@@ -232,13 +231,12 @@ class _Lifted(SumConstruction):
 def _solve_block(a: IntegerMatrix, refusal: str) -> _Block:
     """Row basis and grading vector of ``a`` in one elimination.
 
-    One reduction of ``[A^T | 1]`` over the nonzero columns gives both: its
-    pivots are the greedy row basis, and its solution, zero off the pivots,
-    is the grading vector of the kept rows.  Raises ConstructionError with
-    ``refusal`` when there is none.
+    One reduction of ``[A^T | 1]`` gives both: its pivots are the greedy
+    row basis, and its solution, zero off the pivots, is the grading vector
+    of the kept rows.  Raises ConstructionError with ``refusal`` when there
+    is none, as for any matrix with a zero column.
     """
-    mask = [j for j, col in enumerate(zip(*a.entries)) if any(col)]
-    keep, omega = _solve_transposed(a, [1] * len(mask), mask)
+    keep, omega = _solve_transposed(a, [1] * a.cols)
     if omega is None:
         raise ConstructionError(refusal)
     matrix = a if len(keep) == a.rows else a.take(keep, range(a.cols))
@@ -266,7 +264,6 @@ def _lift(
             VariableSet(tuple(p.params.names[r] for r in block.keep)),
             p.vars,
             block.matrix,
-            p.allow_degenerate,
         )
     return _Lifted(p, 1, block.certificate, None, block)
 
@@ -420,7 +417,6 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
         VariableSet(tuple(params) + ("s",)),
         VariableSet(tuple(var_names) + (shared,)),
         IntegerMatrix(len(rows), len(var_names) + 1, tuple(rows)),
-        c1.result.allow_degenerate or c2.result.allow_degenerate,
     )
     certificate = HomogeneityCertificate(tuple(omega) + (Fraction(1, gamma),))
     pinned_graded = all(w[j] * entries[j][idx] == 1 for _, entries, w, idx, j in sides)

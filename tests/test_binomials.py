@@ -1,4 +1,4 @@
-"""Binomial canonicalization, degrees, balancing, and the text grammar."""
+"""Binomial canonicalization, degrees, and the text grammar."""
 
 import random
 
@@ -7,9 +7,7 @@ import pytest
 from toricsum import (
     Binomial,
     VariableSet,
-    dehomogenize_binomial,
     format_binomial,
-    homogenize_binomial,
     parse_binomial,
     relabel_binomial,
     split_disjoint,
@@ -54,54 +52,6 @@ def test_from_pair_cancels_common_factors():
     b = Binomial.from_pair((0, 2), (0, 3))
     assert b.u_plus == (0, 1)
     assert b.u_minus == (0, 0)
-
-
-class TestHomogenize:
-    def test_unbalanced(self):
-        b = Binomial((1, 1, 0), (0, 0, 1))  # z1*z2 - z3
-        h = homogenize_binomial(b)
-        assert h.u_plus == (1, 1, 0, 0)
-        assert h.u_minus == (0, 0, 1, 1)
-        assert h.is_balanced
-
-    def test_already_balanced(self):
-        b = Binomial((1, 0), (0, 1))
-        h = homogenize_binomial(b)
-        assert h.u_plus == (1, 0, 0)
-        assert h.u_minus == (0, 1, 0)
-
-    def test_deeper_minus_side(self):
-        b = Binomial((1, 0, 0), (0, 2, 1))  # z1 - z2^2*z3
-        h = homogenize_binomial(b)
-        assert h.u_plus == (1, 0, 0, 2)
-        assert h.u_minus == (0, 2, 1, 0)
-
-    def test_always_balanced(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            b = split_disjoint(tuple(rng.randint(-3, 3) for _ in range(4)))
-            assert homogenize_binomial(b).is_balanced
-
-
-class TestDehomogenize:
-    def test_drop_balancing_variable(self):
-        h = Binomial((1, 1, 0, 0), (0, 0, 1, 1))  # z1*z2 - z3*x
-        assert dehomogenize_binomial(h, 3) == Binomial((1, 1, 0), (0, 0, 1))
-
-    def test_collapse_to_zero(self):
-        b = Binomial.from_pair((0, 2), (0, 3))  # x^2 - x^3 canonicalized
-        assert dehomogenize_binomial(b, 1).is_zero
-
-    def test_drop_from_plus_side(self):
-        b = Binomial((1, 0, 1), (0, 1, 0))  # z1*x - z2, x last
-        assert dehomogenize_binomial(b, 2) == Binomial((1, 0), (0, 1))
-
-    def test_round_trip(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            b = split_disjoint(tuple(rng.randint(-3, 3) for _ in range(4)))
-            h = homogenize_binomial(b)
-            assert dehomogenize_binomial(h, 4) == b
 
 
 class TestTextFormat:

@@ -253,21 +253,28 @@ class TestSolveRowRational:
 
     def test_inconsistent(self):
         assert solve_row_rational(IntegerMatrix.from_rows([[1, 2]]), [1, 1]) is None
+        # a zero column constrains the solve like any other
+        assert solve_row_rational(IntegerMatrix.from_rows([[1, 0]]), [1, 1]) is None
 
     def test_identity(self):
         assert solve_row_rational(IntegerMatrix.identity(2), [1, 1]) == (1, 1)
 
     def test_random_solution_matches_mask(self):
+        # every column constrains the solve, so a column subset is solved as
+        # the submatrix of those columns
         rng = random.Random(505)
+        verdicts = set()
         for _ in range(50):
             a = random_matrix(rng)
             mask = [c for c in range(a.cols) if rng.random() < 0.7]
-            rhs = [rng.randint(-2, 2) for _ in range(a.cols)]
-            omega = solve_row_rational(a, rhs, mask)
+            rhs = [rng.randint(-2, 2) for _ in mask]
+            omega = solve_row_rational(a.take(range(a.rows), mask), rhs)
+            verdicts.add(omega is None)
             if omega is None:
                 continue
-            for c in mask:
-                assert sum(w * x for w, x in zip(omega, a.column(c))) == rhs[c]
+            for c, v in zip(mask, rhs):
+                assert sum(w * x for w, x in zip(omega, a.column(c))) == v
+        assert verdicts == {True, False}
 
     def test_integer_and_fraction_rhs_agree(self):
         # an integer right-hand side and its Fraction copy give one solution;
@@ -275,11 +282,10 @@ class TestSolveRowRational:
         rng = random.Random(506)
         for _ in range(50):
             a = random_matrix(rng)
-            mask = [c for c in range(a.cols) if rng.random() < 0.7]
             rhs = [rng.randint(-2, 2) for _ in range(a.cols)]
-            omega = solve_row_rational(a, rhs, mask)
-            assert solve_row_rational(a, [Fraction(x) for x in rhs], mask) == omega
-            halved = solve_row_rational(a, [Fraction(x, 2) for x in rhs], mask)
+            omega = solve_row_rational(a, rhs)
+            assert solve_row_rational(a, [Fraction(x) for x in rhs]) == omega
+            halved = solve_row_rational(a, [Fraction(x, 2) for x in rhs])
             assert halved == (None if omega is None else tuple(w / 2 for w in omega))
 
 

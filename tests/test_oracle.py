@@ -112,8 +112,7 @@ class TestEnumerate:
     ])
     def test_unbalanced_fibers(self, rows, names, degree, expected):
         params = VariableSet(tuple(f"t{i}" for i in range(len(rows))))
-        p = Parametrization(params, VariableSet(names), IntegerMatrix.from_rows(rows),
-                            allow_degenerate=True)
+        p = Parametrization(params, VariableSet(names), IntegerMatrix.from_rows(rows))
         found = enumerate_kernel_binomials(p, DegreeBound(degree))
         assert [format_binomial(b, p.vars) for b in found] == [expected]
 
@@ -282,12 +281,10 @@ class TestIncrementalEnumeration:
         ps += [random_parametrization(rng, max_params=3, max_vars=5) for _ in range(8)]
         ps += [
             # no parameters: every monomial of a degree shares one image
-            Parametrization(VariableSet(()), VariableSet.of("a", "b", "c"),
-                            IntegerMatrix.zero(0, 3), allow_degenerate=True),
+            Parametrization(VariableSet(()), VariableSet.of("a", "b", "c"), IntegerMatrix.zero(0, 3)),
             # a zero column, so b times anything has the image of anything
             Parametrization(VariableSet.of("t", "s"), VariableSet.of("a", "b", "c"),
-                            IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 1]]),
-                            allow_degenerate=True),
+                            IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 1]])),
             Parametrization(VariableSet.of("t"), VariableSet(()), IntegerMatrix.zero(1, 0)),
         ]
         for p in ps:

@@ -22,14 +22,11 @@ from toricsum import (
     RationalMatrix,
     VariableSet,
     contains_binomial,
-    dehomogenize_parametrization,
     dimension,
     enumerate_kernel_binomials,
     evaluate,
     extend_to_basis,
     homogeneity_certificate,
-    homogenize_binomial,
-    dehomogenize_binomial,
     independent_rows,
     kernel_lattice,
     normalize_pin,
@@ -41,12 +38,11 @@ from toricsum import (
 )
 
 
-def make(rows, var_names, param_names, **kw):
+def make(rows, var_names, param_names):
     return Parametrization(
         VariableSet(tuple(param_names)),
         VariableSet(tuple(var_names)),
         IntegerMatrix.from_rows(rows),
-        **kw,
     )
 
 
@@ -88,21 +84,6 @@ def test_dimension_and_maximal_rank():
     assert dimension(p) == 3
 
 
-def test_zero_column_rejected_without_flag():
-    with pytest.raises(ConstructionError, match="maps to 1"):
-        make([[1, 0]], ["a", "b"], ["t"])
-    make([[1, 0]], ["a", "b"], ["t"], allow_degenerate=True)
-    # the first zero column is named
-    with pytest.raises(ConstructionError, match="'b' maps to 1"):
-        make([[1, 0, 2, 0], [0, 0, 1, 0]], ["a", "b", "c", "d"], ["t", "s"])
-    # without rows every variable maps to 1
-    no_rows = (VariableSet(()), VariableSet.of("a", "b"), IntegerMatrix(0, 2, ()))
-    with pytest.raises(ConstructionError, match="'a' maps to 1"):
-        Parametrization(*no_rows)
-    Parametrization(*no_rows, allow_degenerate=True)
-    Parametrization(VariableSet(()), VariableSet(()), IntegerMatrix(0, 0, ()))
-
-
 class TestHomogeneityCertificate:
     def test_twisted_cubic(self):
         cert = homogeneity_certificate(TWISTED_CUBIC)
@@ -117,6 +98,17 @@ class TestHomogeneityCertificate:
         p = make([[1, 0], [0, 1]], ["a", "b"], ["t", "s"])
         cert = homogeneity_certificate(p)
         assert cert.omega == (1, 1)
+
+    def test_zero_column_gives_none(self):
+        # a variable mapping to 1 puts x - 1 in the ideal, which no grading balances
+        p = make([[1, 0]], ["a", "b"], ["t"])
+        assert homogeneity_certificate(p) is None
+        assert not HomogeneityCertificate((Fraction(1),)).certifies(p)
+        no_rows = Parametrization(VariableSet(()), VariableSet.of("a", "b"), IntegerMatrix(0, 2, ()))
+        assert homogeneity_certificate(no_rows) is None
+        assert not HomogeneityCertificate(()).certifies(no_rows)
+        empty = Parametrization(VariableSet(()), VariableSet(()), IntegerMatrix(0, 0, ()))
+        assert homogeneity_certificate(empty).certifies(empty)
 
     def test_certificate_balances_kernel(self):
         rng = random.Random(23)
@@ -134,7 +126,7 @@ class TestHomogeneityCertificate:
                 return False
             for j in range(len(p.vars)):
                 col = p.column(j)
-                if any(col) and sum(Fraction(w) * x for w, x in zip(omega, col)) != 1:
+                if sum(Fraction(w) * x for w, x in zip(omega, col)) != 1:
                     return False
             return True
 
@@ -147,7 +139,6 @@ class TestHomogeneityCertificate:
                 VariableSet(tuple(f"t{k}" for k in range(m))),
                 VariableSet(tuple(f"x{j}" for j in range(n))),
                 IntegerMatrix.from_rows(rows, cols=n),
-                allow_degenerate=True,
             )
             true_cert = homogeneity_certificate(p)
             candidates = [
@@ -221,7 +212,7 @@ class TestNormalizePin:
         assert pin.exponent == 1
 
     def test_zero_column_rejected(self):
-        p = make([[1, 0]], ["a", "b"], ["t"], allow_degenerate=True)
+        p = make([[1, 0]], ["a", "b"], ["t"])
         with pytest.raises(ConstructionError, match="pinned"):
             normalize_pin(p, 1)
 
@@ -275,68 +266,6 @@ class TestNormalizePin:
             assert gcd(*(x for row in new.matrix.entries for x in row)) == 1
 
 
-class TestDehomogenize:
-    def test_block_extraction(self):
-        p = make([[1, -1, 0], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
-        deh = dehomogenize_parametrization(p, "x", "s")
-        assert deh.matrix.entries == ((1, -1),)
-        assert deh.vars.names == ("z1", "z2")
-        assert deh.params.names == ("t",)
-
-    def test_single_variable_collapses(self):
-        p = make([[0], [2]], ["x"], ["t", "s"], allow_degenerate=True)
-        deh = dehomogenize_parametrization(p, "x", "s")
-        assert len(deh.vars) == 0
-        assert deh.matrix.cols == 0
-
-    def test_support_outside_last_row_rejected(self):
-        p = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
-        with pytest.raises(ConstructionError, match="support"):
-            dehomogenize_parametrization(p, "x", "s")
-
-    def test_zero_exponent_rejected(self):
-        p = make([[1, -1, 1], [1, 1, 0]], ["z1", "z2", "x"], ["t", "s"])
-        with pytest.raises(ConstructionError, match="zero exponent"):
-            dehomogenize_parametrization(p, "x", "s")
-
-
-def _random_pinned_homogeneous(rng, max_params=3, max_vars=4):
-    """Homogeneous parametrization with the last variable pinned on the last row.
-
-    The last row is chosen so that weight 1 on the first parameter and
-    1/gamma on the last certifies homogeneity.
-    """
-    m = rng.randint(1, max_params)
-    n = rng.randint(1, max_vars)
-    upper = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-    gamma = rng.choice([1, 1, 2, 3, -2])
-    alpha = [gamma * (1 - upper[0][j]) for j in range(n)]
-    rows = [row + [0] for row in upper] + [alpha + [gamma]]
-    vars_ = [f"z{k}" for k in range(n)] + ["x"]
-    params = [f"t{k}" for k in range(m)] + ["s"]
-    return make(rows, vars_, params, allow_degenerate=True)
-
-
-class TestDehomogenizedKernel:
-    def test_homogenized_kernel_binomials_land_in_original(self):
-        rng = random.Random(37)
-        for _ in range(30):
-            p = _random_pinned_homogeneous(rng)
-            assert homogeneity_certificate(p) is not None
-            deh = dehomogenize_parametrization(p, "x", "s")
-            for b in enumerate_kernel_binomials(deh, DegreeBound(3)):
-                assert contains_binomial(p, homogenize_binomial(b))
-
-    def test_dehomogenized_kernel_binomials_land_in_quotient(self):
-        rng = random.Random(41)
-        for _ in range(30):
-            p = _random_pinned_homogeneous(rng)
-            deh = dehomogenize_parametrization(p, "x", "s")
-            x_index = len(p.vars) - 1
-            for b in enumerate_kernel_binomials(p, DegreeBound(3)):
-                assert contains_binomial(deh, dehomogenize_binomial(b, x_index))
-
-
 class TestFromLattice:
     def test_annihilates_and_has_complementary_rank(self):
         basis = LatticeBasis.spanning([(1, -2, 1)], 3)
@@ -350,10 +279,17 @@ class TestFromLattice:
         assert p.matrix == IntegerMatrix.identity(3)
 
     def test_full_lattice_gives_degenerate(self):
+        # every variable of the full lattice, and e_1 of a lattice holding it,
+        # maps to 1: its column is zero and the kernel still round-trips
         basis = LatticeBasis.spanning([(1, 0), (0, 1)], 2)
         p = parametrization_from_lattice(basis)
         assert rank(p.matrix) == 0
-        assert p.allow_degenerate
+        assert [p.column(j) for j in range(2)] == [(), ()]
+        assert kernel_lattice(p.matrix) == basis
+        basis = LatticeBasis.spanning([(1, 0, 0), (0, 1, -1)], 3)
+        p = parametrization_from_lattice(basis)
+        assert not any(p.column(0)) and all(any(p.column(j)) for j in (1, 2))
+        assert kernel_lattice(p.matrix) == basis
 
     def test_round_trip_with_kernel(self):
         rng = random.Random(43)

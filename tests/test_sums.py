@@ -630,12 +630,11 @@ class TestRepeatedBlocks:
                 VariableSet(tuple(f"t{r}" for r in range(m))),
                 VariableSet(tuple(f"x{j}" for j in range(n))),
                 IntegerMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]),
-                True,
             )
             keep = independent_rows(p.matrix)
             cut = p.matrix.take(keep, range(n))
             cert = homogeneity_certificate(
-                Parametrization(VariableSet(tuple(f"t{r}" for r in keep)), p.vars, cut, True)
+                Parametrization(VariableSet(tuple(f"t{r}" for r in keep)), p.vars, cut)
             )
             kinds.add((len(keep) < m, not all(any(col) for col in zip(*p.matrix.entries)),
                        cert is None))
@@ -935,9 +934,7 @@ def _cubic(a, d, prefix):
 
 
 NON_HOMOGENEOUS_X = make([[1, 2, 1]], ["u1", "u2", "x"], ["t"])
-ZERO_X = Parametrization(
-    VariableSet.of("t"), VariableSet.of("v1", "v2", "x"), IntegerMatrix.from_rows([[1, 2, 0]]), True
-)
+ZERO_X = make([[1, 2, 0]], ["v1", "v2", "x"], ["t"])
 
 
 class TestPlainInputs:
@@ -1004,15 +1001,27 @@ class TestPlainInputs:
 
     def test_zero_row_blocks_of_different_widths_stay_apart(self):
         # a matrix without rows has no entries at any width, so facts looked
-        # up by entries alone would hand the narrower block the wider one's
-        # usage columns
+        # up by entries alone could hand one block the other's; having zero
+        # columns and so no grading vector, the first is refused at its lift,
+        # before any facts are stored or any merge runs
         blocks = [
-            Parametrization(VariableSet(()), VariableSet(names), IntegerMatrix(0, len(names), ()), True)
+            Parametrization(VariableSet(()), VariableSet(names), IntegerMatrix(0, len(names), ()))
             for names in (("b", "c", "x"), ("a", "x"))
         ]
         assert blocks[0].matrix.entries == blocks[1].matrix.entries
-        with pytest.raises(ConstructionError, match="'x' maps to 1"):
+        with pytest.raises(ConstructionError, match="'I1' is not homogeneous"):
             sum_family(blocks)
+
+    def test_zero_column_is_refused_in_a_merge_and_joined_when_isolated(self):
+        # z maps to 1, so z - 1 is in the ideal and no grading vector exists
+        conic = quadric("a", "b", "c")
+        with pytest.raises(ConstructionError, match="'I2' is not homogeneous"):
+            sum_family([conic, make([[1, 0]], ["c", "z"], ["t"])])
+        # an isolated ideal need not be homogeneous and is joined as it is
+        total, report = sum_family([conic, make([[1, 0]], ["y", "z"], ["t"])])
+        assert total.vars.names == ("a", "b", "c", "y", "z")
+        assert total.matrix.entries == ((1, -1, 0, 0, 0), (1, 1, 1, 0, 0), (0, 0, 0, 1, 0))
+        assert report.rank_dimension == 3
 
     @pytest.mark.parametrize(
         "p1, p2, message",
@@ -1024,8 +1033,12 @@ class TestPlainInputs:
             (quadric("w1", "w2", "x"), ZERO_X, "maps to 1"),
             (ZERO_X, NON_HOMOGENEOUS_X, "maps to 1"),
             (NON_HOMOGENEOUS_X, ZERO_X, "first input is not homogeneous"),
+            # a zero column off the shared variable is a homogeneity failure
+            (quadric("w1", "w2", "x"), make([[1, 0]], ["x", "z"], ["t"]),
+             "second input is not homogeneous"),
         ],
-        ids=["shared-set", "zero-first", "zero-second", "zero-then-other", "first-side-first"],
+        ids=["shared-set", "zero-first", "zero-second", "zero-then-other", "first-side-first",
+             "zero-unshared"],
     )
     def test_shared_variable_errors_come_before_homogeneity(self, p1, p2, message):
         with pytest.raises(ConstructionError, match=message):
