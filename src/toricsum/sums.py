@@ -29,17 +29,20 @@ stays a few rows however large the accumulated side grows (never more
 than two on paths, stars and caterpillars of two-row blocks).
 
 Each merge carries its facts forward instead of recomputing them on the
-assembled matrix.  The pinned sides have maximal rank, so the assembled
-matrix does too and its rank, the reported dimension, is its row count,
-which is the paper's dim(I1) + dim(I2) - 1; its grading vector is stitched
-from the two sides' and checked against the whole assembled matrix on
-every merge; and the variables that occur in low-degree kernel binomials
+assembled matrix, and trusts them: they hold by construction (the proof
+is in :func:`_pinned` and :func:`sum_shared`), so nothing is checked
+again.  The pinned sides have maximal rank, so the assembled matrix does
+too and its rank, the reported dimension, is its row count, which is the
+paper's dim(I1) + dim(I2) - 1; its grading vector is stitched from the
+two sides'; and the variables that occur in low-degree kernel binomials
 of each input ideal are found at its first merge and carried along for
-the shared-variable usage check.  A family is often many copies of one
-block on different variables, so :func:`sum_family` solves and searches
-each distinct input matrix once and only relabels the facts for its
-copies.  A family report stores the input dimensions and the rank and
-derives the paper's two closed forms from them.
+the shared-variable usage check.  Only constructions built here carry
+facts: any other summand is lifted from its matrix, whatever it claims.
+A family is often many copies of one block on different variables, so
+:func:`sum_family` solves and searches each distinct input matrix once
+and only relabels the facts for its copies.  A family report stores the
+input dimensions and the rank and derives the paper's two closed forms
+from them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .binomials import VariableSet
-from .exact_linalg import IntegerMatrix, _solve_transposed, row_reduce
+from .exact_linalg import IntegerMatrix, _solve_transposed
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
@@ -66,26 +69,22 @@ _USAGE_DEGREE = 2
 
 @dataclass(frozen=True)
 class SumConstruction:
-    """Assembled sum with its grading; the shape a merge reads.
+    """Assembled sum with its grading, as :func:`sum_shared` returns it.
 
-    ``result`` has maximal rank by construction, so its rank is its row
-    count, m1 + m2 + 1, which equals dim(I1) + dim(I2) - 1.
-    ``certificate`` is a grading vector of ``result``, stitched from the two
-    sides and checked.
+    ``result`` has maximal rank, so its rank is its row count, m1 + m2 + 1,
+    which equals dim(I1) + dim(I2) - 1.  ``certificate`` is a grading
+    vector of ``result``, stitched from the two sides.  Both hold by
+    construction and are not checked.
 
-    ``used_variables`` holds the variables that occur in some kernel
-    binomial of degree at most 2 of one of the input ideals (each searched
-    on its own), or None while no input has been searched.  A construction
-    can be passed back to :func:`sum_shared` in place of a parametrization,
-    which then reuses these facts.  Inside a merge a plain input becomes a
-    single summand: its independent rows as ``result``, gamma 1, its solved
-    grading vector, usage not yet searched.
+    A construction can be passed back to :func:`sum_shared` in place of a
+    parametrization.  One that :func:`sum_shared` returned has its facts
+    reused; any other stands for its ``result`` alone and is lifted like a
+    plain input, whatever facts it claims.
     """
 
     result: Parametrization
     gamma: int
     certificate: HomogeneityCertificate
-    used_variables: Optional[frozenset[str]] = None
 
 
 Summand = Union[Parametrization, SumConstruction]
@@ -218,13 +217,17 @@ class _Block:
 
 
 @dataclass(frozen=True)
-class _Lifted(SumConstruction):
-    """A plain input lifted to a single summand, pointing at its matrix's facts.
+class _Carried(SumConstruction):
+    """A construction whose facts hold by construction: a lifted input or a merge.
 
-    Its usage set is left to its first merge, which fills ``block.used``
+    ``used_variables`` holds the variables that occur in some kernel
+    binomial of degree at most 2 of one of the input ideals (each searched
+    on its own).  A lifted input points at its matrix's facts instead and
+    leaves its usage set to its first merge, which fills ``block.used``
     once for every input sharing the block (see :func:`_used_variables`).
     """
 
+    used_variables: frozenset[str] = frozenset()
     block: Optional[_Block] = None
 
 
@@ -245,7 +248,7 @@ def _solve_block(a: IntegerMatrix, refusal: str) -> _Block:
 
 def _lift(
     p: Parametrization, refusal: str, known: Optional[dict[IntegerMatrix, _Block]] = None
-) -> _Lifted:
+) -> _Carried:
     """A plain input as a single summand of maximal rank: gamma = lcm() = 1.
 
     Keeps the greedy row basis of the matrix with those rows' parameter
@@ -265,7 +268,7 @@ def _lift(
             p.vars,
             block.matrix,
         )
-    return _Lifted(p, 1, block.certificate, None, block)
+    return _Carried(p, 1, block.certificate, block=block)
 
 
 def _pinned(
@@ -277,12 +280,16 @@ def _pinned(
     where it is nonzero) and ``c = A[j][idx]``.  One elimination step
     clears the column below it: every other row ``s`` in S becomes
     ``(c * row_s - c_s * row_j) / g_s``, ``c_s = A[s][idx]`` and ``g_s`` the
-    gcd of the new row, which keeps the row space and so the kernel.  Row
-    ``j`` and the rows outside S stay as they are.  The grading vector is
-    carried exactly: ``omega_j`` gains ``omega_s * c_s / c`` and ``omega_s``
-    becomes ``omega_s * g_s / c``, so it pairs with every column as before.
-    Raises RuntimeError when the new rows are dependent, which disproves
-    the side's claim of maximal rank.
+    gcd of the new row.  Row ``j`` and the rows outside S stay as they are.
+    The step recombines the rows of S triangularly with diagonal entries 1
+    and ``c / g_s``, all nonzero since ``c`` is, so it is invertible on
+    their span: the row space, and so the kernel, is kept, and rows of
+    maximal rank stay independent.  The grading vector is carried
+    exactly: ``omega_j`` gains ``omega_s * c_s / c`` and ``omega_s``
+    becomes ``omega_s * g_s / c``, so it pairs with every column as before;
+    on the shared column, now ``c`` on row ``j`` alone, that gives
+    ``omega_j * c = 1``.  The side's maximal rank and grading vector are
+    trusted, as they hold for every construction :func:`sum_shared` builds.
     """
     p = side.result
     idx = p.vars.index(shared)
@@ -293,42 +300,37 @@ def _pinned(
     for s in others:
         cs = rows[s][idx]
         row = [c * a - cs * b for a, b in zip(rows[s], pinned)]
-        g = gcd(*row) or 1  # a zero row is left to the rank check below
+        g = gcd(*row)  # nonzero: rows s and j are independent
         rows[s] = tuple(x // g for x in row)
         w = omega[s]
         omega[j] += Fraction(w.numerator * cs, w.denominator * c)
         omega[s] = Fraction(w.numerator * g, w.denominator * c)
-    if others and len(row_reduce([list(rows[s]) for s in others], len(pinned))[0]) < len(others):
-        raise RuntimeError(f"carried rank of a side pinned at {shared!r} is not maximal")
     return rows, omega, idx, j
 
 
-def _used_variables(side: SumConstruction) -> frozenset[str]:
+def _used_variables(side: _Carried) -> frozenset[str]:
     """Variables occurring in a kernel binomial of degree <= ``_USAGE_DEGREE``.
 
-    A construction answers from its carried set.  A lifted input has its
-    result searched once per block, the copies reading the columns found;
-    its kept rows have the input's kernel, so the search finds the input
-    ideal's binomials.  A construction built by a caller without the set
-    has its result searched.
+    A merge answers from its carried set.  A lifted input has its result
+    searched once per block, the copies reading the columns found; its kept
+    rows have the input's kernel, so the search finds the input ideal's
+    binomials.
     """
-    if side.used_variables is not None:
-        return side.used_variables
-    block = side.block if isinstance(side, _Lifted) else None
+    block = side.block
     if block is None:
-        used = _used_columns(side.result)
-    else:
-        if block.used is None:
-            block.used = _used_columns(side.result)
-        used = block.used
-    return frozenset(side.result.vars.names[j] for j in used)
+        return side.used_variables
+    if block.used is None:
+        block.used = _used_columns(side.result)
+    return frozenset(side.result.vars.names[j] for j in block.used)
 
 
-def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumConstruction]:
-    """Check the shared variable, then lift each plain input (see :func:`_lift`).
+def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[_Carried, _Carried]:
+    """Check the shared variable, then lift each side not built here (see :func:`_lift`).
 
-    The checks keep their order: the shared-variable set first, then per
-    side its shared column and, for a plain input, its homogeneity.
+    A construction that :func:`sum_shared` did not build is lifted from its
+    ``result``, ignoring the facts it claims.  The checks keep their order:
+    the shared-variable set first, then per side its shared column and, for
+    a lifted side, its homogeneity.
     """
     results = [p.result if isinstance(p, SumConstruction) else p for p in (p1, p2)]
     shared_set = set(results[0].vars.names) & set(results[1].vars.names)
@@ -340,7 +342,7 @@ def _enter(p1: Summand, p2: Summand, shared: str) -> tuple[SumConstruction, SumC
     for side, p, which in zip((p1, p2), results, ("first", "second")):
         if not any(p.column(p.vars.index(shared))):
             raise ConstructionError(f"shared variable {shared!r} maps to 1 and cannot be pinned")
-        if side is p:
+        if not isinstance(side, _Carried):
             side = _lift(p, f"{which} input is not homogeneous (no grading vector)")
         sides.append(side)
     return sides[0], sides[1]
@@ -358,18 +360,25 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     shared column and padded with zeros around its block, and last the row
     sum_i (gamma / g_i) * (pinned row i without the shared column), ending
     in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.  The
-    result carries a homogeneity certificate stitched from the two sides;
-    it is checked against the assembled matrix on every call, with each
-    side's pinned row checked to be graded 1 / g_i, and a failure raises
-    RuntimeError.
+    result carries a homogeneity certificate stitched from the two sides.
 
-    Every input is handled as a :class:`SumConstruction`.  An earlier
-    construction stands for its ``result`` and its certificate and usage
-    facts are reused; a plain parametrization is lifted into a
-    single-summand construction on entry, which cuts it to its independent
-    rows and solves its grading vector once.  Folding this function over a
-    tree that passes each construction on thus pays for each input ideal's
-    facts once.
+    Rank and certificate hold by construction and are not checked.  The
+    pinned sides have maximal rank.  Their other rows sit on disjoint
+    column blocks, and only the last row has a nonzero shared entry, so
+    the glued rows are independent: the rank is the row count.  The
+    stitched certificate keeps each side's other entries and gives the
+    last row 1 / gamma.  A side's pinned row is scaled by gamma / g_i, and
+    its carried entry is exactly omega_j = 1 / g_i, read from its own
+    shared column.  So every result column pairs with the certificate as
+    it did in its side, to 1, and the shared column does too.
+
+    Every input is handled as a :class:`SumConstruction`.  One returned by
+    this function stands for its ``result`` with its certificate and usage
+    facts reused; any other input, a parametrization or a construction
+    built by hand, is lifted into a single-summand construction on entry,
+    which cuts it to its independent rows and solves its grading vector
+    once.  Folding this function over a tree that passes each construction
+    on thus pays for each input ideal's facts once.
 
     Each side is also searched for a kernel binomial of degree at most 2
     that involves the shared variable; a miss is a warning, not an error.
@@ -419,16 +428,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
         IntegerMatrix(len(rows), len(var_names) + 1, tuple(rows)),
     )
     certificate = HomogeneityCertificate(tuple(omega) + (Fraction(1, gamma),))
-    pinned_graded = all(w[j] * entries[j][idx] == 1 for _, entries, w, idx, j in sides)
-    if not (pinned_graded and certificate.certifies(result)):
-        raise RuntimeError(f"stitched grading vector does not certify the sum over {shared!r}")
-
-    return SumConstruction(
-        result=result,
-        gamma=gamma,
-        certificate=certificate,
-        used_variables=used,
-    )
+    return _Carried(result, gamma, certificate, used)
 
 
 def build_family_graph(ideals: Sequence[tuple[str, VariableSet]]) -> IdealFamilyGraph:

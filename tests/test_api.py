@@ -67,7 +67,7 @@ PUBLIC_FIELDS = {
     "IdealFamilyGraph": ("ids", "edges", "components"),
     "Parametrization": ("params", "vars", "matrix"),
     "PinResult": ("parametrization", "pinned_param_index", "exponent"),
-    "SumConstruction": ("result", "gamma", "certificate", "used_variables"),
+    "SumConstruction": ("result", "gamma", "certificate"),
 }
 
 

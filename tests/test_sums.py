@@ -553,16 +553,6 @@ class TestCarriedFacts:
                         sum_shared(*args, "x")
         assert len(outcomes) == 4
 
-    def test_wrong_carried_certificate_raises(self):
-        fake = SumConstruction(
-            result=quadric("z1", "z2", "y"),
-            gamma=1,
-            certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
-        )
-        with pytest.raises(RuntimeError, match="stitched grading vector"):
-            sum_shared(fake, quadric("w1", "w2", "y"), "y")
-
-
 
 def _pooled_family(rng, k):
     """A tree family whose blocks repeat: each is drawn from a pool of three.
@@ -826,6 +816,8 @@ class TestSupportLocalPin:
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
     def test_integer_carried_certificate(self):
+        # integer grading entries are carried as fractions by the pin; a
+        # hand-built side holding them is lifted again by sum_shared
         rng = random.Random(79)
         for _ in range(10):
             side, support = _local_side(rng)
@@ -833,42 +825,13 @@ class TestSupportLocalPin:
             shared = p.vars.names[0]
             omega = tuple(int(w) for w in side.certificate.omega)
             ints = SumConstruction(p, 1, HomogeneityCertificate(omega))
+            rows, carried, idx, j = sums._pinned(ints, shared)
+            assert not any(isinstance(w, float) for w in carried)
+            assert HomogeneityCertificate(tuple(carried)).certifies(
+                make(rows, p.vars.names, p.params.names))
             c = sum_shared(ints, quadric("w1", "w2", shared), shared)
-            assert not any(isinstance(w, float) for w in c.certificate.omega)
+            assert c == sum_shared(p, quadric("w1", "w2", shared), shared)
             assert c.certificate.certifies(c.result)
-
-    @pytest.mark.filterwarnings("ignore:no kernel binomial")
-    @pytest.mark.parametrize("wrong", range(4))
-    def test_wrong_carried_entry_raises_on_local_path(self, wrong):
-        # the shared column x has support {0, 1} of three rows
-        p = make([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 1]],
-                 ["a", "b", "x", "c", "d"], ["t", "u", "v", "w"])
-        cert = homogeneity_certificate(p)
-        assert cert is not None and dimension(p) == 4
-        side = SumConstruction(p, 1, cert)
-        c = sum_shared(side, quadric("w1", "w2", "x"), "x")
-        assert c.certificate.certifies(c.result)
-        omega = list(cert.omega)
-        omega[wrong] += 1  # rows 0 and 1 lie in the support, 2 and 3 outside it
-        fake = SumConstruction(p, 1, HomogeneityCertificate(tuple(omega)))
-        with pytest.raises(RuntimeError, match="stitched grading vector"):
-            sum_shared(fake, quadric("w1", "w2", "x"), "x")
-
-    def test_false_maximal_rank_claim_raises(self):
-        # the support rows of x are dependent, so the construction's claim
-        # of maximal rank is false: on two rows the recombined row is zero;
-        # on three, v = t + u and the rows recombined against t are both
-        # (0, -1, 1, 0), nonzero but dependent
-        cases = [
-            ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], (1, 0, 1)),
-            ([[1, 1, 0, 0], [1, 0, 1, 0], [2, 1, 1, 0], [0, 0, 0, 1]],
-             ["x", "a", "b", "c"], (1, 0, 0, 1)),
-        ]
-        for rows, var_names, omega in cases:
-            p = make(rows, var_names, [f"t{r}" for r in range(len(rows))])
-            fake = SumConstruction(p, 1, HomogeneityCertificate(omega))
-            with pytest.raises(RuntimeError, match="not maximal"):
-                sum_shared(fake, quadric("w1", "w2", "x"), "x")
 
 
 def _glued(block, edges, k):
@@ -898,6 +861,18 @@ def _broom(k, cap):
     return edges
 
 
+def _tree_of(kind, k):
+    """A path, a broom of stars of degree <= 4, or a caterpillar on ``k`` vertices.
+
+    The caterpillar is a path of k // 2 with one leg on each of its vertices.
+    """
+    if kind == "path":
+        return [(v - 1, v) for v in range(1, k)]
+    if kind == "star":
+        return _broom(k, 4)
+    return [(v - 1, v) for v in range(1, k // 2)] + [(v - k // 2, v) for v in range(k // 2, k)]
+
+
 class TestPinSize:
     """Family sums recombine no more support rows than an input block has."""
 
@@ -908,17 +883,11 @@ class TestPinSize:
         rng = random.Random(73)
         if kind == "path":
             block = [[3, 2, 1, 0], [0, 1, 2, 3]]
-            edges = [(v - 1, v) for v in range(1, k)]
         else:
             block = [rng.sample(range(-3, 4), 4), [1] * 4]
-            if kind == "star":
-                edges = _broom(k, 4)
-            else:  # a path of k // 2 with one leg on each of its vertices
-                edges = [(v - 1, v) for v in range(1, k // 2)]
-                edges += [(v - k // 2, v) for v in range(k // 2, k)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result, report = sum_family(_glued(block, edges, k))
+            result, report = sum_family(_glued(block, _tree_of(kind, k), k))
         assert report.rank_dimension == k + 1
         assert len(supports) == 2 * (k - 1) and max(supports) <= len(block)
         largest = max(abs(x) for row in result.matrix.entries for x in row)
@@ -926,6 +895,129 @@ class TestPinSize:
             assert largest < 2**8
         if kind == "caterpillar":
             assert largest < 2**27
+
+
+class TestTrustBoundary:
+    """A construction that sum_shared did not build stands for its result alone."""
+
+    def test_rank_deficient_claim_is_cut_to_its_rank(self):
+        # rows 1 and 2 are equal, outside the support of x; the claimed
+        # certificate is right, so only the rank claim is false
+        p = make([[1, 1, 1], [0, 1, 0], [0, 1, 0]], ["a", "b", "x"], ["t", "u", "v"])
+        fake = SumConstruction(p, 1, HomogeneityCertificate((Fraction(1), Fraction(0), Fraction(0))))
+        assert fake.certificate.certifies(p) and dimension(p) == 2
+        c = sum_shared(fake, quadric("w1", "w2", "x"), "x")
+        assert len(c.result.params) == dimension(c.result) == 3
+        assert c == sum_shared(p, quadric("w1", "w2", "x"), "x")
+
+    def test_wrong_claimed_certificate_is_ignored(self):
+        fake = SumConstruction(
+            result=quadric("z1", "z2", "y"),
+            gamma=1,
+            certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
+        )
+        assert not fake.certificate.certifies(fake.result)
+        c = sum_shared(fake, quadric("w1", "w2", "y"), "y")
+        assert c.certificate.certifies(c.result)
+        assert c == sum_shared(fake.result, quadric("w1", "w2", "y"), "y")
+
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    @pytest.mark.parametrize("wrong", range(4))
+    def test_wrong_claimed_entry_is_ignored_on_local_path(self, wrong):
+        # the shared column x has support {0, 1} of three rows
+        p = make([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 1]],
+                 ["a", "b", "x", "c", "d"], ["t", "u", "v", "w"])
+        cert = homogeneity_certificate(p)
+        assert cert is not None and dimension(p) == 4
+        expected = sum_shared(p, quadric("w1", "w2", "x"), "x")
+        assert expected.certificate.certifies(expected.result)
+        omega = list(cert.omega)
+        omega[wrong] += 1  # rows 0 and 1 lie in the support, 2 and 3 outside it
+        fake = SumConstruction(p, 1, HomogeneityCertificate(tuple(omega)))
+        assert sum_shared(fake, quadric("w1", "w2", "x"), "x") == expected
+
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    def test_false_maximal_rank_claim_is_ignored(self):
+        # the support rows of x are dependent, so the construction's claim
+        # of maximal rank is false: on two rows the recombined row would be
+        # zero; on three, v = t + u and the rows recombined against t would
+        # both be (0, -1, 1, 1), nonzero but dependent.  Both claimed
+        # certificates are right.
+        half = Fraction(1, 2)
+        cases = [
+            ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], (1, 0, 1)),
+            ([[1, 1, 0, 0], [1, 0, 1, 1], [2, 1, 1, 1], [0, 1, 1, 1]],
+             ["x", "a", "b", "c"], (half, half, 0, half)),
+        ]
+        for rows, var_names, omega in cases:
+            p = make(rows, var_names, [f"t{r}" for r in range(len(rows))])
+            fake = SumConstruction(p, 1, HomogeneityCertificate(omega))
+            assert fake.certificate.certifies(p) and dimension(p) < len(rows)
+            c = sum_shared(fake, quadric("w1", "w2", "x"), "x")
+            assert c == sum_shared(p, quadric("w1", "w2", "x"), "x")
+            assert len(c.result.params) == dimension(c.result) == dimension(p) + 1
+
+    def test_non_homogeneous_result_is_refused(self):
+        # the claimed certificate grades the first column only
+        p = make([[1, 2, 1]], ["u1", "u2", "x"], ["t"])
+        fake = SumConstruction(p, 1, HomogeneityCertificate((Fraction(1),)))
+        with pytest.raises(ConstructionError, match="first input is not homogeneous"):
+            sum_shared(fake, quadric("w1", "w2", "x"), "x")
+
+
+def _checked_merges(monkeypatch):
+    """Wrap ``sums.sum_shared``; every merge's result is checked, as it once was at run time."""
+    merges = []
+    real = sums.sum_shared
+
+    def checked(p1, p2, shared):
+        c = real(p1, p2, shared)
+        assert c.certificate.certifies(c.result)
+        assert len(c.result.params) == dimension(c.result)
+        merges.append(shared)
+        return c
+
+    monkeypatch.setattr(sums, "sum_shared", checked)
+    return merges
+
+
+class TestMergeInvariants:
+    """The rank and grading that sum_shared no longer checks hold at every merge."""
+
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    @pytest.mark.parametrize("kind", ["path", "star", "caterpillar"])
+    def test_every_merge_is_certified_and_of_full_rank(self, kind, monkeypatch):
+        merges = _checked_merges(monkeypatch)
+        rng = random.Random(f"invariants:{kind}")
+        families = [_random_family(rng, kind, rng.randint(2, 8))[0] for _ in range(20)]
+        # repeated blocks with multi-row supports, on any tree of degree <= 3
+        families += [_pooled_family(rng, rng.randint(4, 8))[0] for _ in range(10)]
+        # copies of a cubic and of a block with negative entries, whose pins
+        # are often negative, glued along the tree kind at hand
+        for block in ([[3, 2, 1, 0], [0, 1, 2, 3]], [rng.sample(range(-3, 4), 4), [1] * 4]):
+            families.append(_glued(block, _tree_of(kind, 24), 24))
+        for ps in families:
+            merges.clear()
+            result, report = sum_family(ps)
+            assert len(merges) == len(ps) - 1
+            assert report.rank_dimension == dimension(result)
+
+    def test_family_sum_checks_no_certificate(self, monkeypatch):
+        calls = []
+        real = HomogeneityCertificate.certifies
+
+        def counted(self, p):
+            calls.append(p.matrix.rows)
+            return real(self, p)
+
+        monkeypatch.setattr(HomogeneityCertificate, "certifies", counted)
+        k = 32
+        ps = _glued([[3, 2, 1, 0], [0, 1, 2, 3]], _tree_of("path", k), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result, report = sum_family(ps)
+        assert calls == []
+        assert report.rank_dimension == k + 1
 
 
 def _cubic(a, d, prefix):
