@@ -6,7 +6,8 @@ Three independent routes into the same questions:
   to a degree bound, homogeneous or not: monomials of all degrees share
   one map of buckets by image, each bucket gives its star-pattern
   differences, and each monomial's image is its parent's image plus one
-  column, so no matrix product is taken per monomial;
+  column, packed into one int, so no matrix product and no tuple is
+  built per image;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -88,26 +89,36 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     Monomials of degree 0..d fill one map of buckets by image; each is
     grown from a parent of one degree less by a variable j no smaller than
     the parent's last one, and its image is the parent's plus column j.
-    A bucket's differences against its smallest member (star pattern)
-    span all its pairs and have canonical sign; each distinct one becomes
-    one binomial.  Output is sorted.
+    An image is keyed by one int: column j packs to sum_r a_rj * B^r with
+    B = 2 * d * max|a| + 1, and every coordinate of a degree <= d image is
+    a balanced digit of absolute value below B / 2, so distinct images
+    have distinct keys.  A bucket's differences against its smallest
+    member (star pattern) span all its pairs and have canonical sign; each
+    distinct one becomes one binomial.  Output is sorted.
     """
     n = len(p.vars)
-    columns = [p.matrix.column(j) for j in range(n)]
+    rows = p.matrix.entries
+    base = 2 * d.max_degree * max((abs(x) for row in rows for x in row), default=0) + 1
+    columns = [0] * n
+    for row in reversed(rows):
+        columns = [c * base + x for c, x in zip(columns, row)]
     constant: Monomial = (0,) * n
-    zero = (0,) * p.matrix.rows
-    # (monomial, image, last variable added); the degree-0 monomial may
+    # (monomial, image key, last variable added); the degree-0 monomial may
     # be extended by any variable.
-    layer: list[tuple[Monomial, tuple[int, ...], int]] = [(constant, zero, 0)]
-    buckets: dict[tuple[int, ...], list[Monomial]] = {zero: [constant]}
+    layer: list[tuple[Monomial, int, int]] = [(constant, 0, 0)]
+    buckets: dict[int, list[Monomial]] = {0: [constant]}
     for _ in range(d.max_degree):
-        grown: list[tuple[Monomial, tuple[int, ...], int]] = []
+        grown: list[tuple[Monomial, int, int]] = []
         for mono, image, last in layer:
             for j in range(last, n):
                 child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                child_image = tuple(x + y for x, y in zip(image, columns[j]))
+                child_image = image + columns[j]
                 grown.append((child, child_image, j))
-                buckets.setdefault(child_image, []).append(child)
+                bucket = buckets.get(child_image)
+                if bucket is None:
+                    buckets[child_image] = [child]
+                else:
+                    bucket.append(child)
         layer = grown
     differences: set[tuple[int, ...]] = set()
     for members in buckets.values():

@@ -1,12 +1,22 @@
 """File format parsing, printing, subcommands, and the exit-code contract."""
 
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
+from toricsum import (
+    DegreeBound,
+    IntegerMatrix,
+    Parametrization,
+    VariableSet,
+    enumerate_kernel_binomials,
+    format_binomial,
+)
+from toricsum import cli
 from toricsum.cli import (
     IdealFileError,
     format_ideal_file,
@@ -465,3 +475,167 @@ class TestCommands:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == ""
+
+
+BLOCK_ROWS = {
+    "quadric": [[1, -1, 0], [1, 1, 1]],
+    "conic": [[1, 2, 0], [1, 0, 2]],
+    "cubic": [[3, 2, 1, 0], [0, 1, 2, 3]],
+    # the smooth rational quartic: one quadric and cubic generators
+    "quartic": [[4, 3, 1, 0], [0, 1, 3, 4]],
+}
+
+
+def rnc_text(n, drop=None):
+    """RNC(n) with its 2x2 minors as generators, less minor number ``drop``."""
+    names = [f"y{i}" for i in range(n + 1)]
+    minors = [
+        f"gen {names[i]}*{names[j + 1]} - {names[i + 1]}*{names[j]}"
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    if drop is not None:
+        del minors[drop]
+    rows = [" ".join(str(n - i) for i in range(n + 1)), " ".join(str(i) for i in range(n + 1))]
+    return "\n".join(["ideal C", "vars " + " ".join(names), "params s t",
+                      f"row {rows[0]}", f"row {rows[1]}", *minors]) + "\n"
+
+
+def tree_edges(tree, widths, rng):
+    """Edges of a tree on ``len(widths)`` vertices, vertex v of degree <= widths[v]."""
+    degree = [0] * len(widths)
+    edges = []
+    for v in range(1, len(widths)):
+        if tree == "path":
+            parent = v - 1
+        elif tree == "star":
+            parent = 0
+        elif tree == "caterpillar":
+            # a spine 0 - 1 with the other vertices dealt round it as legs
+            parent = 0 if v == 1 else v % 2
+        else:
+            parent = rng.choice([u for u in range(v) if degree[u] < widths[u]])
+        edges.append((parent, v))
+        degree[parent] += 1
+        degree[v] += 1
+    assert all(d <= w for d, w in zip(degree, widths))
+    return edges
+
+
+def forest_family(tree, kinds, rng):
+    """A tree of ``kinds[:-1]`` blocks plus the isolated block ``kinds[-1]``.
+
+    A block is named or "random" (distinct values in -3..3 over an
+    all-ones row).  Each edge shares one variable between two free columns
+    chosen at random.  A block's generators are its kernel binomials up to
+    degree 2, or 2 or 3 for a random block.  The quartic and some random
+    blocks need more, so their families certify only at low degrees.  Returns per block its name,
+    variables, rows and generator texts.
+    """
+    rows = [BLOCK_ROWS[k] if k != "random" else [rng.sample(range(-3, 4), 4), [1] * 4]
+            for k in kinds]
+    var_lists = [[f"x{v}_{j}" for j in range(len(r[0]))] for v, r in enumerate(rows)]
+    for e, (u, v) in enumerate(tree_edges(tree, [len(r[0]) for r in rows[:-1]], rng)):
+        for w in (u, v):
+            free = [j for j, name in enumerate(var_lists[w]) if name.startswith("x")]
+            var_lists[w][rng.choice(free)] = f"s{e}"
+    blocks = []
+    for v, (kind, vars_, block_rows) in enumerate(zip(kinds, var_lists, rows)):
+        p = Parametrization(VariableSet(("t", "u")), VariableSet(tuple(vars_)),
+                            IntegerMatrix.from_rows(block_rows))
+        found = enumerate_kernel_binomials(p, DegreeBound(rng.choice((2, 3)) if kind == "random" else 2))
+        blocks.append((f"I{v}", vars_, block_rows, [format_binomial(b, p.vars) for b in found]))
+    return blocks
+
+
+def family_text(blocks):
+    lines = []
+    for name, vars_, rows, gens in blocks:
+        lines += [f"ideal {name}", "vars " + " ".join(vars_), "params t u"]
+        lines += ["row " + " ".join(map(str, row)) for row in rows]
+        lines += [f"gen {g}" for g in gens]
+    return "\n".join(lines) + "\n"
+
+
+def counting_certify(monkeypatch):
+    """Count the calls of ``certify_presentation`` made by the CLI."""
+    calls = []
+    real = cli.certify_presentation
+
+    def counted(p, gens, d):
+        calls.append(len(p.vars))
+        return real(p, gens, d)
+
+    monkeypatch.setattr(cli, "certify_presentation", counted)
+    return calls
+
+
+def whole_sum_route(monkeypatch, argv, capsys):
+    """Exit code and stdout of ``main(argv)`` with every input check failing."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_inputs_certify", lambda *args: False)
+        return main(argv), capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:no kernel binomial")
+class TestCertifyByInput:
+    @pytest.mark.parametrize("drop", [None, 4])
+    def test_one_ideal_checks_once(self, tmp_path, capsys, monkeypatch, drop):
+        calls = counting_certify(monkeypatch)
+        f = write(tmp_path, "rnc.ideal", rnc_text(6, drop))
+        assert main(["sum", f, "--certify", "--max-degree", "3"]) == (0 if drop is None else 1)
+        assert calls == [7]
+
+    def test_copies_of_one_block_check_it_once(self, tmp_path, capsys, monkeypatch):
+        calls = counting_certify(monkeypatch)
+        f = write(tmp_path, "path.ideal", CUBIC_PATH)
+        assert main(["sum", f, "--certify", "--max-degree", "4"]) == 0
+        assert capsys.readouterr().out.endswith("verdict: equal-up-to-degree (degree 4)\n")
+        assert calls == [4]
+
+    def test_failure_checks_the_whole_sum(self, tmp_path, capsys, monkeypatch):
+        # quadric, conic, cubic, quadric, conic along a path and an isolated
+        # cubic; the first cubic loses a generator, so the quadric and the
+        # conic pass before it fails, and the whole sum of 16 variables is
+        # then checked once for its witness
+        kinds = ["quadric", "conic", "cubic", "quadric", "conic", "cubic"]
+        blocks = forest_family("path", kinds, random.Random(5))
+        blocks[2][3].pop(0)
+        f = write(tmp_path, "mixed.ideal", family_text(blocks))
+        argv = ["sum", f, "--certify", "--max-degree", "3"]
+        want = whole_sum_route(monkeypatch, argv, capsys)
+        calls = counting_certify(monkeypatch)
+        assert (main(argv), capsys.readouterr().out) == want
+        assert want[0] == 1 and "verdict: missing-in-sum witness" in want[1]
+        assert calls == [3, 3, 4, 16]
+
+    def test_non_homogeneous_isolated_input_checks_the_whole_sum(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the two quadrics certify, but a^2 - b has no grading, so the
+        # whole sum of 7 variables is checked
+        isolated = UNBALANCED.replace("vars x y", "vars a b") + "gen b - a^2\n"
+        f = write(tmp_path, "mixed.ideal", GLUED + isolated)
+        calls = counting_certify(monkeypatch)
+        assert main(["sum", f, "--certify"]) == 0
+        assert calls == [3, 7]
+
+    @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
+    def test_matches_the_whole_sum(self, tmp_path, capsys, monkeypatch, tree):
+        rng = random.Random(f"certify-by-input:{tree}")
+        exits = set()
+        for _ in range(2):
+            kinds = [rng.choice(["quadric", "conic", "cubic", "quartic", "random"]) for _ in range(5)]
+            blocks = forest_family(tree, kinds, rng)
+            texts = [family_text(blocks)]
+            b = rng.choice([v for v, block in enumerate(blocks) if block[3]])
+            blocks[b][3].pop(rng.randrange(len(blocks[b][3])))
+            texts.append(family_text(blocks))
+            for text in texts:
+                f = write(tmp_path, "forest.ideal", text)
+                for degree in (["--max-degree", "2"], ["--max-degree", "3"],
+                               ["--max-degree", "4"], []):
+                    argv = ["sum", f, "--certify", *degree]
+                    got = main(argv), capsys.readouterr().out
+                    assert got == whole_sum_route(monkeypatch, argv, capsys)
+                    exits.add(got[0])
+        assert exits == {0, 1}

@@ -292,6 +292,27 @@ class TestIncrementalEnumeration:
                 assert enumerate_kernel_binomials(p, DegreeBound(degree)) == \
                     reference_kernel_binomials(p, degree)
 
+    def test_packed_images_match_tuple_keys(self):
+        # Images are keyed by one int each; entries up to +-7 of both signs,
+        # zero rows and no rows at all must give the tuple-keyed buckets.
+        rng = random.Random(2718)
+        shapes = [([[1, 2]], 2), ([[7, -7, 0], [-7, 7, 1]], 3), ([[0, 0, 0]], 3), ([], 2)]
+        for _ in range(30):
+            cols = rng.randint(1, 5)
+            rows = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                rows.insert(rng.randrange(len(rows) + 1), [0] * cols)
+            shapes.append((rows, cols))
+        for rows, cols in shapes:
+            p = Parametrization(
+                VariableSet(tuple(f"t{r}" for r in range(len(rows)))),
+                VariableSet(tuple(f"x{j}" for j in range(cols))),
+                IntegerMatrix.from_rows(rows, cols=cols),
+            )
+            for degree in range(1, 5):
+                assert enumerate_kernel_binomials(p, DegreeBound(degree)) == \
+                    reference_kernel_binomials(p, degree)
+
 
 class TestRewriteForest:
     def test_replay_rejects_corrupted_chains(self):
