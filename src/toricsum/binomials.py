@@ -24,14 +24,21 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 @dataclass(frozen=True)
 class VariableSet:
-    """Ordered, duplicate-free variable names; order fixes coordinates."""
+    """Ordered, duplicate-free variable names; order fixes coordinates.
+
+    A name-to-position dict, built once with the duplicate check, answers
+    :meth:`index` and ``in``.  It is a plain attribute, not a field, so
+    equality, hashing and the repr read ``names`` alone.
+    """
 
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+        position = dict(zip(self.names, range(len(self.names))))
+        if len(position) != len(self.names):
             seen = [n for i, n in enumerate(self.names) if n in self.names[:i]]
             raise ValueError(f"duplicate variable name {seen[0]!r}")
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def of(cls, *names: str) -> "VariableSet":
@@ -41,15 +48,15 @@ class VariableSet:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._position
 
     def __iter__(self):
         return iter(self.names)
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._position[name]
+        except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
 

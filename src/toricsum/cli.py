@@ -37,6 +37,7 @@ from .binomials import (
     VariableSet,
     format_binomial,
     parse_binomial,
+    relabel_binomial,
 )
 from .exact_linalg import IntegerMatrix
 from .oracle import (
@@ -316,18 +317,11 @@ def _inputs_certify(
 
 def _sum_generators(ideals: Sequence[ParsedIdeal], vars_: VariableSet) -> list[Binomial]:
     """Every input's generators, zero-extended into ``vars_`` by name."""
-    position = {name: j for j, name in enumerate(vars_)}
-    gens: list[Binomial] = []
-    for ideal in ideals:
-        cols = [position[name] for name in ideal.parametrization.vars]
-        for g in ideal.generators:
-            plus = [0] * len(vars_)
-            minus = [0] * len(vars_)
-            for j, x, y in zip(cols, g.u_plus, g.u_minus):
-                plus[j] = x
-                minus[j] = y
-            gens.append(Binomial.from_pair(plus, minus))
-    return gens
+    return [
+        relabel_binomial(g, ideal.parametrization.vars, vars_)
+        for ideal in ideals
+        for g in ideal.generators
+    ]
 
 
 def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:

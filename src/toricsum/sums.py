@@ -13,7 +13,11 @@ shared column, and the matrix is written row by row in one pass.  ``g``
 is lcm(g1, g2) and s_i = g / g_i is negative when g_i is, which negates
 that row and so keeps the kernel.  A family of ideals combines the same
 way along the edges of its sharing graph, provided every connected
-component is a tree; components are then joined block-diagonally.
+component is a tree; components are then joined block-diagonally.  Both
+sums write their rows through one block-diagonal writer, and every
+parametrization assembled here names its parameters ``t1, t2, ...`` by
+row, never reading the inputs' parameter names, so the printed names
+stay short and parse back however deep the tree.
 
 A merge reads one summand shape, :class:`SumConstruction`, of maximal
 rank.  A plain input is lifted into one when it enters: one elimination
@@ -51,7 +55,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .binomials import VariableSet
 from .exact_linalg import IntegerMatrix, _solve_transposed
@@ -60,6 +64,7 @@ from .parametrization import (
     ConstructionError,
     HomogeneityCertificate,
     Parametrization,
+    _numbered,
     dimension,
 )
 
@@ -152,13 +157,11 @@ class FamilyReport:
 def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
     """Block-diagonal sum of parametrizations on disjoint variables.
 
-    Parameters are renamed with per-block prefixes so the parameter sets
-    are disjoint as well.  A single input is returned unchanged; an empty
-    input gives the empty parametrization.
+    The parameters are named ``t1, t2, ...`` by row, whatever the inputs
+    call theirs.  A single input is returned unchanged; an empty input gives
+    the empty parametrization.
     """
     ps = list(ps)
-    if not ps:
-        return Parametrization(VariableSet(()), VariableSet(()), IntegerMatrix(0, 0, ()))
     if len(ps) == 1:
         return ps[0]
     seen: dict[str, int] = {}
@@ -170,26 +173,28 @@ def sum_disjoint(ps: Sequence[Parametrization]) -> Parametrization:
                     "disjoint sums require disjoint variable sets"
                 )
             seen[name] = k
+    rows = _block_diagonal([(p.matrix.cols, p.matrix.entries) for p in ps])
+    matrix = IntegerMatrix(len(rows), len(seen), tuple(rows))
+    return Parametrization(_numbered(len(rows)), VariableSet(tuple(seen)), matrix)
 
-    var_names: list[str] = []
-    param_names: list[str] = []
-    for k, p in enumerate(ps):
-        var_names.extend(p.vars)
-        param_names.extend(f"t{k + 1}_{name}" for name in p.params)
 
-    total_cols = sum(p.matrix.cols for p in ps)
-    rows: list[tuple[int, ...]] = []
-    col_offset = 0
-    for p in ps:
-        left = (0,) * col_offset
-        right = (0,) * (total_cols - col_offset - p.matrix.cols)
-        rows.extend(left + row + right for row in p.matrix.entries)
-        col_offset += p.matrix.cols
-    return Parametrization(
-        VariableSet(tuple(param_names)),
-        VariableSet(tuple(var_names)),
-        IntegerMatrix(len(rows), total_cols, tuple(rows)),
-    )
+def _block_diagonal(
+    blocks: Sequence[tuple[int, Iterable[tuple[int, ...]]]]
+) -> list[tuple[int, ...]]:
+    """Rows of the block-diagonal matrix of ``(width, rows)`` blocks, in order.
+
+    Each row is padded with zeros around its block as it is read, so a
+    block's rows can be streamed.
+    """
+    total = sum(width for width, _ in blocks)
+    out: list[tuple[int, ...]] = []
+    before = 0
+    for width, rows in blocks:
+        left, right = (0,) * before, (0,) * (total - before - width)
+        for row in rows:
+            out.append(left + row + right)
+        before += width
+    return out
 
 
 def _used_columns(p: Parametrization) -> tuple[int, ...]:
@@ -251,23 +256,19 @@ def _lift(
 ) -> _Carried:
     """A plain input as a single summand of maximal rank: gamma = lcm() = 1.
 
-    Keeps the greedy row basis of the matrix with those rows' parameter
-    names; the row space, and so the kernel and the homogeneity, is
-    unchanged.  Carries the grading vector of the kept rows, raising
-    ConstructionError with ``refusal`` when there is none.  ``known`` maps
-    each matrix already solved to its facts, so an input repeating a
-    matrix is only relabelled.
+    Keeps the greedy row basis of the matrix, its parameters renamed
+    ``t1, t2, ...`` when a row is cut; the row space, and so the kernel and
+    the homogeneity, is unchanged.  Carries the grading vector of the kept
+    rows, raising ConstructionError with ``refusal`` when there is none.
+    ``known`` maps each matrix already solved to its facts, so an input
+    repeating a matrix is only relabelled.
     """
     known = {} if known is None else known
     block = known.get(p.matrix)
     if block is None:
         block = known[p.matrix] = _solve_block(p.matrix, refusal)
-    if len(block.keep) < len(p.params):
-        p = Parametrization(
-            VariableSet(tuple(p.params.names[r] for r in block.keep)),
-            p.vars,
-            block.matrix,
-        )
+    if len(block.keep) < p.matrix.rows:
+        p = Parametrization(_numbered(len(block.keep)), p.vars, block.matrix)
     return _Carried(p, 1, block.certificate, block=block)
 
 
@@ -306,6 +307,15 @@ def _pinned(
         omega[j] += Fraction(w.numerator * cs, w.denominator * c)
         omega[s] = Fraction(w.numerator * g, w.denominator * c)
     return rows, omega, idx, j
+
+
+def _cut(rows: Sequence[tuple[int, ...]], idx: int, j: int) -> Iterable[tuple[int, ...]]:
+    """``rows`` without row ``j`` and column ``idx``, streamed.
+
+    The arguments are bound at the call, so generators made in a loop over
+    the sides each keep their own ``idx`` and ``j``.
+    """
+    return (row[:idx] + row[idx + 1 :] for r, row in enumerate(rows) if r != j)
 
 
 def _used_variables(side: _Carried) -> frozenset[str]:
@@ -355,11 +365,11 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     single parameter power g_i on one row of side i, by one elimination
     step against the first row where it occurs (see :func:`_pinned`);
     g_i is that row's entry, sign and all.  The matrix is written in one
-    pass over fresh disjoint parameters (prefixes ``t1_`` and ``t2_``,
-    shared parameter ``s``): each other row of a side once, without the
-    shared column and padded with zeros around its block, and last the row
-    sum_i (gamma / g_i) * (pinned row i without the shared column), ending
-    in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.  The
+    pass, with its parameters named ``t1, t2, ...`` by row: each other row
+    of a side once, without the shared column and padded with zeros around
+    its block (the shared column is a last block of width 1), and last the
+    row sum_i (gamma / g_i) * (pinned row i without the shared column),
+    ending in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.  The
     result carries a homogeneity certificate stitched from the two sides.
 
     Rank and certificate hold by construction and are not checked.  The
@@ -404,26 +414,19 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     # shared column; scaling it by gamma / g_i (negative when g_i is) puts
     # gamma there and divides its grading entry 1 / g_i down to 1 / gamma.
     gamma = lcm(*(entries[j][idx] for _, entries, _, idx, j in sides))
-    n1, n2 = (len(c.result.vars) - 1 for c in (c1, c2))
-    pads = (((), (0,) * (n2 + 1)), ((0,) * n1, (0,)))
-    rows: list[tuple[int, ...]] = []
-    params: list[str] = []
+    blocks = [(len(c.result.vars) - 1, _cut(entries, idx, j)) for c, entries, _, idx, j in sides]
+    rows = _block_diagonal(blocks + [(1, ())])
     var_names: list[str] = []
     omega: list[Fraction] = []
     last: list[int] = []
-    for (c, entries, w, idx, j), (left, right), prefix in zip(sides, pads, ("t1_", "t2_")):
-        for r, row in enumerate(entries):
-            cut = row[:idx] + row[idx + 1 :]
-            if r == j:
-                last.extend(gamma // row[idx] * x for x in cut)
-            else:
-                rows.append(left + cut + right)
-                params.append(prefix + c.result.params.names[r])
-                omega.append(w[r])
+    for c, entries, w, idx, j in sides:
+        pinned = entries[j]
+        last += [gamma // pinned[idx] * x for x in pinned[:idx] + pinned[idx + 1 :]]
         var_names += c.result.vars.names[:idx] + c.result.vars.names[idx + 1 :]
+        omega += w[:j] + w[j + 1 :]
     rows.append(tuple(last) + (gamma,))
     result = Parametrization(
-        VariableSet(tuple(params) + ("s",)),
+        _numbered(len(rows)),
         VariableSet(tuple(var_names) + (shared,)),
         IntegerMatrix(len(rows), len(var_names) + 1, tuple(rows)),
     )

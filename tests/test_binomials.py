@@ -107,3 +107,19 @@ def test_relabel_recanonicalizes_sign():
 def test_variable_set_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         VariableSet.of("a", "b", "a")
+
+
+def test_variable_set_lookup_matches_names():
+    rng = random.Random(5)
+    pool = [f"v{i}" for i in range(20)]
+    for _ in range(50):
+        names = tuple(rng.sample(pool, rng.randint(0, 8)))
+        vs = VariableSet(names)
+        assert [vs.index(n) for n in names] == list(range(len(names)))
+        assert [n in vs for n in pool] == [n in names for n in pool]
+        # the lookup table is no field: equality, hash and repr read the names alone
+        assert vs == VariableSet(names) and hash(vs) == hash(VariableSet(names))
+        assert repr(vs) == f"VariableSet(names={names!r})"
+    # the first name seen twice is reported
+    with pytest.raises(ValueError, match="duplicate variable name 'b'"):
+        VariableSet.of("a", "b", "b", "a")

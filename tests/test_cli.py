@@ -295,7 +295,7 @@ class TestCommands:
         assert capsys.readouterr().out == (
             "ideal I1+I2\n"
             "vars z1 z2 w1 w2 x\n"
-            "params t1_t t2_t s\n"
+            "params t1 t2 t3\n"
             "row 1 -1 0 0 0\n"
             "row 0 0 1 -1 0\n"
             "row 1 1 1 1 1\n"
@@ -331,13 +331,14 @@ class TestCommands:
         assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("verdict: equal-up-to-degree")
 
-    def test_sum_rank_deficient_input_keeps_its_row_names(self, tmp_path, capsys):
-        # A's third row is twice its second: A enters the sum as its rows t, s
+    def test_sum_rank_deficient_input_keeps_its_independent_rows(self, tmp_path, capsys):
+        # A's third row is twice its second: A enters the sum as its first two
+        # rows, of which the second is pinned; B's first row is pinned
         f = write(tmp_path, "rd.ideal", RANK_DEFICIENT)
         assert main(["sum", f]) == 0
         block, report = capsys.readouterr().out.split("k=2 r=1\n")
         assert block.splitlines()[2:] == [
-            "params t1_t t2_s s",
+            "params t1 t2 t3",
             "row 1 -1 0 0 0",
             "row 0 0 1 2 0",
             "row 1 1 1 1 1",

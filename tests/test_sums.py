@@ -42,6 +42,7 @@ from toricsum import (
     sum_family,
     sum_shared,
 )
+from toricsum.cli import format_ideal_block, parse_ideal_file
 
 
 def make(rows, var_names, param_names):
@@ -64,7 +65,8 @@ class TestSumDisjoint:
             (0, 0, 1, 1),
         )
         assert dimension(total) == 4
-        assert total.params.names == ("t1_t", "t1_s", "t2_t", "t2_s")
+        # parameters are named by row, not after the inputs' own names
+        assert total.params.names == ("t1", "t2", "t3", "t4")
 
     def test_single_input_unchanged(self):
         p = make([[1, -1], [1, 1]], ["z1", "z2"], ["t", "s"])
@@ -633,8 +635,10 @@ class TestRepeatedBlocks:
                     sums._lift(p, "refused")
                 continue
             lifted = sums._lift(p, "refused")
-            assert lifted.result.params.names == tuple(f"t{r}" for r in keep)
             assert lifted.result.matrix == cut
+            # an uncut input is kept whole; a cut one is renamed by position
+            numbered = VariableSet(tuple(f"t{r + 1}" for r in range(len(keep))))
+            assert lifted.result.params == (p.params if len(keep) == m else numbered)
             assert lifted.certificate == cert
         # rank-deficient, with a zero column, and non-homogeneous inputs all occurred
         assert all(any(kind[i] for kind in kinds) for i in range(3))
@@ -781,21 +785,23 @@ class TestSupportLocalPin:
         assert tuple(rows) == ((1, -1, 1), (0, 1, 0))
         assert tuple(omega) == (1, 2)
         glued = sum_shared(full, quadric("w1", "w2", "x"), "x")
-        assert glued.result.params.names == ("t1_s", "t2_t", "s")
+        # the pinned rows, t of this side and s of the quadric, are glued last
+        assert glued.result.matrix.entries == (
+            (0, 1, 0, 0, 0), (0, 0, 1, -1, 0), (1, -1, 1, 1, 1)
+        )
         assert supports == [2, 2, 1]
-        # rank-deficient: a copy of the first support row comes first, so the
-        # lifted block keeps the copy's name and drops the original's
+        # rank-deficient: twice the first support row comes first, so the
+        # lifted block keeps that multiple and drops the original row
         rng = random.Random(71)
         side, support = _local_side(rng)
         assert 1 < len(support) < len(side.result.params)
         p = side.result
         shared = p.vars.names[0]
         s0 = support[0]
-        doubled = make([p.matrix.entries[s0], *p.matrix.entries],
+        doubled = make([[2 * x for x in p.matrix.entries[s0]], *p.matrix.entries],
                        p.vars.names, ("extra",) + p.params.names)
         lifted = sums._lift(doubled, "not homogeneous")
         kept = [r for r in range(len(doubled.params)) if r != s0 + 1]
-        assert lifted.result.params.names == tuple(doubled.params.names[r] for r in kept)
         assert lifted.result.matrix.entries == tuple(doubled.matrix.entries[r] for r in kept)
         assert lifted.result.vars == p.vars
         assert lifted.certificate.certifies(lifted.result)
@@ -809,8 +815,13 @@ class TestSupportLocalPin:
         assert omega[j] * rows[j][idx] == 1
         glued = sum_shared(lifted, quadric("w1", "w2", shared), shared)
         assert supports == [len(support)] * 2 + [1]
-        assert glued.result.params.names == (
-            tuple(f"t1_{name}" for name in lifted.result.params.names[1:]) + ("t2_t", "s")
+        # this side's pinned row 0 and the quadric's row s are glued last
+        n = len(p.vars) - 1
+        assert glued.result.matrix.entries == (
+            tuple(row[1:] + (0, 0, 0) for row in rows[1:])
+            + ((0,) * n + (1, -1, 0),)
+            + (tuple(glued.gamma // rows[0][0] * x for x in rows[0][1:])
+               + (glued.gamma,) * 3,)
         )
         assert whole_pins == []
 
@@ -1018,6 +1029,20 @@ class TestMergeInvariants:
             result, report = sum_family(ps)
         assert calls == []
         assert report.rank_dimension == k + 1
+
+
+class TestParameterNames:
+    def test_deep_path_is_numbered_by_row(self):
+        # names prefixed at every merge grew with the depth of the tree: the
+        # longest had 383 characters on a path of 128 cubics
+        k = 64
+        ps = _glued([[3, 2, 1, 0], [0, 1, 2, 3]], _tree_of("path", k), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result, _ = sum_family(ps)
+        assert result.params.names == tuple(f"t{r}" for r in range(1, k + 2))
+        (parsed,) = parse_ideal_file(format_ideal_block("P", result))
+        assert parsed.parametrization == result
 
 
 def _cubic(a, d, prefix):
@@ -1242,7 +1267,7 @@ def _golden_record(ps):
 
 # sha256 of the golden records.  A change that alters a printed sum updates
 # this constant and says so in CHANGES.md.
-GOLDEN_FAMILY_DIGEST = "a9ba034cb3474af70d74f6e32f10207a4aa4419620a176db880415311d4f4dc9"
+GOLDEN_FAMILY_DIGEST = "83a9fadb9be94f9beaa17691d6aff93f59afa070051aec4286726e2dffb5542c"
 
 
 class TestGoldenOutputs:
