@@ -87,6 +87,8 @@ class Binomial:
     @classmethod
     def from_pair(cls, plus: Sequence[int], minus: Sequence[int]) -> "Binomial":
         """Canonicalize an arbitrary monomial pair (cancel and fix sign)."""
+        if len(plus) != len(minus):
+            raise ValueError("binomial sides have different lengths")
         return split_disjoint(tuple(int(p) - int(m) for p, m in zip(plus, minus)))
 
     @classmethod

@@ -22,38 +22,34 @@ stay short and parse back however deep the tree.
 A merge reads one summand shape, :class:`SumConstruction`, of maximal
 rank.  A plain input is lifted into one when it enters: one elimination
 of ``[A^T | 1]`` cuts its rows to a greedy row basis, which keeps the row
-space and so the kernel, and solves its grading vector (rejecting a
-non-homogeneous input); gamma is 1.
+space and so the kernel, and refuses a non-homogeneous input; gamma is 1.
 Pinning a side is one elimination step against the first row j of the
 support S of its shared column (the rows where that column is nonzero):
 every other row of S is recombined with row j so that the column
-vanishes there, and its grading entry is carried exactly (see
-:func:`_pinned`).  Row j and the rows outside S stay as they are, and S
-stays a few rows however large the accumulated side grows (never more
-than two on paths, stars and caterpillars of two-row blocks).
+vanishes there (see :func:`_pinned`).  Row j and the rows outside S stay
+as they are, and S stays a few rows however large the accumulated side
+grows (never more than two on paths, stars and caterpillars of two-row
+blocks).
 
-Each merge carries its facts forward instead of recomputing them on the
-assembled matrix, and trusts them: they hold by construction (the proof
-is in :func:`_pinned` and :func:`sum_shared`), so nothing is checked
-again.  The pinned sides have maximal rank, so the assembled matrix does
-too and its rank, the reported dimension, is its row count, which is the
-paper's dim(I1) + dim(I2) - 1; its grading vector is stitched from the
-two sides'; and the variables that occur in low-degree kernel binomials
-of each input ideal are found at its first merge and carried along for
-the shared-variable usage check.  Only constructions built here carry
-facts: any other summand is lifted from its matrix, whatever it claims.
-A family is often many copies of one block on different variables, so
-:func:`sum_family` solves and searches each distinct input matrix once
-and only relabels the facts for its copies.  A family report stores the
-input dimensions and the rank and derives the paper's two closed forms
-from them.
+Rank and grading hold by construction (the proof is in :func:`_pinned`
+and :func:`sum_shared`), so neither is computed or checked on the
+assembled matrix.  The pinned sides have maximal rank, so the assembled
+matrix does too and its rank, the reported dimension, is its row count,
+which is the paper's dim(I1) + dim(I2) - 1.  The variables that occur in
+low-degree kernel binomials of each input ideal are found at its first
+merge and carried along for the shared-variable usage check.  Only
+constructions built here carry that set: any other summand is lifted
+from its matrix, whatever it claims.  A family is often many copies of
+one block on different variables, so :func:`sum_family` solves and
+searches each distinct input matrix once and only relabels the facts for
+its copies.  A family report stores the input dimensions and the rank and
+derives the paper's two closed forms from them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -62,7 +58,6 @@ from .exact_linalg import IntegerMatrix, _solve_transposed
 from .oracle import DegreeBound, enumerate_kernel_binomials
 from .parametrization import (
     ConstructionError,
-    HomogeneityCertificate,
     Parametrization,
     _numbered,
     dimension,
@@ -74,22 +69,25 @@ _USAGE_DEGREE = 2
 
 @dataclass(frozen=True)
 class SumConstruction:
-    """Assembled sum with its grading, as :func:`sum_shared` returns it.
+    """Assembled sum and its glue exponent, as :func:`sum_shared` returns it.
 
-    ``result`` has maximal rank, so its rank is its row count, m1 + m2 + 1,
-    which equals dim(I1) + dim(I2) - 1.  ``certificate`` is a grading
-    vector of ``result``, stitched from the two sides.  Both hold by
-    construction and are not checked.
+    ``result`` has maximal rank, so its rank is its row count,
+    rows(A1) + rows(A2) - 1, where rows(Ai) counts the independent rows
+    of side i, which is dim(Ii): each side keeps every row but its pinned
+    one, and one glued row replaces the two pinned rows.  That is the
+    paper's dim(I1) + dim(I2) - 1.  ``gamma`` is lcm(g1, g2), the entry of
+    the shared column on the glued row.  ``result`` is homogeneous, and
+    :func:`homogeneity_certificate` solves a grading vector for it.  Rank
+    and grading hold by construction and are not checked.
 
     A construction can be passed back to :func:`sum_shared` in place of a
-    parametrization.  One that :func:`sum_shared` returned has its facts
-    reused; any other stands for its ``result`` alone and is lifted like a
-    plain input, whatever facts it claims.
+    parametrization.  One that :func:`sum_shared` returned has its usage
+    facts reused; any other stands for its ``result`` alone and is lifted
+    like a plain input.
     """
 
     result: Parametrization
     gamma: int
-    certificate: HomogeneityCertificate
 
 
 Summand = Union[Parametrization, SumConstruction]
@@ -209,15 +207,13 @@ def _used_columns(p: Parametrization) -> tuple[int, ...]:
 class _Block:
     """Facts of one input matrix, shared by every input of a family that has it.
 
-    ``keep`` is the greedy row basis and ``matrix`` those rows;
-    ``certificate`` grades them.  ``used`` lists the columns that occur in a
-    kernel binomial of degree at most ``_USAGE_DEGREE``, or is None until
-    the first merge of an input with this matrix searches them.
+    ``matrix`` holds the rows of its greedy row basis.  ``used`` lists the
+    columns that occur in a kernel binomial of degree at most
+    ``_USAGE_DEGREE``, or is None until the first merge of an input with
+    this matrix searches them.
     """
 
-    keep: tuple[int, ...]
     matrix: IntegerMatrix
-    certificate: HomogeneityCertificate
     used: Optional[tuple[int, ...]] = None
 
 
@@ -237,18 +233,17 @@ class _Carried(SumConstruction):
 
 
 def _solve_block(a: IntegerMatrix, refusal: str) -> _Block:
-    """Row basis and grading vector of ``a`` in one elimination.
+    """The greedy row basis of ``a``, which must be homogeneous.
 
-    One reduction of ``[A^T | 1]`` gives both: its pivots are the greedy
-    row basis, and its solution, zero off the pivots, is the grading vector
-    of the kept rows.  Raises ConstructionError with ``refusal`` when there
-    is none, as for any matrix with a zero column.
+    One reduction of ``[A^T | 1]`` gives the basis, its pivots, and is
+    consistent exactly when a grading vector exists.  Raises
+    ConstructionError with ``refusal`` when none does, as for any matrix
+    with a zero column.  The solution itself is not kept.
     """
     keep, omega = _solve_transposed(a, [1] * a.cols)
     if omega is None:
         raise ConstructionError(refusal)
-    matrix = a if len(keep) == a.rows else a.take(keep, range(a.cols))
-    return _Block(tuple(keep), matrix, HomogeneityCertificate(tuple(omega[r] for r in keep)))
+    return _Block(a if len(keep) == a.rows else a.take(keep, range(a.cols)))
 
 
 def _lift(
@@ -258,24 +253,22 @@ def _lift(
 
     Keeps the greedy row basis of the matrix, its parameters renamed
     ``t1, t2, ...`` when a row is cut; the row space, and so the kernel and
-    the homogeneity, is unchanged.  Carries the grading vector of the kept
-    rows, raising ConstructionError with ``refusal`` when there is none.
-    ``known`` maps each matrix already solved to its facts, so an input
-    repeating a matrix is only relabelled.
+    the homogeneity, is unchanged.  Raises ConstructionError with
+    ``refusal`` when the input is not homogeneous.  ``known`` maps each
+    matrix already solved to its facts, so an input repeating a matrix is
+    only relabelled.
     """
     known = {} if known is None else known
     block = known.get(p.matrix)
     if block is None:
         block = known[p.matrix] = _solve_block(p.matrix, refusal)
-    if len(block.keep) < p.matrix.rows:
-        p = Parametrization(_numbered(len(block.keep)), p.vars, block.matrix)
-    return _Carried(p, 1, block.certificate, block=block)
+    if block.matrix.rows < p.matrix.rows:
+        p = Parametrization(_numbered(block.matrix.rows), p.vars, block.matrix)
+    return _Carried(p, 1, block=block)
 
 
-def _pinned(
-    side: SumConstruction, shared: str
-) -> tuple[Sequence[tuple[int, ...]], Sequence[Fraction], int, int]:
-    """A side's rows and grading vector, its shared column ``idx`` and pinned row ``j``.
+def _pinned(p: Parametrization, shared: str) -> tuple[list[tuple[int, ...]], int, int]:
+    """A side's pinned rows, its shared column ``idx`` and pinned row ``j``.
 
     ``j`` is the first row of the support S of column ``idx`` (the rows
     where it is nonzero) and ``c = A[j][idx]``.  One elimination step
@@ -285,17 +278,15 @@ def _pinned(
     The step recombines the rows of S triangularly with diagonal entries 1
     and ``c / g_s``, all nonzero since ``c`` is, so it is invertible on
     their span: the row space, and so the kernel, is kept, and rows of
-    maximal rank stay independent.  The grading vector is carried
-    exactly: ``omega_j`` gains ``omega_s * c_s / c`` and ``omega_s``
-    becomes ``omega_s * g_s / c``, so it pairs with every column as before;
-    on the shared column, now ``c`` on row ``j`` alone, that gives
-    ``omega_j * c = 1``.  The side's maximal rank and grading vector are
-    trusted, as they hold for every construction :func:`sum_shared` builds.
+    maximal rank stay independent.  The side is homogeneous, and a grading
+    vector of its rows times the inverse of that step grades the pinned
+    rows; on the shared column, now ``c`` on row ``j`` alone, every such
+    vector has ``omega_j = 1 / c``.  The side's maximal rank and homogeneity
+    are trusted, as they hold for every construction :func:`sum_shared`
+    builds.
     """
-    p = side.result
     idx = p.vars.index(shared)
     rows = list(p.matrix.entries)
-    omega = list(side.certificate.omega)
     j, *others = (r for r, row in enumerate(rows) if row[idx])
     pinned, c = rows[j], rows[j][idx]
     for s in others:
@@ -303,10 +294,7 @@ def _pinned(
         row = [c * a - cs * b for a, b in zip(rows[s], pinned)]
         g = gcd(*row)  # nonzero: rows s and j are independent
         rows[s] = tuple(x // g for x in row)
-        w = omega[s]
-        omega[j] += Fraction(w.numerator * cs, w.denominator * c)
-        omega[s] = Fraction(w.numerator * g, w.denominator * c)
-    return rows, omega, idx, j
+    return rows, idx, j
 
 
 def _cut(rows: Sequence[tuple[int, ...]], idx: int, j: int) -> Iterable[tuple[int, ...]]:
@@ -369,26 +357,25 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     of a side once, without the shared column and padded with zeros around
     its block (the shared column is a last block of width 1), and last the
     row sum_i (gamma / g_i) * (pinned row i without the shared column),
-    ending in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.  The
-    result carries a homogeneity certificate stitched from the two sides.
+    ending in gamma = lcm(g1, g2).  A negative g_i gives a negative scale.
 
-    Rank and certificate hold by construction and are not checked.  The
+    Rank and grading hold by construction and are not checked.  The
     pinned sides have maximal rank.  Their other rows sit on disjoint
     column blocks, and only the last row has a nonzero shared entry, so
-    the glued rows are independent: the rank is the row count.  The
-    stitched certificate keeps each side's other entries and gives the
-    last row 1 / gamma.  A side's pinned row is scaled by gamma / g_i, and
-    its carried entry is exactly omega_j = 1 / g_i, read from its own
-    shared column.  So every result column pairs with the certificate as
-    it did in its side, to 1, and the shared column does too.
+    the glued rows are independent: the rank is the row count.  A grading
+    vector exists: take each pinned side's (see :func:`_pinned`) on its
+    other rows and 1 / gamma on the last row.  A side's pinned row is
+    scaled by gamma / g_i, and its own entry there is omega_j = 1 / g_i, so
+    every result column pairs with that vector as it did in its side, to
+    1, and the shared column, gamma on the last row alone, does too.
 
     Every input is handled as a :class:`SumConstruction`.  One returned by
-    this function stands for its ``result`` with its certificate and usage
-    facts reused; any other input, a parametrization or a construction
-    built by hand, is lifted into a single-summand construction on entry,
-    which cuts it to its independent rows and solves its grading vector
-    once.  Folding this function over a tree that passes each construction
-    on thus pays for each input ideal's facts once.
+    this function stands for its ``result`` with its usage facts reused;
+    any other input, a parametrization or a construction built by hand, is
+    lifted into a single-summand construction on entry, which cuts it to
+    its independent rows and refuses it if it is not homogeneous.  Folding
+    this function over a tree that passes each construction on thus pays
+    for each input ideal's facts once.
 
     Each side is also searched for a kernel binomial of degree at most 2
     that involves the shared variable; a miss is a warning, not an error.
@@ -397,7 +384,7 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
     the assembled matrix would not.
     """
     c1, c2 = _enter(p1, p2, shared)
-    sides = [(c, *_pinned(c, shared)) for c in (c1, c2)]
+    sides = [(c.result, *_pinned(c.result, shared)) for c in (c1, c2)]
 
     used: frozenset[str] = frozenset()
     for c, which in ((c1, "first"), (c2, "second")):
@@ -412,26 +399,23 @@ def sum_shared(p1: Summand, p2: Summand, shared: str) -> SumConstruction:
 
     # Row j of each side is its pinned row, with g_i = entries[j][idx] in the
     # shared column; scaling it by gamma / g_i (negative when g_i is) puts
-    # gamma there and divides its grading entry 1 / g_i down to 1 / gamma.
-    gamma = lcm(*(entries[j][idx] for _, entries, _, idx, j in sides))
-    blocks = [(len(c.result.vars) - 1, _cut(entries, idx, j)) for c, entries, _, idx, j in sides]
+    # gamma there.
+    gamma = lcm(*(entries[j][idx] for _, entries, idx, j in sides))
+    blocks = [(len(p.vars) - 1, _cut(entries, idx, j)) for p, entries, idx, j in sides]
     rows = _block_diagonal(blocks + [(1, ())])
     var_names: list[str] = []
-    omega: list[Fraction] = []
     last: list[int] = []
-    for c, entries, w, idx, j in sides:
+    for p, entries, idx, j in sides:
         pinned = entries[j]
         last += [gamma // pinned[idx] * x for x in pinned[:idx] + pinned[idx + 1 :]]
-        var_names += c.result.vars.names[:idx] + c.result.vars.names[idx + 1 :]
-        omega += w[:j] + w[j + 1 :]
+        var_names += p.vars.names[:idx] + p.vars.names[idx + 1 :]
     rows.append(tuple(last) + (gamma,))
     result = Parametrization(
         _numbered(len(rows)),
         VariableSet(tuple(var_names) + (shared,)),
         IntegerMatrix(len(rows), len(var_names) + 1, tuple(rows)),
     )
-    certificate = HomogeneityCertificate(tuple(omega) + (Fraction(1, gamma),))
-    return _Carried(result, gamma, certificate, used)
+    return _Carried(result, gamma, used)
 
 
 def build_family_graph(ideals: Sequence[tuple[str, VariableSet]]) -> IdealFamilyGraph:
@@ -505,10 +489,10 @@ def sum_family(
 
     Each ideal of a merged component is lifted into a single-summand
     :class:`SumConstruction` up front, which cuts it to its independent rows
-    and solves its grading vector, and each merge is passed constructions;
-    an ideal's usage set is searched at its first merge.  Those facts are
-    paid once per distinct input matrix: a dict local to the call maps each
-    matrix to its kept rows, lifted matrix, certificate and used columns,
+    and refuses it if it is not homogeneous, and each merge is passed
+    constructions; an ideal's usage set is searched at its first merge.
+    Those facts are paid once per distinct input matrix: a dict local to
+    the call maps each matrix to its independent rows and used columns,
     and an ideal repeating a matrix only relabels them with its own names.
     The usage check runs per input ideal and incident edge, with the same
     warnings as a fold of :func:`sum_shared` over the plain inputs.  The

@@ -54,6 +54,13 @@ def test_from_pair_cancels_common_factors():
     assert b.u_minus == (0, 0)
 
 
+def test_from_pair_rejects_sides_of_different_lengths():
+    # zip used to cut the longer side, giving a 2-variable binomial here
+    for plus, minus in (((1, 0, 2), (0, 1)), ((0, 1), (1, 0, 2)), ((1,), ())):
+        with pytest.raises(ValueError, match="binomial sides have different lengths"):
+            Binomial.from_pair(plus, minus)
+
+
 class TestTextFormat:
     VS = VariableSet.of("z1", "z2", "x")
 

@@ -53,6 +53,12 @@ def make(rows, var_names, param_names):
     )
 
 
+def graded(p):
+    """Whether ``p`` has a grading vector, solved without ``sums``, that certifies it."""
+    cert = homogeneity_certificate(p)
+    return cert is not None and cert.certifies(p)
+
+
 class TestSumDisjoint:
     def test_two_blocks(self):
         p1 = make([[1, -1], [1, 1]], ["z1", "z2"], ["t", "s"])
@@ -105,7 +111,7 @@ class TestSumShared:
         assert c.result.vars.names == ("z1", "z2", "w1", "w2", "x")
         assert c.gamma == 1
         assert len(c.result.params) == 3
-        assert c.certificate.certifies(c.result)
+        assert graded(c.result)
 
     def test_doubled_last_row(self):
         p2 = make([[1, -1, 0], [2, 2, 2]], ["w1", "w2", "x"], ["t", "s"])
@@ -149,7 +155,7 @@ class TestSumShared:
         c = sum_shared(p1, quadric("w1", "w2", "x"), "x")
         assert c.gamma == 1
         assert c.result.column(len(c.result.vars) - 1)[-1] == 1
-        assert c.certificate.certifies(c.result)
+        assert graded(c.result)
         assert len(c.result.params) == dimension(p1) + 2 - 1
         assert contains_binomial(p1, Binomial((2, 0, 0), (0, 1, 1)))  # z1^2 - z2*x
         assert contains_binomial(c.result, Binomial((2, 0, 0, 0, 0), (0, 1, 0, 0, 1)))
@@ -166,7 +172,7 @@ class TestSumShared:
                 warnings.simplefilter("ignore")
                 c = sum_shared(p1, p2, "x")
             assert len(c.result.params) == dimension(p1) + dimension(p2) - 1
-            assert c.certificate.certifies(c.result)
+            assert graded(c.result)
             for p in (p1, p2):
                 for b in enumerate_kernel_binomials(p, DegreeBound(2)):
                     assert contains_binomial(
@@ -488,7 +494,7 @@ class TestCarriedFacts:
             for c, q1, q2 in plain + carried:
                 assert len(c.result.params) == dimension(c.result)
                 assert len(c.result.params) == dimension(q1) + dimension(q2) - 1
-                assert c.certificate.certifies(c.result)
+                assert graded(c.result)
             if trial % 2:
                 # an isolated, possibly non-homogeneous block joins block-diagonally
                 ps.append(random_parametrization(rng, max_params=2, max_vars=3, prefix="iso"))
@@ -517,15 +523,15 @@ class TestCarriedFacts:
 
     def test_negative_pinned_exponent_on_carried_side(self):
         # grading (-1, 1): after the merge over y, x maps to the inverse of a
-        # single parameter, so the carried grading entry must be negated with
-        # its row on the next merge
+        # single parameter, so the next merge pins a negative entry and
+        # scales that row by a negative factor
         p1 = make([[1, 0, 0, -1], [2, 1, 1, 0]], ["z1", "z2", "y", "x"], ["t", "s"])
         c = sum_shared(quadric("w1", "w2", "y"), p1, "y")
         assert sorted(c.result.column(c.result.vars.index("x"))) == [-1, 0, 0]
         c2 = sum_shared(c, quadric("v1", "v2", "x"), "x")
         expected = sum_shared(c.result, quadric("v1", "v2", "x"), "x")
         assert c2.result == expected.result
-        assert c2.certificate == expected.certificate
+        assert graded(c2.result)
         assert len(c2.result.params) == dimension(c2.result)
 
     def test_non_homogeneous_side_rejected_on_either_path(self):
@@ -549,7 +555,7 @@ class TestCarriedFacts:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
                         c = sum_shared(*args, "x")
-                    assert c.certificate.certifies(c.result)
+                    assert graded(c.result)
                 else:
                     with pytest.raises(ConstructionError, match=f"{which} input is not homogeneous"):
                         sum_shared(*args, "x")
@@ -612,7 +618,7 @@ class TestRepeatedBlocks:
             assert [str(w.message) for w in caught] == messages
 
     def test_lift_matches_row_basis_then_certificate(self):
-        # one elimination gives the kept rows, omega and the refusal of
+        # one elimination gives the kept rows and the refusal of
         # independent_rows followed by homogeneity_certificate
         rng = random.Random(89)
         kinds = set()
@@ -639,7 +645,6 @@ class TestRepeatedBlocks:
             # an uncut input is kept whole; a cut one is renamed by position
             numbered = VariableSet(tuple(f"t{r + 1}" for r in range(len(keep))))
             assert lifted.result.params == (p.params if len(keep) == m else numbered)
-            assert lifted.certificate == cert
         # rank-deficient, with a zero column, and non-homogeneous inputs all occurred
         assert all(any(kind[i] for kind in kinds) for i in range(3))
 
@@ -725,9 +730,8 @@ def _local_side(rng):
         p = make([list(row) for row in zip(*columns)],
                  [f"x{j}" for j in range(n)], [f"t{k}" for k in range(m)])
         if dimension(p) == m:
-            cert = HomogeneityCertificate(tuple(Fraction(w) for w in omega))
-            assert cert.certifies(p)
-            return SumConstruction(p, 1, cert), support
+            assert HomogeneityCertificate(tuple(Fraction(w) for w in omega)).certifies(p)
+            return p, support
 
 
 def _count_supports(monkeypatch):
@@ -735,10 +739,10 @@ def _count_supports(monkeypatch):
     sizes = []
     real = sums._pinned
 
-    def counted(side, shared):
-        idx = side.result.vars.index(shared)
-        sizes.append(sum(1 for row in side.result.matrix.entries if row[idx]))
-        return real(side, shared)
+    def counted(p, shared):
+        idx = p.vars.index(shared)
+        sizes.append(sum(1 for row in p.matrix.entries if row[idx]))
+        return real(p, shared)
 
     monkeypatch.setattr(sums, "_pinned", counted)
     return sizes
@@ -749,10 +753,9 @@ class TestSupportLocalPin:
         rng = random.Random(67)
         sizes, signs, scaled, divided = set(), set(), False, False
         for _ in range(80):
-            side, support = _local_side(rng)
-            p = side.result
+            p, support = _local_side(rng)
             old = p.matrix.entries
-            rows, omega, idx, j = sums._pinned(side, p.vars.names[0])
+            rows, idx, j = sums._pinned(p, p.vars.names[0])
             assert (idx, j) == (0, support[0])
             c = old[j][0]
             pinned = make(rows, p.vars.names, p.params.names)
@@ -761,8 +764,9 @@ class TestSupportLocalPin:
             assert [row[0] for row in rows] == [c if r == j else 0 for r in range(len(rows))]
             kept = [r for r in range(len(rows)) if r == j or r not in support]
             assert [tuple(rows[r]) for r in kept] == [old[r] for r in kept]
-            assert HomogeneityCertificate(tuple(omega)).certifies(pinned)
-            assert omega[j] * c == 1
+            # a grading vector of the pinned rows exists, 1 / c on row j
+            cert = homogeneity_certificate(pinned)
+            assert cert.certifies(pinned) and cert.omega[j] * c == 1
             sizes.add(len(support))
             signs.add(c > 0)
             scaled |= abs(c) > 1
@@ -778,12 +782,13 @@ class TestSupportLocalPin:
         whole_pins = _count_whole_pins(monkeypatch)
         supports = _count_supports(monkeypatch)
         # every row in the support: row s of the quadric becomes
-        # (1 * s - 1 * t) / 2, and the carried entries still grade it
+        # (1 * s - 1 * t) / 2, which the unique grading vector (1, 2) grades
         full = make([[1, -1, 1], [1, 1, 1]], ["z1", "z2", "x"], ["t", "s"])
-        rows, omega, idx, j = sums._pinned(sums._lift(full, "not homogeneous"), "x")
+        rows, idx, j = sums._pinned(sums._lift(full, "not homogeneous").result, "x")
         assert (idx, j) == (2, 0)
         assert tuple(rows) == ((1, -1, 1), (0, 1, 0))
-        assert tuple(omega) == (1, 2)
+        cert = homogeneity_certificate(make(rows, full.vars.names, full.params.names))
+        assert cert.omega == (1, 2)
         glued = sum_shared(full, quadric("w1", "w2", "x"), "x")
         # the pinned rows, t of this side and s of the quadric, are glued last
         assert glued.result.matrix.entries == (
@@ -793,9 +798,8 @@ class TestSupportLocalPin:
         # rank-deficient: twice the first support row comes first, so the
         # lifted block keeps that multiple and drops the original row
         rng = random.Random(71)
-        side, support = _local_side(rng)
-        assert 1 < len(support) < len(side.result.params)
-        p = side.result
+        p, support = _local_side(rng)
+        assert 1 < len(support) < len(p.params)
         shared = p.vars.names[0]
         s0 = support[0]
         doubled = make([[2 * x for x in p.matrix.entries[s0]], *p.matrix.entries],
@@ -804,15 +808,16 @@ class TestSupportLocalPin:
         kept = [r for r in range(len(doubled.params)) if r != s0 + 1]
         assert lifted.result.matrix.entries == tuple(doubled.matrix.entries[r] for r in kept)
         assert lifted.result.vars == p.vars
-        assert lifted.certificate.certifies(lifted.result)
+        assert graded(lifted.result)
         supports.clear()
-        rows, omega, idx, j = sums._pinned(lifted, shared)
+        rows, idx, j = sums._pinned(lifted.result, shared)
         assert supports == [len(support)]
         assert (idx, j) == (0, 0)
         for row, original in zip(rows, lifted.result.matrix.entries):
             if not original[0]:
                 assert row == original
-        assert omega[j] * rows[j][idx] == 1
+        pinned = make(rows, lifted.result.vars.names, lifted.result.params.names)
+        assert homogeneity_certificate(pinned).omega[j] * rows[j][idx] == 1
         glued = sum_shared(lifted, quadric("w1", "w2", shared), shared)
         assert supports == [len(support)] * 2 + [1]
         # this side's pinned row 0 and the quadric's row s are glued last
@@ -824,25 +829,6 @@ class TestSupportLocalPin:
                + (glued.gamma,) * 3,)
         )
         assert whole_pins == []
-
-    @pytest.mark.filterwarnings("ignore:no kernel binomial")
-    def test_integer_carried_certificate(self):
-        # integer grading entries are carried as fractions by the pin; a
-        # hand-built side holding them is lifted again by sum_shared
-        rng = random.Random(79)
-        for _ in range(10):
-            side, support = _local_side(rng)
-            p = side.result
-            shared = p.vars.names[0]
-            omega = tuple(int(w) for w in side.certificate.omega)
-            ints = SumConstruction(p, 1, HomogeneityCertificate(omega))
-            rows, carried, idx, j = sums._pinned(ints, shared)
-            assert not any(isinstance(w, float) for w in carried)
-            assert HomogeneityCertificate(tuple(carried)).certifies(
-                make(rows, p.vars.names, p.params.names))
-            c = sum_shared(ints, quadric("w1", "w2", shared), shared)
-            assert c == sum_shared(p, quadric("w1", "w2", shared), shared)
-            assert c.certificate.certifies(c.result)
 
 
 def _glued(block, edges, k):
@@ -912,39 +898,26 @@ class TestTrustBoundary:
     """A construction that sum_shared did not build stands for its result alone."""
 
     def test_rank_deficient_claim_is_cut_to_its_rank(self):
-        # rows 1 and 2 are equal, outside the support of x; the claimed
-        # certificate is right, so only the rank claim is false
+        # rows 1 and 2 are equal, outside the support of x; the result is
+        # homogeneous, so only the rank claim is false
         p = make([[1, 1, 1], [0, 1, 0], [0, 1, 0]], ["a", "b", "x"], ["t", "u", "v"])
-        fake = SumConstruction(p, 1, HomogeneityCertificate((Fraction(1), Fraction(0), Fraction(0))))
-        assert fake.certificate.certifies(p) and dimension(p) == 2
+        fake = SumConstruction(p, 1)
+        assert graded(p) and dimension(p) == 2
         c = sum_shared(fake, quadric("w1", "w2", "x"), "x")
         assert len(c.result.params) == dimension(c.result) == 3
         assert c == sum_shared(p, quadric("w1", "w2", "x"), "x")
 
-    def test_wrong_claimed_certificate_is_ignored(self):
-        fake = SumConstruction(
-            result=quadric("z1", "z2", "y"),
-            gamma=1,
-            certificate=HomogeneityCertificate((Fraction(1, 2), Fraction(1))),
-        )
-        assert not fake.certificate.certifies(fake.result)
-        c = sum_shared(fake, quadric("w1", "w2", "y"), "y")
-        assert c.certificate.certifies(c.result)
-        assert c == sum_shared(fake.result, quadric("w1", "w2", "y"), "y")
-
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
     @pytest.mark.parametrize("wrong", range(4))
     def test_wrong_claimed_entry_is_ignored_on_local_path(self, wrong):
-        # the shared column x has support {0, 1} of three rows
+        # the shared column x has support {0, 1} of four rows; the entry a
+        # hand-built construction claims besides its result is gamma
         p = make([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1], [0, 0, 0, 1, 1]],
                  ["a", "b", "x", "c", "d"], ["t", "u", "v", "w"])
-        cert = homogeneity_certificate(p)
-        assert cert is not None and dimension(p) == 4
+        assert graded(p) and dimension(p) == 4
         expected = sum_shared(p, quadric("w1", "w2", "x"), "x")
-        assert expected.certificate.certifies(expected.result)
-        omega = list(cert.omega)
-        omega[wrong] += 1  # rows 0 and 1 lie in the support, 2 and 3 outside it
-        fake = SumConstruction(p, 1, HomogeneityCertificate(tuple(omega)))
+        assert graded(expected.result) and expected.gamma == 1
+        fake = SumConstruction(p, (0, -1, 2, 6)[wrong])
         assert sum_shared(fake, quadric("w1", "w2", "x"), "x") == expected
 
     @pytest.mark.filterwarnings("ignore:no kernel binomial")
@@ -952,38 +925,39 @@ class TestTrustBoundary:
         # the support rows of x are dependent, so the construction's claim
         # of maximal rank is false: on two rows the recombined row would be
         # zero; on three, v = t + u and the rows recombined against t would
-        # both be (0, -1, 1, 1), nonzero but dependent.  Both claimed
-        # certificates are right.
-        half = Fraction(1, 2)
+        # both be (0, -1, 1, 1), nonzero but dependent.  Both are homogeneous.
         cases = [
-            ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"], (1, 0, 1)),
-            ([[1, 1, 0, 0], [1, 0, 1, 1], [2, 1, 1, 1], [0, 1, 1, 1]],
-             ["x", "a", "b", "c"], (half, half, 0, half)),
+            ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], ["a", "x", "b"]),
+            ([[1, 1, 0, 0], [1, 0, 1, 1], [2, 1, 1, 1], [0, 1, 1, 1]], ["x", "a", "b", "c"]),
         ]
-        for rows, var_names, omega in cases:
+        for rows, var_names in cases:
             p = make(rows, var_names, [f"t{r}" for r in range(len(rows))])
-            fake = SumConstruction(p, 1, HomogeneityCertificate(omega))
-            assert fake.certificate.certifies(p) and dimension(p) < len(rows)
+            fake = SumConstruction(p, 1)
+            assert graded(p) and dimension(p) < len(rows)
             c = sum_shared(fake, quadric("w1", "w2", "x"), "x")
             assert c == sum_shared(p, quadric("w1", "w2", "x"), "x")
             assert len(c.result.params) == dimension(c.result) == dimension(p) + 1
 
     def test_non_homogeneous_result_is_refused(self):
-        # the claimed certificate grades the first column only
+        # no grading vector exists: u1 and u2 would need degrees 1 and 1/2
         p = make([[1, 2, 1]], ["u1", "u2", "x"], ["t"])
-        fake = SumConstruction(p, 1, HomogeneityCertificate((Fraction(1),)))
+        fake = SumConstruction(p, 1)
         with pytest.raises(ConstructionError, match="first input is not homogeneous"):
             sum_shared(fake, quadric("w1", "w2", "x"), "x")
 
 
 def _checked_merges(monkeypatch):
-    """Wrap ``sums.sum_shared``; every merge's result is checked, as it once was at run time."""
+    """Wrap ``sums.sum_shared``; every merge's result is checked, as it once was at run time.
+
+    Its grading vector is solved by ``homogeneity_certificate``, apart from
+    ``sums``, which computes none.
+    """
     merges = []
     real = sums.sum_shared
 
     def checked(p1, p2, shared):
         c = real(p1, p2, shared)
-        assert c.certificate.certifies(c.result)
+        assert graded(c.result)
         assert len(c.result.params) == dimension(c.result)
         merges.append(shared)
         return c
