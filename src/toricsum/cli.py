@@ -24,6 +24,7 @@ shell reports for a command ended by SIGPIPE; nothing more is printed then.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -42,6 +43,8 @@ from .binomials import (
 from .exact_linalg import IntegerMatrix
 from .oracle import (
     EQUAL_UP_TO_DEGREE,
+    MISSING_IN_KERNEL,
+    CertificationVerdict,
     DegreeBound,
     certify_presentation,
     default_degree_bound,
@@ -50,6 +53,7 @@ from .oracle import (
 from .parametrization import (
     ConstructionError,
     Parametrization,
+    contains_binomial,
     dimension,
     homogeneity_certificate,
     normalize_pin,
@@ -265,16 +269,17 @@ def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 
 
 def _inputs_certify(
-    ideals: Sequence[ParsedIdeal], graph: IdealFamilyGraph, bound: DegreeBound
-) -> bool:
-    """Whether every distinct input's generators certify against that input.
+    ideals: Sequence[ParsedIdeal], graph: IdealFamilyGraph, bound: DegreeBound, vars_: VariableSet
+) -> Optional[CertificationVerdict]:
+    """The sum's verdict over ``vars_``, from each distinct input's own check.
 
     Inputs are deduplicated by (matrix entries, generators), so a family of
     copies of one block certifies it once.  An isolated vertex of the
-    sharing graph need not be homogeneous to be summed; one that is not
-    fails here, since the argument below needs the grading.
+    sharing graph need not be homogeneous to be summed; when one is not,
+    this returns None and the whole sum is checked, since the arguments
+    below need the grading.
 
-    A True means the whole sum certifies too, at the same bound.  Every
+    A pass means the whole sum certifies too, at the same bound.  Every
     input that takes part in a merge is homogeneous, or ``sum_family``
     refuses it, and here every isolated one is too.  Take one edge,
     R_i = k[S_i] glued along s, with s -> a_i, a nonzero column.  Each R_i
@@ -299,20 +304,48 @@ def _inputs_certify(
     e <= d, so the union of the generators reaches every kernel binomial
     of the sum up to degree d.  Generators of a homogeneous kernel are
     balanced, so the whole-sum rewriting search is exact and finds each.
+
+    A failure is the sum's failure too.  Define phi: k[X] -> k[X_i]: it
+    fixes X_i, sends every variable of the subtree hanging off block i at
+    shared variable s to s, and every variable of another component to 1.
+    A homogeneous binomial of another input of i's component goes to
+    s^e - s^e = 0, and any binomial of another component to 1 - 1 = 0.  So
+    phi kills every I_j with j != i, hence every other input's generator
+    once each is known to lie in its kernel, and maps the sum's kernel
+    I_1 + ... + I_k onto I_i, which it fixes.  Hence I_sum meets k[X_i] in
+    I_i: a generator outside its input's kernel is outside the sum's.  The
+    whole-sum check tests the generators first, in file order, so they are
+    tested here first too, and the first one outside its kernel is
+    reported.  Otherwise let w be a binomial of I_i that the search cannot
+    reach from G_i, which is exact there, as G_i is balanced.  If w were in
+    the ideal of the union of the generators, applying phi would put it in
+    the ideal of G_i.  So w, of degree <= d and in I_sum, is a witness for
+    the sum.  It is the first failing input's witness, which need not be
+    the first the whole-sum enumeration meets.
     """
     isolated = {c.vertices[0] for c in graph.components if len(c.vertices) == 1}
-    seen: set[tuple] = set()
+    distinct: dict[tuple, ParsedIdeal] = {}
     for v, ideal in enumerate(ideals):
         p = ideal.parametrization
         key = (p.matrix.entries, ideal.generators)
-        if key in seen:
-            continue
-        seen.add(key)
-        if v in isolated and homogeneity_certificate(p) is None:
-            return False
-        if certify_presentation(p, ideal.generators, bound).status != EQUAL_UP_TO_DEGREE:
-            return False
-    return True
+        if key not in distinct:
+            if v in isolated and homogeneity_certificate(p) is None:
+                return None
+            distinct[key] = ideal
+
+    def relabelled(verdict: CertificationVerdict, ideal: ParsedIdeal) -> CertificationVerdict:
+        witness = relabel_binomial(verdict.witness, ideal.parametrization.vars, vars_)
+        return CertificationVerdict(verdict.status, witness, verdict.degree_checked)
+
+    for ideal in distinct.values():
+        for g in ideal.generators:
+            if not contains_binomial(ideal.parametrization, g):
+                return relabelled(CertificationVerdict(MISSING_IN_KERNEL, g, bound.max_degree), ideal)
+    for ideal in distinct.values():
+        verdict = certify_presentation(ideal.parametrization, ideal.generators, bound)
+        if verdict.status != EQUAL_UP_TO_DEGREE:
+            return relabelled(verdict, ideal)
+    return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, bound.max_degree)
 
 
 def _sum_generators(ideals: Sequence[ParsedIdeal], vars_: VariableSet) -> list[Binomial]:
@@ -337,12 +370,10 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         return 0
 
     bound = _degree_bound(args, [g for ideal in ideals for g in ideal.generators])
-    # The whole sum is checked when one input fails, so that its witness
-    # is reported, and for one input, where it is the same check.
-    if len(ideals) > 1 and _inputs_certify(ideals, report.graph, bound):
-        print(f"verdict: {EQUAL_UP_TO_DEGREE} (degree {bound.max_degree})")
-        return 0
-    verdict = certify_presentation(result, _sum_generators(ideals, result.vars), bound)
+    # One input is checked whole, which is the same check.
+    verdict = _inputs_certify(ideals, report.graph, bound, result.vars) if len(ideals) > 1 else None
+    if verdict is None:
+        verdict = certify_presentation(result, _sum_generators(ideals, result.vars), bound)
     if verdict.status == EQUAL_UP_TO_DEGREE:
         print(f"verdict: {verdict.status} (degree {verdict.degree_checked})")
         return 0
@@ -369,7 +400,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    Not at import, so that importing the package stays cheap.
+    """
     parser = _ArgumentParser(
         prog="toricsum",
         description="Toric ideal parametrizations, kernel enumeration, and sums.",
@@ -425,8 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:

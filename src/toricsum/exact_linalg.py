@@ -424,27 +424,25 @@ def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:
 
 
 def _solve_transposed(
-    a: IntegerMatrix, rhs: Sequence[int], scale: int = 1
-) -> tuple[list[int], Optional[tuple[Fraction, ...]]]:
-    """One fraction-free reduction of ``[A^T | rhs]``: row basis and solve.
+    a: IntegerMatrix, rhs: Sequence[int]
+) -> tuple[list[int], Optional[list[list[int]]], int]:
+    """One fraction-free reduction of ``[A^T | rhs]``: row basis and consistency.
 
-    ``rhs`` holds one integer per column of ``A`` and stands for
-    ``rhs / scale``.  Returns the pivots, the greedy row basis of ``A``,
-    and the particular solution of ``omega @ A == rhs / scale`` with the
-    free coordinates zero, or None when that system is inconsistent.
-    :func:`solve_row_rational` and the lift of a summand in :mod:`sums`
-    share this one elimination.
+    ``rhs`` holds one integer per column of ``A``.  Returns the pivots, the
+    greedy row basis of ``A``; the reduced rows, or None when
+    ``omega @ A == rhs`` is inconsistent; and their common denominator d.
+    Reduced row k then gives ``omega[pivots[k]] = row[-1] / d`` in the
+    solution with the free coordinates zero, which is built only by
+    :func:`solve_row_rational`; the lift of a summand in :mod:`sums` reads
+    the pivots and the consistency of the same elimination.
     """
     m = a.rows
     columns = zip(*a.entries) if m else [()] * a.cols
     rows = [[*column, v] for column, v in zip(columns, rhs)]
     pivots, d, _ = row_reduce(rows, m)
     if any(row[m] for row in rows[len(pivots):]):
-        return pivots, None
-    omega = [Fraction(0)] * m
-    for row, c in zip(rows, pivots):
-        omega[c] = Fraction(row[m], d * scale)
-    return pivots, tuple(omega)
+        return pivots, None, d
+    return pivots, rows, d
 
 
 def solve_row_rational(
@@ -468,7 +466,13 @@ def solve_row_rational(
     # The system is solved for L * rhs, with L clearing the denominators.
     fractions = [Fraction(v) for v in rhs]
     scale = lcm(1, *(v.denominator for v in fractions))
-    return _solve_transposed(a, [int(v * scale) for v in fractions], scale)[1]
+    pivots, reduced, d = _solve_transposed(a, [int(v * scale) for v in fractions])
+    if reduced is None:
+        return None
+    omega = [Fraction(0)] * a.rows
+    for row, c in zip(reduced, pivots):
+        omega[c] = Fraction(row[-1], d * scale)
+    return tuple(omega)
 
 
 def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:

@@ -27,12 +27,16 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .binomials import Binomial, Monomial, split_disjoint
+from .binomials import Binomial, Monomial
 from .parametrization import Parametrization, contains_binomial
 
 EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
 MISSING_IN_SUM = "missing-in-sum"
 MISSING_IN_KERNEL = "missing-in-kernel"
+
+# A monomial of the kernel enumeration: (exponents, support mask, image key,
+# degree, last variable added).
+_Member = tuple[Monomial, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,24 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     An image is keyed by one int: column j packs to sum_r a_rj * B^r with
     B = 2 * d * max|a| + 1, and every coordinate of a degree <= d image is
     a balanced digit of absolute value below B / 2, so distinct images
-    have distinct keys.  A bucket's differences against its smallest
-    member (star pattern) span all its pairs and have canonical sign; each
+    have distinct keys.  A bucket's differences m - rep against its
+    smallest member rep (star pattern) span all its pairs, and each
     distinct one becomes one binomial.  Output is sorted.
+
+    A pair whose supports are disjoint is the binomial x^m - x^rep itself,
+    canonical as m > rep, and no other pair gives it.  A pair sharing
+    g = min(m, rep) != 0 gives the binomial of (m - g, rep - g), which lie
+    in the bucket of image A rep - A g.  Lex order is invariant under
+    translation, so when rep - g is that bucket's minimum, that bucket
+    emits the binomial as its own disjoint pair and this one is skipped.
+    It is the minimum whenever every bucket holds one degree (always when
+    ``p`` is homogeneous): a member x < rep - g would give x + g < rep in
+    rep's bucket, of degree deg rep <= d.  Only buckets of mixed degrees
+    can put x + g beyond the bound; then a shared pair is kept unless
+    rep - g is its bucket's minimum, and a set keeps each such binomial
+    once.
+    Supports are bitmasks grown with the monomials, so the disjointness
+    test is one ``&``.
     """
     n = len(p.vars)
     rows = p.matrix.entries
@@ -102,30 +121,44 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     columns = [0] * n
     for row in reversed(rows):
         columns = [c * base + x for c, x in zip(columns, row)]
-    constant: Monomial = (0,) * n
-    # (monomial, image key, last variable added); the degree-0 monomial may
-    # be extended by any variable.
-    layer: list[tuple[Monomial, int, int]] = [(constant, 0, 0)]
-    buckets: dict[int, list[Monomial]] = {0: [constant]}
-    for _ in range(d.max_degree):
-        grown: list[tuple[Monomial, int, int]] = []
-        for mono, image, last in layer:
+    # the degree-0 monomial may be extended by any variable
+    constant: _Member = ((0,) * n, 0, 0, 0, 0)
+    layer = [constant]
+    buckets: dict[int, list[_Member]] = {0: [constant]}
+    mixed = False
+    for degree in range(1, d.max_degree + 1):
+        grown: list[_Member] = []
+        for mono, support, image, _, last in layer:
             for j in range(last, n):
-                child = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                child_image = image + columns[j]
-                grown.append((child, child_image, j))
-                bucket = buckets.get(child_image)
+                child = (mono[:j] + (mono[j] + 1,) + mono[j + 1:], support | 1 << j,
+                         image + columns[j], degree, j)
+                grown.append(child)
+                bucket = buckets.get(child[2])
                 if bucket is None:
-                    buckets[child_image] = [child]
+                    buckets[child[2]] = [child]
                 else:
+                    # members arrive by degree, so the first has the lowest
+                    mixed = mixed or bucket[0][3] != degree
                     bucket.append(child)
         layer = grown
-    differences: set[tuple[int, ...]] = set()
-    for members in buckets.values():
-        if len(members) > 1:
-            rep = min(members)
-            differences.update(tuple(a - b for a, b in zip(m, rep)) for m in members if m != rep)
-    return sorted(map(split_disjoint, differences), key=Binomial.sort_key)
+    stars = [(min(members), members) for members in buckets.values() if len(members) > 1]
+    minima = {rep[0] for rep, _ in stars} if mixed else set()
+    found: list[tuple[int, Monomial, Monomial]] = []
+    shared: set[tuple[int, Monomial, Monomial]] = set()
+    for (rep, rep_support, _, rep_degree, _), members in stars:
+        for m, support, _, m_degree, _ in members:
+            if m is rep:
+                continue
+            if not support & rep_support:
+                found.append((max(m_degree, rep_degree), m, rep))
+            elif mixed:
+                minus = tuple(r - a if r > a else 0 for a, r in zip(m, rep))
+                if minus not in minima:
+                    plus = tuple(a - r if a > r else 0 for a, r in zip(m, rep))
+                    shared.add((max(sum(plus), sum(minus)), plus, minus))
+    found += shared
+    found.sort()
+    return [Binomial(plus, minus) for _, plus, minus in found]
 
 
 # (root, previous monomial, generator index, direction); the root's own

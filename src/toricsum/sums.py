@@ -238,10 +238,10 @@ def _solve_block(a: IntegerMatrix, refusal: str) -> _Block:
     One reduction of ``[A^T | 1]`` gives the basis, its pivots, and is
     consistent exactly when a grading vector exists.  Raises
     ConstructionError with ``refusal`` when none does, as for any matrix
-    with a zero column.  The solution itself is not kept.
+    with a zero column.  The solution itself is never built.
     """
-    keep, omega = _solve_transposed(a, [1] * a.cols)
-    if omega is None:
+    keep, reduced, _ = _solve_transposed(a, [1] * a.cols)
+    if reduced is None:
         raise ConstructionError(refusal)
     return _Block(a if len(keep) == a.rows else a.take(keep, range(a.cols)))
 

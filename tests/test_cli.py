@@ -1,5 +1,7 @@
 """File format parsing, printing, subcommands, and the exit-code contract."""
 
+import contextlib
+import io
 import os
 import random
 import re
@@ -13,8 +15,12 @@ from toricsum import (
     IntegerMatrix,
     Parametrization,
     VariableSet,
+    contains_binomial,
     enumerate_kernel_binomials,
     format_binomial,
+    membership_by_classes,
+    parse_binomial,
+    relabel_binomial,
 )
 from toricsum import cli
 from toricsum.cli import (
@@ -571,10 +577,39 @@ def counting_certify(monkeypatch):
 
 
 def whole_sum_route(monkeypatch, argv, capsys):
-    """Exit code and stdout of ``main(argv)`` with every input check failing."""
+    """Exit code and stdout of ``main(argv)`` checking the whole sum."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_inputs_certify", lambda *args: False)
+        m.setattr(cli, "_inputs_certify", lambda *args: None)
         return main(argv), capsys.readouterr().out
+
+
+VERDICT_RE = re.compile(r"^verdict: (\S+)(?: witness (.+))? \(degree (\d+)\)$")
+
+
+def assert_same_verdict(text, got, want):
+    """``got`` certifies ``text`` as the whole-sum route ``want`` does.
+
+    A failing family may report another witness than the whole sum's
+    first; it must lie in the sum's kernel, out of reach of the union of
+    the generators.
+    """
+    if want[0] == 0 or got == want:
+        assert got == want
+        return
+    assert got[0] == want[0]
+    *head, verdict = got[1].splitlines()
+    *want_head, want_verdict = want[1].splitlines()
+    assert head == want_head
+    status, witness, degree = VERDICT_RE.match(verdict).groups()
+    assert (status, degree) == VERDICT_RE.match(want_verdict).groups()[::2]
+    assert status == "missing-in-sum"
+    total = parse_ideal_file(got[1].split("\nk=")[0])[0].parametrization
+    w = parse_binomial(witness, total.vars)
+    gens = [relabel_binomial(g, ideal.parametrization.vars, total.vars)
+            for ideal in parse_ideal_file(text) for g in ideal.generators]
+    assert w.degree <= int(degree)
+    assert contains_binomial(total, w)
+    assert not membership_by_classes(w, gens)
 
 
 @pytest.mark.filterwarnings("ignore:no kernel binomial")
@@ -593,32 +628,54 @@ class TestCertifyByInput:
         assert capsys.readouterr().out.endswith("verdict: equal-up-to-degree (degree 4)\n")
         assert calls == [4]
 
-    def test_failure_checks_the_whole_sum(self, tmp_path, capsys, monkeypatch):
+    def test_failure_stops_at_the_failing_input(self, tmp_path, capsys, monkeypatch):
         # quadric, conic, cubic, quadric, conic along a path and an isolated
         # cubic; the first cubic loses a generator, so the quadric and the
-        # conic pass before it fails, and the whole sum of 16 variables is
-        # then checked once for its witness
+        # conic pass before it fails, and its witness is the sum's: the
+        # whole sum of 16 variables is never enumerated
         kinds = ["quadric", "conic", "cubic", "quadric", "conic", "cubic"]
         blocks = forest_family("path", kinds, random.Random(5))
         blocks[2][3].pop(0)
-        f = write(tmp_path, "mixed.ideal", family_text(blocks))
+        text = family_text(blocks)
+        f = write(tmp_path, "mixed.ideal", text)
+        argv = ["sum", f, "--certify", "--max-degree", "3"]
+        want = whole_sum_route(monkeypatch, argv, capsys)
+        calls = counting_certify(monkeypatch)
+        got = main(argv), capsys.readouterr().out
+        assert_same_verdict(text, got, want)
+        assert want[0] == 1 and "verdict: missing-in-sum witness" in want[1]
+        assert calls == [3, 3, 4]
+
+    def test_generator_outside_its_kernel_comes_first(self, tmp_path, capsys, monkeypatch):
+        # the first cubic drops a generator and a later conic gains one
+        # outside its kernel: as in the whole-sum check, every generator is
+        # tested for kernel membership before any kernel is enumerated
+        kinds = ["quadric", "cubic", "conic", "quadric"]
+        blocks = forest_family("path", kinds, random.Random(8))
+        blocks[1][3].pop(0)
+        name, vars_, rows, gens = blocks[2]
+        gens.append(f"{vars_[0]} - {vars_[1]}")
+        f = write(tmp_path, "precedence.ideal", family_text(blocks))
         argv = ["sum", f, "--certify", "--max-degree", "3"]
         want = whole_sum_route(monkeypatch, argv, capsys)
         calls = counting_certify(monkeypatch)
         assert (main(argv), capsys.readouterr().out) == want
-        assert want[0] == 1 and "verdict: missing-in-sum witness" in want[1]
-        assert calls == [3, 3, 4, 16]
+        assert want[0] == 1
+        status, witness, _ = VERDICT_RE.match(want[1].splitlines()[-1]).groups()
+        assert status == "missing-in-kernel"
+        assert set(witness.split(" - ")) == set(vars_[:2])
+        assert calls == []
 
     def test_non_homogeneous_isolated_input_checks_the_whole_sum(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the two quadrics certify, but a^2 - b has no grading, so the
-        # whole sum of 7 variables is checked
+        # a^2 - b has no grading, so the whole sum of 7 variables is checked
+        # and no input on its own
         isolated = UNBALANCED.replace("vars x y", "vars a b") + "gen b - a^2\n"
         f = write(tmp_path, "mixed.ideal", GLUED + isolated)
         calls = counting_certify(monkeypatch)
         assert main(["sum", f, "--certify"]) == 0
-        assert calls == [3, 7]
+        assert calls == [7]
 
     @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
     def test_matches_the_whole_sum(self, tmp_path, capsys, monkeypatch, tree):
@@ -637,6 +694,50 @@ class TestCertifyByInput:
                                ["--max-degree", "4"], []):
                     argv = ["sum", f, "--certify", *degree]
                     got = main(argv), capsys.readouterr().out
-                    assert got == whole_sum_route(monkeypatch, argv, capsys)
+                    assert_same_verdict(text, got, whole_sum_route(monkeypatch, argv, capsys))
                     exits.add(got[0])
         assert exits == {0, 1}
+
+
+class TestParser:
+    def test_built_once_not_at_import(self):
+        code = "import toricsum.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout == "0\n"
+        assert cli._parser() is cli._parser()
+
+    def test_reused_parser_answers_as_separate_processes(self, tmp_path, capsys):
+        f = write(tmp_path, "path.ideal", PATH3)
+        argvs = [
+            ["sum", "--certify", "--max-degree", "3", f],
+            ["kernel", "--max-degree", "2", f],
+            ["sum", f],
+            ["kernel", f],
+            ["normalize", "--ideal", "I2", "--pin", "x", f],
+            ["sum", "--max-degree", "1", f],
+            ["dim", f],
+            ["sum", "--certify", f],
+        ]
+        for argv in argvs:
+            got = main(argv), capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", "toricsum", *argv],
+                                  capture_output=True, text=True, timeout=60)
+            assert got == (proc.returncode, proc.stdout)
+
+    def test_help_and_errors_follow_the_current_streams(self, tmp_path, capsys):
+        f = write(tmp_path, "c.ideal", TWISTED)
+        assert main(["dim", f]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert out.getvalue().startswith("usage: toricsum")
+            with pytest.raises(SystemExit) as exc:
+                main(["kernel", "--max-degree", "0", f])
+            assert exc.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
+        assert main(["dim", f]) == 0
+        assert capsys.readouterr().out == "C: dim(rank)=2\n"

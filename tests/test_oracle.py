@@ -25,10 +25,8 @@ from toricsum import (
     reduces_to_zero,
     relabel_binomial,
     rewrite_chain,
-    split_disjoint,
     sum_shared,
 )
-from toricsum import oracle
 from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain, _sparse_sides
 
 
@@ -116,17 +114,22 @@ class TestEnumerate:
         found = enumerate_kernel_binomials(p, DegreeBound(degree))
         assert [format_binomial(b, p.vars) for b in found] == [expected]
 
-    def test_one_binomial_per_distinct_vector(self, monkeypatch):
-        calls = []
-
-        def counting(u):
-            calls.append(u)
-            return split_disjoint(u)
-
-        monkeypatch.setattr(oracle, "split_disjoint", counting)
+    def test_one_binomial_per_distinct_vector(self):
         found = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
-        assert len(found) == 8
-        assert len(calls) == len(found)
+        assert len(found) == len(set(found)) == 8
+        assert found == reference_kernel_binomials(TWISTED_CUBIC, 4)
+
+    def test_shared_pair_of_a_mixed_degree_bucket(self):
+        # The bucket {x, y, z^2} has minimum z^2, so x*y - y^2 shares y
+        # with a pair (x, y) whose smaller side is not the minimum of its
+        # bucket; its binomial x - y comes from that shared pair alone.
+        p = Parametrization(
+            VariableSet.of("t"), VariableSet.of("x", "y", "z"), IntegerMatrix.from_rows([[2, 2, 1]])
+        )
+        found = enumerate_kernel_binomials(p, DegreeBound(2))
+        assert [format_binomial(b, p.vars) for b in found] == \
+            ["x - y", "y - z^2", "x - z^2", "x^2 - y^2"]
+        assert found == reference_kernel_binomials(p, 2)
 
     def test_emitted_binomials_are_kernel_members(self):
         rng = random.Random(61)
@@ -279,6 +282,9 @@ class TestIncrementalEnumeration:
         ps = [TWISTED_CUBIC, CURVE_23]
         ps += [random_homogeneous_parametrization(rng, max_params=3, max_vars=5) for _ in range(8)]
         ps += [random_parametrization(rng, max_params=3, max_vars=5) for _ in range(8)]
+        # no grading, so buckets mix degrees and a pair sharing a variable
+        # may give the only copy of its binomial
+        ps += [random_parametrization(rng, max_params=2, max_vars=5) for _ in range(60)]
         ps += [
             # no parameters: every monomial of a degree shares one image
             Parametrization(VariableSet(()), VariableSet.of("a", "b", "c"), IntegerMatrix.zero(0, 3)),
