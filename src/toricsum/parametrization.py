@@ -157,6 +157,27 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     return Parametrization(p.params, p.vars, cleared)
 
 
+@lru_cache(maxsize=1)
+def _echelon(m: IntegerMatrix) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """``(pivots, d, rows)``: the fraction-free reduced echelon form of ``m``.
+
+    This is :func:`~toricsum.exact_linalg.row_reduce` in natural column
+    order with the zero rows dropped, so ``rows / d`` is the reduced row
+    echelon form, row ``k`` holding ``d`` in column ``pivots[k]``.  By
+    Cramer's rule each entry is, up to sign, an ``r x r`` minor of a row
+    basis of ``m``, ``r`` its rank: ``d`` is the one on the pivot columns,
+    and the entry of row ``k`` in column ``c`` is the one on the pivot
+    columns with ``pivots[k]`` replaced by ``c``.
+
+    Cached for the last matrix only, since :func:`normalize_pin` is
+    typically called for several columns of one matrix in a row; the
+    result is immutable, so sharing it is safe.
+    """
+    rows = [list(row) for row in m.entries]
+    pivots, d, _ = row_reduce(rows, m.cols)
+    return tuple(pivots), d, tuple(tuple(row) for row in rows[: len(pivots)])
+
+
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     """Re-parametrize at maximal rank so one variable maps to t_j^q.
 
@@ -168,6 +189,26 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     index) form ``q`` times the identity, which is checked and also proves
     the rows independent, and the gcd of all its entries is 1, which fixes
     it uniquely.  The parameters are renamed ``t1, t2, ...``.
+
+    Every pin of a matrix is read off one reduction of it in natural
+    column order (:func:`_echelon`: pivots ``p_0 < ... < p_(r-1)``, common
+    pivot ``d``).  If the pinned column ``j`` is a pivot ``p_k``, the greedy
+    basis for the order ``j`` first, then the other columns by increasing
+    index, is the natural one, and row ``k`` just moves first.  Otherwise
+    let ``k`` be the last row with a nonzero entry ``e`` in column ``j``.
+    Column ``j`` is the combination of the pivot columns its entries give,
+    so its fundamental circuit is ``j`` with the pivots of its nonzero rows,
+    the largest of them ``p_k``.  The greedy basis is the natural one with
+    ``p_k`` exchanged for ``j``: a pivot below ``p_k`` is independent of
+    ``j`` and the smaller pivots, since ``j`` involves ``p_k``; ``p_k`` is
+    not; and every later column depends on the columns before it as it
+    did, since ``j`` and ``p_0 .. p_(k-1)`` span what ``p_0 .. p_k`` span.
+    One Bareiss step at row ``k``, column ``j``, ``row_i <- (e * row_i -
+    row_i[j] * row_k) / d`` for ``i != k``, gives ``e`` times the reduced
+    echelon form for that basis.  By Sylvester's identity, as in
+    :func:`~toricsum.exact_linalg.row_reduce`, each of its entries is an
+    ``r x r`` minor, so the division is exact.  Row ``k`` then moves
+    first.  After the one ``O(r^2 n)`` reduction, a pin costs ``O(r n)``.
     """
     idx = p.vars.index(var) if isinstance(var, str) else var
     if not 0 <= idx < len(p.vars):
@@ -175,20 +216,28 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     name = p.vars.names[idx]
     if not any(p.column(idx)):
         raise ConstructionError(f"variable {name!r} maps to 1 and cannot be pinned")
-    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
-    pivots, d, _ = row_reduce(rows, len(p.vars))
-    rows = rows[: len(pivots)]
+    pivots, d, rows = _echelon(p.matrix)
+    if idx in pivots:
+        k = pivots.index(idx)
+    else:
+        k = max(i for i, row in enumerate(rows) if row[idx])
+        pivot_row = rows[k]
+        e = pivot_row[idx]
+        rows = [
+            row if i == k else [(e * a - row[idx] * b) // d for a, b in zip(row, pivot_row)]
+            for i, row in enumerate(rows)
+        ]
+        d = e
+    order = [k, *range(k), *range(k + 1, len(rows))]
     g = gcd(*(x for row in rows for x in row))
     if d < 0:
         g = -g
-    reduced = tuple(
-        tuple(x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]) for row in rows
-    )
+    reduced = tuple(tuple(x // g for x in rows[i]) for i in order)
     q = d // g
-    for k, c in enumerate(pivots):
-        c = idx if c == 0 else c - 1 if c <= idx else c
-        if any(row[c] != (q if r == k else 0) for r, row in enumerate(reduced)):
-            raise RuntimeError(f"pin of {name!r}: pivot column {k} is not q * e_{k}")
+    for r, i in enumerate(order):
+        c = idx if i == k else pivots[i]
+        if any(row[c] != (q if s == r else 0) for s, row in enumerate(reduced)):
+            raise RuntimeError(f"pin of {name!r}: pivot column {r} is not q * e_{r}")
     matrix = IntegerMatrix(len(reduced), len(p.vars), reduced)
     result = Parametrization(_numbered(len(reduced)), p.vars, matrix)
     return PinResult(result, pinned_param_index=0, exponent=q)

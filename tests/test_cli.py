@@ -272,6 +272,24 @@ class TestCommands:
         assert "I1: pin x3 -> t1^2 (q=2)" in out
         assert "row 0 1 2\nrow 2 1 0" in out
 
+    def test_normalize_every_variable_in_one_process(self, tmp_path, capsys):
+        # later pins of the one matrix reuse its reduction; the output must
+        # be exactly what a separate run per variable prints
+        text = "ideal C\nvars a b c d\nparams t s\nrow 3 2 1 0\nrow 0 1 2 3\n"
+        f = write(tmp_path, "c.ideal", text)
+        expected = {
+            "a": ("t1 (q=1)", "1 0 -1 -2", "0 1 2 3"),
+            "b": ("t1 (q=1)", "0 1 2 3", "1 0 -1 -2"),
+            "c": ("t1^2 (q=2)", "0 1 2 3", "2 1 0 -1"),
+            "d": ("t1^3 (q=3)", "0 1 2 3", "3 2 1 0"),
+        }
+        for var, (power, row1, row2) in expected.items():
+            assert main(["normalize", f, "--ideal", "C", "--pin", var]) == 0
+            assert capsys.readouterr().out == (
+                f"C: pin {var} -> {power}\nideal C\nvars a b c d\nparams t1 t2\n"
+                f"row {row1}\nrow {row2}\n"
+            )
+
     def test_normalize_unknown_ideal(self, tmp_path, capsys):
         f = write(tmp_path, "c.ideal", TWISTED)
         assert main(["normalize", f, "--ideal", "Z", "--pin", "x0"]) == 2

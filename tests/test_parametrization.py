@@ -19,6 +19,7 @@ from toricsum import (
     IntegerMatrix,
     LatticeBasis,
     Parametrization,
+    PinResult,
     RationalMatrix,
     VariableSet,
     contains_binomial,
@@ -36,6 +37,7 @@ from toricsum import (
     saturate_lattice,
     split_disjoint,
 )
+from toricsum.exact_linalg import row_reduce
 
 
 def make(rows, var_names, param_names):
@@ -230,9 +232,15 @@ class TestNormalizePin:
             rows[0][pivots[-1]] += d  # off the diagonal of the last pivot column
             return pivots, d, sign
 
+        # A reduction cached by an earlier pin would bypass the patch, and the
+        # corrupted one must not outlive this test.
+        parametrization._echelon.cache_clear()
         monkeypatch.setattr(parametrization, "row_reduce", corrupted)
-        with pytest.raises(RuntimeError, match="pivot column 1"):
-            normalize_pin(TWISTED_CUBIC, 1)
+        try:
+            with pytest.raises(RuntimeError, match="pivot column 0"):
+                normalize_pin(TWISTED_CUBIC, 1)
+        finally:
+            parametrization._echelon.cache_clear()
 
     def test_redundant_rows_are_dropped(self):
         p = make([[1, 1, 1], [2, 2, 2], [0, 1, 2]], ["x1", "x2", "x3"], ["t", "s", "u"])
@@ -264,6 +272,64 @@ class TestNormalizePin:
             )
             assert new.matrix.take(range(new.matrix.rows), selection).entries == q_identity
             assert gcd(*(x for row in new.matrix.entries for x in row)) == 1
+
+
+def reference_pin(p, idx):
+    """One fresh reduction with the pinned column first, as normalize_pin's contract reads."""
+    if not 0 <= idx < len(p.vars):
+        raise ConstructionError(f"variable index {idx} out of range")
+    name = p.vars.names[idx]
+    if not any(p.column(idx)):
+        raise ConstructionError(f"variable {name!r} maps to 1 and cannot be pinned")
+    rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
+    pivots, d, _ = row_reduce(rows, len(p.vars))
+    rows = rows[: len(pivots)]
+    g = gcd(*(x for row in rows for x in row))
+    if d < 0:
+        g = -g
+    reduced = tuple(
+        tuple(x // g for x in row[1 : idx + 1] + row[:1] + row[idx + 1 :]) for row in rows
+    )
+    matrix = IntegerMatrix(len(reduced), len(p.vars), reduced)
+    params = VariableSet(tuple(f"t{k}" for k in range(1, len(reduced) + 1)))
+    return PinResult(Parametrization(params, p.vars, matrix), 0, d // g)
+
+
+def pin_or_error(pin, p, idx):
+    try:
+        return pin(p, idx)
+    except ConstructionError as exc:
+        return (type(exc), str(exc))
+
+
+def random_pin_input(rng):
+    """Random r x n parametrization, some with dependent rows or zero columns."""
+    r = rng.randint(1, 6)
+    n = rng.randint(r, 10)
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+    if r > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(r), 2)
+        f, h = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[rng.randrange(r)] = [f * x + h * y for x, y in zip(rows[a], rows[b])]
+    return make(rows, [f"x{k}" for k in range(n)], [f"u{k}" for k in range(r)])
+
+
+class TestPinFromOneReduction:
+    """normalize_pin derives every pin from one reduction of the matrix."""
+
+    def test_matches_a_fresh_reduction_per_column(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            p = random_pin_input(rng)
+            for j in range(len(p.vars) + 1):
+                assert pin_or_error(normalize_pin, p, j) == pin_or_error(reference_pin, p, j)
+
+    def test_interleaved_matrices_are_not_confused(self):
+        rng = random.Random(5)
+        a, b = random_pin_input(rng), TWISTED_CUBIC
+        for p in (a, b, a):
+            for j in range(len(p.vars)):
+                assert pin_or_error(normalize_pin, p, j) == pin_or_error(reference_pin, p, j)
 
 
 class TestFromLattice:
