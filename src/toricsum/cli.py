@@ -46,6 +46,7 @@ from .oracle import (
     MISSING_IN_KERNEL,
     CertificationVerdict,
     DegreeBound,
+    _certify_reachability,
     certify_presentation,
     default_degree_bound,
     enumerate_kernel_binomials,
@@ -342,7 +343,7 @@ def _inputs_certify(
             if not contains_binomial(ideal.parametrization, g):
                 return relabelled(CertificationVerdict(MISSING_IN_KERNEL, g, bound.max_degree), ideal)
     for ideal in distinct.values():
-        verdict = certify_presentation(ideal.parametrization, ideal.generators, bound)
+        verdict = _certify_reachability(ideal.parametrization, ideal.generators, bound)
         if verdict.status != EQUAL_UP_TO_DEGREE:
             return relabelled(verdict, ideal)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, bound.max_degree)

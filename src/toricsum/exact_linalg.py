@@ -12,7 +12,8 @@ integer rows (:func:`row_reduce`); ``Fraction`` appears only in the one
 division at the end.  Everything that must preserve the integer lattice
 (the Hermite form, canonical lattice bases, kernel lattices and the Smith
 form) goes through one row-style Hermite reduction by unimodular Euclid
-steps (:func:`_hermite_rows`) instead.
+steps (:func:`_hermite_rows`) instead.  Every kernel basis is certified
+saturated before it is returned, by the same reduction of its transpose.
 
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -96,11 +98,8 @@ class IntegerMatrix:
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        data = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows)
-        )
+        columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        data = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in self.entries)
         return IntegerMatrix(self.rows, other.cols, data)
 
 
@@ -385,11 +384,18 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     """Canonical basis of the integer kernel ``{u : M u = 0}``.
 
     ``[M^T | I]`` is reduced to ``[H | U]``; the rows of ``U`` past the rank
-    span the kernel, and they span it over the integers (the kernel is
-    saturated) because ``U`` is unimodular.  The basis has
-    ``cols - rank(M)`` vectors.  That ``M`` annihilates each of them and
-    that ``|det U| == 1`` are checked before returning, and a failure
-    raises RuntimeError.
+    ``r`` span the kernel, and their canonical basis ``K`` (``k x n``) is
+    returned.  ``K`` itself is certified before returning, and a failure
+    raises RuntimeError: ``M`` annihilates every row of ``K``, ``k == n - r``,
+    and the row-style Hermite form of ``K^T`` has rank ``k`` and every pivot 1.
+
+    That proves ``K`` is the whole integer kernel.  Unit pivots mean the
+    columns of ``K`` generate ``Z^k``, so ``K`` has an integer right inverse
+    ``X`` (``K X = I``).  An integral ``v = c K`` in ``span_Q K`` then has
+    ``c = v X`` integral, so ``span_Z K = span_Q K intersect Z^n``: ``K`` is
+    saturated.  ``M K^T = 0`` and ``k = n - r`` independent rows give
+    ``span_Q K = ker_Q M``, hence ``span_Z K = ker_Z M``.  Unlike a check of
+    ``U``, this also catches a wrong step after the reduction.
     """
     n = m.cols
     columns = zip(*m.entries) if m.rows else [()] * n
@@ -397,8 +403,10 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     basis = LatticeBasis.spanning(u[r:], n)
     if any(any(m.apply(v)) for v in basis.vectors):
         raise RuntimeError("kernel lattice: M does not annihilate a basis vector")
-    if abs(determinant(IntegerMatrix.from_rows(u, cols=n))) != 1:
-        raise RuntimeError("kernel lattice: the transform is not unimodular")
+    k = basis.rank
+    kt = [list(col) for col in zip(*basis.vectors)]
+    if k != n - r or _hermite_rows(kt, k) != k or any(kt[j][j] != 1 for j in range(k)):
+        raise RuntimeError("kernel lattice: the basis is not saturated")
     return basis
 
 

@@ -380,6 +380,18 @@ def certify_presentation(
     for g in gens:
         if not contains_binomial(p, g):
             return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree)
+    return _certify_reachability(p, gens, d)
+
+
+def _certify_reachability(
+    p: Parametrization, gens: tuple[Binomial, ...], d: DegreeBound
+) -> CertificationVerdict:
+    """The second inclusion of :func:`certify_presentation` on its own.
+
+    For generators already known to lie in the kernel of ``p``: every
+    enumerated kernel binomial up to the degree bound must rewrite to zero
+    modulo ``gens``, and the first that does not is the witness.
+    """
     forest = _RewriteForest(gens, d)
     sides = _sparse_sides(gens)
     for b in enumerate_kernel_binomials(p, d):

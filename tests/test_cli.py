@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from toricsum import (
     parse_binomial,
     relabel_binomial,
 )
-from toricsum import cli
+from toricsum import cli, oracle
 from toricsum.cli import (
     IdealFileError,
     format_ideal_file,
@@ -582,15 +583,20 @@ def family_text(blocks):
 
 
 def counting_certify(monkeypatch):
-    """Count the calls of ``certify_presentation`` made by the CLI."""
+    """Count the kernels the CLI enumerates to certify, by their variable counts.
+
+    Both routes reach the enumeration through ``_certify_reachability``:
+    the whole sum through ``certify_presentation``, each input directly.
+    """
     calls = []
-    real = cli.certify_presentation
+    real = oracle._certify_reachability
 
     def counted(p, gens, d):
         calls.append(len(p.vars))
         return real(p, gens, d)
 
-    monkeypatch.setattr(cli, "certify_presentation", counted)
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "_certify_reachability", counted)
     return calls
 
 
@@ -683,6 +689,31 @@ class TestCertifyByInput:
         assert status == "missing-in-kernel"
         assert set(witness.split(" - ")) == set(vars_[:2])
         assert calls == []
+
+    @pytest.mark.parametrize("family", ["glued", "forest"])
+    def test_each_generator_is_tested_for_membership_once(self, tmp_path, capsys, monkeypatch,
+                                                          family):
+        # every distinct input's generators are tested before any kernel is
+        # enumerated, and the enumeration does not test them again
+        if family == "glued":
+            text = GLUED
+        else:
+            kinds = ["quadric", "conic", "cubic", "quadric", "cubic"]
+            text = family_text(forest_family("path", kinds, random.Random(3)))
+        f = write(tmp_path, "family.ideal", text)
+        tested = []
+        real = cli.contains_binomial
+
+        def counted(p, b):
+            tested.append(b)
+            return real(p, b)
+
+        for module in (cli, oracle):
+            monkeypatch.setattr(module, "contains_binomial", counted)
+        assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
+        distinct = {(i.parametrization.matrix.entries, i.generators)
+                    for i in parse_ideal_file(text)}
+        assert Counter(tested) == Counter(g for _, gens in distinct for g in gens)
 
     def test_non_homogeneous_isolated_input_checks_the_whole_sum(
         self, tmp_path, capsys, monkeypatch

@@ -156,6 +156,50 @@ class TestRank:
         assert rank(IntegerMatrix.identity(4)) == 4
 
 
+def smith_kernel(m: IntegerMatrix) -> LatticeBasis:
+    """The kernel as the span of the columns of Smith's Q past the rank."""
+    snf = smith_normal_form(m)
+    return LatticeBasis.spanning([snf.Q.column(j) for j in range(snf.rank, m.cols)], m.cols)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize(
+        "shape", [(2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1), (1, 0, 1)]
+    )
+    def test_edge_shapes(self, shape):
+        k, n, m = shape
+        rng = random.Random(f"matmul:{shape}")
+        a, b = int_matrix(rng, k, n), int_matrix(rng, n, m)
+        assert a @ b == naive_product(a, b)
+        if n == 0:
+            assert a @ b == IntegerMatrix.zero(k, m)
+
+    def test_random_shapes_match_triple_loop(self):
+        rng = random.Random(808)
+        for _ in range(200):
+            k, n, m = (rng.randint(0, 5) for _ in range(3))
+            a, b = int_matrix(rng, k, n), int_matrix(rng, n, m)
+            assert a @ b == naive_product(a, b)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="cannot multiply 1x2 by 3x1"):
+            IntegerMatrix.zero(1, 2) @ IntegerMatrix.zero(3, 1)
+
+
+def int_matrix(rng: random.Random, rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix(rows, cols, tuple(tuple(rng.randint(-9, 9) for _ in range(cols))
+                                           for _ in range(rows)))
+
+
+def naive_product(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    data = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                data[i][j] += a.entries[i][t] * b.entries[t][j]
+    return IntegerMatrix(a.rows, b.cols, tuple(map(tuple, data)))
+
+
 class TestKernelLattice:
     def test_sum_to_zero_plane(self):
         kl = kernel_lattice(IntegerMatrix.from_rows([[1, 1, 1]]))
@@ -195,14 +239,28 @@ class TestKernelLattice:
             elif trial % 5 == 1 and rows >= 2:  # the last row a combination of the others
                 a, b = m.row(0), m.row(rows - 2)
                 m = IntegerMatrix.from_rows([*m.entries[:-1], [2 * x - 3 * y for x, y in zip(a, b)]], cols=cols)
-            snf = smith_normal_form(m)
-            oracle = LatticeBasis.spanning([snf.Q.column(j) for j in range(snf.rank, cols)], cols)
-            assert kernel_lattice(m) == oracle
+            assert kernel_lattice(m) == smith_kernel(m)
+
+    @pytest.mark.parametrize(
+        "m, basis",
+        [
+            (IntegerMatrix(0, 3, ()), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # no rows
+            (IntegerMatrix.from_rows([[1, 2], [3, 4], [5, 6]]), []),  # full column rank
+            (IntegerMatrix.from_rows([[2, 4], [0, 3]]), []),  # nonsingular, det 6
+            (IntegerMatrix.zero(2, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            (IntegerMatrix(0, 0, ()), []),
+        ],
+        ids=["no-rows", "full-column-rank", "nonsingular", "zero", "empty"],
+    )
+    def test_edge_shapes_match_smith_definition(self, m, basis):
+        kl = kernel_lattice(m)
+        assert kl == smith_kernel(m)
+        assert kl == LatticeBasis(m.cols, tuple(basis))
 
     @pytest.mark.parametrize(
         "unit, message",
         [
-            (lambda i, j: 2 * (i == j), "not unimodular"),
+            (lambda i, j: 2 * (i == j), "saturated"),
             (lambda i, j: int(i == j or (i, j) == (0, 1)), "does not annihilate"),
         ],
     )
@@ -215,6 +273,22 @@ class TestKernelLattice:
 
         monkeypatch.setattr(exact_linalg, "_identity_lists", corrupted)
         with pytest.raises(RuntimeError, match=message):
+            kernel_lattice(IntegerMatrix.from_rows([[1, 1, 1]]))
+
+    @pytest.mark.parametrize("corrupt", ["double", "drop"])
+    def test_corrupted_basis_is_caught(self, monkeypatch, corrupt):
+        # The certificate reads the returned basis, so a wrong step after the
+        # reduction is caught too: a doubled vector spans a sublattice of
+        # index 2 that M still annihilates, and a dropped one is too few.
+        real = LatticeBasis.spanning
+
+        def corrupted(cls, vectors, ambient_dim):
+            first, *rest = real(vectors, ambient_dim).vectors
+            kept = [tuple(2 * x for x in first)] if corrupt == "double" else []
+            return cls(ambient_dim, tuple(kept + rest))
+
+        monkeypatch.setattr(LatticeBasis, "spanning", classmethod(corrupted))
+        with pytest.raises(RuntimeError, match="kernel lattice: the basis is not saturated"):
             kernel_lattice(IntegerMatrix.from_rows([[1, 1, 1]]))
 
 
