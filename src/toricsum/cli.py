@@ -43,18 +43,14 @@ from .binomials import (
 from .exact_linalg import IntegerMatrix
 from .oracle import (
     EQUAL_UP_TO_DEGREE,
-    MISSING_IN_KERNEL,
-    CertificationVerdict,
     DegreeBound,
-    _certify_reachability,
-    certify_presentation,
+    _certify_parts,
     default_degree_bound,
     enumerate_kernel_binomials,
 )
 from .parametrization import (
     ConstructionError,
     Parametrization,
-    contains_binomial,
     dimension,
     homogeneity_certificate,
     normalize_pin,
@@ -269,16 +265,21 @@ def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     return 0 if all_trees else 1
 
 
-def _inputs_certify(
-    ideals: Sequence[ParsedIdeal], graph: IdealFamilyGraph, bound: DegreeBound, vars_: VariableSet
-) -> Optional[CertificationVerdict]:
-    """The sum's verdict over ``vars_``, from each distinct input's own check.
+def _certification_parts(
+    ideals: Sequence[ParsedIdeal], graph: IdealFamilyGraph, result: Parametrization
+) -> list[tuple[Parametrization, Sequence[Binomial]]]:
+    """The parts whose checks together certify ``result``, the sum of ``ideals``.
 
-    Inputs are deduplicated by (matrix entries, generators), so a family of
-    copies of one block certifies it once.  An isolated vertex of the
-    sharing graph need not be homogeneous to be summed; when one is not,
-    this returns None and the whole sum is checked, since the arguments
-    below need the grading.
+    Each part is a parametrization with generators over its own variables,
+    checked by :func:`oracle._certify_parts`.  The parts are the distinct
+    inputs, by (matrix entries, generators) in first-occurrence order, so a
+    family of copies of one block certifies it once.  An isolated vertex of
+    the sharing graph need not be homogeneous to be summed; when one is
+    not, the only part is the whole sum, every generator renamed into
+    ``result``'s variables, since the arguments below need the grading.
+    With fewer than two inputs the distinct inputs already are the whole
+    sum, as ``sum_family`` returns a lone input unchanged and an empty sum
+    has no kernel binomial: the one-part case is the whole-sum check.
 
     A pass means the whole sum certifies too, at the same bound.  Every
     input that takes part in a merge is homogeneous, or ``sum_family``
@@ -325,37 +326,17 @@ def _inputs_certify(
     the first the whole-sum enumeration meets.
     """
     isolated = {c.vertices[0] for c in graph.components if len(c.vertices) == 1}
-    distinct: dict[tuple, ParsedIdeal] = {}
+    distinct: dict[tuple, tuple[Parametrization, Sequence[Binomial]]] = {}
     for v, ideal in enumerate(ideals):
         p = ideal.parametrization
         key = (p.matrix.entries, ideal.generators)
         if key not in distinct:
-            if v in isolated and homogeneity_certificate(p) is None:
-                return None
-            distinct[key] = ideal
-
-    def relabelled(verdict: CertificationVerdict, ideal: ParsedIdeal) -> CertificationVerdict:
-        witness = relabel_binomial(verdict.witness, ideal.parametrization.vars, vars_)
-        return CertificationVerdict(verdict.status, witness, verdict.degree_checked)
-
-    for ideal in distinct.values():
-        for g in ideal.generators:
-            if not contains_binomial(ideal.parametrization, g):
-                return relabelled(CertificationVerdict(MISSING_IN_KERNEL, g, bound.max_degree), ideal)
-    for ideal in distinct.values():
-        verdict = _certify_reachability(ideal.parametrization, ideal.generators, bound)
-        if verdict.status != EQUAL_UP_TO_DEGREE:
-            return relabelled(verdict, ideal)
-    return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, bound.max_degree)
-
-
-def _sum_generators(ideals: Sequence[ParsedIdeal], vars_: VariableSet) -> list[Binomial]:
-    """Every input's generators, zero-extended into ``vars_`` by name."""
-    return [
-        relabel_binomial(g, ideal.parametrization.vars, vars_)
-        for ideal in ideals
-        for g in ideal.generators
-    ]
+            if len(ideals) > 1 and v in isolated and homogeneity_certificate(p) is None:
+                gens = [relabel_binomial(g, i.parametrization.vars, result.vars)
+                        for i in ideals for g in i.generators]
+                return [(result, gens)]
+            distinct[key] = (p, ideal.generators)
+    return list(distinct.values())
 
 
 def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
@@ -371,15 +352,14 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         return 0
 
     bound = _degree_bound(args, [g for ideal in ideals for g in ideal.generators])
-    # One input is checked whole, which is the same check.
-    verdict = _inputs_certify(ideals, report.graph, bound, result.vars) if len(ideals) > 1 else None
-    if verdict is None:
-        verdict = certify_presentation(result, _sum_generators(ideals, result.vars), bound)
+    parts = _certification_parts(ideals, report.graph, result)
+    verdict, failing = _certify_parts(parts, bound)
     if verdict.status == EQUAL_UP_TO_DEGREE:
         print(f"verdict: {verdict.status} (degree {verdict.degree_checked})")
         return 0
-    witness = format_binomial(verdict.witness, result.vars)
-    print(f"verdict: {verdict.status} witness {witness} (degree {verdict.degree_checked})")
+    witness = relabel_binomial(verdict.witness, parts[failing][0].vars, result.vars)
+    print(f"verdict: {verdict.status} witness {format_binomial(witness, result.vars)} "
+          f"(degree {verdict.degree_checked})")
     return 1
 
 

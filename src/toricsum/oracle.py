@@ -17,7 +17,9 @@ Three independent routes into the same questions:
   its own variables, and each move updates only the exponents it changes;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
-  failure.  One forest per degree cap serves the whole certification.
+  failure.  Several such parts are checked in one loop, every part's
+  generators before any part's kernel.  One forest per part serves its
+  whole certification.
 """
 
 from __future__ import annotations
@@ -374,29 +376,36 @@ def certify_presentation(
     each cap is searched once; every chain it returns is replayed move by
     move before it counts, on sparse sides built once from ``gens`` rather
     than from the forest's move index.  The enumeration builds each
-    monomial's image incrementally from its parent's.
+    monomial's image incrementally from its parent's.  This is the
+    one-part case of :func:`_certify_parts`.
     """
-    gens = tuple(gens)
-    for g in gens:
-        if not contains_binomial(p, g):
-            return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree)
-    return _certify_reachability(p, gens, d)
+    return _certify_parts([(p, gens)], d)[0]
 
 
-def _certify_reachability(
-    p: Parametrization, gens: tuple[Binomial, ...], d: DegreeBound
-) -> CertificationVerdict:
-    """The second inclusion of :func:`certify_presentation` on its own.
+def _certify_parts(
+    parts: Sequence[tuple[Parametrization, Sequence[Binomial]]], d: DegreeBound
+) -> tuple[CertificationVerdict, Optional[int]]:
+    """:func:`certify_presentation` of several parts, with the failing part's index.
 
-    For generators already known to lie in the kernel of ``p``: every
-    enumerated kernel binomial up to the degree bound must rewrite to zero
-    modulo ``gens``, and the first that does not is the witness.
+    Each part is a parametrization and generators over its variables.
+    Every part's generators are tested against its own kernel first, in
+    order, and only then is any kernel enumerated: part by part, each
+    kernel binomial up to the degree bound must rewrite to zero modulo
+    its part's generators, through one rewrite forest per part, and every
+    chain is replayed.  The first failure is returned with the index of
+    its part; a pass has index None.
     """
-    forest = _RewriteForest(gens, d)
-    sides = _sparse_sides(gens)
-    for b in enumerate_kernel_binomials(p, d):
-        chain = forest.chain(b)
-        if chain is None:
-            return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree)
-        _replay_chain(b, sides, chain)
-    return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree)
+    parts = [(p, tuple(gens)) for p, gens in parts]
+    for index, (p, gens) in enumerate(parts):
+        for g in gens:
+            if not contains_binomial(p, g):
+                return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
+    for index, (p, gens) in enumerate(parts):
+        forest = _RewriteForest(gens, d)
+        sides = _sparse_sides(gens)
+        for b in enumerate_kernel_binomials(p, d):
+            chain = forest.chain(b)
+            if chain is None:
+                return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree), index
+            _replay_chain(b, sides, chain)
+    return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None

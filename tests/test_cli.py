@@ -227,6 +227,20 @@ class TestParse:
         with pytest.raises(IdealFileError, match="line 2: ideal needs exactly one name"):
             parse_ideal_file(bad)
 
+    @pytest.mark.parametrize("text, message", [
+        ("# header\nideal I\nparams t\n", "line 2: ideal 'I' has no vars line"),
+        ("ideal I\nvars a\nparams t\nrow 1\nideal J\nvars b\n",
+         "line 5: ideal 'J' has no params line"),
+        ("ideal I\nvars a\nparams t\nvars b\n", "line 4: duplicate vars line"),
+        ("ideal I\nvars\n", "line 2: vars line needs at least one name"),
+        ("ideal I\nvars a b-c\n", "line 2: invalid name 'b-c'"),
+        ("ideal I\nparams t\nrow 1\n", "line 3: row before vars"),
+        ("ideal I\ngen a - b\n", "line 2: gen before vars"),
+    ])
+    def test_block_errors_name_their_line(self, text, message):
+        with pytest.raises(IdealFileError, match=f"^{re.escape(message)}$"):
+            parse_ideal_file(text)
+
 
 class TestCommands:
     def test_dim(self, tmp_path, capsys):
@@ -254,6 +268,11 @@ class TestCommands:
         f = write(tmp_path, "a.ideal", UNBALANCED)
         assert main(["kernel", f, "--max-degree", "2"]) == 0
         assert capsys.readouterr().out == "A: kernel binomials up to degree 2\nx^2 - y\n"
+
+    def test_kernel_without_binomials_prints_none(self, tmp_path, capsys):
+        f = write(tmp_path, "i.ideal", "ideal I\nvars a b\nparams t s\nrow 1 0\nrow 0 1\n")
+        assert main(["kernel", f, "--max-degree", "3"]) == 0
+        assert capsys.readouterr().out == "I: kernel binomials up to degree 3\n(none)\n"
 
     def test_sum_certify_finds_unbalanced_witness(self, tmp_path, capsys):
         f = write(tmp_path, "a.ideal", UNBALANCED)
@@ -585,25 +604,29 @@ def family_text(blocks):
 def counting_certify(monkeypatch):
     """Count the kernels the CLI enumerates to certify, by their variable counts.
 
-    Both routes reach the enumeration through ``_certify_reachability``:
-    the whole sum through ``certify_presentation``, each input directly.
+    Every part reaches the enumeration through the ``oracle`` module's
+    binding; ``sums`` has its own, so its usage check is not counted.
     """
     calls = []
-    real = oracle._certify_reachability
+    real = oracle.enumerate_kernel_binomials
 
-    def counted(p, gens, d):
+    def counted(p, d):
         calls.append(len(p.vars))
-        return real(p, gens, d)
+        return real(p, d)
 
-    for module in (cli, oracle):
-        monkeypatch.setattr(module, "_certify_reachability", counted)
+    monkeypatch.setattr(oracle, "enumerate_kernel_binomials", counted)
     return calls
 
 
 def whole_sum_route(monkeypatch, argv, capsys):
     """Exit code and stdout of ``main(argv)`` checking the whole sum."""
+
+    def whole_sum(ideals, graph, result):
+        return [(result, [relabel_binomial(g, i.parametrization.vars, result.vars)
+                          for i in ideals for g in i.generators])]
+
     with monkeypatch.context() as m:
-        m.setattr(cli, "_inputs_certify", lambda *args: None)
+        m.setattr(cli, "_certification_parts", whole_sum)
         return main(argv), capsys.readouterr().out
 
 
@@ -702,14 +725,13 @@ class TestCertifyByInput:
             text = family_text(forest_family("path", kinds, random.Random(3)))
         f = write(tmp_path, "family.ideal", text)
         tested = []
-        real = cli.contains_binomial
+        real = oracle.contains_binomial
 
         def counted(p, b):
             tested.append(b)
             return real(p, b)
 
-        for module in (cli, oracle):
-            monkeypatch.setattr(module, "contains_binomial", counted)
+        monkeypatch.setattr(oracle, "contains_binomial", counted)
         assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
         distinct = {(i.parametrization.matrix.entries, i.generators)
                     for i in parse_ideal_file(text)}

@@ -296,6 +296,8 @@ class TestSaturate:
     def test_index_two(self):
         basis = LatticeBasis.spanning([(2, -2)], 2)
         assert saturate_lattice(basis) == LatticeBasis.spanning([(1, -1)], 2)
+        # the pivot 2 does not divide the first entry of (1, -1)
+        assert not basis.contains((1, -1))
 
     def test_already_saturated(self):
         basis = LatticeBasis.spanning([(1, -1, 0), (0, 1, -1)], 3)

@@ -216,6 +216,9 @@ class TestMembershipByClasses:
             membership_by_classes(
                 parse_binomial("a - b", vs), [parse_binomial("a - b^2", vs)]
             )
+        wider = VariableSet.of("a", "b", "c")
+        with pytest.raises(ValueError, match="different variable sets"):
+            membership_by_classes(parse_binomial("a - b", vs), [parse_binomial("a - c", wider)])
 
     def test_unbalanced_target_is_never_member(self):
         vs = VariableSet.of("a", "b")

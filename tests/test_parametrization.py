@@ -73,6 +73,8 @@ class TestContains:
 
     def test_zero_binomial(self):
         assert contains_binomial(TWISTED_CUBIC, Binomial.zero(4))
+        with pytest.raises(ValueError, match="different variable set"):
+            contains_binomial(TWISTED_CUBIC, Binomial.zero(3))
 
 
 def test_dimension_and_maximal_rank():
@@ -182,6 +184,8 @@ class TestReparametrize:
         p = make([[1, 1, 1], [0, 1, 2]], ["x1", "x2", "x3"], ["t", "s"])
         with pytest.raises(ConstructionError, match="singular"):
             reparametrize(p, RationalMatrix.from_rows([[1, 0], [0, 0]]))
+        with pytest.raises(ConstructionError, match="must be square of size 2, got 3x3"):
+            reparametrize(p, RationalMatrix.identity(3))
 
     def test_invariance_random(self):
         rng = random.Random(29)

@@ -322,6 +322,8 @@ class TestSumFamily:
         result, report = sum_family([PATH_I1], ["I1"])
         assert result is PATH_I1
         assert report.rank_dimension == report.iterated_prediction == 2
+        with pytest.raises(ValueError, match="one name per parametrization"):
+            sum_family([PATH_I1], ["I1", "I2"])
 
     def test_triangle_rejected(self):
         triangle = [
