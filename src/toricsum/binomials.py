@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 Monomial = tuple[int, ...]
@@ -73,15 +74,20 @@ class Binomial:
     u_minus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.u_plus) != len(self.u_minus):
+        plus, minus = self.u_plus, self.u_minus
+        if len(plus) != len(minus):
             raise ValueError("binomial sides have different lengths")
-        for p, m in zip(self.u_plus, self.u_minus):
-            if p < 0 or m < 0:
-                raise ValueError("exponents must be non-negative")
-            if p and m:
-                raise ValueError("binomial sides must have disjoint supports")
-        diff = next((p - m for p, m in zip(self.u_plus, self.u_minus) if p != m), 0)
-        if diff < 0:
+        # On disjoint non-negative sides, the first nonzero entry of
+        # plus - minus is positive exactly when plus > minus in lex order.
+        # Sides of length 0 pass every check.
+        if plus and (min(plus) < 0 or min(minus) < 0
+                     or any(map(mul, plus, minus)) or plus < minus):
+            # the first faulty position chooses the message
+            for p, m in zip(plus, minus):
+                if p < 0 or m < 0:
+                    raise ValueError("exponents must be non-negative")
+                if p and m:
+                    raise ValueError("binomial sides must have disjoint supports")
             raise ValueError("binomial is not in canonical sign form")
 
     @classmethod

@@ -13,8 +13,12 @@ Three independent routes into the same questions:
   are reversible, so the monomials reachable from one another within a
   degree cap form connected components; a rewrite forest explores each
   component once, as one breadth-first tree, and answers every query on
-  it by comparing roots.  A monomial tries only the moves indexed under
-  its own variables, and each move updates only the exponents it changes;
+  it by comparing roots.  Under a cap each monomial is one int of
+  guarded bit fields, its exponents and its room below the cap, so a
+  move is tested with one subtraction and applied with one addition.  A
+  monomial tries only the moves indexed under its own variables, never
+  the reverse of the move that reached it, and no move with a side above
+  the cap;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  Several such parts are checked in one loop, every part's
@@ -163,12 +167,24 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     return [Binomial(plus, minus) for _, plus, minus in found]
 
 
-# (root, previous monomial, generator index, direction); the root's own
-# entry has no previous monomial.
-_TreeEntry = tuple[Monomial, Optional[Monomial], int, int]
-# (divisor support, degree change, changed coordinates, generator index,
-# direction), each support and change as (variable, exponent) pairs
-_Move = tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int], ...], int, int]
+# (root, previous monomial, move), monomials packed; the root's own entry
+# has no previous monomial and move -1.  Move 2k replaces generator k's
+# u_plus by its u_minus, and move 2k + 1 is its reverse.
+_TreeEntry = tuple[int, Optional[int], int]
+# (packed divisor, packed change, move)
+_Move = tuple[int, int, int]
+# one degree cap's trees, with its field width, guard mask and moves: one
+# (support mask, moves) bucket per first divisor variable, then the moves
+# with a constant divisor under mask -1
+_Layer = tuple[dict[int, _TreeEntry], int, int, list[tuple[int, list[_Move]]]]
+
+
+def _pack(mono: Sequence[int], room: int, width: int) -> int:
+    """sum_i mono[i] * 2^(width * i), plus ``room`` in field ``len(mono)``."""
+    packed = room
+    for x in reversed(mono):
+        packed = (packed << width) + x
+    return packed
 
 
 class _RewriteForest:
@@ -182,27 +198,80 @@ class _RewriteForest:
     for every later query under the same cap.  With degree-balanced
     generators the cap is the degree of the query and the search is exact
     for its graded piece; otherwise the cap adds ``d.search_slack``.
-    Moves are indexed by the first variable of their divisor, and those
-    with a constant divisor are tried at every monomial.
+
+    Under cap c a monomial m over n variables is one int: field i < n
+    holds m_i and field n holds the room c - deg m, each field w bits
+    wide with 2^(w-1) > c (w = bit_length(C) + 1 for the larger C of c
+    and the highest cap a certification under ``d`` asks, so all of its
+    caps share one packing of the moves).  Every field value lies in
+    [0, c], so the top bit of each field, its guard bit, is clear; G is
+    the mask of all n + 1 guard bits.  A move from side a to side b, of
+    degree change s = deg b - deg a, packs its divisor D as a with
+    max(s, 0) in the room field, and its change as b - a with -s there.
+
+    D applies to m iff ((m | G) - D) & G == G.  Field i of m | G is
+    2^(w-1) + m_i, at least 2^(w-1) and below 2^w, and field i of D is
+    at most c < 2^(w-1), so no field borrows from the next one, and field
+    i of the difference is 2^(w-1) + m_i - D_i, whose guard bit is set
+    iff m_i >= D_i.  On the exponents that is a | m, and on the room it is
+    s <= c - deg m: the two tests a move needs.  The image is m + change,
+    whose fields are the image's exponents and its room, again in [0, c].
+    A move whose divisor or image side has degree above c is dropped from
+    cap c's buckets: it can never apply, since a divisor of m has degree
+    at most deg m <= c and an image has degree at least deg b, and its
+    exponents might not fit a field, which would break the guard test.
+
+    Moves are indexed by the first variable of their divisor: a monomial
+    tries the buckets of the variables in its support, in variable order,
+    then the moves with a constant divisor.  It skips the reverse of the
+    move that reached it, which always applies and leads back to the
+    monomial's parent, already in the tree.  Neither that skip nor the
+    dropped moves change which move first reaches a monomial, so the
+    trees, and the chains read from them, are those of trying every
+    indexed move in the same order.
     """
 
     def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
         active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
         self._nvars = {g.nvars for _, g in active}
         self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
-        by_var: dict[int, list[_Move]] = {}
-        self._everywhere: list[_Move] = []
-        for k, g in active:
-            for a, bb, direction in ((g.u_plus, g.u_minus, 1), (g.u_minus, g.u_plus, -1)):
-                divisor = tuple((i, x) for i, x in enumerate(a) if x)
-                delta = tuple((i, y - x) for i, (x, y) in enumerate(zip(a, bb)) if x != y)
-                move = (divisor, sum(bb) - sum(a), delta, k, direction)
-                if divisor:
-                    by_var.setdefault(divisor[0][0], []).append(move)
-                else:
-                    self._everywhere.append(move)
-        self._by_var = sorted(by_var.items())
-        self._trees: dict[int, dict[Monomial, _TreeEntry]] = {}
+        # no query of a certification under ``d`` has a higher cap, so one
+        # packing of the moves serves all of its caps
+        self._bound = d.max_degree + self._slack
+        self._sides = [
+            (a, b, 2 * k + reverse)
+            for k, g in active
+            for reverse, (a, b) in enumerate(((g.u_plus, g.u_minus), (g.u_minus, g.u_plus)))
+        ]
+        # field width -> (higher side degree, first divisor variable, move)
+        self._packed: dict[int, list[tuple[int, int, _Move]]] = {}
+        self._layers: dict[tuple[int, int], _Layer] = {}
+
+    def _layer(self, cap: int, nvars: int) -> _Layer:
+        """The trees of ``cap`` with their packing, built on first use."""
+        layer = self._layers.get((cap, nvars))
+        if layer is None:
+            width = max(cap, self._bound).bit_length() + 1
+            packed = self._packed.get(width)
+            if packed is None:
+                packed = self._packed[width] = []
+                for a, b, move in self._sides:
+                    da, db = sum(a), sum(b)
+                    step = db - da
+                    divisor = _pack(a, max(step, 0), width)
+                    change = _pack(b, max(-step, 0), width) - divisor
+                    first = next((i for i, x in enumerate(a) if x), len(a))
+                    packed.append((max(da, db), first, (divisor, change, move)))
+            by_var: dict[int, list[_Move]] = {}
+            for top, first, move in packed:
+                if top <= cap:
+                    by_var.setdefault(first, []).append(move)
+            field = (1 << width - 1) - 1
+            buckets = [(field << width * i if i < nvars else -1, moves)
+                       for i, moves in sorted(by_var.items())]
+            guard = _pack((1 << width - 1,) * nvars, 1 << width - 1, width)
+            layer = self._layers[cap, nvars] = ({}, width, guard, buckets)
+        return layer
 
     def chain(self, b: Binomial) -> Optional[list[tuple[int, int]]]:
         """(generator index, direction) steps from ``b.u_plus`` to ``b.u_minus``.
@@ -213,11 +282,13 @@ class _RewriteForest:
             raise ValueError("generators and binomial are over different variable sets")
         if b.is_zero:
             return []
-        start, target = b.u_plus, b.u_minus
-        cap = max(sum(start), sum(target)) + self._slack
-        tree = self._trees.setdefault(cap, {})
+        start_degree, target_degree = sum(b.u_plus), sum(b.u_minus)
+        cap = max(start_degree, target_degree) + self._slack
+        tree, width, guard, buckets = self._layer(cap, b.nvars)
+        start = _pack(b.u_plus, cap - start_degree, width)
+        target = _pack(b.u_minus, cap - target_degree, width)
         if start not in tree:
-            self._explore(start, tree, cap)
+            self._explore(start, tree, guard, buckets)
         root = tree[start][0]
         if target not in tree or tree[target][0] != root:
             return None
@@ -226,36 +297,33 @@ class _RewriteForest:
         down.reverse()
         return up + down
 
-    def _explore(self, root: Monomial, tree: dict[Monomial, _TreeEntry], cap: int) -> None:
-        tree[root] = (root, None, -1, 0)
-        queue: deque[Monomial] = deque([root])
+    @staticmethod
+    def _explore(root: int, tree: dict[int, _TreeEntry], guard: int,
+                 buckets: list[tuple[int, list[_Move]]]) -> None:
+        tree[root] = (root, None, -1)
+        queue: deque[tuple[int, int]] = deque([(root, -1)])
         while queue:
-            mono = queue.popleft()
-            room = cap - sum(mono)
-            for moves in [ms for i, ms in self._by_var if mono[i]] + [self._everywhere]:
-                for divisor, step, delta, k, direction in moves:
-                    if step > room:
-                        continue
-                    for i, x in divisor:
-                        if mono[i] < x:
-                            break
-                    else:
-                        moved = list(mono)
-                        for i, x in delta:
-                            moved[i] += x
-                        image = tuple(moved)
-                        if image not in tree:
-                            tree[image] = (root, mono, k, direction)
-                            queue.append(image)
+            mono, back = queue.popleft()
+            high = mono | guard
+            # mask -1 matches every monomial: a nonzero query has cap >= 1,
+            # so a packed monomial's room or one of its exponents is positive
+            for mask, moves in buckets:
+                if mono & mask:
+                    for divisor, change, move in moves:
+                        if move != back and (high - divisor) & guard == guard:
+                            image = mono + change
+                            if image not in tree:
+                                tree[image] = (root, mono, move)
+                                queue.append((image, move ^ 1))
 
     @staticmethod
-    def _path_to_root(node: Monomial, tree: dict[Monomial, _TreeEntry]) -> list[tuple[int, int]]:
+    def _path_to_root(node: int, tree: dict[int, _TreeEntry]) -> list[tuple[int, int]]:
         """The moves into ``node``, ``node``'s parent, ... up to the root."""
         steps = []
-        _, prev, k, direction = tree[node]
+        _, prev, move = tree[node]
         while prev is not None:
-            steps.append((k, direction))
-            _, prev, k, direction = tree[prev]
+            steps.append((move >> 1, -1 if move & 1 else 1))
+            _, prev, move = tree[prev]
         return steps
 
 
@@ -299,8 +367,9 @@ def _replay_chain(b: Binomial, sides: _Sides, chain: Sequence[tuple[int, int]]) 
     for step, (gi, direction) in enumerate(chain):
         plus, minus = sides[gi]
         take, give = (plus, minus) if direction == 1 else (minus, plus)
-        if any(mono[i] < x for i, x in take):
-            raise RuntimeError(f"rewrite chain step {step} does not apply to {tuple(mono)}")
+        for i, x in take:
+            if mono[i] < x:
+                raise RuntimeError(f"rewrite chain step {step} does not apply to {tuple(mono)}")
         for i, x in take:
             mono[i] -= x
         for i, x in give:

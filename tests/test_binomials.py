@@ -1,5 +1,6 @@
 """Binomial canonicalization, degrees, and the text grammar."""
 
+import itertools
 import random
 
 import pytest
@@ -45,6 +46,40 @@ def test_invalid_binomials_rejected():
         Binomial((0, 1), (1, 0))
     with pytest.raises(ValueError, match="non-negative"):
         Binomial((-1, 0), (0, 0))
+
+
+def test_first_faulty_position_chooses_the_message():
+    def positional(plus, minus):
+        """The checks one position at a time, then the sign."""
+        for p, m in zip(plus, minus):
+            if p < 0 or m < 0:
+                return "exponents must be non-negative"
+            if p and m:
+                return "binomial sides must have disjoint supports"
+        if next((p - m for p, m in zip(plus, minus) if p != m), 0) < 0:
+            return "binomial is not in canonical sign form"
+        return None
+
+    # two faults at different positions: the earlier one names the error
+    for plus, minus, message in [
+        ((1, -1), (1, 0), "disjoint supports"),
+        ((-1, 1), (0, 1), "non-negative"),
+        ((0, 1), (1, 1), "disjoint supports"),
+        ((0, 0, -2), (1, 0, 0), "non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Binomial(plus, minus)
+    values = (-1, 0, 1, 2)
+    for n in range(3):
+        sides = list(itertools.product(values, repeat=n))
+        for plus in sides:
+            for minus in sides:
+                try:
+                    Binomial(plus, minus)
+                    got = None
+                except ValueError as e:
+                    got = str(e)
+                assert got == positional(plus, minus), (plus, minus)
 
 
 def test_from_pair_cancels_common_factors():

@@ -1,7 +1,10 @@
 """Kernel enumeration, monomial rewriting, and sum certification."""
 
 import random
-from collections import deque
+import subprocess
+import sys
+import textwrap
+from collections import Counter, deque
 
 import pytest
 
@@ -76,6 +79,87 @@ def bfs_distance(b, gens, cap):
                         dist[image] = dist[mono] + 1
                         queue.append(image)
     return None
+
+
+class ReferenceForest:
+    """The rewrite forest on exponent tuples, every move tried in index order.
+
+    Moves are indexed by the first variable of their divisor, tested
+    coordinate by coordinate against the degree cap and applied to the
+    exponents they change; trees are keyed by exponent tuples.  The packed
+    forest must grow the same trees, so it returns the same chains.
+    """
+
+    def __init__(self, gens, d):
+        active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
+        self._nvars = {g.nvars for _, g in active}
+        self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
+        by_var = {}
+        self._everywhere = []
+        for k, g in active:
+            for a, bb, direction in ((g.u_plus, g.u_minus, 1), (g.u_minus, g.u_plus, -1)):
+                divisor = tuple((i, x) for i, x in enumerate(a) if x)
+                delta = tuple((i, y - x) for i, (x, y) in enumerate(zip(a, bb)) if x != y)
+                move = (divisor, sum(bb) - sum(a), delta, k, direction)
+                if divisor:
+                    by_var.setdefault(divisor[0][0], []).append(move)
+                else:
+                    self._everywhere.append(move)
+        self._by_var = sorted(by_var.items())
+        self._trees = {}
+
+    def chain(self, b):
+        if self._nvars - {b.nvars}:
+            raise ValueError("generators and binomial are over different variable sets")
+        if b.is_zero:
+            return []
+        start, target = b.u_plus, b.u_minus
+        cap = max(sum(start), sum(target)) + self._slack
+        tree = self._trees.setdefault(cap, {})
+        if start not in tree:
+            self._explore(start, tree, cap)
+        root = tree[start][0]
+        if target not in tree or tree[target][0] != root:
+            return None
+        up = [(k, -direction) for k, direction in self._path_to_root(start, tree)]
+        down = self._path_to_root(target, tree)
+        down.reverse()
+        return up + down
+
+    def _explore(self, root, tree, cap):
+        tree[root] = (root, None, -1, 0)
+        queue = deque([root])
+        while queue:
+            mono = queue.popleft()
+            room = cap - sum(mono)
+            for moves in [ms for i, ms in self._by_var if mono[i]] + [self._everywhere]:
+                for divisor, step, delta, k, direction in moves:
+                    if step > room:
+                        continue
+                    if all(mono[i] >= x for i, x in divisor):
+                        moved = list(mono)
+                        for i, x in delta:
+                            moved[i] += x
+                        image = tuple(moved)
+                        if image not in tree:
+                            tree[image] = (root, mono, k, direction)
+                            queue.append(image)
+
+    @staticmethod
+    def _path_to_root(node, tree):
+        steps = []
+        _, prev, k, direction = tree[node]
+        while prev is not None:
+            steps.append((k, direction))
+            _, prev, k, direction = tree[prev]
+        return steps
+
+
+def chain_or_error(forest, b):
+    try:
+        return forest.chain(b)
+    except ValueError as e:
+        return f"ValueError: {e}"
 
 
 class TestEnumerate:
@@ -370,15 +454,12 @@ class TestRewriteForest:
             forest.chain(Binomial.zero(3))
 
     def test_certification_replays_against_the_generators(self, monkeypatch):
-        # a move index that names the wrong generator for every move still
-        # finds each chain, but the replay reads the generators themselves
+        # a forest whose move labels name the wrong generator for every move
+        # still finds each chain, but the replay reads the generators themselves
         original = _RewriteForest.__init__
 
         def mislabelled(self, gens, d):
-            original(self, gens, d)
-            self._by_var = [(i, [(div, step, delta, (k + 1) % len(gens), direction)
-                                 for div, step, delta, k, direction in moves])
-                            for i, moves in self._by_var]
+            original(self, list(gens[1:]) + list(gens[:1]), d)
 
         monkeypatch.setattr(_RewriteForest, "__init__", mislabelled)
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
@@ -389,16 +470,16 @@ class TestRewriteForest:
         explored = []
         original = _RewriteForest._explore
 
-        def recording(self, root, tree, cap):
-            assert root not in tree
-            explored.append((cap, root))
-            original(self, root, tree, cap)
+        def recording(*args):
+            explored.append(args)
+            original(*args)
 
-        monkeypatch.setattr(_RewriteForest, "_explore", recording)
+        monkeypatch.setattr(_RewriteForest, "_explore", staticmethod(recording))
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
         verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
         assert verdict.status == EQUAL_UP_TO_DEGREE
-        # the presentation is complete, so each fiber is one component
+        # the presentation is complete, so each fiber is one component, and
+        # every fiber holds the first side of some enumerated binomial
         fibers = {
             (b.degree, evaluate(TWISTED_CUBIC, b.u_plus))
             for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
@@ -437,6 +518,101 @@ class TestRewriteForest:
                     assert len(chain) == distance
                     _replay_chain(b, _sparse_sides(gens), chain)
         assert (hits > 0) == any(not g.is_zero for g in gens)
+
+
+    # generators far above the cap, unbalanced ones, constant divisors and
+    # zero generators, as (generators, zero generators inserted first)
+    ABOVE_THE_CAP = [
+        (["x^9 - y^9"], 0),
+        (["x^9 - y^9", "x*y - z^2"], 1),
+        (["x^5*y - z^2", "x - y"], 0),
+        (["x^5*y^3 - 1"], 0),
+        (["x*y*z - 1", "z^7 - x^2"], 2),
+        (["y^9 - 1", "x^2 - y*z"], 1),
+        (["x^3 - y^8", "x*z - y^2", "z - 1"], 0),
+    ]
+
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_moves_above_the_cap_never_apply(self, slack):
+        # Such a move's exponents need not fit a field.  Kept, it passed the
+        # guard test on garbled divisors and grew a tree without bound, so
+        # the forest answers in a child process under a memory limit.
+        code = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from toricsum import Binomial, DegreeBound, VariableSet, parse_binomial
+            from toricsum.oracle import _RewriteForest, _monomials_of_degree
+            vs = VariableSet.of("x", "y", "z")
+            monos = [m for e in range(5) for m in _monomials_of_degree(3, e)]
+            for texts, zeros in {self.ABOVE_THE_CAP!r}:
+                gens = [Binomial.zero(3)] * zeros + [parse_binomial(t, vs) for t in texts]
+                for degree in (1, 4):
+                    forest = _RewriteForest(gens, DegreeBound(degree, {slack}))
+                    for i, m1 in enumerate(monos):
+                        for m2 in monos[i:]:
+                            print(forest.chain(Binomial.from_pair(m1, m2)))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        got = iter(proc.stdout.splitlines())
+        vs = VariableSet.of("x", "y", "z")
+        monos = [m for e in range(5) for m in _monomials_of_degree(3, e)]
+        chains = 0
+        for texts, zeros in self.ABOVE_THE_CAP:
+            gens = [Binomial.zero(3)] * zeros + [parse_binomial(t, vs) for t in texts]
+            for degree in (1, 4):
+                reference = ReferenceForest(gens, DegreeBound(degree, slack))
+                for i, m1 in enumerate(monos):
+                    for m2 in monos[i:]:
+                        b = Binomial.from_pair(m1, m2)
+                        chain = reference.chain(b)
+                        assert next(got) == repr(chain), (texts, degree, b)
+                        if chain:
+                            chains += 1
+                            _replay_chain(b, _sparse_sides(gens), chain)
+        assert next(got, None) is None
+        assert chains > 100
+
+    def test_chains_match_the_tuple_forest(self):
+        # random generator sets over 1 to 4 variables with exponents up to
+        # 9, balanced or not, at slack 0 to 2; queries of degree up to 4,
+        # some above the bound and some over another variable count
+        rng = random.Random(89)
+        outcomes = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            top = rng.choice((1, 1, 2, 3, 9))
+            balanced = rng.random() < 0.5
+            gens = []
+            for _ in range(rng.randint(0, 4)):
+                plus = [rng.randint(0, top) for _ in range(n)]
+                minus = list(plus) if balanced else [rng.randint(0, top) for _ in range(n)]
+                rng.shuffle(minus)
+                gens.append(Binomial.from_pair(plus, minus))
+            d = DegreeBound(rng.randint(1, 4), rng.randint(0, 2))
+            forest, reference = _RewriteForest(gens, d), ReferenceForest(gens, d)
+            for _ in range(4):
+                m = n if rng.random() < 0.95 else n + 1
+                degree = rng.randint(1, 4)
+                sides = [[0] * m, [0] * m]
+                for side in sides:
+                    for _ in range(rng.randint(degree // 2, degree)):
+                        side[rng.randrange(m)] += 1
+                if m == n and rng.random() < 0.5:
+                    # end where a walk of moves from the start does
+                    sides[1] = list(sides[0])
+                    for g in rng.sample(gens, len(gens)):
+                        a, c = (g.u_plus, g.u_minus) if rng.random() < 0.5 else (g.u_minus, g.u_plus)
+                        if all(x >= y for x, y in zip(sides[1], a)):
+                            sides[1] = [x - y + z for x, y, z in zip(sides[1], a, c)]
+                b = Binomial.from_pair(*sides)
+                got = chain_or_error(forest, b)
+                assert got == chain_or_error(reference, b), (gens, d, b)
+                outcomes["error" if isinstance(got, str) else "none" if got is None
+                         else "chain" if got else "empty"] += 1
+        # every kind of answer occurs
+        assert min(outcomes[k] for k in ("error", "none", "chain", "empty")) > 0, outcomes
 
 
 def reference_certify(p, gens, degree, slack):
