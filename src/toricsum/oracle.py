@@ -7,7 +7,10 @@ Three independent routes into the same questions:
   one map of buckets by image, each bucket gives its star-pattern
   differences, and each monomial's image is its parent's image plus one
   column, packed into one int, so no matrix product and no tuple is
-  built per image;
+  built per image.  Certification reads them one degree at a time: on a
+  graded matrix each degree's monomials are held as variable indices and
+  dropped once its binomials are out, so no degree past the first
+  failing one is built;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -23,18 +26,20 @@ Three independent routes into the same questions:
   inclusion directions, returning a verdict with a concrete witness on
   failure.  Several such parts are checked in one loop, every part's
   generators before any part's kernel.  One forest per part serves its
-  whole certification.
+  whole certification, and each degree's trees are fetched once for all
+  of that degree's binomials.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from itertools import combinations_with_replacement, groupby
+from operator import attrgetter, lshift
+from typing import Callable, Iterator, Optional, Sequence
 
 from .binomials import Binomial, Monomial
-from .parametrization import Parametrization, contains_binomial
+from .parametrization import Parametrization, contains_binomial, homogeneity_certificate
 
 EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
 MISSING_IN_SUM = "missing-in-sum"
@@ -43,6 +48,9 @@ MISSING_IN_KERNEL = "missing-in-kernel"
 # A monomial of the kernel enumeration: (exponents, support mask, image key,
 # degree, last variable added).
 _Member = tuple[Monomial, int, int, int, int]
+# A monomial of one degree of the graded stream: (variable indices in
+# increasing order, support mask, image key).
+_Compact = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,16 @@ def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def _packed_columns(p: Parametrization, d: DegreeBound) -> list[int]:
+    """Column j of ``p``'s matrix as one int, sum_r a_rj * B^r, B = 2 * d * max|a| + 1."""
+    rows = p.matrix.entries
+    base = 2 * d.max_degree * max((abs(x) for row in rows for x in row), default=0) + 1
+    columns = [0] * len(p.vars)
+    for row in reversed(rows):
+        columns = [c * base + x for c, x in zip(columns, row)]
+    return columns
+
+
 def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binomial]:
     """Kernel binomials that generate every fiber up to degree d.
 
@@ -120,13 +138,14 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     once.
     Supports are bitmasks grown with the monomials, so the disjointness
     test is one ``&``.
+
+    This is the whole list at once.  Certification reads the same
+    binomials one degree at a time from :func:`_kernel_binomials_by_degree`,
+    which on a graded matrix holds only one degree's monomials, each as
+    its variable indices, and stops being read at the first failure.
     """
     n = len(p.vars)
-    rows = p.matrix.entries
-    base = 2 * d.max_degree * max((abs(x) for row in rows for x in row), default=0) + 1
-    columns = [0] * n
-    for row in reversed(rows):
-        columns = [c * base + x for c, x in zip(columns, row)]
+    columns = _packed_columns(p, d)
     # the degree-0 monomial may be extended by any variable
     constant: _Member = ((0,) * n, 0, 0, 0, 0)
     layer = [constant]
@@ -167,12 +186,93 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     return [Binomial(plus, minus) for _, plus, minus in found]
 
 
+def _exponents(indices: Sequence[int], nvars: int) -> Monomial:
+    """The exponent tuple of the monomial with variable indices ``indices``."""
+    mono = [0] * nvars
+    for i in indices:
+        mono[i] += 1
+    return tuple(mono)
+
+
+def _kernel_binomials_by_degree(
+    p: Parametrization, d: DegreeBound
+) -> Iterator[tuple[int, list[Binomial]]]:
+    """:func:`enumerate_kernel_binomials` as (e, its binomials of degree e), e = 1..d.
+
+    A degree with no binomial is skipped.  Concatenated, the lists are
+    that function's output, in its order.  A matrix without a grading
+    vector (one :func:`homogeneity_certificate` solve) may have buckets of
+    mixed degrees, so its whole list is built at once, as there, and
+    split by degree.  With a grading omega a
+    monomial's degree is omega . A u, a function of its image, so every
+    bucket holds one degree and each degree's buckets are complete once
+    that degree's monomials are grown.  Each degree is then built, emitted
+    and dropped before the next, keeping only its layer of monomials, and
+    a reader that stops after degree e never builds degree e + 1.
+
+    A monomial is held as its variable indices i_1 <= ... <= i_e, with its
+    support mask and packed image; exponent tuples are built only for the
+    emitted binomials.  Each layer is grown in index-lex order, children of
+    earlier parents first and each parent's children by increasing j, so
+    a bucket's members arrive in index-lex order too.  Within one degree,
+    exponent-lex order is the reverse of index-lex order.  Take u != v of
+    degree e and let j be the first variable where their exponents differ,
+    say u_j > v_j.  Both index tuples start with the same c indices below
+    j, and u's holds j at position c + v_j.  v's holds a larger index
+    there: it has only c + v_j < c + u_j <= e indices up to j.  So u is
+    exponent-larger and index-smaller.  The bucket's exponent-lex minimum,
+    its star representative, is therefore its last member, and sorting a
+    degree's binomials x^m - x^rep by m is sorting m's index tuples in
+    reverse.  A graded bucket holds one degree, so no pair sharing a
+    variable is ever kept (see :func:`enumerate_kernel_binomials`).
+    """
+    if homogeneity_certificate(p) is None:
+        for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
+            yield degree, list(group)
+        return
+    n = len(p.vars)
+    columns = _packed_columns(p, d)
+    bits = [1 << j for j in range(n)]
+    singles = [(j,) for j in range(n)]
+    layer: list[_Compact] = [((), 0, 0)]
+    for degree in range(1, d.max_degree + 1):
+        grown: list[_Compact] = []
+        buckets: dict[int, list[_Compact]] = {}
+        for indices, support, image in layer:
+            for j in range(indices[-1] if indices else 0, n):
+                key = image + columns[j]
+                child = (indices + singles[j], support | bits[j], key)
+                grown.append(child)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [child]
+                else:
+                    bucket.append(child)
+        found: list[tuple[tuple[int, ...], Monomial]] = []
+        for members in buckets.values():
+            if len(members) > 1:
+                # the last member is the exponent-lex minimum
+                rep, rep_support, _ = members.pop()
+                minus = None
+                for indices, support, _ in members:
+                    if not support & rep_support:
+                        if minus is None:
+                            minus = _exponents(rep, n)
+                        found.append((indices, minus))
+        if found:
+            found.sort(reverse=True)
+            yield degree, [Binomial(_exponents(plus, n), minus) for plus, minus in found]
+        layer = grown
+
+
 # (root, previous monomial, move), monomials packed; the root's own entry
 # has no previous monomial and move -1.  Move 2k replaces generator k's
 # u_plus by its u_minus, and move 2k + 1 is its reverse.
 _TreeEntry = tuple[int, Optional[int], int]
 # (packed divisor, packed change, move)
 _Move = tuple[int, int, int]
+# (generator index, direction) steps
+_Chain = list[tuple[int, int]]
 # one degree cap's trees, with its field width, guard mask and moves: one
 # (support mask, moves) bucket per first divisor variable, then the moves
 # with a constant divisor under mask -1
@@ -273,29 +373,49 @@ class _RewriteForest:
             layer = self._layers[cap, nvars] = ({}, width, guard, buckets)
         return layer
 
+    def check_variables(self, nvars: int) -> None:
+        """Raise ValueError unless every nonzero generator has ``nvars`` variables."""
+        if self._nvars - {nvars}:
+            raise ValueError("generators and binomial are over different variable sets")
+
     def chain(self, b: Binomial) -> Optional[list[tuple[int, int]]]:
         """(generator index, direction) steps from ``b.u_plus`` to ``b.u_minus``.
 
         None when the two sides lie in different components under the cap.
         """
-        if self._nvars - {b.nvars}:
-            raise ValueError("generators and binomial are over different variable sets")
+        self.check_variables(b.nvars)
         if b.is_zero:
             return []
-        start_degree, target_degree = sum(b.u_plus), sum(b.u_minus)
-        cap = max(start_degree, target_degree) + self._slack
-        tree, width, guard, buckets = self._layer(cap, b.nvars)
-        start = _pack(b.u_plus, cap - start_degree, width)
-        target = _pack(b.u_minus, cap - target_degree, width)
-        if start not in tree:
-            self._explore(start, tree, guard, buckets)
-        root = tree[start][0]
-        if target not in tree or tree[target][0] != root:
-            return None
-        up = [(k, -direction) for k, direction in self._path_to_root(start, tree)]
-        down = self._path_to_root(target, tree)
-        down.reverse()
-        return up + down
+        return self.chains(b.degree, b.nvars)(b)
+
+    def chains(self, degree: int, nvars: int) -> Callable[[Binomial], Optional[_Chain]]:
+        """:meth:`chain` for nonzero binomials of ``degree`` over ``nvars`` variables.
+
+        The cap's trees and packing are fetched once, for every query of
+        that degree; the variable count is the caller's to check.
+        """
+        cap = degree + self._slack
+        tree, width, guard, buckets = self._layer(cap, nvars)
+        explore, path_to_root = self._explore, self._path_to_root
+        # _pack(mono, cap - deg mono, width), one shift per field
+        shifts = range(0, width * nvars, width)
+        room = width * nvars
+
+        def chain(b: Binomial) -> Optional[_Chain]:
+            plus, minus = b.u_plus, b.u_minus
+            start = sum(map(lshift, plus, shifts)) + ((cap - sum(plus)) << room)
+            target = sum(map(lshift, minus, shifts)) + ((cap - sum(minus)) << room)
+            if start not in tree:
+                explore(start, tree, guard, buckets)
+            root = tree[start][0]
+            if target not in tree or tree[target][0] != root:
+                return None
+            up = [(k, -direction) for k, direction in path_to_root(start, tree)]
+            down = path_to_root(target, tree)
+            down.reverse()
+            return up + down
+
+        return chain
 
     @staticmethod
     def _explore(root: int, tree: dict[int, _TreeEntry], guard: int,
@@ -444,9 +564,11 @@ def certify_presentation(
     breadth-first trees per degree cap, so each connected component under
     each cap is searched once; every chain it returns is replayed move by
     move before it counts, on sparse sides built once from ``gens`` rather
-    than from the forest's move index.  The enumeration builds each
-    monomial's image incrementally from its parent's.  This is the
-    one-part case of :func:`_certify_parts`.
+    than from the forest's move index.  Kernel binomials are checked one
+    degree at a time, in the order of :func:`enumerate_kernel_binomials`,
+    so the witness is the first binomial of that list outside the ideal,
+    and a failure at degree e stops the check before degree e + 1 is
+    enumerated.  This is the one-part case of :func:`_certify_parts`.
     """
     return _certify_parts([(p, gens)], d)[0]
 
@@ -463,6 +585,18 @@ def _certify_parts(
     its part's generators, through one rewrite forest per part, and every
     chain is replayed.  The first failure is returned with the index of
     its part; a pass has index None.
+
+    A part's kernel binomials are read from
+    :func:`_kernel_binomials_by_degree`, one degree e at a time.  The
+    variable count is checked once per part, and cap e + slack's trees and
+    packing are fetched once per degree, for all of its binomials.  The
+    stream yields the list of :func:`enumerate_kernel_binomials` in its
+    order, and whether a binomial has a chain depends only on whether its
+    two sides share a component under its cap, not on the queries before
+    it; the queries even come in the same order, so the trees and chains
+    are those of checking the whole list.  So the first failure is that
+    list's first binomial outside the ideal, and returning there leaves
+    every later degree unbuilt.
     """
     parts = [(p, tuple(gens)) for p, gens in parts]
     for index, (p, gens) in enumerate(parts):
@@ -471,10 +605,13 @@ def _certify_parts(
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
     for index, (p, gens) in enumerate(parts):
         forest = _RewriteForest(gens, d)
+        forest.check_variables(len(p.vars))
         sides = _sparse_sides(gens)
-        for b in enumerate_kernel_binomials(p, d):
-            chain = forest.chain(b)
-            if chain is None:
-                return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree), index
-            _replay_chain(b, sides, chain)
+        for degree, binomials in _kernel_binomials_by_degree(p, d):
+            chain = forest.chains(degree, len(p.vars))
+            for b in binomials:
+                steps = chain(b)
+                if steps is None:
+                    return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree), index
+                _replay_chain(b, sides, steps)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -604,17 +605,18 @@ def family_text(blocks):
 def counting_certify(monkeypatch):
     """Count the kernels the CLI enumerates to certify, by their variable counts.
 
-    Every part reaches the enumeration through the ``oracle`` module's
-    binding; ``sums`` has its own, so its usage check is not counted.
+    Every part reads its kernel binomials once from the degree stream,
+    graded or not, through the ``oracle`` module's binding; the usage check
+    in ``sums`` calls the public enumerator and is not counted.
     """
     calls = []
-    real = oracle.enumerate_kernel_binomials
+    real = oracle._kernel_binomials_by_degree
 
     def counted(p, d):
         calls.append(len(p.vars))
         return real(p, d)
 
-    monkeypatch.setattr(oracle, "enumerate_kernel_binomials", counted)
+    monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", counted)
     return calls
 
 
@@ -692,6 +694,35 @@ class TestCertifyByInput:
         assert_same_verdict(text, got, want)
         assert want[0] == 1 and "verdict: missing-in-sum witness" in want[1]
         assert calls == [3, 3, 4]
+
+    def test_printed_path_sum_fails_at_its_first_degree(self, tmp_path, capsys):
+        # the printed sum of 128 twisted cubics along a path is one ideal of
+        # 385 variables with no generators.  Its degree-3 layer would hold
+        # C(387, 3) monomials, but a degree-2 kernel binomial is already the
+        # witness, so the check stops before building degree 3; it runs in a
+        # child process under a 1 GB address-space limit
+        k = 128
+        blocks = []
+        for v in range(k):
+            b = "b0" if v == 0 else f"s{v - 1}"
+            c = f"c{v}" if v == k - 1 else f"s{v}"
+            blocks.append(f"ideal C{v}\nvars a{v} {b} {c} d{v}\nparams t s\n"
+                          f"row 3 2 1 0\nrow 0 1 2 3\ngen a{v}*{c} - {b}^2\n"
+                          f"gen {b}*d{v} - {c}^2\ngen a{v}*d{v} - {b}*{c}\n")
+        assert main(["sum", write(tmp_path, "path.ideal", "".join(blocks))]) == 0
+        out = capsys.readouterr().out
+        glued = write(tmp_path, "path_glued.ideal", out[:out.index("\nk=") + 1])
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from toricsum.cli import main
+            sys.exit(main(["sum", "--certify", "--max-degree", "3", {glued!r}]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == \
+            "verdict: missing-in-sum witness c127^2 - d127*s126 (degree 3)"
 
     def test_generator_outside_its_kernel_comes_first(self, tmp_path, capsys, monkeypatch):
         # the first cubic drops a generator and a later conic gains one

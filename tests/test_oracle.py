@@ -30,7 +30,15 @@ from toricsum import (
     rewrite_chain,
     sum_shared,
 )
-from toricsum.oracle import _RewriteForest, _monomials_of_degree, _replay_chain, _sparse_sides
+from toricsum import oracle
+from toricsum.oracle import (
+    _kernel_binomials_by_degree,
+    _RewriteForest,
+    _monomials_of_degree,
+    _replay_chain,
+    _sparse_sides,
+)
+from toricsum.parametrization import homogeneity_certificate
 
 
 TWISTED_CUBIC = Parametrization(
@@ -61,6 +69,58 @@ def reference_kernel_binomials(p, degree):
         rep = min(members)
         found.update(Binomial.from_pair(m, rep) for m in members if m != rep)
     return sorted(found, key=lambda b: b.sort_key())
+
+
+def one_shot_kernel_binomials(p, d):
+    """The one-shot enumerator on dense exponent tuples, kept as the reference.
+
+    Every monomial of degree 0..d is one tuple (exponents, support, image
+    key, degree, last variable) in one map of buckets, and the sorted list
+    is built at the end.  The public enumerator and the degree stream must
+    both reproduce its output and order.
+    """
+    n = len(p.vars)
+    rows = p.matrix.entries
+    base = 2 * d.max_degree * max((abs(x) for row in rows for x in row), default=0) + 1
+    columns = [0] * n
+    for row in reversed(rows):
+        columns = [c * base + x for c, x in zip(columns, row)]
+    constant = ((0,) * n, 0, 0, 0, 0)
+    layer = [constant]
+    buckets = {0: [constant]}
+    mixed = False
+    for degree in range(1, d.max_degree + 1):
+        grown = []
+        for mono, support, image, _, last in layer:
+            for j in range(last, n):
+                child = (mono[:j] + (mono[j] + 1,) + mono[j + 1:], support | 1 << j,
+                         image + columns[j], degree, j)
+                grown.append(child)
+                bucket = buckets.get(child[2])
+                if bucket is None:
+                    buckets[child[2]] = [child]
+                else:
+                    mixed = mixed or bucket[0][3] != degree
+                    bucket.append(child)
+        layer = grown
+    stars = [(min(members), members) for members in buckets.values() if len(members) > 1]
+    minima = {rep[0] for rep, _ in stars} if mixed else set()
+    found = []
+    shared = set()
+    for (rep, rep_support, _, rep_degree, _), members in stars:
+        for m, support, _, m_degree, _ in members:
+            if m is rep:
+                continue
+            if not support & rep_support:
+                found.append((max(m_degree, rep_degree), m, rep))
+            elif mixed:
+                minus = tuple(r - a if r > a else 0 for a, r in zip(m, rep))
+                if minus not in minima:
+                    plus = tuple(a - r if a > r else 0 for a, r in zip(m, rep))
+                    shared.add((max(sum(plus), sum(minus)), plus, minus))
+    found += shared
+    found.sort()
+    return [Binomial(plus, minus) for _, plus, minus in found]
 
 
 def bfs_distance(b, gens, cap):
@@ -405,6 +465,58 @@ class TestIncrementalEnumeration:
             for degree in range(1, 5):
                 assert enumerate_kernel_binomials(p, DegreeBound(degree)) == \
                     reference_kernel_binomials(p, degree)
+
+
+class TestDegreeStream:
+    def test_matches_the_one_shot_enumerator(self):
+        # graded and ungraded random matrices, zero columns, no rows and no
+        # columns, at degrees 1 to 4: the public list and the stream, read
+        # degree by degree, both give the reference's binomials in its order
+        rng = random.Random(97)
+        ps = [TWISTED_CUBIC, CURVE_23]
+        for _ in range(970):
+            ps.append(random_homogeneous_parametrization(rng, max_params=3, max_vars=6))
+            ps.append(random_parametrization(rng, max_params=3, max_vars=5))
+        ps += [
+            Parametrization(VariableSet(()), VariableSet.of("a", "b", "c"), IntegerMatrix.zero(0, 3)),
+            Parametrization(VariableSet.of("t", "s"), VariableSet.of("a", "b", "c"),
+                            IntegerMatrix.from_rows([[1, 0, 2], [0, 0, 1]])),
+            Parametrization(VariableSet.of("t"), VariableSet(()), IntegerMatrix.zero(1, 0)),
+        ]
+        graded = Counter()
+        for p in ps:
+            graded[homogeneity_certificate(p) is not None] += 1
+            for degree in range(1, 5):
+                d = DegreeBound(degree)
+                expected = one_shot_kernel_binomials(p, d)
+                assert enumerate_kernel_binomials(p, d) == expected
+                streamed = list(_kernel_binomials_by_degree(p, d))
+                degrees = [e for e, _ in streamed]
+                assert degrees == sorted(set(degrees))
+                for e, binomials in streamed:
+                    assert binomials == [b for b in expected if b.degree == e]
+                assert [b for _, binomials in streamed for b in binomials] == expected
+        assert min(graded[True], graded[False]) > 500
+
+    def test_certification_stops_at_the_failing_degree(self, monkeypatch):
+        # the twisted cubic less one quadric fails at degree 2, so degrees 3
+        # and 4 are never built, and the witness is the one-shot list's first
+        # binomial outside the generators' ideal
+        read = []
+        real = oracle._kernel_binomials_by_degree
+
+        def recording(p, d):
+            for degree, binomials in real(p, d):
+                read.append(degree)
+                yield degree, binomials
+
+        monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", recording)
+        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))[1:]
+        verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
+        assert read == [2]
+        expected = next(b for b in one_shot_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
+                        if not membership_by_classes(b, gens))
+        assert (verdict.status, verdict.witness) == (MISSING_IN_SUM, expected)
 
 
 class TestRewriteForest:
