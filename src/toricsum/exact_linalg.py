@@ -12,8 +12,12 @@ integer rows (:func:`row_reduce`); ``Fraction`` appears only in the one
 division at the end.  Everything that must preserve the integer lattice
 (the Hermite form, canonical lattice bases, kernel lattices and the Smith
 form) goes through one row-style Hermite reduction by unimodular Euclid
-steps (:func:`_hermite_rows`) instead.  Every kernel basis is certified
-saturated before it is returned, by the same reduction of its transpose.
+steps instead: an echelon pass (:func:`_hermite_echelon`), then the
+entries above the pivots reduced (:func:`_hermite_rows`).  A caller that
+reads only the rows at and below the rank, or only the pivots, stops after
+the echelon pass; the kernel lattice does, both for its transform and for
+the certificate that every kernel basis is saturated, which reduces the
+basis's transpose.
 
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
@@ -31,13 +35,15 @@ from typing import Iterable, Optional, Sequence
 
 
 def _identity_lists(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
-def _sub_row(rows: list[list[int]], i: int, j: int, f: int) -> None:
-    """rows[i] -= f * rows[j], in place."""
-    if f:
-        rows[i] = [a - f * b for a, b in zip(rows[i], rows[j])]
+def _int_matrix(rows: Sequence[Sequence[int]], cols: int) -> "IntegerMatrix":
+    """``rows``, already plain ints, as a matrix without ``from_rows``' per-entry ``int()``."""
+    return IntegerMatrix(len(rows), cols, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class IntegerMatrix:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError(f"expected a vector of length {self.cols}, got {len(v)}")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -254,43 +260,89 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * d if len(pivots) == m.rows else 0
 
 
-def _hermite_rows(rows: list[list[int]], ncols: int) -> int:
-    """Row-style Hermite reduction of integer rows by unimodular steps, in place.
+def _hermite_echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """Echelon pass of the Hermite reduction, by unimodular Euclid steps, in place.
 
     Pivots are searched only in the first ``ncols`` columns; later columns
-    (an augmented identity) are carried along.  Returns the rank ``r``.
+    (an augmented identity) are carried along.  Returns the pivot columns,
+    one per row of the echelon, so their number is the rank ``r``.
     Afterwards the first ``r`` rows are in echelon form in the searched
-    columns, with positive pivots and the entries above each pivot reduced
-    into ``[0, pivot)``, and the rows below them are zero there.  Every step
-    swaps two rows, negates one or subtracts an integer multiple of one from
-    another, so the row lattice is preserved and a carried identity records
-    a unimodular transform.
+    columns with positive pivots, and the rows below them are zero there;
+    the entries above the pivots are left as they fell.
+
+    Each column is cleared below row ``r`` by Euclid rounds.  A round scans
+    rows ``r..n`` once for the first entry of least absolute value, swaps
+    it to row ``r`` and, unless it is the only nonzero one, subtracts its
+    floor quotient times row ``r`` from each row below with a nonzero
+    quotient.  Every step swaps two rows, negates one or subtracts an
+    integer multiple of one from another, so the row lattice is preserved
+    and a carried identity records a unimodular transform.
     """
     n = len(rows)
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == n:
             break
-        # Euclid on the column: move the smallest entry to row r and reduce
-        # the rows below by it, until it is the only nonzero one left.
         while True:
-            nonzero = [i for i in range(r, n) if rows[i][c]]
-            if not nonzero:
+            best = -1
+            least = count = 0
+            for i in range(r, n):
+                x = rows[i][c]
+                if x:
+                    count += 1
+                    if x < 0:
+                        x = -x
+                    if best < 0 or x < least:
+                        best, least = i, x
+            if best < 0:
                 break
-            best = min(nonzero, key=lambda i: abs(rows[i][c]))
             rows[r], rows[best] = rows[best], rows[r]
-            if len(nonzero) == 1:
+            if count == 1:
                 break
+            pivot_row = rows[r]
+            pv = pivot_row[c]
             for i in range(r + 1, n):
-                _sub_row(rows, i, r, rows[i][c] // rows[r][c])
-        if not nonzero:
+                row = rows[i]
+                f = row[c] // pv
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        if best < 0:
             continue
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            _sub_row(rows, i, r, rows[i][c] // rows[r][c])
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def _hermite_rows(rows: list[list[int]], ncols: int) -> int:
+    """Row-style Hermite reduction of integer rows by unimodular steps, in place.
+
+    :func:`_hermite_echelon`, then the entries above each pivot reduced into
+    ``[0, pivot)`` by subtracting floor multiples of the pivot row, pivot
+    by pivot in increasing order.  Returns the rank ``r``.
+
+    The second pass changes row ``i`` only by multiples of a later pivot
+    row ``k > i``, which is zero in every column before its pivot column
+    ``c_k``, so also in ``c_i``.  It therefore changes no row at or below
+    ``r`` and no pivot entry: callers that read only those call
+    :func:`_hermite_echelon` alone.  Its result is also that of reducing
+    above each pivot as soon as the pivot is found.  The Euclid rounds of a
+    later column touch only rows below its pivot, so either way pivot ``k``
+    is reduced against rows ``0..k-1`` after pivots ``0..k-1`` were, and
+    with row ``k`` still as the echelon pass left it.
+    """
+    pivots = _hermite_echelon(rows, ncols)
+    for k, c in enumerate(pivots):
+        pivot_row = rows[k]
+        pv = pivot_row[c]
+        for i in range(k):
+            row = rows[i]
+            f = row[c] // pv
+            if f:
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+    return len(pivots)
 
 
 def _hermite_augmented(
@@ -320,7 +372,7 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     ``[M | I]`` is reduced to ``[H | U]``.
     """
     _, h, u = _hermite_augmented(m.entries, _identity_lists(m.rows), m.cols)
-    return IntegerMatrix.from_rows(h, cols=m.cols), IntegerMatrix.from_rows(u, cols=m.rows)
+    return _int_matrix(h, m.cols), _int_matrix(u, m.rows)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -356,9 +408,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
             row[k] += row[k + 1]
         qt[k] = [a + b for a, b in zip(qt[k], qt[k + 1])]
 
-    D = IntegerMatrix.from_rows(d, cols=ncols)
-    P = IntegerMatrix.from_rows(p, cols=nrows)
-    Q = IntegerMatrix.from_rows(list(zip(*qt)), cols=ncols)
+    D = _int_matrix(d, ncols)
+    P = _int_matrix(p, nrows)
+    Q = _int_matrix(list(zip(*qt)), ncols)
     if (P @ m) @ Q != D:
         raise RuntimeError("Smith normal form: P @ M @ Q does not equal D")
     if abs(determinant(P)) != 1 or abs(determinant(Q)) != 1:
@@ -383,11 +435,12 @@ def independent_rows(m: IntegerMatrix) -> tuple[int, ...]:
 def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     """Canonical basis of the integer kernel ``{u : M u = 0}``.
 
-    ``[M^T | I]`` is reduced to ``[H | U]``; the rows of ``U`` past the rank
-    ``r`` span the kernel, and their canonical basis ``K`` (``k x n``) is
-    returned.  ``K`` itself is certified before returning, and a failure
-    raises RuntimeError: ``M`` annihilates every row of ``K``, ``k == n - r``,
-    and the row-style Hermite form of ``K^T`` has rank ``k`` and every pivot 1.
+    ``[M^T | I]`` is reduced to an echelon ``[E | U]``; the rows of ``U``
+    past the rank ``r`` span the kernel, and their canonical basis ``K``
+    (``k x n``) is returned.  ``K`` itself is certified before returning,
+    and a failure raises RuntimeError: ``M`` annihilates every row of ``K``,
+    ``k == n - r``, and the row-style echelon of ``K^T`` has rank ``k`` and
+    every pivot 1.
 
     That proves ``K`` is the whole integer kernel.  Unit pivots mean the
     columns of ``K`` generate ``Z^k``, so ``K`` has an integer right inverse
@@ -396,16 +449,24 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     saturated.  ``M K^T = 0`` and ``k = n - r`` independent rows give
     ``span_Q K = ker_Q M``, hence ``span_Z K = ker_Z M``.  Unlike a check of
     ``U``, this also catches a wrong step after the reduction.
+
+    Both reductions stop after the echelon pass (:func:`_hermite_echelon`).
+    The first reads only the rows from ``r`` down, and the certificate only
+    the rank and the diagonal of a ``k``-column echelon of rank ``k``, which
+    are its pivots.  The reduction above the pivots changes neither: it
+    changes only rows above a pivot, by multiples of later pivot rows that
+    are zero in every earlier pivot column (:func:`_hermite_rows`).
     """
     n = m.cols
     columns = zip(*m.entries) if m.rows else [()] * n
-    r, _, u = _hermite_augmented(columns, _identity_lists(n), m.rows)
-    basis = LatticeBasis.spanning(u[r:], n)
+    rows = [[*col, *unit] for col, unit in zip(columns, _identity_lists(n))]
+    r = len(_hermite_echelon(rows, m.rows))
+    basis = LatticeBasis.spanning([row[m.rows:] for row in rows[r:]], n)
     if any(any(m.apply(v)) for v in basis.vectors):
         raise RuntimeError("kernel lattice: M does not annihilate a basis vector")
     k = basis.rank
     kt = [list(col) for col in zip(*basis.vectors)]
-    if k != n - r or _hermite_rows(kt, k) != k or any(kt[j][j] != 1 for j in range(k)):
+    if k != n - r or len(_hermite_echelon(kt, k)) != k or any(kt[j][j] != 1 for j in range(k)):
         raise RuntimeError("kernel lattice: the basis is not saturated")
     return basis
 
@@ -417,8 +478,8 @@ def annihilator(basis: LatticeBasis) -> IntegerMatrix:
     form; a full-rank lattice gives a matrix with no rows.
     """
     n = basis.ambient_dim
-    orthogonal = kernel_lattice(IntegerMatrix.from_rows(basis.vectors, cols=n))
-    return IntegerMatrix.from_rows(orthogonal.vectors, cols=n)
+    orthogonal = kernel_lattice(IntegerMatrix(basis.rank, n, basis.vectors))
+    return IntegerMatrix(orthogonal.rank, n, orthogonal.vectors)
 
 
 def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:

@@ -186,9 +186,11 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     scaled by the least positive ``q`` that makes it integral.  Its rows
     span the same rational row space, so the kernel lattice is untouched;
     its pivot columns (the pinned one first, then greedily in increasing
-    index) form ``q`` times the identity, which is checked and also proves
-    the rows independent, and the gcd of all its entries is 1, which fixes
-    it uniquely.  The parameters are renamed ``t1, t2, ...``.
+    index) form ``q`` times the identity, and the gcd of all its entries
+    (taken row by row) is 1, which fixes it uniquely.  Each pivot column
+    ``r`` is checked to equal ``q * e_r`` as one list, on either branch
+    below, which also proves the rows independent.  The parameters are
+    renamed ``t1, t2, ...``.
 
     Every pin of a matrix is read off one reduction of it in natural
     column order (:func:`_echelon`: pivots ``p_0 < ... < p_(r-1)``, common
@@ -229,15 +231,18 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
         ]
         d = e
     order = [k, *range(k), *range(k + 1, len(rows))]
-    g = gcd(*(x for row in rows for x in row))
+    g = gcd(*[gcd(*row) for row in rows])
     if d < 0:
         g = -g
-    reduced = tuple(tuple(x // g for x in rows[i]) for i in order)
+    reduced = tuple(tuple([x // g for x in rows[i]]) for i in order)
     q = d // g
+    unit = [0] * len(reduced)
     for r, i in enumerate(order):
         c = idx if i == k else pivots[i]
-        if any(row[c] != (q if s == r else 0) for s, row in enumerate(reduced)):
+        unit[r] = q
+        if [row[c] for row in reduced] != unit:
             raise RuntimeError(f"pin of {name!r}: pivot column {r} is not q * e_{r}")
+        unit[r] = 0
     matrix = IntegerMatrix(len(reduced), len(p.vars), reduced)
     result = Parametrization(_numbered(len(reduced)), p.vars, matrix)
     return PinResult(result, pinned_param_index=0, exponent=q)

@@ -19,6 +19,7 @@ from toricsum import (
     independent_rows,
     inverse_and_clear,
     kernel_lattice,
+    parametrization_from_lattice,
     rank,
     saturate_lattice,
     smith_normal_form,
@@ -74,6 +75,106 @@ class TestHermite:
             assert (u @ m) == h
             assert abs(determinant(u)) == 1
             assert_hnf_shape(h)
+
+
+def reference_hermite_rows(rows: list[list[int]], ncols: int) -> int:
+    """The Hermite reduction as one interleaved loop, kept as a reference.
+
+    For each column: Euclid rounds below row ``r``, the sign of the pivot
+    fixed, and then at once the entries above it reduced into ``[0,
+    pivot)``.  The library splits this into an echelon pass and a pass
+    above the pivots; both must give these rows exactly, including the
+    carried transform, which is not unique.
+    """
+    n = len(rows)
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        while True:
+            nonzero = [i for i in range(r, n) if rows[i][c]]
+            if not nonzero:
+                break
+            best = min(nonzero, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[best] = rows[best], rows[r]
+            if len(nonzero) == 1:
+                break
+            for i in range(r + 1, n):
+                f = rows[i][c] // rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if not nonzero:
+            continue
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            f = rows[i][c] // rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def reference_echelon(rows: list[list[int]], ncols: int) -> list[int]:
+    """:func:`reference_hermite_rows` in the shape of the echelon pass: its pivot columns."""
+    r = reference_hermite_rows(rows, ncols)
+    return [next(c for c in range(ncols) if rows[i][c]) for i in range(r)]
+
+
+def sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
+    """Entries in [-9, 9], about half of them zero."""
+    return [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+class TestHermiteKernel:
+    def test_matches_reference_rows(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        rng = random.Random(2828)
+        for trial in range(1500):
+            nrows, ncols = rng.randint(0, 8), rng.randint(0, 10)
+            rows = sparse_rows(rng, nrows, ncols)
+            if trial % 2:
+                rows = [row + unit for row, unit in zip(rows, exact_linalg._identity_lists(nrows))]
+            expected = [list(row) for row in rows]
+            r = reference_hermite_rows(expected, ncols)
+
+            reduced = [list(row) for row in rows]
+            assert exact_linalg._hermite_rows(reduced, ncols) == r
+            assert reduced == expected
+
+            echelon = [list(row) for row in rows]
+            pivots = exact_linalg._hermite_echelon(echelon, ncols)
+            assert len(pivots) == r
+            assert echelon[r:] == expected[r:]
+            assert [echelon[k][c] for k, c in enumerate(pivots)] == [
+                expected[k][c] for k, c in enumerate(pivots)
+            ]
+            assert pivots == reference_echelon([list(row) for row in rows], ncols)
+
+    def test_public_results_match_reference(self, monkeypatch):
+        import toricsum.exact_linalg as exact_linalg
+
+        def results(m: IntegerMatrix) -> tuple:
+            snf = smith_normal_form(m)
+            lattice = LatticeBasis.spanning(m.entries, m.cols)
+            return (
+                hermite_normal_form(m),
+                (snf.D, snf.P, snf.Q),
+                kernel_lattice(m),
+                saturate_lattice(lattice),
+                parametrization_from_lattice(lattice),
+            )
+
+        rng = random.Random(2829)
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        shapes += [(rng.randint(0, 8), rng.randint(0, 10)) for _ in range(200)]
+        matrices = [IntegerMatrix(r, c, tuple(map(tuple, sparse_rows(rng, r, c)))) for r, c in shapes]
+        got = [results(m) for m in matrices]
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, "_hermite_rows", reference_hermite_rows)
+            patch.setattr(exact_linalg, "_hermite_echelon", reference_echelon)
+            expected = [results(m) for m in matrices]
+        assert got == expected
 
 
 class TestSmith:

@@ -246,6 +246,27 @@ class TestNormalizePin:
         finally:
             parametrization._echelon.cache_clear()
 
+    def test_corrupted_reduction_is_caught_on_exchange(self, monkeypatch):
+        # Column 3 of the twisted cubic is not a pivot, so its pin takes the
+        # exchange step: pivot 1 gives way to column 3, which moves first,
+        # and pivot column 0 of the result is checked second.
+        import toricsum.parametrization as parametrization
+
+        real = parametrization.row_reduce
+
+        def corrupted(rows, ncols):
+            pivots, d, sign = real(rows, ncols)
+            rows[1][pivots[0]] += d  # off the diagonal of the first pivot column
+            return pivots, d, sign
+
+        parametrization._echelon.cache_clear()
+        monkeypatch.setattr(parametrization, "row_reduce", corrupted)
+        try:
+            with pytest.raises(RuntimeError, match="pivot column 1 is not q"):
+                normalize_pin(TWISTED_CUBIC, 3)
+        finally:
+            parametrization._echelon.cache_clear()
+
     def test_redundant_rows_are_dropped(self):
         p = make([[1, 1, 1], [2, 2, 2], [0, 1, 2]], ["x1", "x2", "x3"], ["t", "s", "u"])
         pin = normalize_pin(p, 2)
