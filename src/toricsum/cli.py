@@ -51,6 +51,7 @@ from .oracle import (
 from .parametrization import (
     ConstructionError,
     Parametrization,
+    _is_graded,
     dimension,
     homogeneity_certificate,
     normalize_pin,
@@ -331,7 +332,7 @@ def _certification_parts(
         p = ideal.parametrization
         key = (p.matrix.entries, ideal.generators)
         if key not in distinct:
-            if len(ideals) > 1 and v in isolated and homogeneity_certificate(p) is None:
+            if len(ideals) > 1 and v in isolated and not _is_graded(p):
                 gens = [relabel_binomial(g, i.parametrization.vars, result.vars)
                         for i in ideals for g in i.generators]
                 return [(result, gens)]

@@ -9,15 +9,20 @@ exact inverses.
 Rank, row and column selection, rational solves, inverses and
 determinants all go through one fraction-free Gauss-Jordan elimination on
 integer rows (:func:`row_reduce`); ``Fraction`` appears only in the one
-division at the end.  Everything that must preserve the integer lattice
+division at the end.  It runs as a forward pass (:func:`_bareiss_echelon`),
+then a pass above the pivots (:func:`_reduce_above`); rank, determinant,
+row and column selection and the consistency of a solve read the forward
+pass alone.  Everything that must preserve the integer lattice
 (the Hermite form, canonical lattice bases, kernel lattices and the Smith
 form) goes through one row-style Hermite reduction by unimodular Euclid
-steps instead: an echelon pass (:func:`_hermite_echelon`), then the
-entries above the pivots reduced (:func:`_hermite_rows`).  A caller that
-reads only the rows at and below the rank, or only the pivots, stops after
-the echelon pass; the kernel lattice does, both for its transform and for
-the certificate that every kernel basis is saturated, which reduces the
-basis's transpose.
+steps instead, split the same way: an echelon pass
+(:func:`_hermite_echelon`), then the entries above the pivots reduced
+(:func:`_hermite_rows`).  A caller that reads only the rows at and below
+the rank, or only the pivots, stops after the echelon pass; the kernel
+lattice does, both for its transform and for the certificate that every
+kernel basis is saturated, which reduces the basis's transpose.  The
+Hermite form of ``[M | I]`` is kept for the last matrix
+(:func:`_hermite_pass`), since the Smith form starts from it.
 
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -215,27 +221,32 @@ class SmithDecomposition:
         return sum(1 for k in range(min(self.D.rows, self.D.cols)) if self.D.entries[k][k])
 
 
-def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Forward pass of the fraction-free elimination (Bareiss 1968), in place.
 
     Pivots are searched only in the first ``ncols`` columns, left to right,
     taking the first remaining row with a nonzero entry; later columns (an
     augmented right-hand side) are carried along.  Returns
-    ``(pivot_cols, d, sign)``.  Afterwards the pivot rows come first, in
-    pivot order, every pivot equals ``d``, each pivot column is zero
-    elsewhere, and the rows below the pivots are zero in the searched
-    columns; so ``rows / d`` is the reduced row echelon form.  For a square
-    nonsingular matrix ``sign * d`` is its determinant.
+    ``(pivot_cols, d, sign)``: the pivot rows come first, in pivot order,
+    each zero below its pivot, the rows below them are zero in the searched
+    columns, and ``d`` is the last pivot.  For a square nonsingular matrix
+    ``sign * d`` is its determinant.  The entries above the pivots are left
+    as they fell; row ``k`` holds the pivot ``d_k`` of step ``k``.
 
-    Each update ``(pv * a - f * b) // d`` is exact (Bareiss 1968): every
-    intermediate entry is, up to sign, a minor of the input, so nothing is ever rounded
-    and no ``Fraction`` is needed.
+    Step ``k`` updates each row below its pivot row to ``(pv * a - f * b) //
+    d_(k-1)``, with ``d_(-1) = 1``.  Each update is exact: every intermediate
+    entry is, up to sign, a minor of the input, so nothing is ever rounded
+    and no ``Fraction`` is needed.  Rank, determinant and the pivot columns
+    are read off this pass alone.
     """
+    n = len(rows)
     pivots: list[int] = []
     d = sign = 1
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
         if p != r:
@@ -243,20 +254,67 @@ def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             sign = -sign
         pivot_row = rows[r]
         pv = pivot_row[c]
-        for i, row in enumerate(rows):
+        for i in range(r + 1, n):
+            row = rows[i]
             f = row[c]
-            if i != r and (f or pv != d):
+            if f or pv != d:
                 rows[i] = [(pv * a - f * b) // d for a, b in zip(row, pivot_row)]
         pivots.append(c)
         d = pv
     return pivots, d, sign
 
 
+def _reduce_above(rows: list[list[int]], pivots: Sequence[int]) -> None:
+    """Pass above the pivots that completes :func:`row_reduce`, in place.
+
+    Step ``k`` of the forward pass is replayed on the rows above its pivot
+    row, ``row_i <- (d_k * row_i - row_i[c_k] * row_k) // d_(k-1)`` for
+    ``i < k``, in increasing ``k``; ``d_k`` is read off row ``k``, which the
+    forward pass left holding it.  Afterwards every pivot row is at the last
+    step's level, each pivot equals ``d`` and each pivot column is zero off
+    its pivot.  Rows from the rank down are untouched.
+    """
+    prev = 1
+    for k, c in enumerate(pivots):
+        pivot_row = rows[k]
+        pv = pivot_row[c]
+        for i in range(k):
+            row = rows[i]
+            f = row[c]
+            if f or pv != prev:
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pv
+
+
+def row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    :func:`_bareiss_echelon`, then :func:`_reduce_above`.  Returns
+    ``(pivot_cols, d, sign)`` as the forward pass does.  Afterwards the pivot
+    rows come first, in pivot order, every pivot equals ``d``, each pivot
+    column is zero elsewhere, and the rows below the pivots are zero in the
+    searched columns; so ``rows / d`` is the reduced row echelon form.
+
+    The split gives the interleaved elimination's rows exactly, the one
+    that applies step ``k`` to every other row at once.  There, step ``k``
+    changes a row below its pivot row only by that row, so the rows from
+    the pivot down, ``d`` and ``sign`` follow the forward pass alone; and
+    it changes row ``i < k`` by row ``k`` as step ``k`` left it, which no
+    later step touches before the second pass reads it.  The second pass
+    applies the same steps to each such row in the same order.  Callers
+    that read only the pivots, ``d``, ``sign`` or the rows below the rank
+    call :func:`_bareiss_echelon` alone.
+    """
+    pivots, d, sign = _bareiss_echelon(rows, ncols)
+    _reduce_above(rows, pivots)
+    return pivots, d, sign
+
+
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant, read off the fraction-free elimination."""
+    """Exact determinant, read off the forward fraction-free pass."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    pivots, d, sign = row_reduce([list(row) for row in m.entries], m.cols)
+    pivots, d, sign = _bareiss_echelon([list(row) for row in m.entries], m.cols)
     return sign * d if len(pivots) == m.rows else 0
 
 
@@ -362,6 +420,22 @@ def _is_diagonal(d: list[list[int]]) -> bool:
     return not any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
 
 
+_Rows = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=1)
+def _hermite_pass(m: IntegerMatrix) -> tuple[_Rows, _Rows]:
+    """``(H, U)`` as row tuples: ``[M | I]`` reduced by :func:`_hermite_augmented`.
+
+    This is both :func:`hermite_normal_form` and the first pass of
+    :func:`smith_normal_form`, so a caller asking for both of one matrix
+    reduces it once.  Cached for the last matrix only; the rows are tuples,
+    so no reader can change what the next one gets.
+    """
+    _, h, u = _hermite_augmented(m.entries, _identity_lists(m.rows), m.cols)
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
+
+
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row-style Hermite normal form with its unimodular witness.
 
@@ -369,10 +443,10 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     echelon form with positive pivots and the entries above each pivot
     reduced into ``[0, pivot)``.  This form is unique for the row lattice
     of ``M``, which is what makes it usable as a canonical representative.
-    ``[M | I]`` is reduced to ``[H | U]``.
+    ``[M | I]`` is reduced to ``[H | U]`` (:func:`_hermite_pass`).
     """
-    _, h, u = _hermite_augmented(m.entries, _identity_lists(m.rows), m.cols)
-    return _int_matrix(h, m.cols), _int_matrix(u, m.rows)
+    h, u = _hermite_pass(m)
+    return IntegerMatrix(m.rows, m.cols, h), IntegerMatrix(m.rows, m.rows, u)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -386,20 +460,24 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     decomposition satisfies ``D == P @ M @ Q`` exactly with
     ``|det P| == |det Q| == 1``; both are checked before returning, and a
     failure raises RuntimeError.
+
+    The first pass, ``[M | I]`` reduced to ``[H | U]``, is
+    :func:`hermite_normal_form`'s, and is read from the same one-entry cache
+    (:func:`_hermite_pass`) on a copy; every later pass is computed here.
+    The determinants only need the forward fraction-free pass.
     """
     nrows, ncols = m.rows, m.cols
-    d = [list(row) for row in m.entries]
-    p = _identity_lists(nrows)
+    h, u = _hermite_pass(m)
+    d = [list(row) for row in h]
+    p = [list(row) for row in u]
     qt = _identity_lists(ncols)  # Q^T: row j is column j of Q
     while True:
-        while True:
-            _, d, p = _hermite_augmented(d, p, ncols)
-            if _is_diagonal(d):
-                break
+        while not _is_diagonal(d):
             _, dt, qt = _hermite_augmented(zip(*d), qt, nrows)
             d = [list(row) for row in zip(*dt)]
             if _is_diagonal(d):
                 break
+            _, d, p = _hermite_augmented(d, p, ncols)
         rank_ = sum(1 for k in range(min(nrows, ncols)) if d[k][k])
         k = next((k for k in range(rank_ - 1) if d[k + 1][k + 1] % d[k][k]), None)
         if k is None:
@@ -407,6 +485,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
         for row in d:
             row[k] += row[k + 1]
         qt[k] = [a + b for a, b in zip(qt[k], qt[k + 1])]
+        _, d, p = _hermite_augmented(d, p, ncols)
 
     D = _int_matrix(d, ncols)
     P = _int_matrix(p, nrows)
@@ -419,17 +498,17 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 
 
 def rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals."""
-    return len(row_reduce([list(row) for row in m.entries], m.cols)[0])
+    """Rank over the rationals: the pivots of the forward fraction-free pass."""
+    return len(_bareiss_echelon([list(row) for row in m.entries], m.cols)[0])
 
 
 def independent_rows(m: IntegerMatrix) -> tuple[int, ...]:
     """Greedy row basis: keep rows in increasing index while the rank grows.
 
-    These are the pivot columns of the transpose.
+    These are the pivot columns of the transpose, read off the forward pass.
     """
     columns = [list(col) for col in zip(*m.entries)]
-    return tuple(row_reduce(columns, m.rows)[0])
+    return tuple(_bareiss_echelon(columns, m.rows)[0])
 
 
 def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
@@ -495,20 +574,21 @@ def saturate_lattice(basis: LatticeBasis) -> LatticeBasis:
 def _solve_transposed(
     a: IntegerMatrix, rhs: Sequence[int]
 ) -> tuple[list[int], Optional[list[list[int]]], int]:
-    """One fraction-free reduction of ``[A^T | rhs]``: row basis and consistency.
+    """The forward fraction-free pass on ``[A^T | rhs]``: row basis and consistency.
 
     ``rhs`` holds one integer per column of ``A``.  Returns the pivots, the
-    greedy row basis of ``A``; the reduced rows, or None when
-    ``omega @ A == rhs`` is inconsistent; and their common denominator d.
-    Reduced row k then gives ``omega[pivots[k]] = row[-1] / d`` in the
-    solution with the free coordinates zero, which is built only by
-    :func:`solve_row_rational`; the lift of a summand in :mod:`sums` reads
-    the pivots and the consistency of the same elimination.
+    greedy row basis of ``A``; the echelon rows, or None when
+    ``omega @ A == rhs`` is inconsistent, which the rows below the pivots
+    show; and the last pivot d.  Only :func:`solve_row_rational` builds the
+    solution: it completes the reduction above the pivots, after which row
+    k gives ``omega[pivots[k]] = row[-1] / d`` with the free coordinates
+    zero.  The lift of a summand in :mod:`sums` and the grading test in
+    :mod:`parametrization` read only the pivots and the consistency.
     """
     m = a.rows
     columns = zip(*a.entries) if m else [()] * a.cols
     rows = [[*column, v] for column, v in zip(columns, rhs)]
-    pivots, d, _ = row_reduce(rows, m)
+    pivots, d, _ = _bareiss_echelon(rows, m)
     if any(row[m] for row in rows[len(pivots):]):
         return pivots, None, d
     return pivots, rows, d
@@ -538,6 +618,7 @@ def solve_row_rational(
     pivots, reduced, d = _solve_transposed(a, [int(v * scale) for v in fractions])
     if reduced is None:
         return None
+    _reduce_above(reduced, pivots)
     omega = [Fraction(0)] * a.rows
     for row, c in zip(reduced, pivots):
         omega[c] = Fraction(row[-1], d * scale)
@@ -558,7 +639,7 @@ def extend_to_basis(a: IntegerMatrix, i: int) -> tuple[int, ...]:
     if not any(a.column(i)):
         raise ValueError(f"column {i} is zero and cannot be extended to a basis")
     order = [i] + [j for j in range(a.cols) if j != i]
-    pivots, _, _ = row_reduce([[row[j] for j in order] for row in a.entries], a.cols)
+    pivots, _, _ = _bareiss_echelon([[row[j] for j in order] for row in a.entries], a.cols)
     if len(pivots) != a.rows:
         raise ValueError(f"matrix rank is below its row count {a.rows}")
     return tuple(order[c] for c in pivots)

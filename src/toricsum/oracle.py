@@ -39,7 +39,7 @@ from operator import attrgetter, lshift
 from typing import Callable, Iterator, Optional, Sequence
 
 from .binomials import Binomial, Monomial
-from .parametrization import Parametrization, contains_binomial, homogeneity_certificate
+from .parametrization import Parametrization, _is_graded, contains_binomial
 
 EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
 MISSING_IN_SUM = "missing-in-sum"
@@ -201,9 +201,10 @@ def _kernel_binomials_by_degree(
 
     A degree with no binomial is skipped.  Concatenated, the lists are
     that function's output, in its order.  A matrix without a grading
-    vector (one :func:`homogeneity_certificate` solve) may have buckets of
-    mixed degrees, so its whole list is built at once, as there, and
-    split by degree.  With a grading omega a
+    vector (one forward elimination decides whether there is one,
+    :func:`~toricsum.parametrization._is_graded`) may have buckets of mixed
+    degrees, so its whole list is built at once, as there, and split by
+    degree.  With a grading omega a
     monomial's degree is omega . A u, a function of its image, so every
     bucket holds one degree and each degree's buckets are complete once
     that degree's monomials are grown.  Each degree is then built, emitted
@@ -226,7 +227,7 @@ def _kernel_binomials_by_degree(
     reverse.  A graded bucket holds one degree, so no pair sharing a
     variable is ever kept (see :func:`enumerate_kernel_binomials`).
     """
-    if homogeneity_certificate(p) is None:
+    if not _is_graded(p):
         for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
             yield degree, list(group)
         return

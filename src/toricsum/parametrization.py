@@ -15,13 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .binomials import Binomial, VariableSet
 from .exact_linalg import (
     IntegerMatrix,
+    _Rows,
     LatticeBasis,
     RationalMatrix,
+    _solve_transposed,
     annihilator,
     clear_denominators,
     determinant,
@@ -139,6 +142,16 @@ def homogeneity_certificate(p: Parametrization) -> Optional[HomogeneityCertifica
     return HomogeneityCertificate(omega)
 
 
+def _is_graded(p: Parametrization) -> bool:
+    """Whether :func:`homogeneity_certificate` finds a grading vector, without building it.
+
+    The system ``omega @ A == 1`` is consistent, which the forward
+    fraction-free pass on ``[A^T | 1]`` decides; no reduction above its
+    pivots is needed.
+    """
+    return _solve_transposed(p.matrix, [1] * len(p.vars))[1] is not None
+
+
 def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     """Left-multiply the matrix by a nonsingular rational base change.
 
@@ -157,9 +170,17 @@ def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:
     return Parametrization(p.params, p.vars, cleared)
 
 
+def _divide_content(rows: Sequence[Sequence[int]], d: int) -> tuple[_Rows, int]:
+    """``rows`` and ``d`` divided by the gcd of the rows' entries, signed so ``q > 0``."""
+    g = gcd(*[gcd(*row) for row in rows])
+    if d < 0:
+        g = -g
+    return tuple(tuple([x // g for x in row]) for row in rows), d // g
+
+
 @lru_cache(maxsize=1)
-def _echelon(m: IntegerMatrix) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-    """``(pivots, d, rows)``: the fraction-free reduced echelon form of ``m``.
+def _echelon(m: IntegerMatrix) -> tuple[tuple[int, ...], int, _Rows, _Rows, int]:
+    """``(pivots, d, rows, divided, q)``: the fraction-free reduced echelon form of ``m``.
 
     This is :func:`~toricsum.exact_linalg.row_reduce` in natural column
     order with the zero rows dropped, so ``rows / d`` is the reduced row
@@ -167,15 +188,34 @@ def _echelon(m: IntegerMatrix) -> tuple[tuple[int, ...], int, tuple[tuple[int, .
     Cramer's rule each entry is, up to sign, an ``r x r`` minor of a row
     basis of ``m``, ``r`` its rank: ``d`` is the one on the pivot columns,
     and the entry of row ``k`` in column ``c`` is the one on the pivot
-    columns with ``pivots[k]`` replaced by ``c``.
+    columns with ``pivots[k]`` replaced by ``c``.  ``divided`` and ``q`` are
+    ``rows`` and ``d`` divided by the content of ``rows``, signed so that
+    ``q > 0``: every pin of a pivot column is ``divided`` with one row
+    moved first, and its exponent is ``q``.
+
+    Every row ``M_i`` of ``m`` is checked to be the combination of the
+    echelon rows that its pivot-column entries give, ``d * M_i == sum_k
+    M_i[pivots[k]] * rows[k]``, and a failure raises RuntimeError.  Over all
+    rows of ``m`` this fixes ``rows`` given ``d``: the pivot columns of ``m``
+    have rank ``r``, so no other ``r`` rows pass it.  It catches a wrong
+    entry in any column, where the pin's own check sees only the pivot
+    columns.
 
     Cached for the last matrix only, since :func:`normalize_pin` is
     typically called for several columns of one matrix in a row; the
     result is immutable, so sharing it is safe.
     """
-    rows = [list(row) for row in m.entries]
-    pivots, d, _ = row_reduce(rows, m.cols)
-    return tuple(pivots), d, tuple(tuple(row) for row in rows[: len(pivots)])
+    reduced = [list(row) for row in m.entries]
+    pivots, d, _ = row_reduce(reduced, m.cols)
+    rows = tuple(tuple(row) for row in reduced[: len(pivots)])
+    columns = list(zip(*rows)) if rows else [()] * m.cols
+    for i, row in enumerate(m.entries):
+        coefficients = [row[c] for c in pivots]
+        if [sum(map(mul, coefficients, column)) for column in columns] != [d * x for x in row]:
+            raise RuntimeError(
+                f"echelon form: row {i} is not the combination its pivot entries give"
+            )
+    return (tuple(pivots), d, rows, *_divide_content(rows, d))
 
 
 def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
@@ -189,15 +229,18 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     index) form ``q`` times the identity, and the gcd of all its entries
     (taken row by row) is 1, which fixes it uniquely.  Each pivot column
     ``r`` is checked to equal ``q * e_r`` as one list, on either branch
-    below, which also proves the rows independent.  The parameters are
-    renamed ``t1, t2, ...``.
+    below and on every pin, which also proves the rows independent.  The
+    parameters are renamed ``t1, t2, ...``.
 
     Every pin of a matrix is read off one reduction of it in natural
     column order (:func:`_echelon`: pivots ``p_0 < ... < p_(r-1)``, common
-    pivot ``d``).  If the pinned column ``j`` is a pivot ``p_k``, the greedy
-    basis for the order ``j`` first, then the other columns by increasing
-    index, is the natural one, and row ``k`` just moves first.  Otherwise
-    let ``k`` be the last row with a nonzero entry ``e`` in column ``j``.
+    pivot ``d``), checked there once to reproduce every row of the matrix.
+    If the pinned column ``j`` is a pivot ``p_k``, the greedy basis for the
+    order ``j`` first, then the other columns by increasing index, is the
+    natural one, and row ``k`` just moves first: the rows, their content
+    and ``q`` are the same for every pivot pin, so they are divided once,
+    in :func:`_echelon`, and a pivot pin only reorders them.  Otherwise let
+    ``k`` be the last row with a nonzero entry ``e`` in column ``j``.
     Column ``j`` is the combination of the pivot columns its entries give,
     so its fundamental circuit is ``j`` with the pivots of its nonzero rows,
     the largest of them ``p_k``.  The greedy basis is the natural one with
@@ -218,24 +261,19 @@ def normalize_pin(p: Parametrization, var: int | str) -> PinResult:
     name = p.vars.names[idx]
     if not any(p.column(idx)):
         raise ConstructionError(f"variable {name!r} maps to 1 and cannot be pinned")
-    pivots, d, rows = _echelon(p.matrix)
+    pivots, d, rows, divided, q = _echelon(p.matrix)
     if idx in pivots:
         k = pivots.index(idx)
     else:
         k = max(i for i, row in enumerate(rows) if row[idx])
         pivot_row = rows[k]
         e = pivot_row[idx]
-        rows = [
+        divided, q = _divide_content([
             row if i == k else [(e * a - row[idx] * b) // d for a, b in zip(row, pivot_row)]
             for i, row in enumerate(rows)
-        ]
-        d = e
+        ], e)
     order = [k, *range(k), *range(k + 1, len(rows))]
-    g = gcd(*[gcd(*row) for row in rows])
-    if d < 0:
-        g = -g
-    reduced = tuple(tuple([x // g for x in rows[i]]) for i in order)
-    q = d // g
+    reduced = tuple([divided[i] for i in order])
     unit = [0] * len(reduced)
     for r, i in enumerate(order):
         c = idx if i == k else pivots[i]

@@ -120,3 +120,32 @@ def kernel_in_sorted_vars(p: Parametrization):
 
     order = sorted(range(len(p.vars)), key=lambda j: p.vars.names[j])
     return kernel_lattice(p.matrix.take(range(p.matrix.rows), order))
+
+
+def reference_row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """The fraction-free Gauss-Jordan elimination as one interleaved loop, kept as a reference.
+
+    Step ``k`` updates every other row at once, above and below its pivot.
+    The library splits this into a forward pass and a pass above the
+    pivots; together they must give these rows, pivots, ``d`` and sign
+    exactly.
+    """
+    pivots: list[int] = []
+    d = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        pivot_row = rows[r]
+        pv = pivot_row[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (f or pv != d):
+                rows[i] = [(pv * a - f * b) // d for a, b in zip(row, pivot_row)]
+        pivots.append(c)
+        d = pv
+    return pivots, d, sign

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from helpers import boxed_kernel_vectors, random_matrix
+from helpers import boxed_kernel_vectors, random_matrix, reference_row_reduce
 from toricsum import (
     IntegerMatrix,
     LatticeBasis,
@@ -173,7 +173,9 @@ class TestHermiteKernel:
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "_hermite_rows", reference_hermite_rows)
             patch.setattr(exact_linalg, "_hermite_echelon", reference_echelon)
+            exact_linalg._hermite_pass.cache_clear()
             expected = [results(m) for m in matrices]
+            exact_linalg._hermite_pass.cache_clear()
         assert got == expected
 
 
@@ -222,12 +224,17 @@ class TestSmith:
         def doubled(n):
             return [[2 * (i == j) for j in range(n)] for i in range(n)]
 
+        # The Smith form starts from the cached Hermite pass: each fault must
+        # reach a fresh one, and none may outlive its patch.
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "_identity_lists", doubled)
+            exact_linalg._hermite_pass.cache_clear()
             with pytest.raises(RuntimeError, match="does not equal D"):
                 smith_normal_form(m)
+            exact_linalg._hermite_pass.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "determinant", lambda _: 2)
+            exact_linalg._hermite_pass.cache_clear()
             with pytest.raises(RuntimeError, match="not unimodular"):
                 smith_normal_form(m)
 
@@ -246,6 +253,92 @@ class TestSmith:
             assert snf.rank == rank(m)
 
 
+def reference_smith(m: IntegerMatrix) -> tuple:
+    """The Smith alternation with every Hermite pass computed in place, kept as a reference.
+
+    The library reads its first pass from the cached Hermite form of ``M``;
+    D, P and Q must come out the same, P and Q included, which are not
+    unique.
+    """
+    import toricsum.exact_linalg as exact_linalg
+
+    nrows, ncols = m.rows, m.cols
+    d = [list(row) for row in m.entries]
+    p = exact_linalg._identity_lists(nrows)
+    qt = exact_linalg._identity_lists(ncols)
+    while True:
+        while True:
+            _, d, p = exact_linalg._hermite_augmented(d, p, ncols)
+            if exact_linalg._is_diagonal(d):
+                break
+            _, dt, qt = exact_linalg._hermite_augmented(zip(*d), qt, nrows)
+            d = [list(row) for row in zip(*dt)]
+            if exact_linalg._is_diagonal(d):
+                break
+        rank_ = sum(1 for k in range(min(nrows, ncols)) if d[k][k])
+        k = next((k for k in range(rank_ - 1) if d[k + 1][k + 1] % d[k][k]), None)
+        if k is None:
+            break
+        for row in d:
+            row[k] += row[k + 1]
+        qt[k] = [a + b for a, b in zip(qt[k], qt[k + 1])]
+    return tuple(map(tuple, d)), tuple(map(tuple, p)), tuple(zip(*qt)) if qt else ()
+
+
+class TestSmithFromCachedHermite:
+    """The Smith form starts from the one-entry cache of ``[M | I]``'s Hermite form."""
+
+    def matrices(self, seed: int, count: int) -> list[IntegerMatrix]:
+        rng = random.Random(seed)
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(count)]
+        matrices = [IntegerMatrix(r, c, tuple(map(tuple, sparse_rows(rng, r, c))))
+                    for r, c in shapes]
+        # diagonal ones, whose divisibility fix runs before any other pass
+        matrices += [IntegerMatrix.from_rows([[a, 0], [0, b]]) for a, b in ((2, 3), (4, 6), (6, 4))]
+        return matrices
+
+    def test_matches_reference(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        for m in self.matrices(2901, 300):
+            for warm in (False, True):
+                exact_linalg._hermite_pass.cache_clear()
+                if warm:
+                    hermite_normal_form(m)
+                snf = smith_normal_form(m)
+                d, p, q = reference_smith(m)
+                assert snf.D.entries == d and snf.P.entries == p
+                assert snf.Q.entries == (q if m.cols else ())
+
+    def test_cold_and_warm_cache_agree(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        for m in self.matrices(2902, 200):
+            exact_linalg._hermite_pass.cache_clear()
+            cold = smith_normal_form(m)
+            exact_linalg._hermite_pass.cache_clear()
+            hermite_normal_form(m)
+            hits = exact_linalg._hermite_pass.cache_info().hits
+            assert smith_normal_form(m) == cold
+            assert exact_linalg._hermite_pass.cache_info().hits == hits + 1
+
+    def test_smith_leaves_the_cached_hermite_form_unchanged(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        for m in self.matrices(2903, 200):
+            exact_linalg._hermite_pass.cache_clear()
+            h, u = hermite_normal_form(m)
+            cached = exact_linalg._hermite_pass(m)
+            snapshot = [list(map(list, part)) for part in cached]
+            smith_normal_form(m)
+            assert exact_linalg._hermite_pass(m) is cached
+            assert [list(map(list, part)) for part in cached] == snapshot
+            assert hermite_normal_form(m) == (h, u)
+            exact_linalg._hermite_pass.cache_clear()
+            assert hermite_normal_form(m) == (h, u)
+
+
 class TestRank:
     def test_two_independent_rows(self):
         assert rank(IntegerMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])) == 2
@@ -255,6 +348,72 @@ class TestRank:
 
     def test_identity(self):
         assert rank(IntegerMatrix.identity(4)) == 4
+
+
+def dense_or_sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
+    """Dense or sparse entries in [-9, 9], some rows zero."""
+    rows = sparse_rows(rng, nrows, ncols) if rng.random() < 0.5 else [
+        [rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)
+    ]
+    for row in rows:
+        if rng.random() < 0.15:
+            row[:] = [0] * ncols
+    return rows
+
+
+class TestRowReduceSplit:
+    """row_reduce as a forward pass and a pass above the pivots."""
+
+    def test_matches_reference_elimination(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        rng = random.Random(2910)
+        for _ in range(3000):
+            nrows, width = rng.randint(0, 8), rng.randint(0, 10)
+            ncols = rng.randint(0, width)  # the columns past ncols are carried along
+            rows = dense_or_sparse_rows(rng, nrows, width)
+            expected = [list(row) for row in rows]
+            want = reference_row_reduce(expected, ncols)
+
+            reduced = [list(row) for row in rows]
+            assert exact_linalg.row_reduce(reduced, ncols) == want
+            assert reduced == expected
+
+            forward = [list(row) for row in rows]
+            pivots, d, sign = exact_linalg._bareiss_echelon(forward, ncols)
+            assert (pivots, d, sign) == want
+            r = len(pivots)
+            assert forward[r:] == expected[r:]
+            assert all(forward[i][c] == 0
+                       for k, c in enumerate(pivots) for i in range(k + 1, nrows))
+            exact_linalg._reduce_above(forward, pivots)
+            assert forward == expected
+
+    def test_public_results_match_reference(self, monkeypatch):
+        import toricsum.exact_linalg as exact_linalg
+
+        def results(m: IntegerMatrix) -> tuple:
+            square = m.take(range(min(m.rows, m.cols)), range(min(m.rows, m.cols)))
+            det = determinant(square)
+            out = [rank(m), independent_rows(m), det,
+                   solve_row_rational(m, [1] * m.cols), solve_row_rational(m, m.row(0))]
+            if det:
+                out.append(inverse_and_clear(square))
+            row_basis = m.take(independent_rows(m), range(m.cols))
+            if row_basis.rows:
+                first = next(j for j in range(m.cols) if any(row_basis.column(j)))
+                out.append(extend_to_basis(row_basis, first))
+            return tuple(out)
+
+        rng = random.Random(2911)
+        matrices = [IntegerMatrix(r, c, tuple(map(tuple, dense_or_sparse_rows(rng, r, c))))
+                    for r, c in ((rng.randint(1, 6), rng.randint(1, 8)) for _ in range(400))]
+        got = [results(m) for m in matrices]
+        with monkeypatch.context() as patch:
+            # the interleaved elimination leaves nothing above its pivots to reduce
+            patch.setattr(exact_linalg, "_bareiss_echelon", reference_row_reduce)
+            expected = [results(m) for m in matrices]
+        assert got == expected
 
 
 def smith_kernel(m: IntegerMatrix) -> LatticeBasis:

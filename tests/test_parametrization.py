@@ -10,6 +10,7 @@ from helpers import (
     random_matrix,
     random_nonsingular_rational,
     random_parametrization,
+    reference_row_reduce,
 )
 from toricsum import (
     Binomial,
@@ -37,7 +38,6 @@ from toricsum import (
     saturate_lattice,
     split_disjoint,
 )
-from toricsum.exact_linalg import row_reduce
 
 
 def make(rows, var_names, param_names):
@@ -227,24 +227,20 @@ class TestNormalizePin:
         assert normalize_pin(p, "x3") == normalize_pin(p, 2)
 
     def test_corrupted_reduction_is_caught(self, monkeypatch):
+        # The pin's own check, on what it reads from the cached reduction.
         import toricsum.parametrization as parametrization
 
-        real = parametrization.row_reduce
+        real = parametrization._echelon
 
-        def corrupted(rows, ncols):
-            pivots, d, sign = real(rows, ncols)
-            rows[0][pivots[-1]] += d  # off the diagonal of the last pivot column
-            return pivots, d, sign
+        def corrupted(m):
+            pivots, d, rows, divided, q = real(m)
+            first = list(divided[0])
+            first[pivots[-1]] += q  # off the diagonal of the last pivot column
+            return pivots, d, rows, (tuple(first), *divided[1:]), q
 
-        # A reduction cached by an earlier pin would bypass the patch, and the
-        # corrupted one must not outlive this test.
-        parametrization._echelon.cache_clear()
-        monkeypatch.setattr(parametrization, "row_reduce", corrupted)
-        try:
-            with pytest.raises(RuntimeError, match="pivot column 0"):
-                normalize_pin(TWISTED_CUBIC, 1)
-        finally:
-            parametrization._echelon.cache_clear()
+        monkeypatch.setattr(parametrization, "_echelon", corrupted)
+        with pytest.raises(RuntimeError, match="pivot column 0"):
+            normalize_pin(TWISTED_CUBIC, 1)
 
     def test_corrupted_reduction_is_caught_on_exchange(self, monkeypatch):
         # Column 3 of the twisted cubic is not a pivot, so its pin takes the
@@ -252,18 +248,42 @@ class TestNormalizePin:
         # and pivot column 0 of the result is checked second.
         import toricsum.parametrization as parametrization
 
+        real = parametrization._echelon
+
+        def corrupted(m):
+            pivots, d, rows, divided, q = real(m)
+            second = list(rows[1])
+            second[pivots[0]] += d  # off the diagonal of the first pivot column
+            return pivots, d, (rows[0], tuple(second), *rows[2:]), divided, q
+
+        monkeypatch.setattr(parametrization, "_echelon", corrupted)
+        with pytest.raises(RuntimeError, match="pivot column 1 is not q"):
+            normalize_pin(TWISTED_CUBIC, 3)
+
+    @pytest.mark.parametrize("column", ["non-pivot", "last-pivot"])
+    @pytest.mark.parametrize("var", range(4))
+    def test_corrupted_elimination_is_caught_off_the_pivots(self, monkeypatch, column, var):
+        # d added to row 0 of the twisted cubic's reduction, in column 2 (not
+        # a pivot) or in the last pivot column.  Pin 0 of the first and pin 3
+        # of the second used to pass the pin's check with another kernel;
+        # the check that the reduction reproduces every input row catches
+        # both, whichever column is pinned.
+        import toricsum.parametrization as parametrization
+
         real = parametrization.row_reduce
 
         def corrupted(rows, ncols):
             pivots, d, sign = real(rows, ncols)
-            rows[1][pivots[0]] += d  # off the diagonal of the first pivot column
+            rows[0][2 if column == "non-pivot" else pivots[-1]] += d
             return pivots, d, sign
 
+        # A reduction cached by an earlier pin would bypass the patch, and the
+        # corrupted one must not outlive this test.
         parametrization._echelon.cache_clear()
         monkeypatch.setattr(parametrization, "row_reduce", corrupted)
         try:
-            with pytest.raises(RuntimeError, match="pivot column 1 is not q"):
-                normalize_pin(TWISTED_CUBIC, 3)
+            with pytest.raises(RuntimeError, match="row 0 is not the combination"):
+                normalize_pin(TWISTED_CUBIC, var)
         finally:
             parametrization._echelon.cache_clear()
 
@@ -307,7 +327,7 @@ def reference_pin(p, idx):
     if not any(p.column(idx)):
         raise ConstructionError(f"variable {name!r} maps to 1 and cannot be pinned")
     rows = [[row[idx], *row[:idx], *row[idx + 1 :]] for row in p.matrix.entries]
-    pivots, d, _ = row_reduce(rows, len(p.vars))
+    pivots, d, _ = reference_row_reduce(rows, len(p.vars))
     rows = rows[: len(pivots)]
     g = gcd(*(x for row in rows for x in row))
     if d < 0:
@@ -348,6 +368,28 @@ class TestPinFromOneReduction:
             p = random_pin_input(rng)
             for j in range(len(p.vars) + 1):
                 assert pin_or_error(normalize_pin, p, j) == pin_or_error(reference_pin, p, j)
+
+    def test_pivot_pins_match_a_normalization_per_pin(self):
+        # A pivot pin reorders the rows divided once for the matrix; dividing
+        # the reordered echelon rows for each pin on its own gives the same.
+        rng = random.Random(29)
+        pins = 0
+        for _ in range(300):
+            p = random_pin_input(rng)
+            rows = [list(row) for row in p.matrix.entries]
+            pivots, d, _ = reference_row_reduce(rows, len(p.vars))
+            for k, j in enumerate(pivots):
+                ordered = [rows[k], *rows[:k], *rows[k + 1 : len(pivots)]]
+                g = gcd(*(x for row in ordered for x in row))
+                if d < 0:
+                    g = -g
+                pin = normalize_pin(p, j)
+                assert pin.parametrization.matrix.entries == tuple(
+                    tuple(x // g for x in row) for row in ordered
+                )
+                assert pin.exponent == d // g
+                pins += 1
+        assert pins > 500
 
     def test_interleaved_matrices_are_not_confused(self):
         rng = random.Random(5)
