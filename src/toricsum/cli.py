@@ -51,12 +51,11 @@ from .oracle import (
 from .parametrization import (
     ConstructionError,
     Parametrization,
-    _is_graded,
     dimension,
     homogeneity_certificate,
     normalize_pin,
 )
-from .sums import IdealFamilyGraph, build_family_graph, sum_family
+from .sums import build_family_graph, sum_family
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -267,76 +266,78 @@ def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 
 
 def _certification_parts(
-    ideals: Sequence[ParsedIdeal], graph: IdealFamilyGraph, result: Parametrization
+    ideals: Sequence[ParsedIdeal],
 ) -> list[tuple[Parametrization, Sequence[Binomial]]]:
-    """The parts whose checks together certify ``result``, the sum of ``ideals``.
+    """The parts whose checks together certify the sum of ``ideals``.
 
     Each part is a parametrization with generators over its own variables,
     checked by :func:`oracle._certify_parts`.  The parts are the distinct
     inputs, by (matrix entries, generators) in first-occurrence order, so a
-    family of copies of one block certifies it once.  An isolated vertex of
-    the sharing graph need not be homogeneous to be summed; when one is
-    not, the only part is the whole sum, every generator renamed into
-    ``result``'s variables, since the arguments below need the grading.
-    With fewer than two inputs the distinct inputs already are the whole
-    sum, as ``sum_family`` returns a lone input unchanged and an empty sum
-    has no kernel binomial: the one-part case is the whole-sum check.
+    family of copies of one block certifies it once.  A lone input is its
+    own whole sum, as ``sum_family`` returns it unchanged, and an empty sum
+    has no kernel binomial.
 
-    A pass means the whole sum certifies too, at the same bound.  Every
-    input that takes part in a merge is homogeneous, or ``sum_family``
-    refuses it, and here every isolated one is too.  Take one edge,
-    R_i = k[S_i] glued along s, with s -> a_i, a nonzero column.  Each R_i
-    is a domain containing k[s], so it is torsion-free, hence flat, over
-    the PID k[s].  So s is a non-zerodivisor on R_1 (x)_{k[s]} R_2, which
-    therefore embeds in its localization at s.  After inverting s, the
-    pushout monoid embeds in the group (G_1 + G_2) / Z(a_1, -a_2), where G_i
-    is the group of S_i.  That group is torsion-free: homogeneity gives
-    every column degree 1, so m*g = k*a_1 in G_1 forces m | k, and then
-    g = (k/m)*a_1.  So the tensor product embeds in a Laurent ring, and
-    I_1 + I_2 is prime, with lattice L_1 + L_2 (a direct sum, as the shared
-    column is nonzero).  Its rank is (n_1 - r_1) + (n_2 - r_2), which is the
-    corank of A_sum, of rank r_1 + r_2 - 1; a saturated sublattice of
-    ker A_sum of full rank is ker A_sum.  So I_1 + I_2 is the toric ideal of
-    the glued matrix (Rosales's gluing, Semigroup Forum 1997).  The glued
-    ideal is homogeneous again, so induct along the tree by leaf peeling;
-    disjoint components give a monoid algebra over a product of monoids,
-    again a domain.  Every variable has degree 1 under the grading, so
-    (I_1 + ... + I_k)_e = sum_i (I_i)_e for each degree e.  Each input
-    that certifies up to degree d has its generators in I_i, which lies in
-    the sum's kernel, and (I_i)_e inside the ideal of its generators for
-    e <= d, so the union of the generators reaches every kernel binomial
-    of the sum up to degree d.  Generators of a homogeneous kernel are
-    balanced, so the whole-sum rewriting search is exact and finds each.
+    A pass means every kernel binomial of the sum up to degree d lies in
+    the ideal of the union of the generators: the whole-sum check's
+    claim, at the same bound.  The components of the sharing graph have
+    disjoint variables, and a kernel binomial of the sum over two of them,
+    X and Y, splits as x^a y^b - x^c y^d = y^b (x^a - x^c) + x^c (y^b - y^d).
+    Both x^a - x^c and y^b - y^d are kernel binomials of one side (or
+    zero), of degree no higher than the sum binomial's, so it is enough
+    that each component's kernel binomials up to degree d lie in the ideal
+    of its inputs' generators.  An isolated input, graded or not, is its
+    own part, whose pass says exactly that: its enumerated binomials
+    generate every fiber up to degree d, and each has a replayed chain.
+
+    A component of two or more inputs holds only homogeneous ones, or
+    ``sum_family`` refuses them.  Take one edge, R_i = k[S_i] glued along
+    s, with s -> a_i, a nonzero column.  Each R_i is a domain containing
+    k[s], so it is torsion-free, hence flat, over the PID k[s].  So s is a
+    non-zerodivisor on R_1 (x)_{k[s]} R_2, which therefore embeds in its
+    localization at s.  After inverting s, the pushout monoid embeds in
+    the group (G_1 + G_2) / Z(a_1, -a_2), where G_i is the group of S_i.
+    That group is torsion-free: homogeneity gives every column degree 1,
+    so m*g = k*a_1 in G_1 forces m | k, and then g = (k/m)*a_1.  So the
+    tensor product embeds in a Laurent ring, and I_1 + I_2 is prime, with
+    lattice L_1 + L_2 (a direct sum, as the shared column is nonzero).
+    Its rank is (n_1 - r_1) + (n_2 - r_2), which is the corank of A_sum,
+    of rank r_1 + r_2 - 1; a saturated sublattice of ker A_sum of full
+    rank is ker A_sum.  So I_1 + I_2 is the toric ideal of the glued
+    matrix (Rosales's gluing, Semigroup Forum 1997).  The glued ideal is
+    homogeneous again, so induct along the tree by leaf peeling.  Every
+    variable has degree 1 under the grading, so (I_1 + ... + I_k)_e =
+    sum_i (I_i)_e for each degree e, and each input that certifies up to
+    degree d has (I_i)_e inside the ideal of its generators for e <= d.
+    Disjoint components give a monoid algebra over a product of monoids,
+    again a domain, so I_sum = I_1 + ... + I_k over the whole forest.
 
     A failure is the sum's failure too.  Define phi: k[X] -> k[X_i]: it
     fixes X_i, sends every variable of the subtree hanging off block i at
     shared variable s to s, and every variable of another component to 1.
-    A homogeneous binomial of another input of i's component goes to
-    s^e - s^e = 0, and any binomial of another component to 1 - 1 = 0.  So
-    phi kills every I_j with j != i, hence every other input's generator
-    once each is known to lie in its kernel, and maps the sum's kernel
-    I_1 + ... + I_k onto I_i, which it fixes.  Hence I_sum meets k[X_i] in
-    I_i: a generator outside its input's kernel is outside the sum's.  The
-    whole-sum check tests the generators first, in file order, so they are
-    tested here first too, and the first one outside its kernel is
-    reported.  Otherwise let w be a binomial of I_i that the search cannot
-    reach from G_i, which is exact there, as G_i is balanced.  If w were in
-    the ideal of the union of the generators, applying phi would put it in
-    the ideal of G_i.  So w, of degree <= d and in I_sum, is a witness for
-    the sum.  It is the first failing input's witness, which need not be
-    the first the whole-sum enumeration meets.
+    A binomial of another input of i's component is balanced, as that
+    input is homogeneous, and goes to s^e - s^e = 0; any binomial of
+    another component goes to 1 - 1 = 0.  So phi kills every I_j with
+    j != i, hence every other input's generator once each is known to lie
+    in its kernel, and maps I_sum = I_1 + ... + I_k onto I_i, which it
+    fixes.  Hence I_sum meets k[X_i] in I_i: a generator outside its
+    input's kernel is outside the sum's.  The whole-sum check tests the
+    generators first, in file order, so they are tested here first too,
+    and the first one outside its kernel is reported.  Otherwise part i
+    has a kernel binomial w that its search does not reach from G_i.  phi
+    sends a variable to a variable or to 1, so it maps a monomial to one
+    of no higher degree, a move by G_i to itself and a move by any other
+    generator to standing still: a whole-sum chain joining w's sides
+    under a cap maps to a chain of G_i's moves under the same cap.  If G_i
+    is balanced its moves keep the degree, so that chain never leaves
+    deg w, and otherwise part i's cap has the whole sum's slack.  So the
+    whole-sum search misses w too, and w, of degree <= d and in I_sum, is
+    a witness for the sum.  It is the first failing input's witness,
+    which need not be the first the whole-sum enumeration meets.
     """
-    isolated = {c.vertices[0] for c in graph.components if len(c.vertices) == 1}
     distinct: dict[tuple, tuple[Parametrization, Sequence[Binomial]]] = {}
-    for v, ideal in enumerate(ideals):
+    for ideal in ideals:
         p = ideal.parametrization
-        key = (p.matrix.entries, ideal.generators)
-        if key not in distinct:
-            if len(ideals) > 1 and v in isolated and not _is_graded(p):
-                gens = [relabel_binomial(g, i.parametrization.vars, result.vars)
-                        for i in ideals for g in i.generators]
-                return [(result, gens)]
-            distinct[key] = (p, ideal.generators)
+        distinct.setdefault((p.matrix.entries, ideal.generators), (p, ideal.generators))
     return list(distinct.values())
 
 
@@ -353,7 +354,7 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         return 0
 
     bound = _degree_bound(args, [g for ideal in ideals for g in ideal.generators])
-    parts = _certification_parts(ideals, report.graph, result)
+    parts = _certification_parts(ideals)
     verdict, failing = _certify_parts(parts, bound)
     if verdict.status == EQUAL_UP_TO_DEGREE:
         print(f"verdict: {verdict.status} (degree {verdict.degree_checked})")

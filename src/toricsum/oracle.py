@@ -3,14 +3,16 @@
 Three independent routes into the same questions:
 
 * enumerate kernel binomials that generate every fiber of monomials up
-  to a degree bound, homogeneous or not: monomials of all degrees share
-  one map of buckets by image, each bucket gives its star-pattern
-  differences, and each monomial's image is its parent's image plus one
-  column, packed into one int, so no matrix product and no tuple is
-  built per image.  Certification reads them one degree at a time: on a
-  graded matrix each degree's monomials are held as variable indices and
-  dropped once its binomials are out, so no degree past the first
-  failing one is built;
+  to a degree bound, homogeneous or not.  One routine grows the
+  monomials degree by degree as sorted variable indices, each image its
+  parent's image plus one column, packed into one int, so no matrix
+  product and no tuple is built per image.  The public list puts every
+  degree in one map of buckets by image and takes each bucket's
+  star-pattern differences, building exponent tuples only for buckets
+  of two or more.  Certification reads the binomials one degree at a
+  time: on a graded matrix each degree gets its own buckets, dropped
+  once its binomials are out, so no degree past the first failing one
+  is built;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -45,11 +47,8 @@ EQUAL_UP_TO_DEGREE = "equal-up-to-degree"
 MISSING_IN_SUM = "missing-in-sum"
 MISSING_IN_KERNEL = "missing-in-kernel"
 
-# A monomial of the kernel enumeration: (exponents, support mask, image key,
-# degree, last variable added).
-_Member = tuple[Monomial, int, int, int, int]
-# A monomial of one degree of the graded stream: (variable indices in
-# increasing order, support mask, image key).
+# A monomial of the kernel enumeration: (variable indices in increasing
+# order, support mask, image key).
 _Compact = tuple[tuple[int, ...], int, int]
 
 
@@ -109,20 +108,54 @@ def _packed_columns(p: Parametrization, d: DegreeBound) -> list[int]:
     return columns
 
 
+def _layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Compact]]:
+    """The monomials of each degree e = 1..d, in index-lex order.
+
+    A monomial is held as its variable indices i_1 <= ... <= i_e, with its
+    support mask and packed image (:func:`_packed_columns`).  It is grown
+    from a parent of degree e - 1 by a variable j no smaller than the
+    parent's last one, and its image is the parent's plus column j, so no
+    matrix product is taken.  Children of earlier parents come first and
+    each parent's children by increasing j, which is index-lex order.  A
+    reader that stops after degree e never has degree e + 1 built.
+    """
+    columns = _packed_columns(p, d)
+    n = len(columns)
+    layer = [((j,), 1 << j, columns[j]) for j in range(n)]
+    yield layer
+    for _ in range(1, d.max_degree):
+        layer = [(indices + (j,), support | 1 << j, image + columns[j])
+                 for indices, support, image in layer for j in range(indices[-1], n)]
+        yield layer
+
+
+def _by_image(
+    layer: list[_Compact], buckets: dict[int, list[_Compact]]
+) -> dict[int, list[_Compact]]:
+    """``buckets`` with each monomial of ``layer`` appended to the bucket of its image."""
+    for member in layer:
+        bucket = buckets.get(member[2])
+        if bucket is None:
+            buckets[member[2]] = [member]
+        else:
+            bucket.append(member)
+    return buckets
+
+
 def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binomial]:
     """Kernel binomials that generate every fiber up to degree d.
 
     Every binomial x^u - x^v with ``A u == A v`` and ``deg u, deg v <= d``
     lies in the ideal the output generates, homogeneous ``p`` or not.
-    Monomials of degree 0..d fill one map of buckets by image; each is
-    grown from a parent of one degree less by a variable j no smaller than
-    the parent's last one, and its image is the parent's plus column j.
-    An image is keyed by one int: column j packs to sum_r a_rj * B^r with
+    Monomials of degree 0..d, grown degree by degree as variable indices
+    (:func:`_layers`), fill one map of buckets by image.  An image
+    is keyed by one int: column j packs to sum_r a_rj * B^r with
     B = 2 * d * max|a| + 1, and every coordinate of a degree <= d image is
     a balanced digit of absolute value below B / 2, so distinct images
-    have distinct keys.  A bucket's differences m - rep against its
-    smallest member rep (star pattern) span all its pairs, and each
-    distinct one becomes one binomial.  Output is sorted.
+    have distinct keys.  Only the members of a bucket with two or more are
+    turned into exponent tuples.  A bucket's differences m - rep against
+    its exponent-lex smallest member rep (star pattern) span all its
+    pairs, and each distinct one becomes one binomial.  Output is sorted.
 
     A pair whose supports are disjoint is the binomial x^m - x^rep itself,
     canonical as m > rep, and no other pair gives it.  A pair sharing
@@ -140,38 +173,23 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     test is one ``&``.
 
     This is the whole list at once.  Certification reads the same
-    binomials one degree at a time from :func:`_kernel_binomials_by_degree`,
-    which on a graded matrix holds only one degree's monomials, each as
-    its variable indices, and stops being read at the first failure.
+    binomials one degree at a time from :func:`_kernel_binomials_by_degree`.
     """
     n = len(p.vars)
-    columns = _packed_columns(p, d)
-    # the degree-0 monomial may be extended by any variable
-    constant: _Member = ((0,) * n, 0, 0, 0, 0)
-    layer = [constant]
-    buckets: dict[int, list[_Member]] = {0: [constant]}
-    mixed = False
-    for degree in range(1, d.max_degree + 1):
-        grown: list[_Member] = []
-        for mono, support, image, _, last in layer:
-            for j in range(last, n):
-                child = (mono[:j] + (mono[j] + 1,) + mono[j + 1:], support | 1 << j,
-                         image + columns[j], degree, j)
-                grown.append(child)
-                bucket = buckets.get(child[2])
-                if bucket is None:
-                    buckets[child[2]] = [child]
-                else:
-                    # members arrive by degree, so the first has the lowest
-                    mixed = mixed or bucket[0][3] != degree
-                    bucket.append(child)
-        layer = grown
-    stars = [(min(members), members) for members in buckets.values() if len(members) > 1]
+    # the degree-0 monomial shares its bucket with every monomial mapped to 0
+    buckets: dict[int, list[_Compact]] = {0: [((), 0, 0)]}
+    for layer in _layers(p, d):
+        _by_image(layer, buckets)
+    dense = [[(_exponents(indices, n), support, len(indices)) for indices, support, _ in members]
+             for members in buckets.values() if len(members) > 1]
+    # members arrive by degree, so a bucket's first and last differ iff it mixes degrees
+    mixed = any(members[0][2] != members[-1][2] for members in dense)
+    stars = [(min(members), members) for members in dense]
     minima = {rep[0] for rep, _ in stars} if mixed else set()
     found: list[tuple[int, Monomial, Monomial]] = []
     shared: set[tuple[int, Monomial, Monomial]] = set()
-    for (rep, rep_support, _, rep_degree, _), members in stars:
-        for m, support, _, m_degree, _ in members:
+    for (rep, rep_support, rep_degree), members in stars:
+        for m, support, m_degree in members:
             if m is rep:
                 continue
             if not support & rep_support:
@@ -204,53 +222,35 @@ def _kernel_binomials_by_degree(
     vector (one forward elimination decides whether there is one,
     :func:`~toricsum.parametrization._is_graded`) may have buckets of mixed
     degrees, so its whole list is built at once, as there, and split by
-    degree.  With a grading omega a
-    monomial's degree is omega . A u, a function of its image, so every
-    bucket holds one degree and each degree's buckets are complete once
-    that degree's monomials are grown.  Each degree is then built, emitted
-    and dropped before the next, keeping only its layer of monomials, and
-    a reader that stops after degree e never builds degree e + 1.
+    degree.  With a grading omega a monomial's degree is omega . A u, a
+    function of its image, so every bucket holds one degree and each
+    degree's buckets are complete once that degree's monomials are grown.
+    Each degree's layer from :func:`_layers` is then put in buckets by
+    image, read, emitted and dropped before the next degree is grown,
+    keeping only the layer the next one grows from, and a reader that
+    stops after degree e never builds degree e + 1.  Exponent tuples are
+    built only for the emitted binomials.
 
-    A monomial is held as its variable indices i_1 <= ... <= i_e, with its
-    support mask and packed image; exponent tuples are built only for the
-    emitted binomials.  Each layer is grown in index-lex order, children of
-    earlier parents first and each parent's children by increasing j, so
-    a bucket's members arrive in index-lex order too.  Within one degree,
-    exponent-lex order is the reverse of index-lex order.  Take u != v of
-    degree e and let j be the first variable where their exponents differ,
-    say u_j > v_j.  Both index tuples start with the same c indices below
-    j, and u's holds j at position c + v_j.  v's holds a larger index
-    there: it has only c + v_j < c + u_j <= e indices up to j.  So u is
-    exponent-larger and index-smaller.  The bucket's exponent-lex minimum,
-    its star representative, is therefore its last member, and sorting a
-    degree's binomials x^m - x^rep by m is sorting m's index tuples in
-    reverse.  A graded bucket holds one degree, so no pair sharing a
-    variable is ever kept (see :func:`enumerate_kernel_binomials`).
+    Within one degree, exponent-lex order is the reverse of index-lex
+    order.  Take u != v of degree e and let j be the first variable where
+    their exponents differ, say u_j > v_j.  Both index tuples start with
+    the same c indices below j, and u's holds j at position c + v_j.  v's
+    holds a larger index there: it has only c + v_j < c + u_j <= e indices
+    up to j.  So u is exponent-larger and index-smaller.  The bucket's
+    exponent-lex minimum, its star representative, is therefore its last
+    member, and sorting a degree's binomials x^m - x^rep by m is sorting
+    m's index tuples in reverse.  A graded bucket holds one degree, so no
+    pair sharing a variable is ever kept (see
+    :func:`enumerate_kernel_binomials`).
     """
     if not _is_graded(p):
         for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
             yield degree, list(group)
         return
     n = len(p.vars)
-    columns = _packed_columns(p, d)
-    bits = [1 << j for j in range(n)]
-    singles = [(j,) for j in range(n)]
-    layer: list[_Compact] = [((), 0, 0)]
-    for degree in range(1, d.max_degree + 1):
-        grown: list[_Compact] = []
-        buckets: dict[int, list[_Compact]] = {}
-        for indices, support, image in layer:
-            for j in range(indices[-1] if indices else 0, n):
-                key = image + columns[j]
-                child = (indices + singles[j], support | bits[j], key)
-                grown.append(child)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [child]
-                else:
-                    bucket.append(child)
+    for degree, layer in enumerate(_layers(p, d), 1):
         found: list[tuple[tuple[int, ...], Monomial]] = []
-        for members in buckets.values():
+        for members in _by_image(layer, {}).values():
             if len(members) > 1:
                 # the last member is the exponent-lex minimum
                 rep, rep_support, _ = members.pop()
@@ -263,7 +263,6 @@ def _kernel_binomials_by_degree(
         if found:
             found.sort(reverse=True)
             yield degree, [Binomial(_exponents(plus, n), minus) for plus, minus in found]
-        layer = grown
 
 
 # (root, previous monomial, move), monomials packed; the root's own entry

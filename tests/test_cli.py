@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import random_homogeneous_parametrization, random_parametrization
 from toricsum import (
     DegreeBound,
     IntegerMatrix,
@@ -20,13 +21,17 @@ from toricsum import (
     contains_binomial,
     enumerate_kernel_binomials,
     format_binomial,
+    homogeneity_certificate,
     membership_by_classes,
     parse_binomial,
+    reduces_to_zero,
     relabel_binomial,
+    sum_family,
 )
 from toricsum import cli, oracle
 from toricsum.cli import (
     IdealFileError,
+    format_ideal_block,
     format_ideal_file,
     main,
     parse_ideal_file,
@@ -106,11 +111,16 @@ gen v1*v2 - y^2
 """
 
 
-CUBIC_PATH = "\n".join(
-    f"ideal C{v}\nvars a{v} m{v} m{v + 1} d{v}\nparams t s\nrow 3 2 1 0\nrow 0 1 2 3\n"
-    f"gen m{v}^2 - a{v}*m{v + 1}\ngen m{v + 1}^2 - m{v}*d{v}\ngen a{v}*d{v} - m{v}*m{v + 1}\n"
-    for v in range(6)
-)
+def cubic_path(k):
+    """k twisted cubics along a path, cubic v sharing m{v} and m{v + 1}."""
+    return "\n".join(
+        f"ideal C{v}\nvars a{v} m{v} m{v + 1} d{v}\nparams t s\nrow 3 2 1 0\nrow 0 1 2 3\n"
+        f"gen m{v}^2 - a{v}*m{v + 1}\ngen m{v + 1}^2 - m{v}*d{v}\ngen a{v}*d{v} - m{v}*m{v + 1}\n"
+        for v in range(k)
+    )
+
+
+CUBIC_PATH = cubic_path(6)
 
 
 RANK_DEFICIENT = """\
@@ -621,9 +631,14 @@ def counting_certify(monkeypatch):
 
 
 def whole_sum_route(monkeypatch, argv, capsys):
-    """Exit code and stdout of ``main(argv)`` checking the whole sum."""
+    """Exit code and stdout of ``main(argv)`` checking the whole sum.
 
-    def whole_sum(ideals, graph, result):
+    The reference route: the sum is built again and certified as one part,
+    every generator renamed into its variables.
+    """
+
+    def whole_sum(ideals):
+        result, _ = sum_family([i.parametrization for i in ideals], [i.name for i in ideals])
         return [(result, [relabel_binomial(g, i.parametrization.vars, result.vars)
                           for i in ideals for g in i.generators])]
 
@@ -635,12 +650,13 @@ def whole_sum_route(monkeypatch, argv, capsys):
 VERDICT_RE = re.compile(r"^verdict: (\S+)(?: witness (.+))? \(degree (\d+)\)$")
 
 
-def assert_same_verdict(text, got, want):
+def assert_same_verdict(text, got, want, slack=2):
     """``got`` certifies ``text`` as the whole-sum route ``want`` does.
 
     A failing family may report another witness than the whole sum's
     first; it must lie in the sum's kernel, out of reach of the union of
-    the generators.
+    the generators: outside their ideal when they are all balanced, and
+    else out of reach of the whole sum's search with ``slack``.
     """
     if want[0] == 0 or got == want:
         assert got == want
@@ -658,7 +674,10 @@ def assert_same_verdict(text, got, want):
             for ideal in parse_ideal_file(text) for g in ideal.generators]
     assert w.degree <= int(degree)
     assert contains_binomial(total, w)
-    assert not membership_by_classes(w, gens)
+    if all(g.is_balanced for g in gens):
+        assert not membership_by_classes(w, gens)
+    else:
+        assert not reduces_to_zero(w, gens, DegreeBound(int(degree), slack))
 
 
 @pytest.mark.filterwarnings("ignore:no kernel binomial")
@@ -768,16 +787,67 @@ class TestCertifyByInput:
                     for i in parse_ideal_file(text)}
         assert Counter(tested) == Counter(g for _, gens in distinct for g in gens)
 
-    def test_non_homogeneous_isolated_input_checks_the_whole_sum(
+    def test_non_homogeneous_isolated_input_checks_on_its_own(
         self, tmp_path, capsys, monkeypatch
     ):
-        # a^2 - b has no grading, so the whole sum of 7 variables is checked
-        # and no input on its own
+        # b - a^2 has no grading, and its block is certified as its own part
+        # like any other: the glued quadrics once, then the isolated block,
+        # and never the whole sum of 7 variables
         isolated = UNBALANCED.replace("vars x y", "vars a b") + "gen b - a^2\n"
         f = write(tmp_path, "mixed.ideal", GLUED + isolated)
         calls = counting_certify(monkeypatch)
         assert main(["sum", f, "--certify"]) == 0
-        assert calls == [7]
+        assert calls == [3, 2]
+
+    def test_isolated_block_without_grading_leaves_a_path_by_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an 8-cubic path and the isolated block v - u^2: only the cubic and
+        # the isolated block are enumerated, never the 27-variable whole sum
+        isolated = "ideal U\nvars u v\nparams t\nrow 1 2\ngen v - u^2\n"
+        f = write(tmp_path, "path_isolated.ideal", cubic_path(8) + "\n" + isolated)
+        calls = counting_certify(monkeypatch)
+        assert main(["sum", f, "--certify", "--max-degree", "4"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()[1].split()) == 1 + 27
+        assert out.endswith("verdict: equal-up-to-degree (degree 4)\n")
+        assert calls == [4, 2]
+
+    def test_isolated_block_without_grading_matches_the_whole_sum(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a random homogeneous block and a random block with no grading, each
+        # with its kernel binomials up to the certified degree as generators,
+        # less one 30% of the time: certified part by part at degrees 2 to 4
+        # and search slack 0 to 2, the verdict is the whole sum's.  Among
+        # these draws some failing family reports another witness than the
+        # whole sum's, over generators that are not all balanced
+        rng = random.Random(7)
+        slack = 0
+        monkeypatch.setattr(cli, "_degree_bound",
+                            lambda args, gens: DegreeBound(args.max_degree, slack))
+        exits, other_witness = Counter(), 0
+        for _ in range(200):
+            degree, slack = rng.randint(2, 4), rng.randint(0, 2)
+            graded = random_homogeneous_parametrization(rng, max_params=2, max_vars=4)
+            ungraded = random_parametrization(rng, max_params=2, max_vars=3, prefix="y")
+            while homogeneity_certificate(ungraded) is not None:
+                ungraded = random_parametrization(rng, max_params=2, max_vars=3, prefix="y")
+            blocks = []
+            for name, p in (("H", graded), ("U", ungraded)):
+                gens = enumerate_kernel_binomials(p, DegreeBound(degree))
+                if gens and rng.random() < 0.3:
+                    gens.pop(rng.randrange(len(gens)))
+                blocks.append(format_ideal_block(name, p, gens))
+            text = "\n".join(blocks) + "\n"
+            f = write(tmp_path, "isolated.ideal", text)
+            argv = ["sum", f, "--certify", "--max-degree", str(degree)]
+            got = main(argv), capsys.readouterr().out
+            want = whole_sum_route(monkeypatch, argv, capsys)
+            assert_same_verdict(text, got, want, slack)
+            exits[got[0]] += 1
+            other_witness += got != want
+        assert min(exits[0], exits[1]) > 20 and other_witness >= 1
 
     @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
     def test_matches_the_whole_sum(self, tmp_path, capsys, monkeypatch, tree):
