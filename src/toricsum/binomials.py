@@ -12,6 +12,7 @@ the variables of its parametrization.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -21,6 +22,23 @@ Monomial = tuple[int, ...]
 # An integer as input text: an optional sign and ASCII digits, nothing else
 # (``int`` would also take underscores and non-ASCII digits).
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(token: str) -> int:
+    """``token`` as an int, by :data:`_INTEGER_RE`; ValueError with a plain message otherwise.
+
+    ``int`` also refuses more digits than ``sys.get_int_max_str_digits()``,
+    with a message that points at the interpreter's setting instead.
+    """
+    if not _INTEGER_RE.fullmatch(token):
+        raise ValueError(f"malformed integer {token!r}")
+    try:
+        return int(token)
+    except ValueError:
+        # the digit limit is all that is left to refuse an ASCII integer
+        digits = len(token.lstrip("+-"))
+        raise ValueError(f"integer of {digits} digits is longer than the limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 @dataclass(frozen=True)
@@ -200,7 +218,7 @@ def _parse_monomial(s: str, vars: VariableSet) -> tuple[int, ...]:
             e = e.strip()
             if not _INTEGER_RE.fullmatch(e):
                 raise ValueError(f"malformed exponent in {factor!r}")
-            exponent = int(e)
+            exponent = _parse_integer(e)
             if exponent < 0:
                 raise ValueError(f"negative exponent in {factor!r}")
         else:

@@ -16,9 +16,12 @@ variables; parameter names are local to their block.
 
 Exit codes: 0 success, 1 mathematical rejection (cycle, two shared
 variables, non-homogeneous input, failed certification), 2 parse or usage
-error, including a file that is not UTF-8, and 141 when the reader closes
-standard output early (``toricsum kernel FILE | head -1``), the status a
-shell reports for a command ended by SIGPIPE; nothing more is printed then.
+error (a file that is not UTF-8, an integer with more digits than
+``sys.get_int_max_str_digits()``) or running out of memory (a lower
+``--max-degree`` enumerates fewer monomials), and 141 when the reader
+closes standard output early (``toricsum kernel FILE | head -1``), the
+status a shell reports for a command ended by SIGPIPE; nothing more is
+printed then.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .binomials import (
-    _INTEGER_RE,
     Binomial,
     VariableSet,
+    _parse_integer,
     format_binomial,
     parse_binomial,
     relabel_binomial,
@@ -167,10 +170,10 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
                     f"row has {len(tokens)} entries but there are "
                     f"{len(current['vars'])} variables",
                 )
-            bad = next((t for t in tokens if not _INTEGER_RE.fullmatch(t)), None)
-            if bad is not None:
-                raise IdealFileError(lineno, f"malformed integer {bad!r}")
-            current["rows"].append([int(t) for t in tokens])
+            try:
+                current["rows"].append([_parse_integer(t) for t in tokens])
+            except ValueError as exc:
+                raise IdealFileError(lineno, str(exc)) from None
         elif keyword == "gen":
             if current["vars"] is None:
                 raise IdealFileError(lineno, "gen before vars")
@@ -368,9 +371,10 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
 def _positive_int(token: str) -> int:
     # The integer rule of input files: ``int`` would also take ``1_0`` and
     # non-ASCII digits.
-    if not _INTEGER_RE.fullmatch(token):
-        raise argparse.ArgumentTypeError(f"malformed integer {token!r}")
-    value = int(token)
+    try:
+        value = _parse_integer(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
@@ -462,6 +466,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass
+    # out of memory: reported once the handler's frames, and what they held, are freed
+    print("error: out of memory; a lower --max-degree enumerates fewer monomials",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

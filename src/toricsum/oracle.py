@@ -7,12 +7,12 @@ Three independent routes into the same questions:
   monomials degree by degree as sorted variable indices, each image its
   parent's image plus one column, packed into one int, so no matrix
   product and no tuple is built per image.  The public list puts every
-  degree in one map of buckets by image and takes each bucket's
-  star-pattern differences, building exponent tuples only for buckets
-  of two or more.  Certification reads the binomials one degree at a
-  time: on a graded matrix each degree gets its own buckets, dropped
-  once its binomials are out, so no degree past the first failing one
-  is built;
+  degree in one map of buckets by image and pairs each member of a
+  bucket with the bucket's minimum, reduced to disjoint supports,
+  building exponent tuples only for buckets of two or more.
+  Certification reads the binomials one degree at a time: on a graded
+  matrix each degree gets its own buckets, dropped once its binomials
+  are out, so no degree past the first failing one is built;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -48,8 +48,8 @@ MISSING_IN_SUM = "missing-in-sum"
 MISSING_IN_KERNEL = "missing-in-kernel"
 
 # A monomial of the kernel enumeration: (variable indices in increasing
-# order, support mask, image key).
-_Compact = tuple[tuple[int, ...], int, int]
+# order, image key).
+_Compact = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -112,20 +112,20 @@ def _layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Compact]]:
     """The monomials of each degree e = 1..d, in index-lex order.
 
     A monomial is held as its variable indices i_1 <= ... <= i_e, with its
-    support mask and packed image (:func:`_packed_columns`).  It is grown
-    from a parent of degree e - 1 by a variable j no smaller than the
-    parent's last one, and its image is the parent's plus column j, so no
-    matrix product is taken.  Children of earlier parents come first and
+    packed image (:func:`_packed_columns`).  It is grown from a parent of
+    degree e - 1 by a variable j no smaller than the parent's last one,
+    and its image is the parent's plus column j, so no matrix product is
+    taken.  Children of earlier parents come first and
     each parent's children by increasing j, which is index-lex order.  A
     reader that stops after degree e never has degree e + 1 built.
     """
     columns = _packed_columns(p, d)
     n = len(columns)
-    layer = [((j,), 1 << j, columns[j]) for j in range(n)]
+    layer = [((j,), columns[j]) for j in range(n)]
     yield layer
     for _ in range(1, d.max_degree):
-        layer = [(indices + (j,), support | 1 << j, image + columns[j])
-                 for indices, support, image in layer for j in range(indices[-1], n)]
+        layer = [(indices + (j,), image + columns[j])
+                 for indices, image in layer for j in range(indices[-1], n)]
         yield layer
 
 
@@ -134,9 +134,9 @@ def _by_image(
 ) -> dict[int, list[_Compact]]:
     """``buckets`` with each monomial of ``layer`` appended to the bucket of its image."""
     for member in layer:
-        bucket = buckets.get(member[2])
+        bucket = buckets.get(member[1])
         if bucket is None:
-            buckets[member[2]] = [member]
+            buckets[member[1]] = [member]
         else:
             bucket.append(member)
     return buckets
@@ -155,53 +155,38 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     have distinct keys.  Only the members of a bucket with two or more are
     turned into exponent tuples.  A bucket's differences m - rep against
     its exponent-lex smallest member rep (star pattern) span all its
-    pairs, and each distinct one becomes one binomial.  Output is sorted.
+    pairs.  With g = min(m, rep), x^m - x^rep = x^g (x^(m-g) - x^(rep-g)),
+    so each pair is reduced to disjoint supports, the binomial of
+    ((m - rep)+, (m - rep)-), canonical as m > rep.  A set keeps each
+    reduced binomial once, and the output is sorted.
 
-    A pair whose supports are disjoint is the binomial x^m - x^rep itself,
-    canonical as m > rep, and no other pair gives it.  A pair sharing
-    g = min(m, rep) != 0 gives the binomial of (m - g, rep - g), which lie
-    in the bucket of image A rep - A g.  Lex order is invariant under
-    translation, so when rep - g is that bucket's minimum, that bucket
-    emits the binomial as its own disjoint pair and this one is skipped.
-    It is the minimum whenever every bucket holds one degree (always when
-    ``p`` is homogeneous): a member x < rep - g would give x + g < rep in
-    rep's bucket, of degree deg rep <= d.  Only buckets of mixed degrees
-    can put x + g beyond the bound; then a shared pair is kept unless
-    rep - g is its bucket's minimum, and a set keeps each such binomial
-    once.
-    Supports are bitmasks grown with the monomials, so the disjointness
-    test is one ``&``.
+    When every bucket holds one degree (always when ``p`` is homogeneous)
+    a pair with g != 0 adds nothing: m - g and rep - g lie in the bucket
+    of image A rep - A g, and lex order is invariant under translation, so
+    a member x < rep - g there would give x + g < rep in rep's bucket, of
+    degree deg rep <= d.  So rep - g is that bucket's minimum, and the
+    bucket emits the same binomial from its disjoint pair.  Where buckets
+    mix degrees x + g may pass the bound, and a reduced pair can be new.
 
     This is the whole list at once.  Certification reads the same
     binomials one degree at a time from :func:`_kernel_binomials_by_degree`.
     """
     n = len(p.vars)
     # the degree-0 monomial shares its bucket with every monomial mapped to 0
-    buckets: dict[int, list[_Compact]] = {0: [((), 0, 0)]}
+    buckets: dict[int, list[_Compact]] = {0: [((), 0)]}
     for layer in _layers(p, d):
         _by_image(layer, buckets)
-    dense = [[(_exponents(indices, n), support, len(indices)) for indices, support, _ in members]
-             for members in buckets.values() if len(members) > 1]
-    # members arrive by degree, so a bucket's first and last differ iff it mixes degrees
-    mixed = any(members[0][2] != members[-1][2] for members in dense)
-    stars = [(min(members), members) for members in dense]
-    minima = {rep[0] for rep, _ in stars} if mixed else set()
-    found: list[tuple[int, Monomial, Monomial]] = []
-    shared: set[tuple[int, Monomial, Monomial]] = set()
-    for (rep, rep_support, rep_degree), members in stars:
-        for m, support, m_degree in members:
-            if m is rep:
-                continue
-            if not support & rep_support:
-                found.append((max(m_degree, rep_degree), m, rep))
-            elif mixed:
-                minus = tuple(r - a if r > a else 0 for a, r in zip(m, rep))
-                if minus not in minima:
+    found: set[tuple[int, Monomial, Monomial]] = set()
+    for members in buckets.values():
+        if len(members) > 1:
+            dense = [_exponents(indices, n) for indices, _ in members]
+            rep = min(dense)
+            for m in dense:
+                if m is not rep:
                     plus = tuple(a - r if a > r else 0 for a, r in zip(m, rep))
-                    shared.add((max(sum(plus), sum(minus)), plus, minus))
-    found += shared
-    found.sort()
-    return [Binomial(plus, minus) for _, plus, minus in found]
+                    minus = tuple(r - a if r > a else 0 for a, r in zip(m, rep))
+                    found.add((max(sum(plus), sum(minus)), plus, minus))
+    return [Binomial(plus, minus) for _, plus, minus in sorted(found)]
 
 
 def _exponents(indices: Sequence[int], nvars: int) -> Monomial:
@@ -239,9 +224,9 @@ def _kernel_binomials_by_degree(
     up to j.  So u is exponent-larger and index-smaller.  The bucket's
     exponent-lex minimum, its star representative, is therefore its last
     member, and sorting a degree's binomials x^m - x^rep by m is sorting
-    m's index tuples in reverse.  A graded bucket holds one degree, so no
-    pair sharing a variable is ever kept (see
-    :func:`enumerate_kernel_binomials`).
+    m's index tuples in reverse.  A graded bucket holds one degree, so a
+    pair sharing a variable reduces to a lower bucket's disjoint pair (see
+    :func:`enumerate_kernel_binomials`), and only disjoint pairs are kept.
     """
     if not _is_graded(p):
         for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
@@ -253,10 +238,11 @@ def _kernel_binomials_by_degree(
         for members in _by_image(layer, {}).values():
             if len(members) > 1:
                 # the last member is the exponent-lex minimum
-                rep, rep_support, _ = members.pop()
+                rep, _ = members.pop()
+                rep_vars = set(rep)
                 minus = None
-                for indices, support, _ in members:
-                    if not support & rep_support:
+                for indices, _ in members:
+                    if rep_vars.isdisjoint(indices):
                         if minus is None:
                             minus = _exponents(rep, n)
                         found.append((indices, minus))

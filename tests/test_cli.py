@@ -449,6 +449,37 @@ class TestCommands:
         assert main(["sum", f, "--certify"]) == 2
         assert capsys.readouterr().err.startswith("error: line 5: malformed ")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on the digits of an int read from text")
+    @pytest.mark.parametrize("line", ["row 1 {}", "gen a^{} - b"])
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys, line):
+        # int() refuses more digits than the interpreter's limit; the entry
+        # and the exponent get the same line-numbered message
+        limit = sys.get_int_max_str_digits()
+        text = f"ideal I\nvars a b\nparams t\nrow 1 1\n{line.format('9' * (limit + 1))}\n"
+        f = write(tmp_path, "long.ideal", text)
+        assert main(["dim", f]) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 5: integer of {limit + 1} digits is longer than the limit of {limit} digits\n"
+
+    def test_out_of_memory_exits_two(self, tmp_path):
+        # degree 3 on 200 variables of one image puts ~1.4 million monomials
+        # in one bucket, whose 200-entry exponent tuples pass the 512 MB
+        # address-space limit the child process sets on itself
+        n = 200
+        f = write(tmp_path, "wide.ideal", f"ideal W\nvars {' '.join(f'x{i}' for i in range(n))}\n"
+                                          f"params t\nrow {' '.join(['1'] * n)}\n")
+        code = textwrap.dedent(f"""
+            import resource, runpy, sys
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            sys.argv = ["toricsum", "kernel", "--max-degree", "3", {f!r}]
+            runpy.run_module("toricsum", run_name="__main__")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-2000:]
+        assert proc.stderr == "error: out of memory; a lower --max-degree enumerates fewer monomials\n"
+
     def test_zero_column_exits_two(self, tmp_path, capsys):
         f = write(tmp_path, "z.ideal", "ideal I\nvars a b\nparams t\nrow 0 1\n")
         assert main(["dim", f]) == 2
