@@ -17,11 +17,12 @@ variables; parameter names are local to their block.
 Exit codes: 0 success, 1 mathematical rejection (cycle, two shared
 variables, non-homogeneous input, failed certification), 2 parse or usage
 error (a file that is not UTF-8, an integer with more digits than
-``sys.get_int_max_str_digits()``) or running out of memory (a lower
-``--max-degree`` enumerates fewer monomials), and 141 when the reader
-closes standard output early (``toricsum kernel FILE | head -1``), the
-status a shell reports for a command ended by SIGPIPE; nothing more is
-printed then.
+``sys.get_int_max_str_digits()`` read from the file or due to be printed,
+in which case nothing of its block is printed) or running out of memory
+(a lower ``--max-degree`` enumerates fewer monomials), and 141 when the
+reader closes standard output early (``toricsum kernel FILE | head -1``),
+the status a shell reports for a command ended by SIGPIPE; nothing more
+is printed then.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .exact_linalg import IntegerMatrix
 from .oracle import (
     EQUAL_UP_TO_DEGREE,
     DegreeBound,
-    _certify_parts,
+    certify_family,
     default_degree_bound,
     enumerate_kernel_binomials,
 )
@@ -184,14 +185,23 @@ def parse_ideal_file(text: str) -> list[ParsedIdeal]:
     return ideals
 
 
+class DigitLimitError(ValueError):
+    """An integer to print has more digits than ``sys.get_int_max_str_digits()``."""
+
+
+def _decimal(x: object) -> str:
+    """``str(x)`` of an int or a Fraction, raising :class:`DigitLimitError` past the limit."""
+    try:
+        return str(x)
+    except ValueError:  # the digit limit is the only ValueError str raises on a number
+        raise DigitLimitError(f"an integer has more than {sys.get_int_max_str_digits()} digits "
+                              "to print, the limit of sys.get_int_max_str_digits()") from None
+
+
 def format_ideal_block(name: str, p: Parametrization, gens: Sequence[Binomial] = ()) -> str:
-    lines = [f"ideal {name}"]
-    lines.append("vars " + " ".join(p.vars))
-    lines.append("params " + " ".join(p.params))
-    for row in p.matrix.entries:
-        lines.append("row " + " ".join(str(x) for x in row))
-    for g in gens:
-        lines.append("gen " + format_binomial(g, p.vars))
+    lines = [f"ideal {name}", "vars " + " ".join(p.vars), "params " + " ".join(p.params)]
+    lines += ["row " + " ".join(map(_decimal, row)) for row in p.matrix.entries]
+    lines += ["gen " + format_binomial(g, p.vars) for g in gens]
     return "\n".join(lines)
 
 
@@ -215,7 +225,7 @@ def _cmd_homog(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         if cert is None:
             print(f"{ideal.name}: not homogeneous")
         else:
-            print(f"{ideal.name}: homogeneous omega = " + " ".join(str(w) for w in cert.omega))
+            print(f"{ideal.name}: homogeneous omega = " + " ".join(map(_decimal, cert.omega)))
     return 0
 
 
@@ -248,9 +258,11 @@ def _cmd_normalize(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         return 2
     pin = normalize_pin(ideal.parametrization, args.pin)
     param = pin.parametrization.params.names[pin.pinned_param_index]
-    power = f"{param}^{pin.exponent}" if pin.exponent != 1 else param
-    print(f"{ideal.name}: pin {args.pin} -> {power} (q={pin.exponent})")
-    print(format_ideal_block(ideal.name, pin.parametrization))
+    q = _decimal(pin.exponent)
+    power = f"{param}^{q}" if pin.exponent != 1 else param
+    block = format_ideal_block(ideal.name, pin.parametrization)
+    print(f"{ideal.name}: pin {args.pin} -> {power} (q={q})")
+    print(block)
     return 0
 
 
@@ -268,82 +280,6 @@ def _cmd_graph(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     return 0 if all_trees else 1
 
 
-def _certification_parts(
-    ideals: Sequence[ParsedIdeal],
-) -> list[tuple[Parametrization, Sequence[Binomial]]]:
-    """The parts whose checks together certify the sum of ``ideals``.
-
-    Each part is a parametrization with generators over its own variables,
-    checked by :func:`oracle._certify_parts`.  The parts are the distinct
-    inputs, by (matrix entries, generators) in first-occurrence order, so a
-    family of copies of one block certifies it once.  A lone input is its
-    own whole sum, as ``sum_family`` returns it unchanged, and an empty sum
-    has no kernel binomial.
-
-    A pass means every kernel binomial of the sum up to degree d lies in
-    the ideal of the union of the generators: the whole-sum check's
-    claim, at the same bound.  The components of the sharing graph have
-    disjoint variables, and a kernel binomial of the sum over two of them,
-    X and Y, splits as x^a y^b - x^c y^d = y^b (x^a - x^c) + x^c (y^b - y^d).
-    Both x^a - x^c and y^b - y^d are kernel binomials of one side (or
-    zero), of degree no higher than the sum binomial's, so it is enough
-    that each component's kernel binomials up to degree d lie in the ideal
-    of its inputs' generators.  An isolated input, graded or not, is its
-    own part, whose pass says exactly that: its enumerated binomials
-    generate every fiber up to degree d, and each has a replayed chain.
-
-    A component of two or more inputs holds only homogeneous ones, or
-    ``sum_family`` refuses them.  Take one edge, R_i = k[S_i] glued along
-    s, with s -> a_i, a nonzero column.  Each R_i is a domain containing
-    k[s], so it is torsion-free, hence flat, over the PID k[s].  So s is a
-    non-zerodivisor on R_1 (x)_{k[s]} R_2, which therefore embeds in its
-    localization at s.  After inverting s, the pushout monoid embeds in
-    the group (G_1 + G_2) / Z(a_1, -a_2), where G_i is the group of S_i.
-    That group is torsion-free: homogeneity gives every column degree 1,
-    so m*g = k*a_1 in G_1 forces m | k, and then g = (k/m)*a_1.  So the
-    tensor product embeds in a Laurent ring, and I_1 + I_2 is prime, with
-    lattice L_1 + L_2 (a direct sum, as the shared column is nonzero).
-    Its rank is (n_1 - r_1) + (n_2 - r_2), which is the corank of A_sum,
-    of rank r_1 + r_2 - 1; a saturated sublattice of ker A_sum of full
-    rank is ker A_sum.  So I_1 + I_2 is the toric ideal of the glued
-    matrix (Rosales's gluing, Semigroup Forum 1997).  The glued ideal is
-    homogeneous again, so induct along the tree by leaf peeling.  Every
-    variable has degree 1 under the grading, so (I_1 + ... + I_k)_e =
-    sum_i (I_i)_e for each degree e, and each input that certifies up to
-    degree d has (I_i)_e inside the ideal of its generators for e <= d.
-    Disjoint components give a monoid algebra over a product of monoids,
-    again a domain, so I_sum = I_1 + ... + I_k over the whole forest.
-
-    A failure is the sum's failure too.  Define phi: k[X] -> k[X_i]: it
-    fixes X_i, sends every variable of the subtree hanging off block i at
-    shared variable s to s, and every variable of another component to 1.
-    A binomial of another input of i's component is balanced, as that
-    input is homogeneous, and goes to s^e - s^e = 0; any binomial of
-    another component goes to 1 - 1 = 0.  So phi kills every I_j with
-    j != i, hence every other input's generator once each is known to lie
-    in its kernel, and maps I_sum = I_1 + ... + I_k onto I_i, which it
-    fixes.  Hence I_sum meets k[X_i] in I_i: a generator outside its
-    input's kernel is outside the sum's.  The whole-sum check tests the
-    generators first, in file order, so they are tested here first too,
-    and the first one outside its kernel is reported.  Otherwise part i
-    has a kernel binomial w that its search does not reach from G_i.  phi
-    sends a variable to a variable or to 1, so it maps a monomial to one
-    of no higher degree, a move by G_i to itself and a move by any other
-    generator to standing still: a whole-sum chain joining w's sides
-    under a cap maps to a chain of G_i's moves under the same cap.  If G_i
-    is balanced its moves keep the degree, so that chain never leaves
-    deg w, and otherwise part i's cap has the whole sum's slack.  So the
-    whole-sum search misses w too, and w, of degree <= d and in I_sum, is
-    a witness for the sum.  It is the first failing input's witness,
-    which need not be the first the whole-sum enumeration meets.
-    """
-    distinct: dict[tuple, tuple[Parametrization, Sequence[Binomial]]] = {}
-    for ideal in ideals:
-        p = ideal.parametrization
-        distinct.setdefault((p.matrix.entries, ideal.generators), (p, ideal.generators))
-    return list(distinct.values())
-
-
 def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
     names = [i.name for i in ideals]
     result, report = sum_family([i.parametrization for i in ideals], names)
@@ -357,12 +293,13 @@ def _cmd_sum(ideals: list[ParsedIdeal], args: argparse.Namespace) -> int:
         return 0
 
     bound = _degree_bound(args, [g for ideal in ideals for g in ideal.generators])
-    parts = _certification_parts(ideals)
-    verdict, failing = _certify_parts(parts, bound)
+    inputs = [(i.parametrization, i.generators) for i in ideals]
+    verdict, failing = certify_family(inputs, bound)
     if verdict.status == EQUAL_UP_TO_DEGREE:
         print(f"verdict: {verdict.status} (degree {verdict.degree_checked})")
         return 0
-    witness = relabel_binomial(verdict.witness, parts[failing][0].vars, result.vars)
+    witness = relabel_binomial(verdict.witness, ideals[failing].parametrization.vars,
+                               result.vars)
     print(f"verdict: {verdict.status} witness {format_binomial(witness, result.vars)} "
           f"(degree {verdict.degree_checked})")
     return 1
@@ -460,7 +397,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         ideals = parse_ideal_file(text)
         return args.handler(ideals, args)
-    except IdealFileError as exc:
+    except (IdealFileError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -26,10 +26,10 @@ Three independent routes into the same questions:
   the cap;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
-  failure.  Several such parts are checked in one loop, every part's
-  generators before any part's kernel.  One forest per part serves its
-  whole certification, and each degree's trees are fetched once for all
-  of that degree's binomials.
+  failure.  A family is certified input by input in one loop
+  (:func:`certify_family`), every input's generators before any kernel.
+  One forest per input serves its whole certification, and each
+  degree's trees are fetched once for all of that degree's binomials.
 """
 
 from __future__ import annotations
@@ -554,23 +554,35 @@ def certify_presentation(
     degree at a time, in the order of :func:`enumerate_kernel_binomials`,
     so the witness is the first binomial of that list outside the ideal,
     and a failure at degree e stops the check before degree e + 1 is
-    enumerated.  This is the one-part case of :func:`_certify_parts`.
+    enumerated.  This is the one-input case of :func:`certify_family`.
     """
-    return _certify_parts([(p, gens)], d)[0]
+    return certify_family([(p, gens)], d)[0]
 
 
-def _certify_parts(
-    parts: Sequence[tuple[Parametrization, Sequence[Binomial]]], d: DegreeBound
+def certify_family(
+    inputs: Sequence[tuple[Parametrization, Sequence[Binomial]]], d: DegreeBound
 ) -> tuple[CertificationVerdict, Optional[int]]:
-    """:func:`certify_presentation` of several parts, with the failing part's index.
+    """Certify the sum of a family input by input, with the failing input's index.
 
-    Each part is a parametrization and generators over its variables.
-    Every part's generators are tested against its own kernel first, in
-    order, and only then is any kernel enumerated: part by part, each
-    kernel binomial up to the degree bound must rewrite to zero modulo
-    its part's generators, through one rewrite forest per part, and every
-    chain is replayed.  The first failure is returned with the index of
-    its part; a pass has index None.
+    Each input is a parametrization with generators over its own
+    variables.  The premise is that ``inputs`` are those of a
+    :func:`~toricsum.sums.sum_family` call that succeeded: the sharing
+    graph is a forest, each edge shares one variable, and every input of a
+    component of two or more is homogeneous.  The verdict is then one on
+    the sum of the inputs against the union of their generators, renamed
+    into the sum's variables, at the same bound, as proved below.
+
+    The parts are the distinct inputs, by (matrix entries, generators) in
+    first-occurrence order, so a family of copies of one block certifies
+    it once.  A lone input is its own whole sum, as ``sum_family`` returns
+    it unchanged, and an empty sum has no kernel binomial.  Every part's
+    generators are tested against its own kernel first, in order, and only
+    then is any kernel enumerated: part by part, each kernel binomial up
+    to the degree bound must rewrite to zero modulo its part's generators,
+    through one rewrite forest per part, and every chain is replayed.  The
+    first failure is returned with the index in ``inputs`` of its part's
+    first occurrence, over whose variables the witness is written; a pass
+    has index None.
 
     A part's kernel binomials are read from
     :func:`_kernel_binomials_by_degree`, one degree e at a time.  The
@@ -583,13 +595,72 @@ def _certify_parts(
     are those of checking the whole list.  So the first failure is that
     list's first binomial outside the ideal, and returning there leaves
     every later degree unbuilt.
+
+    A pass means every kernel binomial of the sum up to degree d lies in
+    the ideal of the union of the generators: the whole-sum check's
+    claim, at the same bound.  The components of the sharing graph have
+    disjoint variables, and a kernel binomial of the sum over two of them,
+    X and Y, splits as x^a y^b - x^c y^d = y^b (x^a - x^c) + x^c (y^b - y^d).
+    Both x^a - x^c and y^b - y^d are kernel binomials of one side (or
+    zero), of degree no higher than the sum binomial's, so it is enough
+    that each component's kernel binomials up to degree d lie in the ideal
+    of its inputs' generators.  An isolated input, graded or not, is its
+    own part, whose pass says exactly that: its enumerated binomials
+    generate every fiber up to degree d, and each has a replayed chain.
+
+    A component of two or more inputs holds only homogeneous ones, or
+    ``sum_family`` refuses them.  Take one edge, R_i = k[S_i] glued along
+    s, with s -> a_i, a nonzero column.  Each R_i is a domain containing
+    k[s], so it is torsion-free, hence flat, over the PID k[s].  So s is a
+    non-zerodivisor on R_1 (x)_{k[s]} R_2, which therefore embeds in its
+    localization at s.  After inverting s, the pushout monoid embeds in
+    the group (G_1 + G_2) / Z(a_1, -a_2), where G_i is the group of S_i.
+    That group is torsion-free: homogeneity gives every column degree 1,
+    so m*g = k*a_1 in G_1 forces m | k, and then g = (k/m)*a_1.  So the
+    tensor product embeds in a Laurent ring, and I_1 + I_2 is prime, with
+    lattice L_1 + L_2 (a direct sum, as the shared column is nonzero).
+    Its rank is (n_1 - r_1) + (n_2 - r_2), which is the corank of A_sum,
+    of rank r_1 + r_2 - 1; a saturated sublattice of ker A_sum of full
+    rank is ker A_sum.  So I_1 + I_2 is the toric ideal of the glued
+    matrix (Rosales's gluing, Semigroup Forum 1997).  The glued ideal is
+    homogeneous again, so induct along the tree by leaf peeling.  Every
+    variable has degree 1 under the grading, so (I_1 + ... + I_k)_e =
+    sum_i (I_i)_e for each degree e, and each input that certifies up to
+    degree d has (I_i)_e inside the ideal of its generators for e <= d.
+    Disjoint components give a monoid algebra over a product of monoids,
+    again a domain, so I_sum = I_1 + ... + I_k over the whole forest.
+
+    A failure is the sum's failure too.  Define phi: k[X] -> k[X_i]: it
+    fixes X_i, sends every variable of the subtree hanging off block i at
+    shared variable s to s, and every variable of another component to 1.
+    A binomial of another input of i's component is balanced, as that
+    input is homogeneous, and goes to s^e - s^e = 0; any binomial of
+    another component goes to 1 - 1 = 0.  So phi kills every I_j with
+    j != i, hence every other input's generator once each is known to lie
+    in its kernel, and maps I_sum = I_1 + ... + I_k onto I_i, which it
+    fixes.  Hence I_sum meets k[X_i] in I_i: a generator outside its
+    input's kernel is outside the sum's.  The whole-sum check tests the
+    generators first, in input order, so they are tested here first too,
+    and the first one outside its kernel is reported.  Otherwise part i
+    has a kernel binomial w that its search does not reach from G_i.  phi
+    sends a variable to a variable or to 1, so it maps a monomial to one
+    of no higher degree, a move by G_i to itself and a move by any other
+    generator to standing still: a whole-sum chain joining w's sides
+    under a cap maps to a chain of G_i's moves under the same cap.  If G_i
+    is balanced its moves keep the degree, so that chain never leaves
+    deg w, and otherwise part i's cap has the whole sum's slack.  So the
+    whole-sum search misses w too, and w, of degree <= d and in I_sum, is
+    a witness for the sum.  It is the first failing input's witness,
+    which need not be the first the whole-sum enumeration meets.
     """
-    parts = [(p, tuple(gens)) for p, gens in parts]
-    for index, (p, gens) in enumerate(parts):
+    parts: dict[tuple, tuple[int, Parametrization]] = {}
+    for index, (p, gens) in enumerate(inputs):
+        parts.setdefault((p.matrix.entries, tuple(gens)), (index, p))
+    for (_, gens), (index, p) in parts.items():
         for g in gens:
             if not contains_binomial(p, g):
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
-    for index, (p, gens) in enumerate(parts):
+    for (_, gens), (index, p) in parts.items():
         forest = _RewriteForest(gens, d)
         forest.check_variables(len(p.vars))
         sides = _sparse_sides(gens)

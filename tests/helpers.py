@@ -10,12 +10,15 @@ from itertools import product
 import numpy as np
 
 from toricsum import (
+    DegreeBound,
     IntegerMatrix,
     Parametrization,
     RationalMatrix,
     VariableSet,
     clear_denominators,
     determinant,
+    enumerate_kernel_binomials,
+    format_binomial,
     split_disjoint,
 )
 from fractions import Fraction
@@ -91,6 +94,62 @@ def quadric(z1, z2, x, params=("t", "s")):
         VariableSet.of(z1, z2, x),
         IntegerMatrix.from_rows([[1, -1, 0], [1, 1, 1]]),
     )
+
+
+BLOCK_ROWS = {
+    "quadric": [[1, -1, 0], [1, 1, 1]],
+    "conic": [[1, 2, 0], [1, 0, 2]],
+    "cubic": [[3, 2, 1, 0], [0, 1, 2, 3]],
+    # the smooth rational quartic: one quadric and cubic generators
+    "quartic": [[4, 3, 1, 0], [0, 1, 3, 4]],
+}
+
+
+def tree_edges(tree, widths, rng):
+    """Edges of a tree on ``len(widths)`` vertices, vertex v of degree <= widths[v]."""
+    degree = [0] * len(widths)
+    edges = []
+    for v in range(1, len(widths)):
+        if tree == "path":
+            parent = v - 1
+        elif tree == "star":
+            parent = 0
+        elif tree == "caterpillar":
+            # a spine 0 - 1 with the other vertices dealt round it as legs
+            parent = 0 if v == 1 else v % 2
+        else:
+            parent = rng.choice([u for u in range(v) if degree[u] < widths[u]])
+        edges.append((parent, v))
+        degree[parent] += 1
+        degree[v] += 1
+    assert all(d <= w for d, w in zip(degree, widths))
+    return edges
+
+
+def forest_family(tree, kinds, rng):
+    """A tree of ``kinds[:-1]`` blocks plus the isolated block ``kinds[-1]``.
+
+    A block is named or "random" (distinct values in -3..3 over an
+    all-ones row).  Each edge shares one variable between two free columns
+    chosen at random.  A block's generators are its kernel binomials up to
+    degree 2, or 2 or 3 for a random block.  The quartic and some random
+    blocks need more, so their families certify only at low degrees.
+    Returns per block its name, variables, rows and generator texts.
+    """
+    rows = [BLOCK_ROWS[k] if k != "random" else [rng.sample(range(-3, 4), 4), [1] * 4]
+            for k in kinds]
+    var_lists = [[f"x{v}_{j}" for j in range(len(r[0]))] for v, r in enumerate(rows)]
+    for e, (u, v) in enumerate(tree_edges(tree, [len(r[0]) for r in rows[:-1]], rng)):
+        for w in (u, v):
+            free = [j for j, name in enumerate(var_lists[w]) if name.startswith("x")]
+            var_lists[w][rng.choice(free)] = f"s{e}"
+    blocks = []
+    for v, (kind, vars_, block_rows) in enumerate(zip(kinds, var_lists, rows)):
+        p = Parametrization(VariableSet(("t", "u")), VariableSet(tuple(vars_)),
+                            IntegerMatrix.from_rows(block_rows))
+        found = enumerate_kernel_binomials(p, DegreeBound(rng.choice((2, 3)) if kind == "random" else 2))
+        blocks.append((f"I{v}", vars_, block_rows, [format_binomial(b, p.vars) for b in found]))
+    return blocks
 
 
 @lru_cache(maxsize=None)

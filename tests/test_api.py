@@ -26,6 +26,7 @@ PUBLIC_NAMES = [
     "SumConstruction",
     "VariableSet",
     "build_family_graph",
+    "certify_family",
     "certify_presentation",
     "clear_denominators",
     "contains_binomial",
@@ -50,7 +51,6 @@ PUBLIC_NAMES = [
     "reduces_to_zero",
     "relabel_binomial",
     "reparametrize",
-    "rewrite_chain",
     "saturate_lattice",
     "smith_normal_form",
     "solve_row_rational",

@@ -12,15 +12,16 @@ from collections import Counter
 
 import pytest
 
-from helpers import random_homogeneous_parametrization, random_parametrization
+from helpers import (
+    forest_family,
+    random_homogeneous_parametrization,
+    random_parametrization,
+)
 from toricsum import (
     DegreeBound,
-    IntegerMatrix,
-    Parametrization,
-    VariableSet,
+    certify_presentation,
     contains_binomial,
     enumerate_kernel_binomials,
-    format_binomial,
     homogeneity_certificate,
     membership_by_classes,
     parse_binomial,
@@ -462,6 +463,29 @@ class TestCommands:
         assert capsys.readouterr().err == \
             f"error: line 5: integer of {limit + 1} digits is longer than the limit of {limit} digits\n"
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on the digits of an int turned into text")
+    @pytest.mark.filterwarnings("ignore:no kernel binomial")
+    @pytest.mark.parametrize("argv", [["sum"], ["sum", "--certify"],
+                                      ["normalize", "--ideal", "A", "--pin", "b"], ["homog"]])
+    def test_printed_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys, argv):
+        # every entry has at most the limit's digits and parses, but the
+        # glued rows of the sum, the pin's q and the grading vector's
+        # denominators have about twice as many: one error line naming the
+        # limit, and nothing of the block printed
+        limit = sys.get_int_max_str_digits()
+        m, m3 = (f"1{'0' * (limit - 2)}{last}" for last in (1, 3))
+        text = {
+            "sum": f"ideal A\nvars a b x\nparams t s\nrow 0 5 {m}\nrow 1 1 1\n"
+                   f"ideal B\nvars c d x\nparams t s\nrow 0 7 {m3}\nrow 1 1 1\n",
+            "normalize": f"ideal A\nvars a b c\nparams t s\nrow {m} 1 {m3}\nrow {m3} {m} 1\n",
+            "homog": f"ideal H\nvars a b\nparams t s\nrow {m} 1\nrow 1 {m3}\n",
+        }[argv[0]]
+        f = write(tmp_path, "long.ideal", text)
+        assert main([*argv, f]) == 2
+        assert capsys.readouterr() == ("", f"error: an integer has more than {limit} digits to "
+                                           "print, the limit of sys.get_int_max_str_digits()\n")
+
     def test_out_of_memory_exits_two(self, tmp_path):
         # degree 3 on 200 variables of one image puts ~1.4 million monomials
         # in one bucket, whose 200-entry exponent tuples pass the 512 MB
@@ -564,15 +588,6 @@ class TestCommands:
         assert proc.stderr == ""
 
 
-BLOCK_ROWS = {
-    "quadric": [[1, -1, 0], [1, 1, 1]],
-    "conic": [[1, 2, 0], [1, 0, 2]],
-    "cubic": [[3, 2, 1, 0], [0, 1, 2, 3]],
-    # the smooth rational quartic: one quadric and cubic generators
-    "quartic": [[4, 3, 1, 0], [0, 1, 3, 4]],
-}
-
-
 def rnc_text(n, drop=None):
     """RNC(n) with its 2x2 minors as generators, less minor number ``drop``."""
     names = [f"y{i}" for i in range(n + 1)]
@@ -585,53 +600,6 @@ def rnc_text(n, drop=None):
     rows = [" ".join(str(n - i) for i in range(n + 1)), " ".join(str(i) for i in range(n + 1))]
     return "\n".join(["ideal C", "vars " + " ".join(names), "params s t",
                       f"row {rows[0]}", f"row {rows[1]}", *minors]) + "\n"
-
-
-def tree_edges(tree, widths, rng):
-    """Edges of a tree on ``len(widths)`` vertices, vertex v of degree <= widths[v]."""
-    degree = [0] * len(widths)
-    edges = []
-    for v in range(1, len(widths)):
-        if tree == "path":
-            parent = v - 1
-        elif tree == "star":
-            parent = 0
-        elif tree == "caterpillar":
-            # a spine 0 - 1 with the other vertices dealt round it as legs
-            parent = 0 if v == 1 else v % 2
-        else:
-            parent = rng.choice([u for u in range(v) if degree[u] < widths[u]])
-        edges.append((parent, v))
-        degree[parent] += 1
-        degree[v] += 1
-    assert all(d <= w for d, w in zip(degree, widths))
-    return edges
-
-
-def forest_family(tree, kinds, rng):
-    """A tree of ``kinds[:-1]`` blocks plus the isolated block ``kinds[-1]``.
-
-    A block is named or "random" (distinct values in -3..3 over an
-    all-ones row).  Each edge shares one variable between two free columns
-    chosen at random.  A block's generators are its kernel binomials up to
-    degree 2, or 2 or 3 for a random block.  The quartic and some random
-    blocks need more, so their families certify only at low degrees.  Returns per block its name,
-    variables, rows and generator texts.
-    """
-    rows = [BLOCK_ROWS[k] if k != "random" else [rng.sample(range(-3, 4), 4), [1] * 4]
-            for k in kinds]
-    var_lists = [[f"x{v}_{j}" for j in range(len(r[0]))] for v, r in enumerate(rows)]
-    for e, (u, v) in enumerate(tree_edges(tree, [len(r[0]) for r in rows[:-1]], rng)):
-        for w in (u, v):
-            free = [j for j, name in enumerate(var_lists[w]) if name.startswith("x")]
-            var_lists[w][rng.choice(free)] = f"s{e}"
-    blocks = []
-    for v, (kind, vars_, block_rows) in enumerate(zip(kinds, var_lists, rows)):
-        p = Parametrization(VariableSet(("t", "u")), VariableSet(tuple(vars_)),
-                            IntegerMatrix.from_rows(block_rows))
-        found = enumerate_kernel_binomials(p, DegreeBound(rng.choice((2, 3)) if kind == "random" else 2))
-        blocks.append((f"I{v}", vars_, block_rows, [format_binomial(b, p.vars) for b in found]))
-    return blocks
 
 
 def family_text(blocks):
@@ -664,17 +632,20 @@ def counting_certify(monkeypatch):
 def whole_sum_route(monkeypatch, argv, capsys):
     """Exit code and stdout of ``main(argv)`` checking the whole sum.
 
-    The reference route: the sum is built again and certified as one part,
-    every generator renamed into its variables.
+    The reference route: the CLI's ``certify_family`` is replaced by
+    ``certify_presentation`` of the sum, built again, against every
+    generator renamed into its variables.  That witness is already over
+    the sum's variables, so the CLI's renaming of it is the identity.
     """
 
-    def whole_sum(ideals):
-        result, _ = sum_family([i.parametrization for i in ideals], [i.name for i in ideals])
-        return [(result, [relabel_binomial(g, i.parametrization.vars, result.vars)
-                          for i in ideals for g in i.generators])]
+    def whole_sum(inputs, d):
+        result, _ = sum_family([p for p, _ in inputs])
+        gens = [relabel_binomial(g, p.vars, result.vars) for p, gens in inputs for g in gens]
+        return certify_presentation(result, gens, d), 0
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "_certification_parts", whole_sum)
+        m.setattr(cli, "certify_family", whole_sum)
+        m.setattr(cli, "relabel_binomial", lambda b, old_vars, new_vars: b)
         return main(argv), capsys.readouterr().out
 
 

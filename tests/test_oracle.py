@@ -8,7 +8,12 @@ from collections import Counter, deque
 
 import pytest
 
-from helpers import quadric, random_homogeneous_parametrization, random_parametrization
+from helpers import (
+    forest_family,
+    quadric,
+    random_homogeneous_parametrization,
+    random_parametrization,
+)
 from toricsum import (
     Binomial,
     DegreeBound,
@@ -18,6 +23,7 @@ from toricsum import (
     MISSING_IN_SUM,
     Parametrization,
     VariableSet,
+    certify_family,
     certify_presentation,
     contains_binomial,
     enumerate_kernel_binomials,
@@ -27,7 +33,7 @@ from toricsum import (
     parse_binomial,
     reduces_to_zero,
     relabel_binomial,
-    rewrite_chain,
+    sum_family,
     sum_shared,
 )
 from toricsum import oracle
@@ -37,6 +43,7 @@ from toricsum.oracle import (
     _monomials_of_degree,
     _replay_chain,
     _sparse_sides,
+    rewrite_chain,
 )
 from toricsum.parametrization import homogeneity_certificate
 
@@ -421,6 +428,112 @@ class TestCertify:
                 for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
         verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
         assert verdict.status == EQUAL_UP_TO_DEGREE
+
+
+def forest_inputs(rng, tree, kinds, ungraded):
+    """:func:`forest_family`'s blocks as (parametrization, generators) inputs.
+
+    With ``ungraded`` the isolated block is replaced by a random one with
+    no grading, whose generators are its kernel binomials up to degree 2
+    or 3.
+    """
+    inputs = []
+    for _, vars_, rows, gens in forest_family(tree, kinds, rng):
+        p = Parametrization(VariableSet.of("t", "u"), VariableSet(tuple(vars_)),
+                            IntegerMatrix.from_rows(rows))
+        inputs.append((p, [parse_binomial(g, p.vars) for g in gens]))
+    if ungraded:
+        p = random_parametrization(rng, max_params=2, max_vars=3, prefix="y")
+        while homogeneity_certificate(p) is not None:
+            p = random_parametrization(rng, max_params=2, max_vars=3, prefix="y")
+        inputs[-1] = p, enumerate_kernel_binomials(p, DegreeBound(rng.choice((2, 3))))
+    return inputs
+
+
+def cubic_copies(k, gens):
+    """k twisted cubics along a path, cubic v sharing s(v-1) and s(v), each with ``gens``."""
+    return [(Parametrization(TWISTED_CUBIC.params,
+                             VariableSet.of(f"a{v}", f"s{v - 1}" if v else "b0",
+                                            f"s{v}" if v < k - 1 else f"c{v}", f"d{v}"),
+                             TWISTED_CUBIC.matrix), gens)
+            for v in range(k)]
+
+
+@pytest.mark.filterwarnings("ignore:no kernel binomial")
+class TestCertifyFamily:
+    @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
+    def test_matches_the_whole_sum(self, tree):
+        # a tree of three blocks and an isolated one, without a grading half
+        # of the time, less one generator half of the time, at degrees 2 to
+        # 4 and slack 0 to 2: the verdict is that of certify_presentation on
+        # the assembled sum, and a witness other than the whole sum's is
+        # still in the sum's kernel and out of the generators' reach
+        rng = random.Random(f"certify-family:{tree}")
+        statuses, other_witness = Counter(), 0
+        for _ in range(40):
+            kinds = [rng.choice(["quadric", "conic", "cubic", "quartic", "random"])
+                     for _ in range(4)]
+            inputs = forest_inputs(rng, tree, kinds, ungraded=rng.random() < 0.5)
+            if rng.random() < 0.5:
+                gens = rng.choice([gens for _, gens in inputs if gens])
+                gens.pop(rng.randrange(len(gens)))
+            d = DegreeBound(rng.randint(2, 4), rng.randint(0, 2))
+            verdict, index = certify_family(inputs, d)
+            result, _ = sum_family([p for p, _ in inputs])
+            gens = [relabel_binomial(g, p.vars, result.vars) for p, gs in inputs for g in gs]
+            want = certify_presentation(result, gens, d)
+            assert (verdict.status, verdict.degree_checked) == (want.status, want.degree_checked)
+            statuses[verdict.status] += 1
+            if verdict.status == EQUAL_UP_TO_DEGREE:
+                assert (verdict.witness, index) == (None, None)
+                continue
+            p, gs = inputs[index]
+            assert all((q.matrix, list(hs)) != (p.matrix, list(gs)) for q, hs in inputs[:index])
+            w = relabel_binomial(verdict.witness, p.vars, result.vars)
+            if w == want.witness:
+                continue
+            other_witness += 1
+            assert verdict.status == MISSING_IN_SUM
+            assert w.degree <= d.max_degree and contains_binomial(result, w)
+            if all(g.is_balanced for g in gens):
+                assert not membership_by_classes(w, gens)
+            else:
+                assert not reduces_to_zero(w, gens, d)
+        assert statuses[EQUAL_UP_TO_DEGREE] and statuses[MISSING_IN_SUM]
+        assert other_witness
+
+    def test_copies_enumerate_one_kernel(self, monkeypatch):
+        # a quadric glued to the first of four twisted cubics: the cubics
+        # share their matrix and generators, so one cubic kernel is
+        # enumerated, and a failure among them is reported at the first copy
+        calls = []
+        real = oracle._kernel_binomials_by_degree
+
+        def counted(p, d):
+            calls.append(len(p.vars))
+            return real(p, d)
+
+        monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", counted)
+        minors = [parse_binomial(t, TWISTED_CUBIC.vars)
+                  for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
+        q = quadric("z1", "z2", "a0")
+        head = q, [parse_binomial("z1*z2 - a0^2", q.vars)]
+        inputs = [head, *cubic_copies(4, minors)]
+        verdict, index = certify_family(inputs, DegreeBound(4))
+        assert (verdict.status, verdict.degree_checked, index) == (EQUAL_UP_TO_DEGREE, 4, None)
+        assert calls == [3, 4]
+
+        calls.clear()
+        verdict, index = certify_family([head, *cubic_copies(4, minors[:2])], DegreeBound(4))
+        assert (verdict.status, index) == (MISSING_IN_SUM, 1)
+        assert format_binomial(verdict.witness, inputs[1][0].vars) == "a0*d0 - b0*s0"
+        assert calls == [3, 4]
+
+        calls.clear()
+        foreign = minors + [parse_binomial("x0 - x1", TWISTED_CUBIC.vars)]
+        verdict, index = certify_family([head, *cubic_copies(4, foreign)], DegreeBound(4))
+        assert (verdict.status, verdict.witness, index) == (MISSING_IN_KERNEL, foreign[-1], 1)
+        assert calls == []
 
 
 class TestIncrementalEnumeration:
