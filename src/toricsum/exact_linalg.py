@@ -582,8 +582,8 @@ def _solve_transposed(
     show; and the last pivot d.  Only :func:`solve_row_rational` builds the
     solution: it completes the reduction above the pivots, after which row
     k gives ``omega[pivots[k]] = row[-1] / d`` with the free coordinates
-    zero.  The lift of a summand in :mod:`sums` and the grading test in
-    :mod:`parametrization` read only the pivots and the consistency.
+    zero.  The lift of a summand in :mod:`sums` reads only the pivots and
+    the consistency.
     """
     m = a.rows
     columns = zip(*a.entries) if m else [()] * a.cols

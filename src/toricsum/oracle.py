@@ -29,7 +29,11 @@ Three independent routes into the same questions:
   failure.  A family is certified input by input in one loop
   (:func:`certify_family`), every input's generators before any kernel.
   One forest per input serves its whole certification, and each
-  degree's trees are fetched once for all of that degree's binomials.
+  degree's trees are fetched once for all of that degree's binomials,
+  which stay pairs of variable-index tuples until one is a witness.
+  Every tree edge a query relies on is replayed once, against the
+  generators: each side walks up to the first node already verified,
+  and both sides must reach the same root.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
-from operator import attrgetter, lshift
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .binomials import Binomial, Monomial
@@ -197,24 +201,38 @@ def _exponents(indices: Sequence[int], nvars: int) -> Monomial:
     return tuple(mono)
 
 
+# A kernel pair of the degree stream: the two sides' variable indices, in
+# increasing order.
+_Pair = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _indices(mono: Monomial) -> tuple[int, ...]:
+    """The variable indices of ``mono``, each repeated by its exponent, in increasing order."""
+    return tuple(i for i, x in enumerate(mono) for _ in range(x))
+
+
 def _kernel_binomials_by_degree(
     p: Parametrization, d: DegreeBound
-) -> Iterator[tuple[int, list[Binomial]]]:
+) -> Iterator[tuple[int, list[_Pair]]]:
     """:func:`enumerate_kernel_binomials` as (e, its binomials of degree e), e = 1..d.
 
-    A degree with no binomial is skipped.  Concatenated, the lists are
-    that function's output, in its order.  A matrix without a grading
-    vector (one forward elimination decides whether there is one,
+    A binomial x^u - x^v is yielded as the pair of the variable indices
+    of u and of v, each in increasing order (:data:`_Pair`).  A degree
+    with no binomial is skipped.  Concatenated, the
+    lists are that function's output, in its order.  A matrix without a
+    grading vector (one forward elimination decides whether there is one,
     :func:`~toricsum.parametrization._is_graded`) may have buckets of mixed
-    degrees, so its whole list is built at once, as there, and split by
-    degree.  With a grading omega a monomial's degree is omega . A u, a
-    function of its image, so every bucket holds one degree and each
-    degree's buckets are complete once that degree's monomials are grown.
-    Each degree's layer from :func:`_layers` is then put in buckets by
-    image, read, emitted and dropped before the next degree is grown,
-    keeping only the layer the next one grows from, and a reader that
-    stops after degree e never builds degree e + 1.  Exponent tuples are
-    built only for the emitted binomials.
+    degrees, so its whole list is built at once, as there, split by
+    degree, and each binomial turned into its pair.  With a grading omega
+    a monomial's degree is omega . A u, a function of its image, so every
+    bucket holds one degree and each degree's buckets are complete once
+    that degree's monomials are grown.  Each degree's layer from
+    :func:`_layers` is then put in buckets by image, read, emitted and
+    dropped before the next degree is grown, keeping only the layer the
+    next one grows from, and a reader that stops after degree e never
+    builds degree e + 1.  The pairs are the monomials' own index tuples,
+    so no exponent tuple is built, and a bucket's pairs share one tuple
+    for its representative.
 
     Within one degree, exponent-lex order is the reverse of index-lex
     order.  Take u != v of degree e and let j be the first variable where
@@ -230,25 +248,21 @@ def _kernel_binomials_by_degree(
     """
     if not _is_graded(p):
         for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
-            yield degree, list(group)
+            yield degree, [(_indices(b.u_plus), _indices(b.u_minus)) for b in group]
         return
-    n = len(p.vars)
     for degree, layer in enumerate(_layers(p, d), 1):
-        found: list[tuple[tuple[int, ...], Monomial]] = []
+        found: list[_Pair] = []
         for members in _by_image(layer, {}).values():
             if len(members) > 1:
                 # the last member is the exponent-lex minimum
                 rep, _ = members.pop()
                 rep_vars = set(rep)
-                minus = None
                 for indices, _ in members:
                     if rep_vars.isdisjoint(indices):
-                        if minus is None:
-                            minus = _exponents(rep, n)
-                        found.append((indices, minus))
+                        found.append((indices, rep))
         if found:
             found.sort(reverse=True)
-            yield degree, [Binomial(_exponents(plus, n), minus) for plus, minus in found]
+            yield degree, found
 
 
 # (root, previous monomial, move), monomials packed; the root's own entry
@@ -257,8 +271,8 @@ def _kernel_binomials_by_degree(
 _TreeEntry = tuple[int, Optional[int], int]
 # (packed divisor, packed change, move)
 _Move = tuple[int, int, int]
-# (generator index, direction) steps
-_Chain = list[tuple[int, int]]
+# each generator's (u_plus, u_minus) as (variable, exponent) pairs
+_Sides = Sequence[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
 # one degree cap's trees, with its field width, guard mask and moves: one
 # (support mask, moves) bucket per first divisor variable, then the moves
 # with a constant divisor under mask -1
@@ -372,36 +386,123 @@ class _RewriteForest:
         self.check_variables(b.nvars)
         if b.is_zero:
             return []
-        return self.chains(b.degree, b.nvars)(b)
+        nvars, plus, minus = b.nvars, b.u_plus, b.u_minus
+        cap = b.degree + self._slack
+        tree, width, guard, buckets = self._layer(cap, nvars)
+        start = _pack(plus, cap - sum(plus), width)
+        target = _pack(minus, cap - sum(minus), width)
+        if start not in tree:
+            self._explore(start, tree, guard, buckets)
+        root = tree[start][0]
+        if target not in tree or tree[target][0] != root:
+            return None
+        up = [(k, -direction) for k, direction in self._path_to_root(start, tree)]
+        down = self._path_to_root(target, tree)
+        down.reverse()
+        return up + down
 
-    def chains(self, degree: int, nvars: int) -> Callable[[Binomial], Optional[_Chain]]:
-        """:meth:`chain` for nonzero binomials of ``degree`` over ``nvars`` variables.
+    def members(self, degree: int, nvars: int,
+                sides: _Sides) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
+        """Membership of the kernel pairs of ``degree`` over ``nvars`` variables.
 
-        The cap's trees and packing are fetched once, for every query of
-        that degree; the variable count is the caller's to check.
+        The returned query takes a pair of the degree stream (each side's
+        variable indices, :data:`_Pair`) with ``degree`` its larger side's
+        degree, and answers as :meth:`chain` would: True iff both sides
+        lie in one tree under cap ``degree`` + slack.  The cap's trees and
+        packing are fetched once, and a side is packed from its indices;
+        a bucket representative, shared by many pairs, once.  The variable
+        count is the caller's to check.
+
+        A True is proved, not read off the trees.  ``sides`` is
+        :func:`_sparse_sides` of the generators, not the forest's move
+        table.  From each side of a pair the query walks up the parent
+        pointers to the first node already verified, undoing on the way
+        each move that reached a node, as the move's generator in ``sides``
+        says, and then checks that the exponents reached are those
+        recorded for that node; a walk that reaches a node without a
+        parent records it as its root.  Every node passed is recorded with
+        the exponents reached there and the walk's root.  By induction each
+        recorded node's exponents are joined to its root's by replayed
+        moves, so when both walks end at the same root node, reached by
+        the parent pointers and not by the root tags, the two sides are
+        joined through it and the binomial lies in the ideal of the
+        generators.  Each tree edge is replayed at most once per call of
+        this method; a certification calls it once per degree, so once per
+        cap.  A move that does not apply, exponents that differ from the
+        record, a walk longer than the tree or two different roots raise
+        RuntimeError.
         """
         cap = degree + self._slack
         tree, width, guard, buckets = self._layer(cap, nvars)
-        explore, path_to_root = self._explore, self._path_to_root
-        # _pack(mono, cap - deg mono, width), one shift per field
-        shifts = range(0, width * nvars, width)
+        explore = self._explore
+        # _pack(mono, cap - deg mono, width) is the empty monomial's
+        # cap << room plus, per index i, one in field i and minus one in
+        # the room field
         room = width * nvars
+        empty = cap << room
+        terms = [(1 << width * i) - (1 << room) for i in range(nvars)]
+        # move 2k replaces generator k's u_plus by its u_minus, and move
+        # 2k + 1 is its reverse: undoing a move loses the side it gave
+        undoes = {2 * k + reverse: (give, take)
+                  for k, pair in enumerate(sides)
+                  for reverse, (take, give) in enumerate((pair, pair[::-1]))}
+        targets: dict[tuple[int, ...], tuple[int, Monomial]] = {}
+        # node -> (exponents replayed to it, its root)
+        verified: dict[int, tuple[Monomial, int]] = {}
 
-        def chain(b: Binomial) -> Optional[_Chain]:
-            plus, minus = b.u_plus, b.u_minus
-            start = sum(map(lshift, plus, shifts)) + ((cap - sum(plus)) << room)
-            target = sum(map(lshift, minus, shifts)) + ((cap - sum(minus)) << room)
+        def walk(node: int, mono: Monomial) -> int:
+            """The root of ``node``, replaying every unverified edge on the way up."""
+            path = []
+            current = list(mono)
+            known = verified.get(node)
+            while known is None:
+                path.append((node, mono))
+                _, prev, move = tree[node]
+                if prev is None:
+                    break
+                if len(path) > len(tree):
+                    raise RuntimeError("rewrite chain walks a cycle of parent pointers")
+                undo = undoes.get(move)
+                if undo is None:
+                    raise RuntimeError(f"rewrite chain move {move} names no generator")
+                lose, gain = undo
+                for i, x in lose:
+                    if current[i] < x:
+                        raise RuntimeError(
+                            f"rewrite chain step does not apply to {tuple(current)}")
+                for i, x in lose:
+                    current[i] -= x
+                for i, x in gain:
+                    current[i] += x
+                node, mono = prev, tuple(current)
+                known = verified.get(node)
+            if known is None:
+                root = node
+            else:
+                recorded, root = known
+                if recorded != mono:
+                    raise RuntimeError(f"rewrite chain reaches {mono}, not {recorded}")
+            for entry in path:
+                verified[entry[0]] = (entry[1], root)
+            return root
+
+        def member(plus: tuple[int, ...], minus: tuple[int, ...]) -> bool:
+            start = empty + sum(map(terms.__getitem__, plus))
+            cached = targets.get(minus)
+            if cached is None:
+                cached = targets[minus] = (empty + sum(map(terms.__getitem__, minus)),
+                                           _exponents(minus, nvars))
+            target = cached[0]
             if start not in tree:
                 explore(start, tree, guard, buckets)
-            root = tree[start][0]
-            if target not in tree or tree[target][0] != root:
-                return None
-            up = [(k, -direction) for k, direction in path_to_root(start, tree)]
-            down = path_to_root(target, tree)
-            down.reverse()
-            return up + down
+            entry = tree.get(target)
+            if entry is None or entry[0] != tree[start][0]:
+                return False
+            if walk(start, _exponents(plus, nvars)) != walk(target, cached[1]):
+                raise RuntimeError("rewrite chain sides reach different roots")
+            return True
 
-        return chain
+        return member
 
     @staticmethod
     def _explore(root: int, tree: dict[int, _TreeEntry], guard: int,
@@ -448,9 +549,6 @@ def rewrite_chain(
     shortest one.
     """
     return _RewriteForest(gens, d).chain(b)
-
-
-_Sides = Sequence[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
 
 
 def _sparse_sides(gens: Sequence[Binomial]) -> _Sides:
@@ -548,9 +646,10 @@ def certify_presentation(
     modulo the generators.  The first failure is returned as a witness.
     One rewrite forest serves every binomial.  It keeps one map of
     breadth-first trees per degree cap, so each connected component under
-    each cap is searched once; every chain it returns is replayed move by
-    move before it counts, on sparse sides built once from ``gens`` rather
-    than from the forest's move index.  Kernel binomials are checked one
+    each cap is searched once; every tree edge a query relies on is
+    replayed once before it counts, on sparse sides built once from
+    ``gens`` rather than from the forest's move index
+    (:meth:`_RewriteForest.members`).  Kernel binomials are checked one
     degree at a time, in the order of :func:`enumerate_kernel_binomials`,
     so the witness is the first binomial of that list outside the ideal,
     and a failure at degree e stops the check before degree e + 1 is
@@ -579,22 +678,26 @@ def certify_family(
     generators are tested against its own kernel first, in order, and only
     then is any kernel enumerated: part by part, each kernel binomial up
     to the degree bound must rewrite to zero modulo its part's generators,
-    through one rewrite forest per part, and every chain is replayed.  The
+    through one rewrite forest per part, and every tree edge a query relies
+    on is replayed once, against the generators.  The
     first failure is returned with the index in ``inputs`` of its part's
     first occurrence, over whose variables the witness is written; a pass
     has index None.
 
     A part's kernel binomials are read from
-    :func:`_kernel_binomials_by_degree`, one degree e at a time.  The
-    variable count is checked once per part, and cap e + slack's trees and
-    packing are fetched once per degree, for all of its binomials.  The
-    stream yields the list of :func:`enumerate_kernel_binomials` in its
-    order, and whether a binomial has a chain depends only on whether its
-    two sides share a component under its cap, not on the queries before
-    it; the queries even come in the same order, so the trees and chains
-    are those of checking the whole list.  So the first failure is that
-    list's first binomial outside the ideal, and returning there leaves
-    every later degree unbuilt.
+    :func:`_kernel_binomials_by_degree`, one degree e at a time, as pairs
+    of variable-index tuples; only a witness becomes a
+    :class:`~toricsum.binomials.Binomial`.  The variable count is checked
+    once per part, and cap e + slack's trees and packing are fetched once
+    per degree, for all of its pairs (:meth:`_RewriteForest.members`).
+    The stream yields the list of :func:`enumerate_kernel_binomials` in
+    its order, and whether a binomial has a chain depends only on whether
+    its two sides share a component under its cap, not on the queries
+    before it; the queries even come in the same order, so the trees are
+    those of checking the whole list.  So the first failure is that list's
+    first binomial outside the ideal, and returning there leaves every
+    later degree unbuilt.  A pass rests on moves of the generators
+    replayed from both sides to one root, each tree edge once.
 
     A pass means every kernel binomial of the sum up to degree d lies in
     the ideal of the union of the generators: the whole-sum check's
@@ -606,7 +709,8 @@ def certify_family(
     that each component's kernel binomials up to degree d lie in the ideal
     of its inputs' generators.  An isolated input, graded or not, is its
     own part, whose pass says exactly that: its enumerated binomials
-    generate every fiber up to degree d, and each has a replayed chain.
+    generate every fiber up to degree d, and each is joined by replayed
+    moves.
 
     A component of two or more inputs holds only homogeneous ones, or
     ``sum_family`` refuses them.  Take one edge, R_i = k[S_i] glued along
@@ -661,14 +765,14 @@ def certify_family(
             if not contains_binomial(p, g):
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
     for (_, gens), (index, p) in parts.items():
+        n = len(p.vars)
         forest = _RewriteForest(gens, d)
-        forest.check_variables(len(p.vars))
+        forest.check_variables(n)
         sides = _sparse_sides(gens)
-        for degree, binomials in _kernel_binomials_by_degree(p, d):
-            chain = forest.chains(degree, len(p.vars))
-            for b in binomials:
-                steps = chain(b)
-                if steps is None:
-                    return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree), index
-                _replay_chain(b, sides, steps)
+        for degree, pairs in _kernel_binomials_by_degree(p, d):
+            member = forest.members(degree, n, sides)
+            for plus, minus in pairs:
+                if not member(plus, minus):
+                    witness = Binomial(_exponents(plus, n), _exponents(minus, n))
+                    return CertificationVerdict(MISSING_IN_SUM, witness, d.max_degree), index
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None

@@ -24,11 +24,11 @@ from .exact_linalg import (
     _Rows,
     LatticeBasis,
     RationalMatrix,
-    _solve_transposed,
+    _bareiss_echelon,
     annihilator,
     clear_denominators,
     determinant,
-    rank,
+    rank,  # not called here; perfbench's tests read this module's binding
     row_reduce,
     solve_row_rational,
 )
@@ -125,7 +125,20 @@ def contains_binomial(p: Parametrization, b: Binomial) -> bool:
 
 def dimension(p: Parametrization) -> int:
     """Dimension of the parametrized quotient, the rank of the matrix."""
-    return rank(p.matrix)
+    return len(_forward_pass(p.matrix)[0])
+
+
+@lru_cache(maxsize=1)
+def _forward_pass(m: IntegerMatrix) -> tuple[list[int], list[list[int]]]:
+    """The pivots and rows of the forward fraction-free pass on ``m``, not to be mutated.
+
+    :func:`~toricsum.exact_linalg._bareiss_echelon`, cached for the last
+    matrix, so a lone input's dimension and its grading test
+    (:func:`_is_graded`) eliminate it once.
+    """
+    rows = [list(row) for row in m.entries]
+    pivots, _, _ = _bareiss_echelon(rows, m.cols)
+    return pivots, rows
 
 
 def homogeneity_certificate(p: Parametrization) -> Optional[HomogeneityCertificate]:
@@ -145,11 +158,28 @@ def homogeneity_certificate(p: Parametrization) -> Optional[HomogeneityCertifica
 def _is_graded(p: Parametrization) -> bool:
     """Whether :func:`homogeneity_certificate` finds a grading vector, without building it.
 
-    The system ``omega @ A == 1`` is consistent, which the forward
-    fraction-free pass on ``[A^T | 1]`` decides; no reduction above its
-    pivots is needed.
+    That is whether the all-ones row lies in the row space of the matrix,
+    read off the forward pass :func:`dimension` uses
+    (:func:`_forward_pass`).  The pass leaves row k as step k's pivot row,
+    and its steps are replayed on an extra row, the all-ones row: that is
+    the pass with the row appended last and never taken as a pivot, so
+    each division is exact (Sylvester's identity, as for every row below
+    the pivots).  Each step maps the row to a nonzero multiple of it plus
+    a multiple of a pivot row, which lies in the row space, and leaves it
+    zero in that step's pivot column; the pivot rows are in echelon form,
+    so the only vector of the row space that is zero in every pivot column
+    is zero.  So the all-ones row lies in the row space iff the replayed
+    row ends at zero.
     """
-    return _solve_transposed(p.matrix, [1] * len(p.vars))[1] is not None
+    pivots, rows = _forward_pass(p.matrix)
+    ones = [1] * len(p.vars)
+    prev = 1
+    for k, c in enumerate(pivots):
+        pivot_row = rows[k]
+        pv, f = pivot_row[c], ones[c]
+        ones = [(pv * a - f * b) // prev for a, b in zip(ones, pivot_row)]
+        prev = pv
+    return not any(ones)
 
 
 def reparametrize(p: Parametrization, q: RationalMatrix) -> Parametrization:

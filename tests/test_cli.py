@@ -29,7 +29,7 @@ from toricsum import (
     relabel_binomial,
     sum_family,
 )
-from toricsum import cli, oracle
+from toricsum import cli, exact_linalg, oracle, parametrization
 from toricsum.cli import (
     IdealFileError,
     format_ideal_block,
@@ -744,6 +744,30 @@ class TestCertifyByInput:
         assert proc.returncode == 1, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[-1] == \
             "verdict: missing-in-sum witness c127^2 - d127*s126 (degree 3)"
+
+    def test_lone_input_is_eliminated_once(self, tmp_path, capsys, monkeypatch):
+        # the printed sum of a 6-cubic path is one 7 x 19 ideal: the rank the
+        # report prints and the grading test of its degree stream read one
+        # forward elimination of its matrix, not one each
+        assert main(["sum", write(tmp_path, "path.ideal", CUBIC_PATH)]) == 0
+        out = capsys.readouterr().out
+        glued = write(tmp_path, "path_glued.ideal", out[:out.index("\nk=") + 1])
+        shapes = []
+        real = exact_linalg._bareiss_echelon
+
+        def counted(rows, ncols):
+            shapes.append(tuple(sorted((len(rows), ncols))))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(exact_linalg, "_bareiss_echelon", counted)
+        monkeypatch.setattr(parametrization, "_bareiss_echelon", counted)
+        for _ in range(2):
+            parametrization._forward_pass.cache_clear()
+            shapes.clear()
+            assert main(["sum", "--certify", "--max-degree", "3", glued]) == 1
+            assert capsys.readouterr().out.splitlines()[-1] == \
+                "verdict: missing-in-sum witness m6^2 - d5*m5 (degree 3)"
+            assert shapes.count((7, 19)) == 1
 
     def test_generator_outside_its_kernel_comes_first(self, tmp_path, capsys, monkeypatch):
         # the first cubic drops a generator and a later conic gains one

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    random_homogeneous_parametrization,
     random_matrix,
     random_nonsingular_rational,
     random_parametrization,
@@ -38,6 +39,7 @@ from toricsum import (
     saturate_lattice,
     split_disjoint,
 )
+from toricsum.parametrization import _is_graded
 
 
 def make(rows, var_names, param_names):
@@ -86,6 +88,32 @@ def test_dimension_and_maximal_rank():
     assert rank(p.matrix) != len(p.params)
     p = make([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["a", "b", "c"], ["t", "s", "u"])
     assert dimension(p) == 3
+
+
+def test_rank_and_grading_from_one_pass():
+    # the rank and the grading test read one forward pass, with the all-ones
+    # row replayed through its steps: they must agree with the public rank
+    # and with the solved grading vector, on graded and ungraded matrices,
+    # repeated or zero rows, zero columns and matrices without rows
+    rng = random.Random(29)
+    ps = [make([[1, 0]], ["a", "b"], ["t"]), make([[2, 2, 2], [1, 1, 1]], ["a", "b", "c"], ["t", "s"]),
+          Parametrization(VariableSet(()), VariableSet.of("a", "b"), IntegerMatrix(0, 2, ())),
+          Parametrization(VariableSet(()), VariableSet(()), IntegerMatrix(0, 0, ()))]
+    for _ in range(300):
+        p = (random_homogeneous_parametrization if rng.random() < 0.5 else random_parametrization)(
+            rng, max_params=4, max_vars=6)
+        rows = [list(row) for row in p.matrix.entries]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * len(p.vars))
+        if rng.random() < 0.3:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        ps.append(make(rows, p.vars.names, [f"t{k}" for k in range(len(rows))]))
+    graded = 0
+    for p in ps:
+        assert dimension(p) == rank(p.matrix)
+        assert _is_graded(p) == (homogeneity_certificate(p) is not None)
+        graded += _is_graded(p)
+    assert 50 < graded < len(ps) - 50
 
 
 class TestHomogeneityCertificate:

@@ -14,6 +14,7 @@ import pytest
 import toricsum.parametrization as parametrization
 import toricsum.sums as sums
 from helpers import (
+    forest_family,
     kernel_in_sorted_vars,
     quadric,
     random_homogeneous_parametrization,
@@ -1253,3 +1254,51 @@ class TestGoldenOutputs:
         assert any(len(r["components"]) > 1 for r in records)
         text = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FAMILY_DIGEST
+
+
+def hilbert_function(p, top):
+    """H(e) for e = 0..top: the number of distinct images A u with |u| = e.
+
+    The images of degree e are those of degree e - 1 plus one column each,
+    so no monomial is listed.
+    """
+    columns = list(zip(*p.matrix.entries)) if p.matrix.rows else [()] * len(p.vars)
+    images = {(0,) * p.matrix.rows}
+    counts = [1]
+    for _ in range(top):
+        images = {tuple(a + c for a, c in zip(image, col)) for image in images for col in columns}
+        counts.append(len(images))
+    return counts
+
+
+def times(f, g):
+    """The product of two power series, truncated to the length of ``f``."""
+    return [sum(f[i] * g[e - i] for i in range(e + 1) if e - i < len(g)) for e in range(len(f))]
+
+
+@pytest.mark.filterwarnings("ignore:no kernel binomial")
+class TestHilbertFunction:
+    @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
+    def test_glued_trees(self, tree):
+        # Each block's ring R_i is a domain containing k[s] for a shared
+        # variable s, so free over it, and gluing along s gives
+        # H_1(t) H_2(t) (1 - t).  A tree of k blocks and an isolated one
+        # (a disjoint sum, a plain product): H_sum = prod H_i * (1 - t)^(k-1)
+        # up to degree 4, counted on the matrices alone
+        rng = random.Random(f"hilbert:{tree}")
+        top = 4
+        for k in range(2, 6):
+            for _ in range(3):
+                kinds = [rng.choice(["quadric", "conic", "cubic", "random"]) for _ in range(k + 1)]
+                if tree == "star" and k == 5:
+                    # four leaves need a centre with four columns
+                    kinds[0] = rng.choice(["cubic", "random"])
+                ps = [make(rows, vars_, ["t", "u"])
+                      for _, vars_, rows, _ in forest_family(tree, kinds, rng)]
+                result, _ = sum_family(ps)
+                want = [1] + [0] * top
+                for p in ps:
+                    want = times(want, hilbert_function(p, top))
+                for _ in range(k - 1):
+                    want = times(want, [1, -1])
+                assert hilbert_function(result, top) == want, (tree, kinds)
