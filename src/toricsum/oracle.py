@@ -23,7 +23,11 @@ Three independent routes into the same questions:
   move is tested with one subtraction and applied with one addition.  A
   monomial tries only the moves indexed under its own variables, never
   the reverse of the move that reached it, and no move with a side above
-  the cap;
+  the cap.  One query answers every membership, public or in a
+  certification, and it proves each True: the tree edges it relies on
+  are replayed against the generators, from both sides to one root, and
+  :func:`rewrite_chain` reads its chain from the parent pointers only
+  after that;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  A family is certified input by input in one loop
@@ -279,12 +283,10 @@ _Sides = Sequence[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]
 _Layer = tuple[dict[int, _TreeEntry], int, int, list[tuple[int, list[_Move]]]]
 
 
-def _pack(mono: Sequence[int], room: int, width: int) -> int:
-    """sum_i mono[i] * 2^(width * i), plus ``room`` in field ``len(mono)``."""
-    packed = room
-    for x in reversed(mono):
-        packed = (packed << width) + x
-    return packed
+def _sparse_sides(gens: Sequence[Binomial]) -> _Sides:
+    """Each generator's ``u_plus`` and ``u_minus`` as (variable, exponent) pairs."""
+    return [(tuple([(i, x) for i, x in enumerate(g.u_plus) if x]),
+             tuple([(i, x) for i, x in enumerate(g.u_minus) if x])) for g in gens]
 
 
 class _RewriteForest:
@@ -294,8 +296,8 @@ class _RewriteForest:
     side, in either orientation, and never leave the degree cap.  Every
     move can be undone, so the monomials reachable from one another
     under a cap form connected components.  A query explores the
-    component of ``b.u_plus`` once, as a tree rooted there, and keeps it
-    for every later query under the same cap.  With degree-balanced
+    component of its first side once, as a tree rooted there, and keeps
+    it for every later query under the same cap.  With degree-balanced
     generators the cap is the degree of the query and the search is exact
     for its graded piece; otherwise the cap adds ``d.search_slack``.
 
@@ -308,6 +310,9 @@ class _RewriteForest:
     the mask of all n + 1 guard bits.  A move from side a to side b, of
     degree change s = deg b - deg a, packs its divisor D as a with
     max(s, 0) in the room field, and its change as b - a with -s there.
+    The moves are packed from the generators' (variable, exponent) sides,
+    built once, so packing a move costs one shift per variable of its
+    sides, not one per variable of the ring.
 
     D applies to m iff ((m | G) - D) & G == G.  Field i of m | G is
     2^(w-1) + m_i, at least 2^(w-1) and below 2^w, and field i of D is
@@ -327,8 +332,8 @@ class _RewriteForest:
     move that reached it, which always applies and leads back to the
     monomial's parent, already in the tree.  Neither that skip nor the
     dropped moves change which move first reaches a monomial, so the
-    trees, and the chains read from them, are those of trying every
-    indexed move in the same order.
+    trees, and the chains :meth:`path` reads from them, are those of
+    trying every indexed move in the same order.
     """
 
     def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
@@ -338,13 +343,17 @@ class _RewriteForest:
         # no query of a certification under ``d`` has a higher cap, so one
         # packing of the moves serves all of its caps
         self._bound = d.max_degree + self._slack
-        self._sides = [
-            (a, b, 2 * k + reverse)
-            for k, g in active
-            for reverse, (a, b) in enumerate(((g.u_plus, g.u_minus), (g.u_minus, g.u_plus)))
-        ]
-        # field width -> (higher side degree, first divisor variable, move)
-        self._packed: dict[int, list[tuple[int, int, _Move]]] = {}
+        sides = _sparse_sides(gens)
+        # (higher side degree, degree change, divisor side, image side, move)
+        self._moves: list[tuple[int, int, tuple, tuple, int]] = []
+        for k, g in active:
+            plus, minus = sides[k]
+            up, down = sum(g.u_plus), sum(g.u_minus)
+            top = max(up, down)
+            self._moves += ((top, down - up, plus, minus, 2 * k),
+                            (top, up - down, minus, plus, 2 * k + 1))
+        # (field width, variable count) -> (higher side degree, first divisor variable, move)
+        self._packed: dict[tuple[int, int], list[tuple[int, int, _Move]]] = {}
         self._layers: dict[tuple[int, int], _Layer] = {}
 
     def _layer(self, cap: int, nvars: int) -> _Layer:
@@ -352,16 +361,19 @@ class _RewriteForest:
         layer = self._layers.get((cap, nvars))
         if layer is None:
             width = max(cap, self._bound).bit_length() + 1
-            packed = self._packed.get(width)
+            packed = self._packed.get((width, nvars))
             if packed is None:
-                packed = self._packed[width] = []
-                for a, b, move in self._sides:
-                    da, db = sum(a), sum(b)
-                    step = db - da
-                    divisor = _pack(a, max(step, 0), width)
-                    change = _pack(b, max(-step, 0), width) - divisor
-                    first = next((i for i, x in enumerate(a) if x), len(a))
-                    packed.append((max(da, db), first, (divisor, change, move)))
+                room = width * nvars
+                packed = self._packed[width, nvars] = []
+                for top, step, a, b, move in self._moves:
+                    taken = given = 0
+                    for i, x in a:
+                        taken += x << width * i
+                    for i, x in b:
+                        given += x << width * i
+                    divisor = taken + (max(step, 0) << room)
+                    change = given - taken - (step << room)
+                    packed.append((top, a[0][0] if a else nvars, (divisor, change, move)))
             by_var: dict[int, list[_Move]] = {}
             for top, first, move in packed:
                 if top <= cap:
@@ -369,7 +381,7 @@ class _RewriteForest:
             field = (1 << width - 1) - 1
             buckets = [(field << width * i if i < nvars else -1, moves)
                        for i, moves in sorted(by_var.items())]
-            guard = _pack((1 << width - 1,) * nvars, 1 << width - 1, width)
+            guard = sum(1 << width * i for i in range(nvars + 1)) << width - 1
             layer = self._layers[cap, nvars] = ({}, width, guard, buckets)
         return layer
 
@@ -378,42 +390,19 @@ class _RewriteForest:
         if self._nvars - {nvars}:
             raise ValueError("generators and binomial are over different variable sets")
 
-    def chain(self, b: Binomial) -> Optional[list[tuple[int, int]]]:
-        """(generator index, direction) steps from ``b.u_plus`` to ``b.u_minus``.
-
-        None when the two sides lie in different components under the cap.
-        """
-        self.check_variables(b.nvars)
-        if b.is_zero:
-            return []
-        nvars, plus, minus = b.nvars, b.u_plus, b.u_minus
-        cap = b.degree + self._slack
-        tree, width, guard, buckets = self._layer(cap, nvars)
-        start = _pack(plus, cap - sum(plus), width)
-        target = _pack(minus, cap - sum(minus), width)
-        if start not in tree:
-            self._explore(start, tree, guard, buckets)
-        root = tree[start][0]
-        if target not in tree or tree[target][0] != root:
-            return None
-        up = [(k, -direction) for k, direction in self._path_to_root(start, tree)]
-        down = self._path_to_root(target, tree)
-        down.reverse()
-        return up + down
-
-    def members(self, degree: int, nvars: int,
-                sides: _Sides) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
+    def members(self, degree: int, nvars: int, sides: _Sides
+                ) -> Callable[[tuple[int, ...], tuple[int, ...]], Optional[tuple[int, int]]]:
         """Membership of the kernel pairs of ``degree`` over ``nvars`` variables.
 
         The returned query takes a pair of the degree stream (each side's
         variable indices, :data:`_Pair`) with ``degree`` its larger side's
-        degree, and answers as :meth:`chain` would: True iff both sides
-        lie in one tree under cap ``degree`` + slack.  The cap's trees and
-        packing are fetched once, and a side is packed from its indices;
-        a bucket representative, shared by many pairs, once.  The variable
-        count is the caller's to check.
+        degree.  It returns the two sides' tree nodes when both lie in one
+        tree under cap ``degree`` + slack, for :meth:`path`, and None
+        otherwise.  The cap's trees and packing are fetched once, and a
+        side is packed from its indices; a bucket representative, shared
+        by many pairs, once.  The variable count is the caller's to check.
 
-        A True is proved, not read off the trees.  ``sides`` is
+        An answer of nodes is proved, not read off the trees.  ``sides`` is
         :func:`_sparse_sides` of the generators, not the forest's move
         table.  From each side of a pair the query walks up the parent
         pointers to the first node already verified, undoing on the way
@@ -435,9 +424,8 @@ class _RewriteForest:
         cap = degree + self._slack
         tree, width, guard, buckets = self._layer(cap, nvars)
         explore = self._explore
-        # _pack(mono, cap - deg mono, width) is the empty monomial's
-        # cap << room plus, per index i, one in field i and minus one in
-        # the room field
+        # a monomial packs as the empty monomial's cap << room plus, per
+        # index i, one in field i and minus one in the room field
         room = width * nvars
         empty = cap << room
         terms = [(1 << width * i) - (1 << room) for i in range(nvars)]
@@ -486,7 +474,7 @@ class _RewriteForest:
                 verified[entry[0]] = (entry[1], root)
             return root
 
-        def member(plus: tuple[int, ...], minus: tuple[int, ...]) -> bool:
+        def member(plus: tuple[int, ...], minus: tuple[int, ...]) -> Optional[tuple[int, int]]:
             start = empty + sum(map(terms.__getitem__, plus))
             cached = targets.get(minus)
             if cached is None:
@@ -497,12 +485,30 @@ class _RewriteForest:
                 explore(start, tree, guard, buckets)
             entry = tree.get(target)
             if entry is None or entry[0] != tree[start][0]:
-                return False
+                return None
             if walk(start, _exponents(plus, nvars)) != walk(target, cached[1]):
                 raise RuntimeError("rewrite chain sides reach different roots")
-            return True
+            return start, target
 
         return member
+
+    def path(self, degree: int, nvars: int, start: int, target: int) -> list[tuple[int, int]]:
+        """(generator index, direction) steps from node ``start`` to node ``target``.
+
+        The nodes are a pair that :meth:`members` proved for ``degree``
+        over ``nvars`` variables, so both parent-pointer paths end at one
+        root: the steps climb from ``start`` to it and descend to ``target``.
+        """
+        tree = self._layer(degree + self._slack, nvars)[0]
+        up: list[tuple[int, int]] = []
+        down: list[tuple[int, int]] = []
+        for node, steps, sign in ((start, up, -1), (target, down, 1)):
+            _, prev, move = tree[node]
+            while prev is not None:
+                steps.append((move >> 1, -sign if move & 1 else sign))
+                _, prev, move = tree[prev]
+        down.reverse()
+        return up + down
 
     @staticmethod
     def _explore(root: int, tree: dict[int, _TreeEntry], guard: int,
@@ -523,16 +529,6 @@ class _RewriteForest:
                                 tree[image] = (root, mono, move)
                                 queue.append((image, move ^ 1))
 
-    @staticmethod
-    def _path_to_root(node: int, tree: dict[int, _TreeEntry]) -> list[tuple[int, int]]:
-        """The moves into ``node``, ``node``'s parent, ... up to the root."""
-        steps = []
-        _, prev, move = tree[node]
-        while prev is not None:
-            steps.append((move >> 1, -1 if move & 1 else 1))
-            _, prev, move = tree[prev]
-        return steps
-
 
 def rewrite_chain(
     b: Binomial, gens: Sequence[Binomial], d: DegreeBound
@@ -543,57 +539,31 @@ def rewrite_chain(
     side, in either orientation.  Returns the chain as (generator index,
     direction) steps, or None when the target is unreachable within the
     degree cap.  With degree-balanced generators the cap is tight and the
-    search is exact for the graded piece.  This is one query on a fresh
-    rewrite forest: the component of ``b.u_plus`` under the query's degree
-    cap is explored as one tree rooted at ``b.u_plus``, so the chain is a
-    shortest one.
+    search is exact for the graded piece.  This is one membership query
+    (:meth:`_RewriteForest.members`) on a fresh rewrite forest: the
+    component of ``b.u_plus`` under the query's degree cap is explored as
+    one tree rooted at ``b.u_plus``, so the chain is a shortest one, and
+    it is read from the parent pointers only after the query has replayed
+    every one of its moves against ``gens``.
     """
-    return _RewriteForest(gens, d).chain(b)
-
-
-def _sparse_sides(gens: Sequence[Binomial]) -> _Sides:
-    """Each generator's ``u_plus`` and ``u_minus`` as (variable, exponent) pairs."""
-    return [
-        tuple(tuple((i, x) for i, x in enumerate(side) if x) for side in (g.u_plus, g.u_minus))
-        for g in gens
-    ]
-
-
-def _replay_chain(b: Binomial, sides: _Sides, chain: Sequence[tuple[int, int]]) -> None:
-    """Apply ``chain`` to ``b.u_plus`` move by move; it must end at ``b.u_minus``.
-
-    ``sides`` is :func:`_sparse_sides` of the generators, so a move reads
-    and writes only the variables of its generator.  Raises RuntimeError on
-    a move whose divisor does not divide the current monomial, or on a
-    wrong endpoint.
-    """
-    mono = list(b.u_plus)
-    for step, (gi, direction) in enumerate(chain):
-        plus, minus = sides[gi]
-        take, give = (plus, minus) if direction == 1 else (minus, plus)
-        for i, x in take:
-            if mono[i] < x:
-                raise RuntimeError(f"rewrite chain step {step} does not apply to {tuple(mono)}")
-        for i, x in take:
-            mono[i] -= x
-        for i, x in give:
-            mono[i] += x
-    if tuple(mono) != b.u_minus:
-        raise RuntimeError(f"rewrite chain ends at {tuple(mono)}, not {b.u_minus}")
+    forest = _RewriteForest(gens, d)
+    forest.check_variables(b.nvars)
+    if b.is_zero:
+        return []
+    member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
+    nodes = member(_indices(b.u_plus), _indices(b.u_minus))
+    return None if nodes is None else forest.path(b.degree, b.nvars, *nodes)
 
 
 def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bool:
     """Membership of ``b`` in the binomial ideal of ``gens``, by rewriting.
 
-    A positive answer is replayed step by step before being returned, so
-    every True is backed by a concrete rewrite chain.  On generators that
-    are not degree-balanced a False only means "not found within bound".
+    True iff :func:`rewrite_chain` returns a chain, which it does only
+    after replaying each of its moves against ``gens``, so every True is
+    backed by a concrete rewrite chain.  On generators that are not
+    degree-balanced a False only means "not found within bound".
     """
-    chain = rewrite_chain(b, gens, d)
-    if chain is None:
-        return False
-    _replay_chain(b, _sparse_sides(gens), chain)
-    return True
+    return rewrite_chain(b, gens, d) is not None
 
 
 def membership_by_classes(b: Binomial, gens: Sequence[Binomial]) -> bool:
@@ -772,7 +742,7 @@ def certify_family(
         for degree, pairs in _kernel_binomials_by_degree(p, d):
             member = forest.members(degree, n, sides)
             for plus, minus in pairs:
-                if not member(plus, minus):
+                if member(plus, minus) is None:
                     witness = Binomial(_exponents(plus, n), _exponents(minus, n))
                     return CertificationVerdict(MISSING_IN_SUM, witness, d.max_degree), index
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None

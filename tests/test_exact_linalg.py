@@ -14,10 +14,7 @@ from toricsum import (
     LatticeBasis,
     RationalMatrix,
     determinant,
-    extend_to_basis,
     hermite_normal_form,
-    independent_rows,
-    inverse_and_clear,
     kernel_lattice,
     parametrization_from_lattice,
     rank,
@@ -25,6 +22,7 @@ from toricsum import (
     smith_normal_form,
     solve_row_rational,
 )
+from toricsum.exact_linalg import extend_to_basis, independent_rows, inverse_and_clear
 
 
 def assert_hnf_shape(h: IntegerMatrix):

@@ -1,5 +1,6 @@
 """Kernel enumeration, monomial rewriting, and sum certification."""
 
+import inspect
 import random
 import subprocess
 import sys
@@ -39,11 +40,10 @@ from toricsum import (
 )
 from toricsum import oracle
 from toricsum.oracle import (
+    _indices,
     _kernel_binomials_by_degree,
     _RewriteForest,
     _monomials_of_degree,
-    _pack,
-    _replay_chain,
     _sparse_sides,
     rewrite_chain,
 )
@@ -230,9 +230,45 @@ class ReferenceForest:
         return steps
 
 
-def chain_or_error(forest, b):
+def pack(mono, room, width):
+    """sum_i mono[i] * 2^(width * i), plus ``room`` in field ``len(mono)``: a packed monomial."""
+    packed = room
+    for x in reversed(mono):
+        packed = (packed << width) + x
+    return packed
+
+
+def replay_chain(b, gens, chain):
+    """Apply ``chain`` to ``b.u_plus`` move by move; it must end at ``b.u_minus``.
+
+    The checker of every chain the tests read: it reads the generators,
+    not the forest, and raises RuntimeError on a move whose divisor does
+    not divide the current monomial, or on a wrong endpoint.
+    """
+    mono = list(b.u_plus)
+    for step, (k, direction) in enumerate(chain):
+        plus, minus = gens[k].u_plus, gens[k].u_minus
+        take, give = (plus, minus) if direction == 1 else (minus, plus)
+        if any(m < x for m, x in zip(mono, take)):
+            raise RuntimeError(f"rewrite chain step {step} does not apply to {tuple(mono)}")
+        mono = [m - x + y for m, x, y in zip(mono, take, give)]
+    if tuple(mono) != b.u_minus:
+        raise RuntimeError(f"rewrite chain ends at {tuple(mono)}, not {b.u_minus}")
+
+
+def forest_chain(forest, gens, b):
+    """:func:`rewrite_chain`'s query and chain on ``forest``, whose trees outlive the call."""
+    forest.check_variables(b.nvars)
+    if b.is_zero:
+        return []
+    member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
+    nodes = member(_indices(b.u_plus), _indices(b.u_minus))
+    return None if nodes is None else forest.path(b.degree, b.nvars, *nodes)
+
+
+def chain_or_error(chain, b):
     try:
-        return forest.chain(b)
+        return chain(b)
     except ValueError as e:
         return f"ValueError: {e}"
 
@@ -645,19 +681,19 @@ class TestDegreeStream:
 
 class TestRewriteForest:
     def test_replay_rejects_corrupted_chains(self):
+        # the checker the chain tests below rely on
         vs = VariableSet.of("z1", "z2", "w1", "w2", "x")
         gens = [parse_binomial("z1*z2 - x^2", vs), parse_binomial("w1*w2 - x^2", vs)]
         b = parse_binomial("z1*z2 - w1*w2", vs)
         chain = rewrite_chain(b, gens, DegreeBound(3))
-        sides = _sparse_sides(gens)
-        _replay_chain(b, sides, chain)
+        replay_chain(b, gens, chain)
         (k, direction), rest = chain[0], chain[1:]
         with pytest.raises(RuntimeError, match="does not apply"):
-            _replay_chain(b, sides, [(k, -direction)] + rest)
+            replay_chain(b, gens, [(k, -direction)] + rest)
         with pytest.raises(RuntimeError, match="ends at"):
-            _replay_chain(b, sides, chain[:1])
+            replay_chain(b, gens, chain[:1])
         with pytest.raises(RuntimeError, match="ends at"):
-            _replay_chain(b, sides, [])
+            replay_chain(b, gens, [])
 
     def test_chain_is_shortest(self):
         rng = random.Random(79)
@@ -676,18 +712,18 @@ class TestRewriteForest:
             if chain is not None:
                 hits += 1
                 assert len(chain) == distance
-                _replay_chain(b, _sparse_sides(gens), chain)
+                replay_chain(b, gens, chain)
         assert hits > len(cases) // 2
 
     def test_chains_through_a_shared_root(self):
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
         forest = _RewriteForest(gens, DegreeBound(3))
         for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(3)):
-            _replay_chain(b, _sparse_sides(gens), forest.chain(b))
+            replay_chain(b, gens, forest_chain(forest, gens, b))
         vs = TWISTED_CUBIC.vars
-        assert forest.chain(parse_binomial("x0^2 - x1*x2", vs)) is None
+        assert forest_chain(forest, gens, parse_binomial("x0^2 - x1*x2", vs)) is None
         with pytest.raises(ValueError, match="different variable sets"):
-            forest.chain(Binomial.zero(3))
+            forest_chain(forest, gens, Binomial.zero(3))
 
     def test_certification_replays_against_the_generators(self, monkeypatch):
         # a forest whose move labels name the wrong generator for every move
@@ -752,7 +788,7 @@ class TestRewriteForest:
                 if chain is not None:
                     hits += len(chain) > 0
                     assert len(chain) == distance
-                    _replay_chain(b, _sparse_sides(gens), chain)
+                    replay_chain(b, gens, chain)
         assert (hits > 0) == any(not g.is_zero for g in gens)
 
 
@@ -772,12 +808,14 @@ class TestRewriteForest:
     def test_moves_above_the_cap_never_apply(self, slack):
         # Such a move's exponents need not fit a field.  Kept, it passed the
         # guard test on garbled divisors and grew a tree without bound, so
-        # the forest answers in a child process under a memory limit.
-        code = textwrap.dedent(f"""
+        # the forest answers in a child process under a memory limit, one
+        # shared forest per generator set and bound.
+        code = inspect.getsource(forest_chain) + textwrap.dedent(f"""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             from toricsum import Binomial, DegreeBound, VariableSet, parse_binomial
-            from toricsum.oracle import _RewriteForest, _monomials_of_degree
+            from toricsum.oracle import (_RewriteForest, _indices, _monomials_of_degree,
+                                         _sparse_sides)
             vs = VariableSet.of("x", "y", "z")
             monos = [m for e in range(5) for m in _monomials_of_degree(3, e)]
             for texts, zeros in {self.ABOVE_THE_CAP!r}:
@@ -786,7 +824,7 @@ class TestRewriteForest:
                     forest = _RewriteForest(gens, DegreeBound(degree, {slack}))
                     for i, m1 in enumerate(monos):
                         for m2 in monos[i:]:
-                            print(forest.chain(Binomial.from_pair(m1, m2)))
+                            print(forest_chain(forest, gens, Binomial.from_pair(m1, m2)))
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60)
@@ -806,7 +844,7 @@ class TestRewriteForest:
                         assert next(got) == repr(chain), (texts, degree, b)
                         if chain:
                             chains += 1
-                            _replay_chain(b, _sparse_sides(gens), chain)
+                            replay_chain(b, gens, chain)
         assert next(got, None) is None
         assert chains > 100
 
@@ -843,8 +881,8 @@ class TestRewriteForest:
                         if all(x >= y for x, y in zip(sides[1], a)):
                             sides[1] = [x - y + z for x, y, z in zip(sides[1], a, c)]
                 b = Binomial.from_pair(*sides)
-                got = chain_or_error(forest, b)
-                assert got == chain_or_error(reference, b), (gens, d, b)
+                got = chain_or_error(lambda b: forest_chain(forest, gens, b), b)
+                assert got == chain_or_error(reference.chain, b), (gens, d, b)
                 outcomes["error" if isinstance(got, str) else "none" if got is None
                          else "chain" if got else "empty"] += 1
         # every kind of answer occurs
@@ -852,11 +890,12 @@ class TestRewriteForest:
 
 
 def chain_replay_certify(inputs, d):
-    """:func:`certify_family` as it was before edge replay, kept as the reference.
+    """:func:`certify_family` by replaying whole chains, kept as the reference.
 
     The same distinct parts, generators first, then each part's kernel
-    list in order through one rewrite forest: every binomial's chain is
-    read from the forest and replayed move by move in full.
+    list in order through one tuple forest (:class:`ReferenceForest`,
+    which grows the packed forest's trees): every binomial's chain is
+    read from it and replayed move by move in full.
     """
     parts = {}
     for index, (p, gens) in enumerate(inputs):
@@ -866,12 +905,12 @@ def chain_replay_certify(inputs, d):
             if not contains_binomial(p, g):
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
     for (_, gens), (index, p) in parts.items():
-        forest = _RewriteForest(gens, d)
+        forest = ReferenceForest(gens, d)
         for b in enumerate_kernel_binomials(p, d):
             chain = forest.chain(b)
             if chain is None:
                 return CertificationVerdict(MISSING_IN_SUM, b, d.max_degree), index
-            _replay_chain(b, _sparse_sides(gens), chain)
+            replay_chain(b, gens, chain)
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None
 
 
@@ -897,7 +936,7 @@ def prefilled_trees(monkeypatch, corrupt):
         tree, width, guard, buckets = found = original(self, cap, nvars)
         if not tree:
             for mono in _monomials_of_degree(nvars, cap):
-                node = _pack(mono, 0, width)
+                node = pack(mono, 0, width)
                 if node not in tree:
                     _RewriteForest._explore(node, tree, guard, buckets)
             corrupt(tree)
@@ -917,6 +956,24 @@ class TestEdgeReplay:
     # whose every edge a corruption below may touch
     P, MINORS = rnc_minors(4)
 
+    def raises_from_every_entry_point(self, gens, message):
+        """Each public membership route, over the kernel list, raises RuntimeError ``message``.
+
+        A corruption must not slip through any of them: certification,
+        the returned chains, and the plain answers.
+        """
+        d = DegreeBound(3)
+        kernel = enumerate_kernel_binomials(self.P, d)
+        entry_points = {
+            "certify_family": lambda: certify_family([(self.P, gens)], d),
+            "rewrite_chain": lambda: [rewrite_chain(b, gens, d) for b in kernel],
+            "reduces_to_zero": lambda: [reduces_to_zero(b, gens, d) for b in kernel],
+        }
+        for name, entry in entry_points.items():
+            with pytest.raises(RuntimeError, match=message):
+                entry()
+                pytest.fail(f"{name} returned")
+
     def test_prefilled_trees_certify_alike(self, monkeypatch):
         # the proof needs no query side as a root: trees rooted elsewhere
         # give the same verdicts and witnesses
@@ -934,8 +991,7 @@ class TestEdgeReplay:
                 tree[node] = (root, root, move)
 
         prefilled_trees(monkeypatch, to_root)
-        with pytest.raises(RuntimeError, match="rewrite chain reaches"):
-            certify_family([(self.P, self.MINORS)], DegreeBound(3))
+        self.raises_from_every_entry_point(self.MINORS, "rewrite chain reaches")
 
     def test_parent_pointers_in_a_cycle_raise(self, monkeypatch):
         # a parent pointed back at its child through the reverse move: every
@@ -946,8 +1002,7 @@ class TestEdgeReplay:
                     tree[prev] = (root, node, move ^ 1)
 
         prefilled_trees(monkeypatch, loop)
-        with pytest.raises(RuntimeError, match="cycle of parent pointers"):
-            certify_family([(self.P, self.MINORS)], DegreeBound(3))
+        self.raises_from_every_entry_point(self.MINORS, "cycle of parent pointers")
 
     @pytest.mark.parametrize("relabel, message", [
         (lambda move: (move + 2) % 12, "rewrite chain"),
@@ -962,8 +1017,7 @@ class TestEdgeReplay:
                     tree[node] = (root, prev, relabel(move))
 
         prefilled_trees(monkeypatch, mislabel)
-        with pytest.raises(RuntimeError, match=message):
-            certify_family([(self.P, self.MINORS)], DegreeBound(3))
+        self.raises_from_every_entry_point(self.MINORS, message)
 
     def test_wrong_root_tag_raises(self, monkeypatch):
         # less one minor a fiber splits into two trees; tagged with one root,
@@ -973,8 +1027,7 @@ class TestEdgeReplay:
                 tree[node] = (0, prev, move)
 
         prefilled_trees(monkeypatch, one_tag)
-        with pytest.raises(RuntimeError, match="different roots"):
-            certify_family([(self.P, self.MINORS[1:])], DegreeBound(3))
+        self.raises_from_every_entry_point(self.MINORS[1:], "different roots")
 
     @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
     def test_matches_the_chain_replay_loop(self, tree):

@@ -28,9 +28,7 @@ from toricsum import (
     dimension,
     enumerate_kernel_binomials,
     evaluate,
-    extend_to_basis,
     homogeneity_certificate,
-    independent_rows,
     kernel_lattice,
     normalize_pin,
     parametrization_from_lattice,
@@ -39,6 +37,7 @@ from toricsum import (
     saturate_lattice,
     split_disjoint,
 )
+from toricsum.exact_linalg import extend_to_basis, independent_rows
 from toricsum.parametrization import _is_graded
 
 

@@ -35,7 +35,6 @@ from toricsum import (
     dimension,
     enumerate_kernel_binomials,
     homogeneity_certificate,
-    independent_rows,
     kernel_lattice,
     normalize_pin,
     relabel_binomial,
@@ -44,6 +43,7 @@ from toricsum import (
     sum_shared,
 )
 from toricsum.cli import format_ideal_block, parse_ideal_file
+from toricsum.exact_linalg import independent_rows
 
 
 def make(rows, var_names, param_names):
