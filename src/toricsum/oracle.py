@@ -9,10 +9,7 @@ Three independent routes into the same questions:
   product and no tuple is built per image.  The public list puts every
   degree in one map of buckets by image and pairs each member of a
   bucket with the bucket's minimum, reduced to disjoint supports,
-  building exponent tuples only for buckets of two or more.
-  Certification reads the binomials one degree at a time: on a graded
-  matrix each degree gets its own buckets, dropped once its binomials
-  are out, so no degree past the first failing one is built;
+  building exponent tuples only for buckets of two or more;
 * decide binomial-ideal membership by breadth-first monomial rewriting,
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
@@ -23,21 +20,24 @@ Three independent routes into the same questions:
   move is tested with one subtraction and applied with one addition.  A
   monomial tries only the moves indexed under its own variables, never
   the reverse of the move that reached it, and no move with a side above
-  the cap.  One query answers every membership, public or in a
-  certification, and it proves each True: the tree edges it relies on
-  are replayed against the generators, from both sides to one root, and
-  :func:`rewrite_chain` reads its chain from the parent pointers only
-  after that;
+  the cap.  One query answers every membership on the forest, public or
+  in the certification of an input without a grading, and it proves
+  each True: the tree edges it relies on are replayed against the
+  generators, from both sides to one root, and :func:`rewrite_chain`
+  reads its chain from the parent pointers only after that;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  A family is certified input by input in one loop
   (:func:`certify_family`), every input's generators before any kernel.
-  One forest per input serves its whole certification, and each
-  degree's trees are fetched once for all of that degree's binomials,
-  which stay pairs of variable-index tuples until one is a witness.
-  Every tree edge a query relies on is replayed once, against the
-  generators: each side walks up to the first node already verified,
-  and both sides must reach the same root.
+  An input with a grading is certified one degree at a time by fiber
+  components, with no search: the monomials of each fiber are joined
+  by shared variables and by that degree's generators, and a degree
+  with a split fiber stops the check before the next degree is grown
+  (:func:`_fiber_failure`).  Any other input gets one rewrite forest
+  for its whole certification: each degree's trees are fetched once
+  for all of that degree's binomials, which stay pairs of
+  variable-index tuples until one is a witness, and every tree edge a
+  query relies on is replayed once, against the generators.
 """
 
 from __future__ import annotations
@@ -177,7 +177,10 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     mix degrees x + g may pass the bound, and a reduced pair can be new.
 
     This is the whole list at once.  Certification reads the same
-    binomials one degree at a time from :func:`_kernel_binomials_by_degree`.
+    binomials one degree at a time: from
+    :func:`_kernel_binomials_by_degree` on a matrix without a grading, and
+    as the pairs of each degree's buckets on a graded one
+    (:func:`_fiber_failure`).
     """
     n = len(p.vars)
     # the degree-0 monomial shares its bucket with every monomial mapped to 0
@@ -222,51 +225,107 @@ def _kernel_binomials_by_degree(
 
     A binomial x^u - x^v is yielded as the pair of the variable indices
     of u and of v, each in increasing order (:data:`_Pair`).  A degree
-    with no binomial is skipped.  Concatenated, the
-    lists are that function's output, in its order.  A matrix without a
-    grading vector (one forward elimination decides whether there is one,
-    :func:`~toricsum.parametrization._is_graded`) may have buckets of mixed
-    degrees, so its whole list is built at once, as there, split by
-    degree, and each binomial turned into its pair.  With a grading omega
-    a monomial's degree is omega . A u, a function of its image, so every
-    bucket holds one degree and each degree's buckets are complete once
-    that degree's monomials are grown.  Each degree's layer from
-    :func:`_layers` is then put in buckets by image, read, emitted and
-    dropped before the next degree is grown, keeping only the layer the
-    next one grows from, and a reader that stops after degree e never
-    builds degree e + 1.  The pairs are the monomials' own index tuples,
-    so no exponent tuple is built, and a bucket's pairs share one tuple
-    for its representative.
+    with no binomial is skipped.  Concatenated, the lists are that
+    function's output, in its order: the whole list is built at once, as
+    there, split by degree, and each binomial turned into its pair.  A
+    matrix without a grading vector may have buckets of mixed degrees, so
+    certification reads its kernel from here; a graded one is certified
+    by fibers instead (:func:`_fiber_failure`).
+    """
+    for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
+        yield degree, [(_indices(b.u_plus), _indices(b.u_minus)) for b in group]
 
+
+def _check_variables(gens: Sequence[Binomial], nvars: int) -> None:
+    """Raise ValueError unless every nonzero generator has ``nvars`` variables."""
+    if any(g.nvars != nvars for g in gens if not g.is_zero):
+        raise ValueError("generators and binomial are over different variable sets")
+
+
+def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
+                   ) -> Optional[_Pair]:
+    """The first kernel pair of a graded ``p`` outside the ideal of ``gens``, or None.
+
+    ``p`` has a grading vector (:func:`~toricsum.parametrization._is_graded`),
+    so a monomial's degree is omega . A u, a function of its image: every
+    fiber, the monomials of one image, holds one degree, and is complete
+    once that degree's layer from :func:`_layers` is grown.  Every
+    generator lies in the kernel, so both of its sides lie in one fiber and
+    it is balanced.  A generator whose sides differ in degree, or one of
+    degree at most d whose sides differ in packed image
+    (:func:`_packed_columns`, exact up to degree d), breaks that premise
+    and raises RuntimeError.  Degree by degree, the layer
+    is put in buckets by image.  In a bucket of two or more, the member
+    variable sets and, for each generator of that image, one variable of
+    each side are merged into disjoint sets of variable indices, and the
+    set holding the representative's variables is grown until no member or
+    generator edge meets it without lying inside it.  A pair fails iff its
+    first side's variables miss that set.  A degree with a failing pair
+    returns its first one, so degree e + 1 is never grown.
+
+    The pairs and their order are those of :func:`_kernel_binomials_by_degree`.
     Within one degree, exponent-lex order is the reverse of index-lex
     order.  Take u != v of degree e and let j be the first variable where
     their exponents differ, say u_j > v_j.  Both index tuples start with
     the same c indices below j, and u's holds j at position c + v_j.  v's
     holds a larger index there: it has only c + v_j < c + u_j <= e indices
     up to j.  So u is exponent-larger and index-smaller.  The bucket's
-    exponent-lex minimum, its star representative, is therefore its last
-    member, and sorting a degree's binomials x^m - x^rep by m is sorting
-    m's index tuples in reverse.  A graded bucket holds one degree, so a
-    pair sharing a variable reduces to a lower bucket's disjoint pair (see
-    :func:`enumerate_kernel_binomials`), and only disjoint pairs are kept.
+    exponent-lex minimum, its star representative rep, is therefore its
+    last member, and the list sorts a degree's pairs (m, rep) by m's index
+    tuple in reverse, so the first failing pair is the largest.  A pair
+    sharing a variable with rep reduces to a lower degree's disjoint pair
+    (see :func:`enumerate_kernel_binomials`) and is not listed; it never
+    fails here either, as its sides share a set.
+
+    Let G be the generators.  Each x^a - x^b of a fiber of degree e is
+    checked only after every kernel binomial of degree below e is known to
+    lie in <G> (the pairs of those degrees generate their fibers).  Pass:
+    the classes of the fiber's monomials modulo <G> are joined by shared
+    variables and by degree-e generators.  If x^a = x_i x^a' and x^b = x_i
+    x^b', then x^a' - x^b' is a kernel binomial of degree e - 1, so
+    x_i (x^a' - x^b') lies in <G>; and g = x^u - x^v of degree e, with u and
+    v in the fiber, lies in <G> itself.  So monomials whose variables meet
+    one set are joined, by induction along the merges, and a passing pair
+    lies in <G>.  Fail: <G> in multidegree b, the fiber's image, is
+    spanned by the binomials x^c g with g = x^u - x^v in G and x^c x^u in
+    the fiber, since every x^c g is homogeneous for the grading by images.
+    With c != 1 both monomials of x^c g share c's variables; with c = 1, g
+    has degree e and is an edge of the bucket.  Either way both lie in one
+    set, so every element of <G> in that fiber has coefficients summing to
+    zero on the monomials of each set.  x^m - x^rep with m's variables
+    outside rep's set sums to 1 on m's set, so it is not in <G>.  Without
+    a search, each answer is that of the rewrite forest's search (exact
+    on balanced generators, with slack 0), and pairs come in its order, so
+    the witness is the same.
     """
-    if not _is_graded(p):
-        for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
-            yield degree, [(_indices(b.u_plus), _indices(b.u_minus)) for b in group]
-        return
-    for degree, layer in enumerate(_layers(p, d), 1):
-        found: list[_Pair] = []
-        for members in _by_image(layer, {}).values():
+    columns = _packed_columns(p, d)
+    joins: dict[int, list[set[int]]] = {}
+    for g, (plus, minus) in zip(gens, _sparse_sides(gens)):
+        if g.is_zero or g.is_balanced and g.degree > d.max_degree:
+            continue
+        image = sum(columns[i] * x for i, x in plus)
+        if not g.is_balanced or image != sum(columns[i] * x for i, x in minus):
+            raise RuntimeError(f"generator {g} has sides of different images")
+        joins.setdefault(image, []).append({plus[0][0], minus[0][0]})
+    for layer in _layers(p, d):
+        failing: list[_Pair] = []
+        for image, members in _by_image(layer, {}).items():
             if len(members) > 1:
                 # the last member is the exponent-lex minimum
-                rep, _ = members.pop()
-                rep_vars = set(rep)
-                for indices, _ in members:
-                    if rep_vars.isdisjoint(indices):
-                        found.append((indices, rep))
-        if found:
-            found.sort(reverse=True)
-            yield degree, found
+                rep = members[-1][0]
+                sides = [set(indices) for indices, _ in members]
+                edges = sides + joins.get(image, [])
+                reach, size = set(rep), 0
+                while size != len(reach):
+                    size = len(reach)
+                    for side in edges:
+                        if not reach.isdisjoint(side):
+                            reach |= side
+                failing += [(indices, rep) for (indices, _), side in zip(members, sides)
+                            if reach.isdisjoint(side)]
+        if failing:
+            return max(failing)
+    return None
 
 
 # (root, previous monomial, move), monomials packed; the root's own entry
@@ -338,7 +397,6 @@ class _RewriteForest:
 
     def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
         active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
-        self._nvars = {g.nvars for _, g in active}
         self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
         # no query of a certification under ``d`` has a higher cap, so one
         # packing of the moves serves all of its caps
@@ -384,11 +442,6 @@ class _RewriteForest:
             guard = sum(1 << width * i for i in range(nvars + 1)) << width - 1
             layer = self._layers[cap, nvars] = ({}, width, guard, buckets)
         return layer
-
-    def check_variables(self, nvars: int) -> None:
-        """Raise ValueError unless every nonzero generator has ``nvars`` variables."""
-        if self._nvars - {nvars}:
-            raise ValueError("generators and binomial are over different variable sets")
 
     def members(self, degree: int, nvars: int, sides: _Sides
                 ) -> Callable[[tuple[int, ...], tuple[int, ...]], Optional[tuple[int, int]]]:
@@ -546,8 +599,8 @@ def rewrite_chain(
     it is read from the parent pointers only after the query has replayed
     every one of its moves against ``gens``.
     """
+    _check_variables(gens, b.nvars)
     forest = _RewriteForest(gens, d)
-    forest.check_variables(b.nvars)
     if b.is_zero:
         return []
     member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
@@ -612,18 +665,17 @@ def certify_presentation(
     """Check both inclusions between a kernel and a generated ideal.
 
     First every generator must lie in the kernel of ``p``; then every
-    enumerated kernel binomial up to the degree bound must rewrite to zero
-    modulo the generators.  The first failure is returned as a witness.
-    One rewrite forest serves every binomial.  It keeps one map of
-    breadth-first trees per degree cap, so each connected component under
-    each cap is searched once; every tree edge a query relies on is
-    replayed once before it counts, on sparse sides built once from
-    ``gens`` rather than from the forest's move index
-    (:meth:`_RewriteForest.members`).  Kernel binomials are checked one
-    degree at a time, in the order of :func:`enumerate_kernel_binomials`,
-    so the witness is the first binomial of that list outside the ideal,
-    and a failure at degree e stops the check before degree e + 1 is
-    enumerated.  This is the one-input case of :func:`certify_family`.
+    enumerated kernel binomial up to the degree bound must lie in the
+    ideal of the generators.  The first failure is returned as a witness.
+    A ``p`` with a grading is checked by fiber components
+    (:func:`_fiber_failure`), any other through one rewrite forest, whose
+    every tree edge a query relies on is replayed once before it counts
+    (:func:`_forest_failure`).  Either way kernel binomials are checked
+    one degree at a time, in the order of
+    :func:`enumerate_kernel_binomials`, so the witness is the first
+    binomial of that list outside the ideal, and a failure at degree e
+    stops the check before degree e + 1 is built.  This is the one-input
+    case of :func:`certify_family`.
     """
     return certify_family([(p, gens)], d)[0]
 
@@ -646,28 +698,32 @@ def certify_family(
     it once.  A lone input is its own whole sum, as ``sum_family`` returns
     it unchanged, and an empty sum has no kernel binomial.  Every part's
     generators are tested against its own kernel first, in order, and only
-    then is any kernel enumerated: part by part, each kernel binomial up
-    to the degree bound must rewrite to zero modulo its part's generators,
-    through one rewrite forest per part, and every tree edge a query relies
-    on is replayed once, against the generators.  The
+    then is any kernel read: part by part, each kernel binomial up to the
+    degree bound must lie in the ideal of its part's generators.  The
     first failure is returned with the index in ``inputs`` of its part's
     first occurrence, over whose variables the witness is written; a pass
     has index None.
 
-    A part's kernel binomials are read from
-    :func:`_kernel_binomials_by_degree`, one degree e at a time, as pairs
-    of variable-index tuples; only a witness becomes a
+    A part's kernel binomials are pairs of variable-index tuples, one
+    degree e at a time, and only a witness becomes a
     :class:`~toricsum.binomials.Binomial`.  The variable count is checked
-    once per part, and cap e + slack's trees and packing are fetched once
-    per degree, for all of its pairs (:meth:`_RewriteForest.members`).
-    The stream yields the list of :func:`enumerate_kernel_binomials` in
-    its order, and whether a binomial has a chain depends only on whether
-    its two sides share a component under its cap, not on the queries
-    before it; the queries even come in the same order, so the trees are
-    those of checking the whole list.  So the first failure is that list's
-    first binomial outside the ideal, and returning there leaves every
-    later degree unbuilt.  A pass rests on moves of the generators
-    replayed from both sides to one root, each tree edge once.
+    once per part.  A part with a grading
+    (:func:`~toricsum.parametrization._is_graded`, one forward
+    elimination) is checked by fiber components, with no search and no
+    forest (:func:`_fiber_failure`, which proves that its answers are
+    exact).  Any other part is checked through one rewrite forest
+    (:func:`_forest_failure`): it reads
+    :func:`_kernel_binomials_by_degree`, and cap e + slack's trees and
+    packing are fetched once per degree, for all of its pairs
+    (:meth:`_RewriteForest.members`).  Whether a binomial has a chain
+    depends only on whether its two sides share a component under its
+    cap, not on the queries before it; the queries even come in the same
+    order, so the trees are those of checking the whole list.  A pass
+    there rests on moves of the generators replayed from both sides to
+    one root, each tree edge once.  Both routes take the pairs of
+    :func:`enumerate_kernel_binomials` in its order, so the first failure
+    is that list's first binomial outside the ideal, and returning there
+    leaves every later degree unbuilt.
 
     A pass means every kernel binomial of the sum up to degree d lies in
     the ideal of the union of the generators: the whole-sum check's
@@ -679,8 +735,8 @@ def certify_family(
     that each component's kernel binomials up to degree d lie in the ideal
     of its inputs' generators.  An isolated input, graded or not, is its
     own part, whose pass says exactly that: its enumerated binomials
-    generate every fiber up to degree d, and each is joined by replayed
-    moves.
+    generate every fiber up to degree d, and each lies in the ideal of its
+    generators, by the fiber argument or by replayed moves.
 
     A component of two or more inputs holds only homogeneous ones, or
     ``sum_family`` refuses them.  Take one edge, R_i = k[S_i] glued along
@@ -716,7 +772,9 @@ def certify_family(
     input's kernel is outside the sum's.  The whole-sum check tests the
     generators first, in input order, so they are tested here first too,
     and the first one outside its kernel is reported.  Otherwise part i
-    has a kernel binomial w that its search does not reach from G_i.  phi
+    has a kernel binomial w with no chain of G_i's moves under its cap: a
+    graded part's w lies outside the ideal of G_i, so no chain at all
+    joins its sides, and any other part's search does not reach it.  phi
     sends a variable to a variable or to 1, so it maps a monomial to one
     of no higher degree, a move by G_i to itself and a move by any other
     generator to standing still: a whole-sum chain joining w's sides
@@ -736,13 +794,29 @@ def certify_family(
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
     for (_, gens), (index, p) in parts.items():
         n = len(p.vars)
-        forest = _RewriteForest(gens, d)
-        forest.check_variables(n)
-        sides = _sparse_sides(gens)
-        for degree, pairs in _kernel_binomials_by_degree(p, d):
-            member = forest.members(degree, n, sides)
-            for plus, minus in pairs:
-                if member(plus, minus) is None:
-                    witness = Binomial(_exponents(plus, n), _exponents(minus, n))
-                    return CertificationVerdict(MISSING_IN_SUM, witness, d.max_degree), index
+        _check_variables(gens, n)
+        failing = (_fiber_failure if _is_graded(p) else _forest_failure)(p, gens, d)
+        if failing is not None:
+            witness = Binomial(_exponents(failing[0], n), _exponents(failing[1], n))
+            return CertificationVerdict(MISSING_IN_SUM, witness, d.max_degree), index
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None
+
+
+def _forest_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
+                    ) -> Optional[_Pair]:
+    """The first kernel pair of ``p`` with no rewrite chain modulo ``gens``, or None.
+
+    The pairs are read from :func:`_kernel_binomials_by_degree`, one
+    degree at a time, through one rewrite forest; cap e + slack's trees
+    and packing are fetched once per degree, for all of its pairs
+    (:meth:`_RewriteForest.members`), and every tree edge a query relies
+    on is replayed once, against the generators.
+    """
+    n = len(p.vars)
+    forest, sides = _RewriteForest(gens, d), _sparse_sides(gens)
+    for degree, pairs in _kernel_binomials_by_degree(p, d):
+        member = forest.members(degree, n, sides)
+        for pair in pairs:
+            if member(*pair) is None:
+                return pair
+    return None

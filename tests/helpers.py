@@ -21,6 +21,7 @@ from toricsum import (
     format_binomial,
     split_disjoint,
 )
+from toricsum import oracle
 from fractions import Fraction
 
 
@@ -208,3 +209,22 @@ def reference_row_reduce(rows: list[list[int]], ncols: int) -> tuple[list[int], 
         pivots.append(c)
         d = pv
     return pivots, d, sign
+
+
+def counting_certify(monkeypatch):
+    """Count the kernels certification reads, one per part, by their variable counts.
+
+    A graded part is certified by fibers and any other through the rewrite
+    forest, each route patched at the ``oracle`` module's binding; the
+    usage check in ``sums`` calls the public enumerator and is not counted.
+    """
+    calls = []
+    for name in ("_fiber_failure", "_forest_failure"):
+        real = getattr(oracle, name)
+
+        def counted(p, gens, d, real=real):
+            calls.append(len(p.vars))
+            return real(p, gens, d)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls

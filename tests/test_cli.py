@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    counting_certify,
     forest_family,
     random_homogeneous_parametrization,
     random_parametrization,
@@ -611,24 +612,6 @@ def family_text(blocks):
     return "\n".join(lines) + "\n"
 
 
-def counting_certify(monkeypatch):
-    """Count the kernels the CLI enumerates to certify, by their variable counts.
-
-    Every part reads its kernel binomials once from the degree stream,
-    graded or not, through the ``oracle`` module's binding; the usage check
-    in ``sums`` calls the public enumerator and is not counted.
-    """
-    calls = []
-    real = oracle._kernel_binomials_by_degree
-
-    def counted(p, d):
-        calls.append(len(p.vars))
-        return real(p, d)
-
-    monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", counted)
-    return calls
-
-
 def whole_sum_route(monkeypatch, argv, capsys):
     """Exit code and stdout of ``main(argv)`` checking the whole sum.
 
@@ -747,7 +730,7 @@ class TestCertifyByInput:
 
     def test_lone_input_is_eliminated_once(self, tmp_path, capsys, monkeypatch):
         # the printed sum of a 6-cubic path is one 7 x 19 ideal: the rank the
-        # report prints and the grading test of its degree stream read one
+        # report prints and the grading test of its certification read one
         # forward elimination of its matrix, not one each
         assert main(["sum", write(tmp_path, "path.ideal", CUBIC_PATH)]) == 0
         out = capsys.readouterr().out

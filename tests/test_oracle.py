@@ -10,6 +10,7 @@ from collections import Counter, deque
 import pytest
 
 from helpers import (
+    counting_certify,
     forest_family,
     quadric,
     random_homogeneous_parametrization,
@@ -40,6 +41,8 @@ from toricsum import (
 )
 from toricsum import oracle
 from toricsum.oracle import (
+    _check_variables,
+    _forest_failure,
     _indices,
     _kernel_binomials_by_degree,
     _RewriteForest,
@@ -156,6 +159,22 @@ def bfs_distance(b, gens, cap):
     return None
 
 
+def component(mono, gens, cap):
+    """The monomials joined to ``mono`` by rewrite moves of ``gens`` within degree ``cap``."""
+    seen = {mono}
+    queue = deque([mono])
+    while queue:
+        m = queue.popleft()
+        for g in gens:
+            for a, c in ((g.u_plus, g.u_minus), (g.u_minus, g.u_plus)):
+                if all(x >= y for x, y in zip(m, a)):
+                    image = tuple(x - y + z for x, y, z in zip(m, a, c))
+                    if sum(image) <= cap and image not in seen:
+                        seen.add(image)
+                        queue.append(image)
+    return seen
+
+
 class ReferenceForest:
     """The rewrite forest on exponent tuples, every move tried in index order.
 
@@ -258,7 +277,7 @@ def replay_chain(b, gens, chain):
 
 def forest_chain(forest, gens, b):
     """:func:`rewrite_chain`'s query and chain on ``forest``, whose trees outlive the call."""
-    forest.check_variables(b.nvars)
+    _check_variables(gens, b.nvars)
     if b.is_zero:
         return []
     member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
@@ -549,15 +568,8 @@ class TestCertifyFamily:
     def test_copies_enumerate_one_kernel(self, monkeypatch):
         # a quadric glued to the first of four twisted cubics: the cubics
         # share their matrix and generators, so one cubic kernel is
-        # enumerated, and a failure among them is reported at the first copy
-        calls = []
-        real = oracle._kernel_binomials_by_degree
-
-        def counted(p, d):
-            calls.append(len(p.vars))
-            return real(p, d)
-
-        monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", counted)
+        # read, and a failure among them is reported at the first copy
+        calls = counting_certify(monkeypatch)
         minors = [parse_binomial(t, TWISTED_CUBIC.vars)
                   for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
         q = quadric("z1", "z2", "a0")
@@ -659,21 +671,21 @@ class TestDegreeStream:
         assert min(graded[True], graded[False]) > 500
 
     def test_certification_stops_at_the_failing_degree(self, monkeypatch):
-        # the twisted cubic less one quadric fails at degree 2, so degrees 3
-        # and 4 are never built, and the witness is the one-shot list's first
-        # binomial outside the generators' ideal
+        # the twisted cubic less one quadric fails at degree 2, so the
+        # monomials of degrees 3 and 4 are never grown, and the witness is
+        # the one-shot list's first binomial outside the generators' ideal
+        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))[1:]
         read = []
-        real = oracle._kernel_binomials_by_degree
+        real = oracle._layers
 
         def recording(p, d):
-            for degree, binomials in real(p, d):
-                read.append(degree)
-                yield degree, binomials
+            for layer in real(p, d):
+                read.append(len(layer[0][0]))
+                yield layer
 
-        monkeypatch.setattr(oracle, "_kernel_binomials_by_degree", recording)
-        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))[1:]
+        monkeypatch.setattr(oracle, "_layers", recording)
         verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
-        assert read == [2]
+        assert read == [1, 2]
         expected = next(b for b in one_shot_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
                         if not membership_by_classes(b, gens))
         assert (verdict.status, verdict.witness) == (MISSING_IN_SUM, expected)
@@ -727,36 +739,48 @@ class TestRewriteForest:
 
     def test_certification_replays_against_the_generators(self, monkeypatch):
         # a forest whose move labels name the wrong generator for every move
-        # still finds each chain, but the replay reads the generators themselves
+        # still finds each chain, but the replay reads the generators
+        # themselves; the curve (2, 3) has no grading, so it is certified on
+        # the forest
         original = _RewriteForest.__init__
 
         def mislabelled(self, gens, d):
             original(self, list(gens[1:]) + list(gens[:1]), d)
 
         monkeypatch.setattr(_RewriteForest, "__init__", mislabelled)
-        gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
         with pytest.raises(RuntimeError, match="rewrite chain"):
-            certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
+            certify_presentation(CURVE_23, CURVE_23_GENS, DegreeBound(3))
 
     def test_certification_explores_each_component_once(self, monkeypatch):
-        explored = []
-        original = _RewriteForest._explore
+        explored, forests = [], []
+        original, init = _RewriteForest._explore, _RewriteForest.__init__
 
         def recording(*args):
             explored.append(args)
             original(*args)
 
+        def counted(self, gens, d):
+            forests.append(gens)
+            init(self, gens, d)
+
         monkeypatch.setattr(_RewriteForest, "_explore", staticmethod(recording))
+        monkeypatch.setattr(_RewriteForest, "__init__", counted)
+        # a graded part is certified by fibers: no forest, no tree
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
-        verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
-        assert verdict.status == EQUAL_UP_TO_DEGREE
-        # the presentation is complete, so each fiber is one component, and
-        # every fiber holds the first side of some enumerated binomial
-        fibers = {
-            (b.degree, evaluate(TWISTED_CUBIC, b.u_plus))
-            for b in enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
-        }
-        assert len(explored) == len(fibers)
+        for gs, status in ((gens, EQUAL_UP_TO_DEGREE), (gens[1:], MISSING_IN_SUM)):
+            assert certify_presentation(TWISTED_CUBIC, gs, DegreeBound(4)).status == status
+        assert (forests, explored) == ([], [])
+        # the curve (2, 3) has no grading; its generators are its whole
+        # kernel list up to degree 2, which certifies it up to degree 4
+        # with slack 2.  One tree is explored per component, under its
+        # query's cap, that holds the first side of a listed binomial
+        gens = enumerate_kernel_binomials(CURVE_23, DegreeBound(2))
+        d = DegreeBound(4)
+        assert certify_presentation(CURVE_23, gens, d).status == EQUAL_UP_TO_DEGREE
+        components = {(b.degree, frozenset(component(b.u_plus, gens, b.degree + d.search_slack)))
+                      for b in enumerate_kernel_binomials(CURVE_23, d)}
+        assert len(forests) == 1
+        assert len(explored) == len(components) > 1
 
     # generator sets the homogeneous helper never produces: constant
     # divisors, repeated variables, zero generators and no generators
@@ -814,8 +838,8 @@ class TestRewriteForest:
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             from toricsum import Binomial, DegreeBound, VariableSet, parse_binomial
-            from toricsum.oracle import (_RewriteForest, _indices, _monomials_of_degree,
-                                         _sparse_sides)
+            from toricsum.oracle import (_RewriteForest, _check_variables, _indices,
+                                         _monomials_of_degree, _sparse_sides)
             vs = VariableSet.of("x", "y", "z")
             monos = [m for e in range(5) for m in _monomials_of_degree(3, e)]
             for texts, zeros in {self.ABOVE_THE_CAP!r}:
@@ -914,11 +938,18 @@ def chain_replay_certify(inputs, d):
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None
 
 
-def rnc_minors(n):
-    """The rational normal curve of degree n and its 2x2 minors."""
+def rnc_minors(n, ungraded=False):
+    """The rational normal curve of degree n and its 2x2 minors.
+
+    With ``ungraded`` a last variable z -> s joins.  Then the matrix has
+    no grading, and its first kernel binomial outside the curve's own is
+    y0 - z^n, of degree n.
+    """
     names = tuple(f"y{i}" for i in range(n + 1))
-    p = Parametrization(VariableSet.of("s", "t"), VariableSet(names),
-                        IntegerMatrix.from_rows([[n - i for i in range(n + 1)], list(range(n + 1))]))
+    rows = [[n - i for i in range(n + 1)], list(range(n + 1))]
+    if ungraded:
+        names, rows = names + ("z",), [rows[0] + [1], rows[1] + [0]]
+    p = Parametrization(VariableSet.of("s", "t"), VariableSet(names), IntegerMatrix.from_rows(rows))
     return p, [parse_binomial(f"{names[i]}*{names[j + 1]} - {names[i + 1]}*{names[j]}", p.vars)
                for i in range(n) for j in range(i + 1, n)]
 
@@ -952,9 +983,11 @@ def below_depth_one(tree):
 
 
 class TestEdgeReplay:
-    # RNC(4) and its six minors at degree 3: trees of depth two and more,
-    # whose every edge a corruption below may touch
-    P, MINORS = rnc_minors(4)
+    # RNC(4) and its six minors at degree 3, with z -> s, so every route,
+    # certification too, runs on the rewrite forest: below degree 4 the
+    # kernel binomials are the curve's, whose trees reach depth two and
+    # more, and a corruption below may touch every edge
+    P, MINORS = rnc_minors(4, ungraded=True)
 
     def raises_from_every_entry_point(self, gens, message):
         """Each public membership route, over the kernel list, raises RuntimeError ``message``.
@@ -1106,3 +1139,99 @@ class TestCertifyAgainstReference:
             verdict = certify_presentation(p, gens, DegreeBound(4))
             assert verdict.status == MISSING_IN_SUM
             assert (verdict.status, verdict.witness) == reference_certify(p, gens, 4, 2)
+
+
+def graded_parts(rng, count):
+    """``count`` random graded parts (p, generators, bound) for the fiber route.
+
+    Half of the matrices repeat a column, so degree-1 kernel binomials
+    occur.  The generators are a random 80% of the kernel list up to one
+    degree above the bound, so some lie above it.
+    """
+    parts = []
+    for _ in range(count):
+        p = random_homogeneous_parametrization(rng, max_params=3, max_vars=5)
+        if rng.random() < 0.5:
+            rows = [list(row) for row in p.matrix.entries]
+            j = rng.randrange(len(p.vars))
+            p = Parametrization(p.params, VariableSet(p.vars.names + ("r",)),
+                                IntegerMatrix.from_rows([row + [row[j]] for row in rows]))
+        degree = rng.randint(1, 3)
+        gens = [g for g in enumerate_kernel_binomials(p, DegreeBound(degree + 1))
+                if rng.random() < 0.8]
+        parts.append((p, gens, DegreeBound(degree, rng.randint(0, 2))))
+    return parts
+
+
+def first_outside_by_classes(p, gens, d):
+    """The first pair of the kernel list whose binomial is outside the ideal of ``gens``.
+
+    Membership by union-find over every monomial of the binomial's degree
+    (:func:`membership_by_classes`), which shares no code with the fiber
+    route.
+    """
+    for _, pairs in _kernel_binomials_by_degree(p, d):
+        for pair in pairs:
+            if not membership_by_classes(pair_binomial(pair, len(p.vars)), gens):
+                return pair
+    return None
+
+
+class TestFiberRoute:
+    def test_matches_membership_by_classes(self):
+        # the first failing pair, degree-1 generators, generators above the
+        # bound, passes and failures all occur
+        seen = Counter()
+        for p, gens, d in graded_parts(random.Random(101), 200):
+            got = oracle._fiber_failure(p, gens, d)
+            assert got == first_outside_by_classes(p, gens, d), (p, gens, d)
+            seen["fail" if got else "pass"] += 1
+            seen["degree 1"] += any(g.degree == 1 for g in gens)
+            seen["above the bound"] += any(g.degree > d.max_degree for g in gens)
+        assert min(seen.values()) > 20, seen
+
+    def test_matches_the_chain_replay_loop(self):
+        # verdict, witness and index are those of replaying every chain of
+        # the tuple forest in full
+        statuses = Counter()
+        for p, gens, d in graded_parts(random.Random(103), 200):
+            got = certify_family([(p, gens)], d)
+            assert got == chain_replay_certify([(p, gens)], d), (p, gens, d)
+            statuses[got[0].status] += 1
+        assert statuses[EQUAL_UP_TO_DEGREE] > 20 and statuses[MISSING_IN_SUM] > 20
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_rational_normal_curve_less_each_minor(self, n):
+        # the witness is the rewrite forest's, whichever minor is dropped
+        p, minors = rnc_minors(n)
+        d = DegreeBound(4)
+        assert certify_family([(p, minors)], d) == (CertificationVerdict(EQUAL_UP_TO_DEGREE, None, 4), None)
+        for k in range(len(minors)):
+            gens = minors[:k] + minors[k + 1:]
+            verdict, index = certify_family([(p, gens)], d)
+            assert (verdict.status, index) == (MISSING_IN_SUM, 0)
+            assert verdict.witness == pair_binomial(_forest_failure(p, gens, d), n + 1)
+
+    def test_generator_outside_the_kernel_raises(self, monkeypatch):
+        # kernel membership is tested first; accepted anyway, a generator
+        # whose sides differ in image or in degree breaks the fiber route's
+        # premise, and it says so rather than answering
+        monkeypatch.setattr(oracle, "contains_binomial", lambda p, g: True)
+        vs = TWISTED_CUBIC.vars
+        minors = [parse_binomial(t, vs) for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
+        for text in ("x0 - x1", "x0*x3 - x1^2", "x0*x3 - x1"):
+            with pytest.raises(RuntimeError, match="sides of different images"):
+                certify_presentation(TWISTED_CUBIC, minors + [parse_binomial(text, vs)],
+                                     DegreeBound(3))
+
+    def test_generators_over_another_variable_set_raise(self, monkeypatch):
+        gens = [parse_binomial("x0*x2 - x1^2", TWISTED_CUBIC.vars), Binomial.zero(2),
+                parse_binomial("a*c - b^2", VariableSet.of("a", "b", "c"))]
+        with pytest.raises(ValueError, match="different variable set"):
+            certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
+        # past the kernel test, the fiber route checks the variable count too
+        monkeypatch.setattr(oracle, "contains_binomial", lambda p, g: True)
+        with pytest.raises(ValueError, match="different variable sets"):
+            certify_presentation(TWISTED_CUBIC, gens, DegreeBound(3))
+        # and, as on the forest, skips a zero generator over any count
+        assert certify_presentation(TWISTED_CUBIC, gens[:2], DegreeBound(3)).status == MISSING_IN_SUM
