@@ -14,17 +14,16 @@ Three independent routes into the same questions:
   exact on degree-balanced generators and degree-capped otherwise.  Moves
   are reversible, so the monomials reachable from one another within a
   degree cap form connected components; a rewrite forest explores each
-  component once, as one breadth-first tree, and answers every query on
-  it by comparing roots.  Under a cap each monomial is one int of
-  guarded bit fields, its exponents and its room below the cap, so a
-  move is tested with one subtraction and applied with one addition.  A
-  monomial tries only the moves indexed under its own variables, never
-  the reverse of the move that reached it, and no move with a side above
-  the cap.  One query answers every membership on the forest, public or
-  in the certification of an input without a grading, and it proves
-  each True: the tree edges it relies on are replayed against the
-  generators, from both sides to one root, and :func:`rewrite_chain`
-  reads its chain from the parent pointers only after that;
+  component once, as one breadth-first tree of exponent tuples, and
+  answers every query on it by comparing roots.  A monomial tries only
+  the moves indexed under its own variables, then those with a constant
+  divisor, and a move applies iff its divisor divides the monomial and
+  its image stays under the cap.  One query answers every membership on
+  the forest, public or in the certification of an input without a
+  grading, and it proves each True: the tree edges it relies on are
+  replayed against the generators, from both sides to one root, and
+  :func:`rewrite_chain` reads its chain from the parent pointers only
+  after that;
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  A family is certified input by input in one loop
@@ -34,10 +33,11 @@ Three independent routes into the same questions:
   by shared variables and by that degree's generators, and a degree
   with a split fiber stops the check before the next degree is grown
   (:func:`_fiber_failure`).  Any other input gets one rewrite forest
-  for its whole certification: each degree's trees are fetched once
-  for all of that degree's binomials, which stay pairs of
-  variable-index tuples until one is a witness, and every tree edge a
-  query relies on is replayed once, against the generators.
+  for its whole certification: its kernel list is built up to the bound
+  first, as a bucket of mixed degrees may reduce to a lower degree, then
+  each degree's trees are fetched once for all of that degree's
+  binomials, and every tree edge a query relies on is replayed once,
+  against the generators.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .binomials import Binomial, Monomial
@@ -208,32 +208,28 @@ def _exponents(indices: Sequence[int], nvars: int) -> Monomial:
     return tuple(mono)
 
 
-# A kernel pair of the degree stream: the two sides' variable indices, in
+# A kernel pair of the fiber route: the two sides' variable indices, in
 # increasing order.
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _indices(mono: Monomial) -> tuple[int, ...]:
-    """The variable indices of ``mono``, each repeated by its exponent, in increasing order."""
-    return tuple(i for i, x in enumerate(mono) for _ in range(x))
-
-
 def _kernel_binomials_by_degree(
     p: Parametrization, d: DegreeBound
-) -> Iterator[tuple[int, list[_Pair]]]:
+) -> Iterator[tuple[int, list[Binomial]]]:
     """:func:`enumerate_kernel_binomials` as (e, its binomials of degree e), e = 1..d.
 
-    A binomial x^u - x^v is yielded as the pair of the variable indices
-    of u and of v, each in increasing order (:data:`_Pair`).  A degree
-    with no binomial is skipped.  Concatenated, the lists are that
-    function's output, in its order: the whole list is built at once, as
-    there, split by degree, and each binomial turned into its pair.  A
-    matrix without a grading vector may have buckets of mixed degrees, so
-    certification reads its kernel from here; a graded one is certified
-    by fibers instead (:func:`_fiber_failure`).
+    A degree with no binomial is skipped.  Concatenated, the lists are
+    that function's output, in its order.  The whole list is built at
+    once, as there, before the first degree is yielded: a bucket of mixed
+    degrees may pair a member of degree up to d with its minimum and
+    reduce the pair to a lower degree, so no degree's list is known until
+    every layer up to d is bucketed.  A matrix without a grading vector
+    may have such buckets, so certification reads its kernel from here; a
+    graded one is certified by fibers instead (:func:`_fiber_failure`),
+    whose buckets each hold one degree.
     """
     for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
-        yield degree, [(_indices(b.u_plus), _indices(b.u_minus)) for b in group]
+        yield degree, list(group)
 
 
 def _check_variables(gens: Sequence[Binomial], nvars: int) -> None:
@@ -328,18 +324,12 @@ def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
     return None
 
 
-# (root, previous monomial, move), monomials packed; the root's own entry
-# has no previous monomial and move -1.  Move 2k replaces generator k's
-# u_plus by its u_minus, and move 2k + 1 is its reverse.
-_TreeEntry = tuple[int, Optional[int], int]
-# (packed divisor, packed change, move)
-_Move = tuple[int, int, int]
+# (root, parent, move) of a tree node; the root's own entry has no parent
+# and move -1.  Move 2k replaces generator k's u_plus by its u_minus, and
+# move 2k + 1 is its reverse.
+_TreeEntry = tuple[Monomial, Optional[Monomial], int]
 # each generator's (u_plus, u_minus) as (variable, exponent) pairs
 _Sides = Sequence[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
-# one degree cap's trees, with its field width, guard mask and moves: one
-# (support mask, moves) bucket per first divisor variable, then the moves
-# with a constant divisor under mask -1
-_Layer = tuple[dict[int, _TreeEntry], int, int, list[tuple[int, list[_Move]]]]
 
 
 def _sparse_sides(gens: Sequence[Binomial]) -> _Sides:
@@ -360,146 +350,80 @@ class _RewriteForest:
     generators the cap is the degree of the query and the search is exact
     for its graded piece; otherwise the cap adds ``d.search_slack``.
 
-    Under cap c a monomial m over n variables is one int: field i < n
-    holds m_i and field n holds the room c - deg m, each field w bits
-    wide with 2^(w-1) > c (w = bit_length(C) + 1 for the larger C of c
-    and the highest cap a certification under ``d`` asks, so all of its
-    caps share one packing of the moves).  Every field value lies in
-    [0, c], so the top bit of each field, its guard bit, is clear; G is
-    the mask of all n + 1 guard bits.  A move from side a to side b, of
-    degree change s = deg b - deg a, packs its divisor D as a with
-    max(s, 0) in the room field, and its change as b - a with -s there.
-    The moves are packed from the generators' (variable, exponent) sides,
-    built once, so packing a move costs one shift per variable of its
-    sides, not one per variable of the ring.
-
-    D applies to m iff ((m | G) - D) & G == G.  Field i of m | G is
-    2^(w-1) + m_i, at least 2^(w-1) and below 2^w, and field i of D is
-    at most c < 2^(w-1), so no field borrows from the next one, and field
-    i of the difference is 2^(w-1) + m_i - D_i, whose guard bit is set
-    iff m_i >= D_i.  On the exponents that is a | m, and on the room it is
-    s <= c - deg m: the two tests a move needs.  The image is m + change,
-    whose fields are the image's exponents and its room, again in [0, c].
-    A move whose divisor or image side has degree above c is dropped from
-    cap c's buckets: it can never apply, since a divisor of m has degree
-    at most deg m <= c and an image has degree at least deg b, and its
-    exponents might not fit a field, which would break the guard test.
-
-    Moves are indexed by the first variable of their divisor: a monomial
-    tries the buckets of the variables in its support, in variable order,
-    then the moves with a constant divisor.  It skips the reverse of the
-    move that reached it, which always applies and leads back to the
-    monomial's parent, already in the tree.  Neither that skip nor the
-    dropped moves change which move first reaches a monomial, so the
-    trees, and the chains :meth:`path` reads from them, are those of
-    trying every indexed move in the same order.
+    A node is a monomial's exponent tuple.  Moves are bucketed by the
+    first variable of their divisor, in variable order, each bucket in
+    move order, and the moves with a constant divisor come last.  A node
+    tries the buckets of the variables in its support, in that order, then
+    the constant-divisor moves; a move applies iff its divisor divides
+    the node and its image stays under the cap, and an image not yet in
+    the tree joins it with the node as its parent.  A move of a bucket the
+    node skips has a divisor the node does not have, so each tree is the
+    breadth-first tree of trying every move in bucket order, and the
+    chains :meth:`path` reads from it are determined by that order.
     """
 
     def __init__(self, gens: Sequence[Binomial], d: DegreeBound) -> None:
         active = [(k, g) for k, g in enumerate(gens) if not g.is_zero]
         self._slack = 0 if all(g.is_balanced for _, g in active) else d.search_slack
-        # no query of a certification under ``d`` has a higher cap, so one
-        # packing of the moves serves all of its caps
-        self._bound = d.max_degree + self._slack
         sides = _sparse_sides(gens)
-        # (higher side degree, degree change, divisor side, image side, move)
-        self._moves: list[tuple[int, int, tuple, tuple, int]] = []
+        # first divisor variable, or the variable count for a constant
+        # divisor -> (divisor, degree change, exponent change, move) per move
+        buckets: dict[int, list[tuple[tuple[tuple[int, int], ...], int, Monomial, int]]] = {}
         for k, g in active:
-            plus, minus = sides[k]
-            up, down = sum(g.u_plus), sum(g.u_minus)
-            top = max(up, down)
-            self._moves += ((top, down - up, plus, minus, 2 * k),
-                            (top, up - down, minus, plus, 2 * k + 1))
-        # (field width, variable count) -> (higher side degree, first divisor variable, move)
-        self._packed: dict[tuple[int, int], list[tuple[int, int, _Move]]] = {}
-        self._layers: dict[tuple[int, int], _Layer] = {}
+            for move, a, b, divisor in ((2 * k, g.u_plus, g.u_minus, sides[k][0]),
+                                        (2 * k + 1, g.u_minus, g.u_plus, sides[k][1])):
+                change = tuple(map(sub, b, a))
+                buckets.setdefault(divisor[0][0] if divisor else g.nvars, []).append(
+                    (divisor, sum(change), change, move))
+        self._buckets = sorted(buckets.items())
+        # cap -> the trees of that cap
+        self._trees: dict[int, dict[Monomial, _TreeEntry]] = {}
 
-    def _layer(self, cap: int, nvars: int) -> _Layer:
-        """The trees of ``cap`` with their packing, built on first use."""
-        layer = self._layers.get((cap, nvars))
-        if layer is None:
-            width = max(cap, self._bound).bit_length() + 1
-            packed = self._packed.get((width, nvars))
-            if packed is None:
-                room = width * nvars
-                packed = self._packed[width, nvars] = []
-                for top, step, a, b, move in self._moves:
-                    taken = given = 0
-                    for i, x in a:
-                        taken += x << width * i
-                    for i, x in b:
-                        given += x << width * i
-                    divisor = taken + (max(step, 0) << room)
-                    change = given - taken - (step << room)
-                    packed.append((top, a[0][0] if a else nvars, (divisor, change, move)))
-            by_var: dict[int, list[_Move]] = {}
-            for top, first, move in packed:
-                if top <= cap:
-                    by_var.setdefault(first, []).append(move)
-            field = (1 << width - 1) - 1
-            buckets = [(field << width * i if i < nvars else -1, moves)
-                       for i, moves in sorted(by_var.items())]
-            guard = sum(1 << width * i for i in range(nvars + 1)) << width - 1
-            layer = self._layers[cap, nvars] = ({}, width, guard, buckets)
-        return layer
+    def members(self, degree: int, sides: _Sides) -> Callable[[Monomial, Monomial], bool]:
+        """Membership of the kernel binomials of ``degree``, given by their two sides.
 
-    def members(self, degree: int, nvars: int, sides: _Sides
-                ) -> Callable[[tuple[int, ...], tuple[int, ...]], Optional[tuple[int, int]]]:
-        """Membership of the kernel pairs of ``degree`` over ``nvars`` variables.
+        The returned query takes the exponents of a binomial's two sides,
+        ``degree`` its larger side's degree.  It answers True when both lie
+        in one tree under cap ``degree`` + slack, so :meth:`path` can read a
+        chain between them, and False otherwise.  The variable count is the
+        caller's to check.
 
-        The returned query takes a pair of the degree stream (each side's
-        variable indices, :data:`_Pair`) with ``degree`` its larger side's
-        degree.  It returns the two sides' tree nodes when both lie in one
-        tree under cap ``degree`` + slack, for :meth:`path`, and None
-        otherwise.  The cap's trees and packing are fetched once, and a
-        side is packed from its indices; a bucket representative, shared
-        by many pairs, once.  The variable count is the caller's to check.
-
-        An answer of nodes is proved, not read off the trees.  ``sides`` is
+        A True is proved, not read off the trees.  ``sides`` is
         :func:`_sparse_sides` of the generators, not the forest's move
-        table.  From each side of a pair the query walks up the parent
-        pointers to the first node already verified, undoing on the way
-        each move that reached a node, as the move's generator in ``sides``
-        says, and then checks that the exponents reached are those
-        recorded for that node; a walk that reaches a node without a
-        parent records it as its root.  Every node passed is recorded with
-        the exponents reached there and the walk's root.  By induction each
-        recorded node's exponents are joined to its root's by replayed
-        moves, so when both walks end at the same root node, reached by
-        the parent pointers and not by the root tags, the two sides are
-        joined through it and the binomial lies in the ideal of the
-        generators.  Each tree edge is replayed at most once per call of
-        this method; a certification calls it once per degree, so once per
-        cap.  A move that does not apply, exponents that differ from the
-        record, a walk longer than the tree or two different roots raise
-        RuntimeError.
+        table.  From each side of a binomial the query walks up the parent
+        pointers to the first node already verified or to a node without a
+        parent, its root.  On every edge it undoes the move that reached
+        the node, as the move's generator in ``sides`` says, and checks
+        that the exponents reached are the parent's.  Every node passed is
+        recorded with the walk's root.  By induction each recorded node is
+        joined to its root by replayed moves, so when both walks end at the
+        same root, reached by the parent pointers and not by the root tags,
+        the two sides are joined through it and the binomial lies in the
+        ideal of the generators.  Each tree edge is replayed at most once
+        per call of this method; a certification calls it once per degree,
+        so once per cap.  A move that does not apply, exponents that differ
+        from the parent, a walk longer than the tree or two different roots
+        raise RuntimeError.
         """
         cap = degree + self._slack
-        tree, width, guard, buckets = self._layer(cap, nvars)
-        explore = self._explore
-        # a monomial packs as the empty monomial's cap << room plus, per
-        # index i, one in field i and minus one in the room field
-        room = width * nvars
-        empty = cap << room
-        terms = [(1 << width * i) - (1 << room) for i in range(nvars)]
+        tree = self._trees.setdefault(cap, {})
         # move 2k replaces generator k's u_plus by its u_minus, and move
         # 2k + 1 is its reverse: undoing a move loses the side it gave
         undoes = {2 * k + reverse: (give, take)
                   for k, pair in enumerate(sides)
                   for reverse, (take, give) in enumerate((pair, pair[::-1]))}
-        targets: dict[tuple[int, ...], tuple[int, Monomial]] = {}
-        # node -> (exponents replayed to it, its root)
-        verified: dict[int, tuple[Monomial, int]] = {}
+        # node -> its root, once every edge between them is replayed
+        verified: dict[Monomial, Monomial] = {}
 
-        def walk(node: int, mono: Monomial) -> int:
+        def walk(node: Monomial) -> Monomial:
             """The root of ``node``, replaying every unverified edge on the way up."""
             path = []
-            current = list(mono)
-            known = verified.get(node)
-            while known is None:
-                path.append((node, mono))
+            root = verified.get(node)
+            while root is None:
+                path.append(node)
                 _, prev, move = tree[node]
                 if prev is None:
+                    root = node
                     break
                 if len(path) > len(tree):
                     raise RuntimeError("rewrite chain walks a cycle of parent pointers")
@@ -507,52 +431,41 @@ class _RewriteForest:
                 if undo is None:
                     raise RuntimeError(f"rewrite chain move {move} names no generator")
                 lose, gain = undo
+                current = list(node)
                 for i, x in lose:
                     if current[i] < x:
-                        raise RuntimeError(
-                            f"rewrite chain step does not apply to {tuple(current)}")
-                for i, x in lose:
+                        raise RuntimeError(f"rewrite chain step does not apply to {node}")
                     current[i] -= x
                 for i, x in gain:
                     current[i] += x
-                node, mono = prev, tuple(current)
-                known = verified.get(node)
-            if known is None:
-                root = node
-            else:
-                recorded, root = known
-                if recorded != mono:
-                    raise RuntimeError(f"rewrite chain reaches {mono}, not {recorded}")
-            for entry in path:
-                verified[entry[0]] = (entry[1], root)
+                if tuple(current) != prev:
+                    raise RuntimeError(f"rewrite chain reaches {tuple(current)}, not {prev}")
+                node = prev
+                root = verified.get(node)
+            for passed in path:
+                verified[passed] = root
             return root
 
-        def member(plus: tuple[int, ...], minus: tuple[int, ...]) -> Optional[tuple[int, int]]:
-            start = empty + sum(map(terms.__getitem__, plus))
-            cached = targets.get(minus)
-            if cached is None:
-                cached = targets[minus] = (empty + sum(map(terms.__getitem__, minus)),
-                                           _exponents(minus, nvars))
-            target = cached[0]
-            if start not in tree:
-                explore(start, tree, guard, buckets)
-            entry = tree.get(target)
-            if entry is None or entry[0] != tree[start][0]:
-                return None
-            if walk(start, _exponents(plus, nvars)) != walk(target, cached[1]):
+        def member(plus: Monomial, minus: Monomial) -> bool:
+            if plus not in tree:
+                self._explore(plus, tree, cap)
+            entry = tree.get(minus)
+            if entry is None or entry[0] != tree[plus][0]:
+                return False
+            if walk(plus) != walk(minus):
                 raise RuntimeError("rewrite chain sides reach different roots")
-            return start, target
+            return True
 
         return member
 
-    def path(self, degree: int, nvars: int, start: int, target: int) -> list[tuple[int, int]]:
-        """(generator index, direction) steps from node ``start`` to node ``target``.
+    def path(self, degree: int, start: Monomial, target: Monomial) -> list[tuple[int, int]]:
+        """(generator index, direction) steps from ``start`` to ``target``.
 
-        The nodes are a pair that :meth:`members` proved for ``degree``
-        over ``nvars`` variables, so both parent-pointer paths end at one
-        root: the steps climb from ``start`` to it and descend to ``target``.
+        The two are a binomial's sides that :meth:`members` proved for
+        ``degree``, so both parent-pointer paths end at one root: the steps
+        climb from ``start`` to it and descend to ``target``.
         """
-        tree = self._layer(degree + self._slack, nvars)[0]
+        tree = self._trees[degree + self._slack]
         up: list[tuple[int, int]] = []
         down: list[tuple[int, int]] = []
         for node, steps, sign in ((start, up, -1), (target, down, 1)):
@@ -563,24 +476,27 @@ class _RewriteForest:
         down.reverse()
         return up + down
 
-    @staticmethod
-    def _explore(root: int, tree: dict[int, _TreeEntry], guard: int,
-                 buckets: list[tuple[int, list[_Move]]]) -> None:
+    def _explore(self, root: Monomial, tree: dict[Monomial, _TreeEntry], cap: int) -> None:
+        """Grow the tree of ``root``'s component under ``cap`` into ``tree``."""
+        n = len(root)
         tree[root] = (root, None, -1)
-        queue: deque[tuple[int, int]] = deque([(root, -1)])
+        queue = deque([root])
         while queue:
-            mono, back = queue.popleft()
-            high = mono | guard
-            # mask -1 matches every monomial: a nonzero query has cap >= 1,
-            # so a packed monomial's room or one of its exponents is positive
-            for mask, moves in buckets:
-                if mono & mask:
-                    for divisor, change, move in moves:
-                        if move != back and (high - divisor) & guard == guard:
-                            image = mono + change
-                            if image not in tree:
-                                tree[image] = (root, mono, move)
-                                queue.append((image, move ^ 1))
+            mono = queue.popleft()
+            room = cap - sum(mono)
+            for first, moves in self._buckets:
+                if first == n or mono[first]:
+                    for divisor, step, change, move in moves:
+                        if step <= room:
+                            # the else branch runs iff the divisor divides mono
+                            for i, x in divisor:
+                                if mono[i] < x:
+                                    break
+                            else:
+                                image = tuple(map(add, mono, change))
+                                if image not in tree:
+                                    tree[image] = (root, mono, move)
+                                    queue.append(image)
 
 
 def rewrite_chain(
@@ -600,12 +516,12 @@ def rewrite_chain(
     every one of its moves against ``gens``.
     """
     _check_variables(gens, b.nvars)
-    forest = _RewriteForest(gens, d)
     if b.is_zero:
         return []
-    member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
-    nodes = member(_indices(b.u_plus), _indices(b.u_minus))
-    return None if nodes is None else forest.path(b.degree, b.nvars, *nodes)
+    forest = _RewriteForest(gens, d)
+    if not forest.members(b.degree, _sparse_sides(gens))(b.u_plus, b.u_minus):
+        return None
+    return forest.path(b.degree, b.u_plus, b.u_minus)
 
 
 def reduces_to_zero(b: Binomial, gens: Sequence[Binomial], d: DegreeBound) -> bool:
@@ -674,8 +590,11 @@ def certify_presentation(
     one degree at a time, in the order of
     :func:`enumerate_kernel_binomials`, so the witness is the first
     binomial of that list outside the ideal, and a failure at degree e
-    stops the check before degree e + 1 is built.  This is the one-input
-    case of :func:`certify_family`.
+    stops the check before any binomial of degree e + 1 is queried.  On
+    the fiber route it also stops before degree e + 1 is built; the
+    forest route builds every degree up to d first (see
+    :func:`_kernel_binomials_by_degree`).  This is the one-input case of
+    :func:`certify_family`.
     """
     return certify_family([(p, gens)], d)[0]
 
@@ -704,26 +623,29 @@ def certify_family(
     first occurrence, over whose variables the witness is written; a pass
     has index None.
 
-    A part's kernel binomials are pairs of variable-index tuples, one
-    degree e at a time, and only a witness becomes a
-    :class:`~toricsum.binomials.Binomial`.  The variable count is checked
-    once per part.  A part with a grading
+    A part's kernel binomials are read one degree e at a time, and the
+    variable count is checked once per part.  A part with a grading
     (:func:`~toricsum.parametrization._is_graded`, one forward
     elimination) is checked by fiber components, with no search and no
     forest (:func:`_fiber_failure`, which proves that its answers are
-    exact).  Any other part is checked through one rewrite forest
-    (:func:`_forest_failure`): it reads
-    :func:`_kernel_binomials_by_degree`, and cap e + slack's trees and
-    packing are fetched once per degree, for all of its pairs
+    exact); its binomials are pairs of variable-index tuples, and only a
+    witness becomes a :class:`~toricsum.binomials.Binomial`.  Any other
+    part is checked through one rewrite forest (:func:`_forest_failure`):
+    it reads :func:`_kernel_binomials_by_degree`, and cap e + slack's
+    trees are fetched once per degree, for all of its binomials
     (:meth:`_RewriteForest.members`).  Whether a binomial has a chain
     depends only on whether its two sides share a component under its
     cap, not on the queries before it; the queries even come in the same
     order, so the trees are those of checking the whole list.  A pass
     there rests on moves of the generators replayed from both sides to
-    one root, each tree edge once.  Both routes take the pairs of
+    one root, each tree edge once.  Both routes take the binomials of
     :func:`enumerate_kernel_binomials` in its order, so the first failure
     is that list's first binomial outside the ideal, and returning there
-    leaves every later degree unbuilt.
+    queries no binomial of a later degree.  The fiber route has not built
+    a later degree either; the forest route has built them all, since
+    without a grading a bucket of mixed degrees can reduce a pair with a
+    member of degree up to d to a lower degree, so no degree's list is
+    complete before the last layer is bucketed.
 
     A pass means every kernel binomial of the sum up to degree d lies in
     the ideal of the union of the generators: the whole-sum check's
@@ -795,28 +717,30 @@ def certify_family(
     for (_, gens), (index, p) in parts.items():
         n = len(p.vars)
         _check_variables(gens, n)
-        failing = (_fiber_failure if _is_graded(p) else _forest_failure)(p, gens, d)
-        if failing is not None:
-            witness = Binomial(_exponents(failing[0], n), _exponents(failing[1], n))
+        if _is_graded(p):
+            failing = _fiber_failure(p, gens, d)
+            witness = failing and Binomial(*(_exponents(side, n) for side in failing))
+        else:
+            witness = _forest_failure(p, gens, d)
+        if witness is not None:
             return CertificationVerdict(MISSING_IN_SUM, witness, d.max_degree), index
     return CertificationVerdict(EQUAL_UP_TO_DEGREE, None, d.max_degree), None
 
 
 def _forest_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
-                    ) -> Optional[_Pair]:
-    """The first kernel pair of ``p`` with no rewrite chain modulo ``gens``, or None.
+                    ) -> Optional[Binomial]:
+    """The first kernel binomial of ``p`` with no rewrite chain modulo ``gens``, or None.
 
-    The pairs are read from :func:`_kernel_binomials_by_degree`, one
+    The binomials are read from :func:`_kernel_binomials_by_degree`, one
     degree at a time, through one rewrite forest; cap e + slack's trees
-    and packing are fetched once per degree, for all of its pairs
+    are fetched once per degree, for all of its binomials
     (:meth:`_RewriteForest.members`), and every tree edge a query relies
     on is replayed once, against the generators.
     """
-    n = len(p.vars)
     forest, sides = _RewriteForest(gens, d), _sparse_sides(gens)
-    for degree, pairs in _kernel_binomials_by_degree(p, d):
-        member = forest.members(degree, n, sides)
-        for pair in pairs:
-            if member(*pair) is None:
-                return pair
+    for degree, binomials in _kernel_binomials_by_degree(p, d):
+        member = forest.members(degree, sides)
+        for b in binomials:
+            if not member(b.u_plus, b.u_minus):
+                return b
     return None

@@ -43,7 +43,6 @@ from toricsum import oracle
 from toricsum.oracle import (
     _check_variables,
     _forest_failure,
-    _indices,
     _kernel_binomials_by_degree,
     _RewriteForest,
     _monomials_of_degree,
@@ -180,8 +179,9 @@ class ReferenceForest:
 
     Moves are indexed by the first variable of their divisor, tested
     coordinate by coordinate against the degree cap and applied to the
-    exponents they change; trees are keyed by exponent tuples.  The packed
-    forest must grow the same trees, so it returns the same chains.
+    exponents they change; trees are keyed by exponent tuples.  The
+    forest of ``oracle`` must grow the same trees, so it returns the same
+    chains.
     """
 
     def __init__(self, gens, d):
@@ -249,14 +249,6 @@ class ReferenceForest:
         return steps
 
 
-def pack(mono, room, width):
-    """sum_i mono[i] * 2^(width * i), plus ``room`` in field ``len(mono)``: a packed monomial."""
-    packed = room
-    for x in reversed(mono):
-        packed = (packed << width) + x
-    return packed
-
-
 def replay_chain(b, gens, chain):
     """Apply ``chain`` to ``b.u_plus`` move by move; it must end at ``b.u_minus``.
 
@@ -280,9 +272,9 @@ def forest_chain(forest, gens, b):
     _check_variables(gens, b.nvars)
     if b.is_zero:
         return []
-    member = forest.members(b.degree, b.nvars, _sparse_sides(gens))
-    nodes = member(_indices(b.u_plus), _indices(b.u_minus))
-    return None if nodes is None else forest.path(b.degree, b.nvars, *nodes)
+    if not forest.members(b.degree, _sparse_sides(gens))(b.u_plus, b.u_minus):
+        return None
+    return forest.path(b.degree, b.u_plus, b.u_minus)
 
 
 def chain_or_error(chain, b):
@@ -641,8 +633,8 @@ class TestDegreeStream:
         # graded and ungraded random matrices, zero columns, no rows and no
         # columns, at degrees 1 to 4, and 5 on at most four variables, where
         # mixed-degree buckets run deeper: the public list and the stream,
-        # read degree by degree with its index pairs turned into binomials,
-        # both give the reference's binomials in its order
+        # read degree by degree, both give the reference's binomials in its
+        # order
         rng = random.Random(97)
         ps = [TWISTED_CUBIC, CURVE_23]
         for _ in range(970):
@@ -661,8 +653,7 @@ class TestDegreeStream:
                 d = DegreeBound(degree)
                 expected = one_shot_kernel_binomials(p, d)
                 assert enumerate_kernel_binomials(p, d) == expected
-                streamed = [(e, [pair_binomial(pair, len(p.vars)) for pair in pairs])
-                            for e, pairs in _kernel_binomials_by_degree(p, d)]
+                streamed = list(_kernel_binomials_by_degree(p, d))
                 degrees = [e for e, _ in streamed]
                 assert degrees == sorted(set(degrees))
                 for e, binomials in streamed:
@@ -689,6 +680,32 @@ class TestDegreeStream:
         expected = next(b for b in one_shot_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
                         if not membership_by_classes(b, gens))
         assert (verdict.status, verdict.witness) == (MISSING_IN_SUM, expected)
+        # without a grading a bucket may mix degrees, so the forest route
+        # buckets every layer up to the bound before its first query:
+        # RNC(6) with z -> s, less its first minor, fails at degree 2 with
+        # layers 1 to 5 grown, but no binomial of a later degree is queried
+        p, minors = rnc_minors(6, ungraded=True)
+        gens, d = minors[1:], DegreeBound(5)
+        read.clear()
+        queried = []
+        members = _RewriteForest.members
+
+        def recording_members(self, degree, sides):
+            member = members(self, degree, sides)
+
+            def recorded(plus, minus):
+                queried.append(max(sum(plus), sum(minus)))
+                return member(plus, minus)
+
+            return recorded
+
+        monkeypatch.setattr(_RewriteForest, "members", recording_members)
+        verdict = certify_presentation(p, gens, d)
+        assert read == [1, 2, 3, 4, 5]
+        expected = next(b for b in one_shot_kernel_binomials(p, d)
+                        if not membership_by_classes(b, gens))
+        assert (verdict.status, verdict.witness) == (MISSING_IN_SUM, expected)
+        assert expected.degree == max(queried) == 2
 
 
 class TestRewriteForest:
@@ -755,15 +772,15 @@ class TestRewriteForest:
         explored, forests = [], []
         original, init = _RewriteForest._explore, _RewriteForest.__init__
 
-        def recording(*args):
-            explored.append(args)
-            original(*args)
+        def recording(self, root, tree, cap):
+            explored.append((root, cap))
+            original(self, root, tree, cap)
 
         def counted(self, gens, d):
             forests.append(gens)
             init(self, gens, d)
 
-        monkeypatch.setattr(_RewriteForest, "_explore", staticmethod(recording))
+        monkeypatch.setattr(_RewriteForest, "_explore", recording)
         monkeypatch.setattr(_RewriteForest, "__init__", counted)
         # a graded part is certified by fibers: no forest, no tree
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))
@@ -781,6 +798,8 @@ class TestRewriteForest:
                       for b in enumerate_kernel_binomials(CURVE_23, d)}
         assert len(forests) == 1
         assert len(explored) == len(components) > 1
+        assert {(cap - d.search_slack, frozenset(component(root, gens, cap)))
+                for root, cap in explored} == components
 
     # generator sets the homogeneous helper never produces: constant
     # divisors, repeated variables, zero generators and no generators
@@ -830,15 +849,14 @@ class TestRewriteForest:
 
     @pytest.mark.parametrize("slack", [0, 1, 2])
     def test_moves_above_the_cap_never_apply(self, slack):
-        # Such a move's exponents need not fit a field.  Kept, it passed the
-        # guard test on garbled divisors and grew a tree without bound, so
-        # the forest answers in a child process under a memory limit, one
+        # A move applied past the cap can grow a tree without bound, so the
+        # forest answers in a child process under a memory limit, one
         # shared forest per generator set and bound.
         code = inspect.getsource(forest_chain) + textwrap.dedent(f"""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             from toricsum import Binomial, DegreeBound, VariableSet, parse_binomial
-            from toricsum.oracle import (_RewriteForest, _check_variables, _indices,
+            from toricsum.oracle import (_RewriteForest, _check_variables,
                                          _monomials_of_degree, _sparse_sides)
             vs = VariableSet.of("x", "y", "z")
             monos = [m for e in range(5) for m in _monomials_of_degree(3, e)]
@@ -918,7 +936,7 @@ def chain_replay_certify(inputs, d):
 
     The same distinct parts, generators first, then each part's kernel
     list in order through one tuple forest (:class:`ReferenceForest`,
-    which grows the packed forest's trees): every binomial's chain is
+    which grows the trees of ``oracle``'s forest): every binomial's chain is
     read from it and replayed move by move in full.
     """
     parts = {}
@@ -954,26 +972,28 @@ def rnc_minors(n, ungraded=False):
                for i in range(n) for j in range(i + 1, n)]
 
 
-def prefilled_trees(monkeypatch, corrupt):
-    """Fill each new cap's trees with every monomial of the cap, then ``corrupt`` them.
+def prefilled_trees(monkeypatch, nvars, corrupt):
+    """Fill each new cap's trees with every monomial of the cap over ``nvars`` variables.
+
+    The filled trees are then passed to ``corrupt``.
 
     For balanced generators: each monomial of degree cap is explored
     unless an earlier tree holds it, so every component has its tree
     before the first query, rooted at its index-lex first monomial.
     """
-    original = _RewriteForest._layer
+    original = _RewriteForest.members
 
-    def layer(self, cap, nvars):
-        tree, width, guard, buckets = found = original(self, cap, nvars)
+    def members(self, degree, sides):
+        cap = degree + self._slack
+        tree = self._trees.setdefault(cap, {})
         if not tree:
             for mono in _monomials_of_degree(nvars, cap):
-                node = pack(mono, 0, width)
-                if node not in tree:
-                    _RewriteForest._explore(node, tree, guard, buckets)
+                if mono not in tree:
+                    self._explore(mono, tree, cap)
             corrupt(tree)
-        return found
+        return original(self, degree, sides)
 
-    monkeypatch.setattr(_RewriteForest, "_layer", layer)
+    monkeypatch.setattr(_RewriteForest, "members", members)
 
 
 def below_depth_one(tree):
@@ -1012,7 +1032,7 @@ class TestEdgeReplay:
         # give the same verdicts and witnesses
         want = [certify_family([(self.P, gens)], DegreeBound(3))
                 for gens in (self.MINORS, self.MINORS[1:])]
-        prefilled_trees(monkeypatch, lambda tree: None)
+        prefilled_trees(monkeypatch, len(self.P.vars), lambda tree: None)
         got = [certify_family([(self.P, gens)], DegreeBound(3))
                for gens in (self.MINORS, self.MINORS[1:])]
         assert got == want
@@ -1023,7 +1043,7 @@ class TestEdgeReplay:
             for node, _, root, move in below_depth_one(tree):
                 tree[node] = (root, root, move)
 
-        prefilled_trees(monkeypatch, to_root)
+        prefilled_trees(monkeypatch, len(self.P.vars), to_root)
         self.raises_from_every_entry_point(self.MINORS, "rewrite chain reaches")
 
     def test_parent_pointers_in_a_cycle_raise(self, monkeypatch):
@@ -1034,7 +1054,7 @@ class TestEdgeReplay:
                 if tree[tree[prev][1]][1] is None:
                     tree[prev] = (root, node, move ^ 1)
 
-        prefilled_trees(monkeypatch, loop)
+        prefilled_trees(monkeypatch, len(self.P.vars), loop)
         self.raises_from_every_entry_point(self.MINORS, "cycle of parent pointers")
 
     @pytest.mark.parametrize("relabel, message", [
@@ -1049,7 +1069,7 @@ class TestEdgeReplay:
                 if prev is not None:
                     tree[node] = (root, prev, relabel(move))
 
-        prefilled_trees(monkeypatch, mislabel)
+        prefilled_trees(monkeypatch, len(self.P.vars), mislabel)
         self.raises_from_every_entry_point(self.MINORS, message)
 
     def test_wrong_root_tag_raises(self, monkeypatch):
@@ -1059,7 +1079,7 @@ class TestEdgeReplay:
             for node, (_, prev, move) in list(tree.items()):
                 tree[node] = (0, prev, move)
 
-        prefilled_trees(monkeypatch, one_tag)
+        prefilled_trees(monkeypatch, len(self.P.vars), one_tag)
         self.raises_from_every_entry_point(self.MINORS[1:], "different roots")
 
     @pytest.mark.parametrize("tree", ["path", "star", "caterpillar", "random"])
@@ -1164,17 +1184,14 @@ def graded_parts(rng, count):
 
 
 def first_outside_by_classes(p, gens, d):
-    """The first pair of the kernel list whose binomial is outside the ideal of ``gens``.
+    """The first binomial of the kernel list outside the ideal of ``gens``.
 
     Membership by union-find over every monomial of the binomial's degree
     (:func:`membership_by_classes`), which shares no code with the fiber
     route.
     """
-    for _, pairs in _kernel_binomials_by_degree(p, d):
-        for pair in pairs:
-            if not membership_by_classes(pair_binomial(pair, len(p.vars)), gens):
-                return pair
-    return None
+    return next((b for b in one_shot_kernel_binomials(p, d)
+                 if not membership_by_classes(b, gens)), None)
 
 
 class TestFiberRoute:
@@ -1184,6 +1201,7 @@ class TestFiberRoute:
         seen = Counter()
         for p, gens, d in graded_parts(random.Random(101), 200):
             got = oracle._fiber_failure(p, gens, d)
+            got = got and pair_binomial(got, len(p.vars))
             assert got == first_outside_by_classes(p, gens, d), (p, gens, d)
             seen["fail" if got else "pass"] += 1
             seen["degree 1"] += any(g.degree == 1 for g in gens)
@@ -1210,7 +1228,7 @@ class TestFiberRoute:
             gens = minors[:k] + minors[k + 1:]
             verdict, index = certify_family([(p, gens)], d)
             assert (verdict.status, index) == (MISSING_IN_SUM, 0)
-            assert verdict.witness == pair_binomial(_forest_failure(p, gens, d), n + 1)
+            assert verdict.witness == _forest_failure(p, gens, d)
 
     def test_generator_outside_the_kernel_raises(self, monkeypatch):
         # kernel membership is tested first; accepted anyway, a generator
