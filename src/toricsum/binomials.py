@@ -150,26 +150,47 @@ def split_disjoint(u: Sequence[int]) -> Binomial:
     ``u_plus - u_minus == u`` up to the canonical sign flip, which is
     applied when the first nonzero entry of ``u`` is negative.
     """
-    vec = tuple(int(x) for x in u)
-    first = next((x for x in vec if x), 0)
-    if first < 0:
-        vec = tuple(-x for x in vec)
-    plus = tuple(x if x > 0 else 0 for x in vec)
-    minus = tuple(-x if x < 0 else 0 for x in vec)
-    return Binomial(plus, minus)
+    vec = [int(x) for x in u]
+    return _from_differences(dict(enumerate(vec)), len(vec))
 
 
 def relabel_binomial(b: Binomial, old_vars: VariableSet, new_vars: VariableSet) -> Binomial:
-    """Re-index a binomial into a larger variable set by name (zero-extend)."""
+    """Re-index a binomial into a larger variable set by name (zero-extend).
+
+    Every old name must be a new one; the nonzero entries of ``b`` are
+    placed at their names' new positions, and the sign is fixed again
+    there, as the new order may put another variable first.
+    """
     if b.nvars != len(old_vars):
         raise ValueError("binomial does not match its variable set")
-    plus = [0] * len(new_vars)
-    minus = [0] * len(new_vars)
-    for k, name in enumerate(old_vars):
-        j = new_vars.index(name)
-        plus[j] = b.u_plus[k]
-        minus[j] = b.u_minus[k]
-    return Binomial.from_pair(plus, minus)
+    positions = [new_vars.index(name) for name in old_vars]
+    return _from_differences({positions[k]: p - m
+                              for k, (p, m) in enumerate(zip(b.u_plus, b.u_minus)) if p or m},
+                             len(new_vars))
+
+
+def _from_differences(diff: dict[int, int], nvars: int) -> Binomial:
+    """The canonical binomial of the vector over ``nvars`` variables with entries ``diff``.
+
+    ``diff`` maps a variable index to its entry; zero entries and missing
+    indices are zero.  The sign is fixed by the entry of the smallest index
+    with a nonzero one, and the dense sides are built once, still checked
+    by :class:`Binomial`.
+    """
+    plus = [0] * nvars
+    minus = [0] * nvars
+    first, lead = nvars, 0
+    for i, x in diff.items():
+        if x:
+            if i < first:
+                first, lead = i, x
+            if x > 0:
+                plus[i] = x
+            else:
+                minus[i] = -x
+    if lead < 0:
+        plus, minus = minus, plus
+    return Binomial(tuple(plus), tuple(minus))
 
 
 def format_monomial(u: Sequence[int], vars: VariableSet) -> str:
@@ -191,37 +212,42 @@ def format_binomial(b: Binomial, vars: VariableSet) -> str:
 
 
 def parse_binomial(text: str, vars: VariableSet) -> Binomial:
-    """Parse the textual binomial grammar, canonicalizing the result."""
+    """Parse the textual binomial grammar, canonicalizing the result.
+
+    Both sides are read into one map from variable index to exponent
+    difference, the first side's exponents added and the second's
+    subtracted, so repeated and shared factors cancel as they are read.
+    The dense binomial is built once from that map
+    (:func:`_from_differences`).  Errors are raised in reading order: the
+    shape, then the first side's factors, then the second's.
+    """
     s = text.strip()
     if s == "0":
         return Binomial.zero(len(vars))
     parts = s.split("-")
     if len(parts) != 2:
-        raise ValueError(f"expected 'monomial - monomial', got {text.strip()!r}")
-    return Binomial.from_pair(
-        _parse_monomial(parts[0].strip(), vars),
-        _parse_monomial(parts[1].strip(), vars),
-    )
+        raise ValueError(f"expected 'monomial - monomial', got {s!r}")
+    diff: dict[int, int] = {}
+    _read_monomial(parts[0].strip(), vars, diff, 1)
+    _read_monomial(parts[1].strip(), vars, diff, -1)
+    return _from_differences(diff, len(vars))
 
 
-def _parse_monomial(s: str, vars: VariableSet) -> tuple[int, ...]:
+def _read_monomial(s: str, vars: VariableSet, diff: dict[int, int], sign: int) -> None:
+    """Add ``sign`` times the exponents of the monomial text ``s`` into ``diff``."""
     if s == "1":
-        return (0,) * len(vars)
+        return
     if not s:
         raise ValueError("empty monomial")
-    exponents = [0] * len(vars)
     for factor in s.split("*"):
-        factor = factor.strip()
         name, caret, e = factor.partition("^")
-        name = name.strip()
         if caret:
             e = e.strip()
             if not _INTEGER_RE.fullmatch(e):
-                raise ValueError(f"malformed exponent in {factor!r}")
+                raise ValueError(f"malformed exponent in {factor.strip()!r}")
+            # a side holds no '-', so the exponent is not negative
             exponent = _parse_integer(e)
-            if exponent < 0:
-                raise ValueError(f"negative exponent in {factor!r}")
         else:
             exponent = 1
-        exponents[vars.index(name)] += exponent
-    return tuple(exponents)
+        i = vars.index(name.strip())
+        diff[i] = diff.get(i, 0) + sign * exponent

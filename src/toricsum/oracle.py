@@ -27,12 +27,13 @@ Three independent routes into the same questions:
 * cross-check a parametrization against a generator list in both
   inclusion directions, returning a verdict with a concrete witness on
   failure.  A family is certified input by input in one loop
-  (:func:`certify_family`), every input's generators before any kernel.
-  An input with a grading is certified one degree at a time by fiber
-  components, with no search: the monomials of each fiber are joined
-  by shared variables and by that degree's generators, and a degree
-  with a split fiber stops the check before the next degree is grown
-  (:func:`_fiber_failure`).  Any other input gets one rewrite forest
+  (:func:`certify_family`), every input's generators before any kernel,
+  each of degree at most the bound by one comparison of its sides'
+  packed images.  An input with a grading is certified one degree at a
+  time by fiber components, with no search: the monomials of each fiber
+  are joined by shared variables and by that degree's generators, on
+  integer bitmasks of variables, and a degree with a split fiber stops
+  the check before the next degree is grown (:func:`_fiber_failure`).  Any other input gets one rewrite forest
   for its whole certification: its kernel list is built up to the bound
   first, as a bucket of mixed degrees may reduce to a lower degree, then
   each degree's trees are fetched once for all of that degree's
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, mul, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .binomials import Binomial, Monomial
@@ -137,10 +138,37 @@ def _layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Compact]]:
         yield layer
 
 
-def _by_image(
-    layer: list[_Compact], buckets: dict[int, list[_Compact]]
-) -> dict[int, list[_Compact]]:
-    """``buckets`` with each monomial of ``layer`` appended to the bucket of its image."""
+# A monomial of the fiber route: a _Compact with its variable bitmask, bit
+# i set iff x_i divides it.
+_Masked = tuple[tuple[int, ...], int, int]
+
+
+def _masked_layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Masked]]:
+    """:func:`_layers` with each monomial's variable bitmask as a third field.
+
+    The mask is grown with the indices, the parent's mask or bit j, so no
+    monomial's variables are read twice.  The monomials and their order are
+    those of :func:`_layers`, and a reader that stops after degree e never
+    has degree e + 1 built.
+    """
+    columns = _packed_columns(p, d)
+    n = len(columns)
+    bits = [1 << j for j in range(n)]
+    layer = [((j,), columns[j], bits[j]) for j in range(n)]
+    yield layer
+    for _ in range(1, d.max_degree):
+        layer = [(indices + (j,), image + columns[j], mask | bits[j])
+                 for indices, image, mask in layer for j in range(indices[-1], n)]
+        yield layer
+
+
+def _by_image(layer: Sequence[tuple], buckets: dict[int, list[tuple]]
+              ) -> dict[int, list[tuple]]:
+    """``buckets`` with each monomial of ``layer`` appended to the bucket of its image.
+
+    A monomial is a :data:`_Compact` or a :data:`_Masked`; its image is its
+    second field.
+    """
     for member in layer:
         bucket = buckets.get(member[1])
         if bucket is None:
@@ -238,26 +266,65 @@ def _check_variables(gens: Sequence[Binomial], nvars: int) -> None:
         raise ValueError("generators and binomial are over different variable sets")
 
 
-def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
-                   ) -> Optional[_Pair]:
+def _packed_images(g: Binomial, columns: list[int], d: DegreeBound
+                   ) -> Optional[tuple[int, int]]:
+    """The packed images of ``g``'s two sides under ``columns``, :func:`_packed_columns` at d.
+
+    None unless ``g`` is over the columns' variables and of degree at most
+    d, where packing is exact (:func:`_fiber_failure`).
+    """
+    if g.nvars != len(columns) or g.degree > d.max_degree:
+        return None
+    return sum(map(mul, columns, g.u_plus)), sum(map(mul, columns, g.u_minus))
+
+
+def _in_kernel(p: Parametrization, g: Binomial, images: Optional[tuple[int, int]]) -> bool:
+    """Kernel membership of the generator ``g``, from its :func:`_packed_images` if any.
+
+    Two packed images of degree at most d are equal iff the images are, so
+    one int comparison decides.  Without them, :func:`contains_binomial`
+    does, which raises ValueError for ``g`` over another variable set.
+    """
+    return contains_binomial(p, g) if images is None else images[0] == images[1]
+
+
+def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound,
+                   images: Sequence[Optional[tuple[int, int]]]) -> Optional[_Pair]:
     """The first kernel pair of a graded ``p`` outside the ideal of ``gens``, or None.
+
+    ``images`` are the generators' :func:`_packed_images`, as the kernel
+    premise of :func:`certify_family` read them.  Packing is exact up to
+    degree d for any matrix: column j packs to sum_r a_rj * B^r with
+    B = 2 * d * max|a| + 1, and every coordinate of the image of a monomial
+    of degree at most d has absolute value at most d * max|a| < B / 2, a
+    balanced digit, so distinct images of such monomials have distinct
+    keys.  Both sides of a generator of degree at most d are such
+    monomials, so equal packed images mean equal images.
 
     ``p`` has a grading vector (:func:`~toricsum.parametrization._is_graded`),
     so a monomial's degree is omega . A u, a function of its image: every
     fiber, the monomials of one image, holds one degree, and is complete
-    once that degree's layer from :func:`_layers` is grown.  Every
-    generator lies in the kernel, so both of its sides lie in one fiber and
-    it is balanced.  A generator whose sides differ in degree, or one of
-    degree at most d whose sides differ in packed image
-    (:func:`_packed_columns`, exact up to degree d), breaks that premise
-    and raises RuntimeError.  Degree by degree, the layer
-    is put in buckets by image.  In a bucket of two or more, the member
+    once that degree's layer is grown.  Every generator lies in the kernel,
+    so both of its sides lie in one fiber and it is balanced.  A generator
+    whose sides differ in degree, or one of degree at most d whose sides
+    differ in packed image, breaks that premise and raises RuntimeError.
+    Degree by degree, the layer is put in buckets by image
+    (:func:`_masked_layers`).  In a bucket of two or more, the member
     variable sets and, for each generator of that image, one variable of
     each side are merged into disjoint sets of variable indices, and the
     set holding the representative's variables is grown until no member or
     generator edge meets it without lying inside it.  A pair fails iff its
     first side's variables miss that set.  A degree with a failing pair
     returns its first one, so degree e + 1 is never grown.
+
+    A set of variable indices is an int, bit i for x_i.  Each member
+    carries its variables' mask, and a generator edge is the two bits of
+    the first variable of each side.  "Meets" is a nonzero ``&``, a merge
+    is ``|``, and the set is grown by passes over the edges until a pass
+    adds no bit.  It starts at the representative's mask and only grows,
+    so a member whose mask meets the representative's meets the final set
+    too: a bucket where every member does has no failing pair, and skips
+    the passes.
 
     The pairs and their order are those of :func:`_kernel_binomials_by_degree`.
     Within one degree, exponent-lex order is the reverse of index-lex
@@ -294,31 +361,35 @@ def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound
     on balanced generators, with slack 0), and pairs come in its order, so
     the witness is the same.
     """
-    columns = _packed_columns(p, d)
-    joins: dict[int, list[set[int]]] = {}
-    for g, (plus, minus) in zip(gens, _sparse_sides(gens)):
-        if g.is_zero or g.is_balanced and g.degree > d.max_degree:
+    joins: dict[int, list[int]] = {}
+    for g, pair in zip(gens, images):
+        if g.is_zero:
             continue
-        image = sum(columns[i] * x for i, x in plus)
-        if not g.is_balanced or image != sum(columns[i] * x for i, x in minus):
+        if not g.is_balanced or pair is not None and pair[0] != pair[1]:
             raise RuntimeError(f"generator {g} has sides of different images")
-        joins.setdefault(image, []).append({plus[0][0], minus[0][0]})
-    for layer in _layers(p, d):
+        if pair is not None:
+            plus, minus = g.u_plus, g.u_minus
+            joins.setdefault(pair[0], []).append(1 << plus.index(next(filter(None, plus)))
+                                                 | 1 << minus.index(next(filter(None, minus))))
+    for layer in _masked_layers(p, d):
         failing: list[_Pair] = []
         for image, members in _by_image(layer, {}).items():
             if len(members) > 1:
                 # the last member is the exponent-lex minimum
-                rep = members[-1][0]
-                sides = [set(indices) for indices, _ in members]
-                edges = sides + joins.get(image, [])
-                reach, size = set(rep), 0
-                while size != len(reach):
-                    size = len(reach)
-                    for side in edges:
-                        if not reach.isdisjoint(side):
-                            reach |= side
-                failing += [(indices, rep) for (indices, _), side in zip(members, sides)
-                            if reach.isdisjoint(side)]
+                rep, _, reach = members[-1]
+                for _, _, mask in members:
+                    if not mask & reach:
+                        break
+                else:
+                    continue
+                edges = [mask for _, _, mask in members] + joins.get(image, [])
+                grown = 0
+                while grown != reach:
+                    grown = reach
+                    for edge in edges:
+                        if edge & reach:
+                            reach |= edge
+                failing += [(indices, rep) for indices, _, mask in members if not mask & reach]
         if failing:
             return max(failing)
     return None
@@ -617,7 +688,9 @@ def certify_family(
     it once.  A lone input is its own whole sum, as ``sum_family`` returns
     it unchanged, and an empty sum has no kernel binomial.  Every part's
     generators are tested against its own kernel first, in order, and only
-    then is any kernel read: part by part, each kernel binomial up to the
+    then is any kernel read (:func:`_in_kernel`: a generator of degree at
+    most d by comparing its sides' packed images, which the fiber route
+    reuses, any other by evaluating both sides): part by part, each kernel binomial up to the
     degree bound must lie in the ideal of its part's generators.  The
     first failure is returned with the index in ``inputs`` of its part's
     first occurrence, over whose variables the witness is written; a pass
@@ -710,15 +783,19 @@ def certify_family(
     parts: dict[tuple, tuple[int, Parametrization]] = {}
     for index, (p, gens) in enumerate(inputs):
         parts.setdefault((p.matrix.entries, tuple(gens)), (index, p))
+    premises = []
     for (_, gens), (index, p) in parts.items():
-        for g in gens:
-            if not contains_binomial(p, g):
+        columns = _packed_columns(p, d)
+        images = [_packed_images(g, columns, d) for g in gens]
+        for g, pair in zip(gens, images):
+            if not _in_kernel(p, g, pair):
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
-    for (_, gens), (index, p) in parts.items():
+        premises.append(images)
+    for ((_, gens), (index, p)), images in zip(parts.items(), premises):
         n = len(p.vars)
         _check_variables(gens, n)
         if _is_graded(p):
-            failing = _fiber_failure(p, gens, d)
+            failing = _fiber_failure(p, gens, d, images)
             witness = failing and Binomial(*(_exponents(side, n) for side in failing))
         else:
             witness = _forest_failure(p, gens, d)

@@ -222,9 +222,9 @@ def counting_certify(monkeypatch):
     for name in ("_fiber_failure", "_forest_failure"):
         real = getattr(oracle, name)
 
-        def counted(p, gens, d, real=real):
+        def counted(p, gens, d, *premise, real=real):
             calls.append(len(p.vars))
-            return real(p, gens, d)
+            return real(p, gens, d, *premise)
 
         monkeypatch.setattr(oracle, name, counted)
     return calls

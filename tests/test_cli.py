@@ -784,17 +784,29 @@ class TestCertifyByInput:
             text = family_text(forest_family("path", kinds, random.Random(3)))
         f = write(tmp_path, "family.ideal", text)
         tested = []
-        real = oracle.contains_binomial
+        real = oracle._in_kernel
 
-        def counted(p, b):
+        def counted(p, b, images):
             tested.append(b)
-            return real(p, b)
+            return real(p, b, images)
 
-        monkeypatch.setattr(oracle, "contains_binomial", counted)
+        monkeypatch.setattr(oracle, "_in_kernel", counted)
+        # each part's kernel is read by one of the two routes: record how
+        # many generators were tested when it starts
+        reads = []
+        for name in ("_fiber_failure", "_forest_failure"):
+            route = getattr(oracle, name)
+
+            def reading(*args, route=route):
+                reads.append(len(tested))
+                return route(*args)
+
+            monkeypatch.setattr(oracle, name, reading)
         assert main(["sum", f, "--certify", "--max-degree", "3"]) == 0
         distinct = {(i.parametrization.matrix.entries, i.generators)
                     for i in parse_ideal_file(text)}
         assert Counter(tested) == Counter(g for _, gens in distinct for g in gens)
+        assert len(reads) == len(distinct) and set(reads) == {len(tested)}
 
     def test_non_homogeneous_isolated_input_checks_on_its_own(
         self, tmp_path, capsys, monkeypatch

@@ -13,6 +13,7 @@ from helpers import (
     counting_certify,
     forest_family,
     quadric,
+    random_binomial,
     random_homogeneous_parametrization,
     random_parametrization,
 )
@@ -664,17 +665,20 @@ class TestDegreeStream:
     def test_certification_stops_at_the_failing_degree(self, monkeypatch):
         # the twisted cubic less one quadric fails at degree 2, so the
         # monomials of degrees 3 and 4 are never grown, and the witness is
-        # the one-shot list's first binomial outside the generators' ideal
+        # the one-shot list's first binomial outside the generators' ideal.
+        # The fiber route grows its layers with variable masks, the forest
+        # route without: both are recorded
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))[1:]
         read = []
-        real = oracle._layers
+        for name in ("_layers", "_masked_layers"):
+            real = getattr(oracle, name)
 
-        def recording(p, d):
-            for layer in real(p, d):
-                read.append(len(layer[0][0]))
-                yield layer
+            def recording(p, d, real=real):
+                for layer in real(p, d):
+                    read.append(len(layer[0][0]))
+                    yield layer
 
-        monkeypatch.setattr(oracle, "_layers", recording)
+            monkeypatch.setattr(oracle, name, recording)
         verdict = certify_presentation(TWISTED_CUBIC, gens, DegreeBound(4))
         assert read == [1, 2]
         expected = next(b for b in one_shot_kernel_binomials(TWISTED_CUBIC, DegreeBound(4))
@@ -1194,13 +1198,111 @@ def first_outside_by_classes(p, gens, d):
                  if not membership_by_classes(b, gens)), None)
 
 
+def fiber_failure(p, gens, d):
+    """``oracle._fiber_failure`` on the packed side images the kernel premise reads."""
+    columns = oracle._packed_columns(p, d)
+    return oracle._fiber_failure(p, gens, d, [oracle._packed_images(g, columns, d) for g in gens])
+
+
+def set_fiber_failure(p, gens, d):
+    """The fiber route with Python sets of variable indices, kept as the reference.
+
+    The same buckets of the same layers (``oracle._layers``), each member's
+    variables a set, each generator edge the set of the first variable of
+    each side, and the representative's set grown by merging every member
+    or edge that meets it until it stops growing, in every bucket of two
+    or more.  Generator images are recomputed here from sparse sides.
+    """
+    columns = oracle._packed_columns(p, d)
+    joins = {}
+    for g, (plus, minus) in zip(gens, _sparse_sides(gens)):
+        if g.is_zero or g.is_balanced and g.degree > d.max_degree:
+            continue
+        image = sum(columns[i] * x for i, x in plus)
+        if not g.is_balanced or image != sum(columns[i] * x for i, x in minus):
+            raise RuntimeError(f"generator {g} has sides of different images")
+        joins.setdefault(image, []).append({plus[0][0], minus[0][0]})
+    for layer in oracle._layers(p, d):
+        failing = []
+        for image, members in oracle._by_image(layer, {}).items():
+            if len(members) > 1:
+                rep = members[-1][0]
+                sides = [set(indices) for indices, _ in members]
+                edges = sides + joins.get(image, [])
+                reach, size = set(rep), 0
+                while size != len(reach):
+                    size = len(reach)
+                    for side in edges:
+                        if not reach.isdisjoint(side):
+                            reach |= side
+                failing += [(indices, rep) for (indices, _), side in zip(members, sides)
+                            if reach.isdisjoint(side)]
+        if failing:
+            return max(failing)
+    return None
+
+
+class TestKernelPremise:
+    def test_packed_comparison_matches_contains_binomial(self):
+        # graded and ungraded matrices, a matrix without rows, binomials in
+        # and out of the kernel, up to the bound and above it: one packed
+        # comparison decides those up to the bound, as evaluating both
+        # sides does, and the others have no packed images
+        rng = random.Random(109)
+        seen = Counter()
+        ps = [Parametrization(VariableSet(()), VariableSet.of("a", "b"), IntegerMatrix.zero(0, 2))]
+        for _ in range(300):
+            ps.append(random_homogeneous_parametrization(rng) if rng.random() < 0.5
+                      else random_parametrization(rng))
+        for p in ps:
+            d = DegreeBound(rng.randint(1, 4))
+            columns = oracle._packed_columns(p, d)
+            n = len(p.vars)
+            kernel = enumerate_kernel_binomials(p, DegreeBound(d.max_degree + 1))
+            near = [Binomial.from_pair(tuple(x + (i == j) for i, x in enumerate(g.u_plus)),
+                                       g.u_minus)
+                    for g in kernel[:4] for j in range(n)]
+            for g in kernel[:8] + near + [random_binomial(rng, n, 1) for _ in range(8)]:
+                images = oracle._packed_images(g, columns, d)
+                assert (images is None) == (g.degree > d.max_degree)
+                member = contains_binomial(p, g)
+                assert oracle._in_kernel(p, g, images) == member, (p, g, d)
+                seen[images is not None, member] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_only_generators_above_the_bound_are_evaluated(self, monkeypatch):
+        # the twisted cubic's minors at bound 1 are all above it: each is
+        # evaluated, and one outside the kernel is reported as such; at
+        # bound 2 none is evaluated
+        evaluated = []
+        real = oracle.contains_binomial
+
+        def counted(p, g):
+            evaluated.append(g)
+            return real(p, g)
+
+        monkeypatch.setattr(oracle, "contains_binomial", counted)
+        vs = TWISTED_CUBIC.vars
+        minors = [parse_binomial(t, vs) for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
+        assert certify_presentation(TWISTED_CUBIC, minors, DegreeBound(2)).status == \
+            EQUAL_UP_TO_DEGREE
+        assert evaluated == []
+        bad = parse_binomial("x0*x3 - x1^2", vs)
+        verdict = certify_presentation(TWISTED_CUBIC, minors + [bad], DegreeBound(1))
+        assert (verdict.status, verdict.witness) == (MISSING_IN_KERNEL, bad)
+        assert evaluated == minors + [bad]
+        verdict = certify_presentation(TWISTED_CUBIC, minors + [bad], DegreeBound(2))
+        assert (verdict.status, verdict.witness) == (MISSING_IN_KERNEL, bad)
+        assert evaluated == minors + [bad]
+
+
 class TestFiberRoute:
     def test_matches_membership_by_classes(self):
         # the first failing pair, degree-1 generators, generators above the
         # bound, passes and failures all occur
         seen = Counter()
         for p, gens, d in graded_parts(random.Random(101), 200):
-            got = oracle._fiber_failure(p, gens, d)
+            got = fiber_failure(p, gens, d)
             got = got and pair_binomial(got, len(p.vars))
             assert got == first_outside_by_classes(p, gens, d), (p, gens, d)
             seen["fail" if got else "pass"] += 1
@@ -1230,11 +1332,37 @@ class TestFiberRoute:
             assert (verdict.status, index) == (MISSING_IN_SUM, 0)
             assert verdict.witness == _forest_failure(p, gens, d)
 
+    def test_bitmask_pass_matches_the_set_fixpoint(self):
+        # the same pair or None as the fiber route on sets, on random graded
+        # parts and on the rational normal curves less each minor
+        seen = Counter()
+        for p, gens, d in graded_parts(random.Random(107), 300):
+            got = fiber_failure(p, gens, d)
+            assert got == set_fiber_failure(p, gens, d), (p, gens, d)
+            seen["fail" if got else "pass"] += 1
+        assert min(seen["fail"], seen["pass"]) > 50, seen
+        # x1 and r share a column, and x0^2*x2 - x1^3 is a cubic of the
+        # kernel: in its fiber x1*r^2 meets the representative r^3 but
+        # x0^2*x2 does not, so no member's mask may stand for the bucket's
+        p = Parametrization(VariableSet.of("t", "s"), VariableSet.of("x0", "x1", "x2", "r"),
+                            IntegerMatrix.from_rows([[1, 1, 1, 1], [-2, -1, 1, -1]]))
+        gens = [parse_binomial("x1 - r", p.vars)]
+        assert fiber_failure(p, gens, DegreeBound(3)) == ((0, 0, 2), (3, 3, 3)) == \
+            set_fiber_failure(p, gens, DegreeBound(3))
+        for n in range(4, 10):
+            p, minors = rnc_minors(n)
+            for d in (DegreeBound(3), DegreeBound(4)):
+                assert fiber_failure(p, minors, d) is None
+                for k in range(len(minors)):
+                    gens = minors[:k] + minors[k + 1:]
+                    got = fiber_failure(p, gens, d)
+                    assert got is not None and got == set_fiber_failure(p, gens, d), (n, k)
+
     def test_generator_outside_the_kernel_raises(self, monkeypatch):
         # kernel membership is tested first; accepted anyway, a generator
         # whose sides differ in image or in degree breaks the fiber route's
         # premise, and it says so rather than answering
-        monkeypatch.setattr(oracle, "contains_binomial", lambda p, g: True)
+        monkeypatch.setattr(oracle, "_in_kernel", lambda p, g, images: True)
         vs = TWISTED_CUBIC.vars
         minors = [parse_binomial(t, vs) for t in ("x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")]
         for text in ("x0 - x1", "x0*x3 - x1^2", "x0*x3 - x1"):
