@@ -30,10 +30,13 @@ Three independent routes into the same questions:
   (:func:`certify_family`), every input's generators before any kernel,
   each of degree at most the bound by one comparison of its sides'
   packed images.  An input with a grading is certified one degree at a
-  time by fiber components, with no search: the monomials of each fiber
-  are joined by shared variables and by that degree's generators, on
-  integer bitmasks of variables, and a degree with a split fiber stops
-  the check before the next degree is grown (:func:`_fiber_failure`).  Any other input gets one rewrite forest
+  time by fiber components, with no search and no monomial: each degree
+  is grown as its images, each with the bitmask of its fiber's variables,
+  and a fiber's variables are joined by the stars read off the degree
+  below and by that degree's generators.  A degree with a split fiber
+  rebuilds only the members of its split fibers, for the witness, and
+  stops the check before the next degree is grown
+  (:func:`_fiber_failure`).  Any other input gets one rewrite forest
   for its whole certification: its kernel list is built up to the bound
   first, as a bucket of mixed degrees may reduce to a lower degree, then
   each degree's trees are fetched once for all of that degree's
@@ -138,37 +141,50 @@ def _layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Compact]]:
         yield layer
 
 
-# A monomial of the fiber route: a _Compact with its variable bitmask, bit
-# i set iff x_i divides it.
-_Masked = tuple[tuple[int, ...], int, int]
+# A layer of the fiber route (:func:`_image_layers`): each image of one
+# degree with its fiber's variable mask, bit i set iff x_i divides a member,
+# in the order the images are first reached, and the offsets where the
+# images first reached by each variable start.
+_Fibers = tuple[dict[int, int], list[int]]
 
 
-def _masked_layers(p: Parametrization, d: DegreeBound) -> Iterator[list[_Masked]]:
-    """:func:`_layers` with each monomial's variable bitmask as a third field.
+def _image_layers(columns: Sequence[int], d: DegreeBound) -> Iterator[_Fibers]:
+    """The images of each degree e = 1..d with their fibers' variable masks.
 
-    The mask is grown with the indices, the parent's mask or bit j, so no
-    monomial's variables are read twice.  The monomials and their order are
-    those of :func:`_layers`, and a reader that stops after degree e never
-    has degree e + 1 built.
+    ``columns`` are a matrix's :func:`_packed_columns` at d.  A degree's
+    layer maps each image b of a monomial of degree e to the mask of the
+    variables of its fiber, the monomials of image b, and comes with the
+    offsets ``starts``: the images at positions starts[i] to
+    starts[i + 1] - 1 are those whose members' smallest largest variable
+    index, low(b), is i.  Degree e is grown from degree e - 1 in index-lex
+    order: variable by variable, each image b' with low(b') <= i gives
+    b' + a_i, whose mask gains mask(b') and bit i.  An image is reached
+    first by its own low, so the offsets fall out of the dict's insertion
+    order.  A degree costs one int addition and one dict update per such
+    pair (b', i), which is at most the number of its monomials and at
+    most the number of images of degree e - 1 times n, and no monomial is
+    built.  A reader that stops after degree e never has degree e + 1
+    grown.
     """
-    columns = _packed_columns(p, d)
-    n = len(columns)
-    bits = [1 << j for j in range(n)]
-    layer = [((j,), columns[j], bits[j]) for j in range(n)]
-    yield layer
-    for _ in range(1, d.max_degree):
-        layer = [(indices + (j,), image + columns[j], mask | bits[j])
-                 for indices, image, mask in layer for j in range(indices[-1], n)]
-        yield layer
+    # degree 0: the empty monomial, of image 0 and mask 0, grows by every variable
+    items, starts = [(0, 0)], [0] + [1] * len(columns)
+    for _ in range(d.max_degree):
+        masks: dict[int, int] = {}
+        reached, grown = [0], []
+        for i, column in enumerate(columns):
+            grown += items[starts[i]:starts[i + 1]]
+            bit = 1 << i
+            for image, mask in grown:
+                image += column
+                masks[image] = masks.get(image, 0) | mask | bit
+            reached.append(len(masks))
+        yield masks, reached
+        items, starts = list(masks.items()), reached
 
 
-def _by_image(layer: Sequence[tuple], buckets: dict[int, list[tuple]]
-              ) -> dict[int, list[tuple]]:
-    """``buckets`` with each monomial of ``layer`` appended to the bucket of its image.
-
-    A monomial is a :data:`_Compact` or a :data:`_Masked`; its image is its
-    second field.
-    """
+def _by_image(layer: Sequence[_Compact], buckets: dict[int, list[_Compact]]
+              ) -> dict[int, list[_Compact]]:
+    """``buckets`` with each :data:`_Compact` of ``layer`` appended to the bucket of its image."""
     for member in layer:
         bucket = buckets.get(member[1])
         if bucket is None:
@@ -207,7 +223,7 @@ def enumerate_kernel_binomials(p: Parametrization, d: DegreeBound) -> list[Binom
     This is the whole list at once.  Certification reads the same
     binomials one degree at a time: from
     :func:`_kernel_binomials_by_degree` on a matrix without a grading, and
-    as the pairs of each degree's buckets on a graded one
+    as the pairs of each degree's fibers on a graded one
     (:func:`_fiber_failure`).
     """
     n = len(p.vars)
@@ -254,7 +270,7 @@ def _kernel_binomials_by_degree(
     every layer up to d is bucketed.  A matrix without a grading vector
     may have such buckets, so certification reads its kernel from here; a
     graded one is certified by fibers instead (:func:`_fiber_failure`),
-    whose buckets each hold one degree.
+    each of which holds one degree.
     """
     for degree, group in groupby(enumerate_kernel_binomials(p, d), attrgetter("degree")):
         yield degree, list(group)
@@ -289,56 +305,110 @@ def _in_kernel(p: Parametrization, g: Binomial, images: Optional[tuple[int, int]
 
 
 def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound,
-                   images: Sequence[Optional[tuple[int, int]]]) -> Optional[_Pair]:
+                   columns: Sequence[int], images: Sequence[Optional[tuple[int, int]]]
+                   ) -> Optional[_Pair]:
     """The first kernel pair of a graded ``p`` outside the ideal of ``gens``, or None.
 
-    ``images`` are the generators' :func:`_packed_images`, as the kernel
-    premise of :func:`certify_family` read them.  Packing is exact up to
-    degree d for any matrix: column j packs to sum_r a_rj * B^r with
-    B = 2 * d * max|a| + 1, and every coordinate of the image of a monomial
-    of degree at most d has absolute value at most d * max|a| < B / 2, a
-    balanced digit, so distinct images of such monomials have distinct
-    keys.  Both sides of a generator of degree at most d are such
-    monomials, so equal packed images mean equal images.
+    ``columns`` are ``p``'s :func:`_packed_columns` at d, through which
+    alone ``p`` is read, and ``images`` the generators'
+    :func:`_packed_images`, as the kernel premise of :func:`certify_family`
+    read them.
 
     ``p`` has a grading vector (:func:`~toricsum.parametrization._is_graded`),
     so a monomial's degree is omega . A u, a function of its image: every
     fiber, the monomials of one image, holds one degree, and is complete
-    once that degree's layer is grown.  Every generator lies in the kernel,
-    so both of its sides lie in one fiber and it is balanced.  A generator
-    whose sides differ in degree, or one of degree at most d whose sides
-    differ in packed image, breaks that premise and raises RuntimeError.
-    Degree by degree, the layer is put in buckets by image
-    (:func:`_masked_layers`).  In a bucket of two or more, the member
-    variable sets and, for each generator of that image, one variable of
-    each side are merged into disjoint sets of variable indices, and the
-    set holding the representative's variables is grown until no member or
-    generator edge meets it without lying inside it.  A pair fails iff its
-    first side's variables miss that set.  A degree with a failing pair
-    returns its first one, so degree e + 1 is never grown.
+    once that degree is grown.  Every generator lies in the kernel, so both
+    of its sides lie in one fiber and it is balanced.  A generator whose
+    sides differ in degree, or one of degree at most d whose sides differ
+    in packed image, breaks that premise and raises RuntimeError.
 
-    A set of variable indices is an int, bit i for x_i.  Each member
-    carries its variables' mask, and a generator edge is the two bits of
-    the first variable of each side.  "Meets" is a nonzero ``&``, a merge
-    is ``|``, and the set is grown by passes over the edges until a pass
-    adds no bit.  It starts at the representative's mask and only grows,
-    so a member whose mask meets the representative's meets the final set
-    too: a bucket where every member does has no failing pair, and skips
-    the passes.
+    Degree by degree, the route grows the images and their fibers'
+    variable masks (:func:`_image_layers`), not the monomials.  In the
+    fiber of image b, the variables are joined by sharing a member and by
+    the generators of image b, each an edge between the first variable of
+    each side.  A pair fails iff its first side's variables lie in another
+    component than the representative's, so a fiber of one component, or
+    of one member, has no failing pair.  A set of variables is an int, bit
+    i for x_i: "meets" is a nonzero ``&`` and a merge is ``|``.
 
-    The pairs and their order are those of :func:`_kernel_binomials_by_degree`.
+    Star lemma.  For u in mask(b), the variables sharing a member of fiber
+    b with x_u are S_u = {u} | mask(b - a_u), where mask(b - a_u) is read
+    at degree e - 1.  A member holding x_u is x_u x^c with x^c of image
+    b - a_u and degree e - 1, so b - a_u is an image of that degree; and
+    x_v, v != u, divides some such x^c iff v is in mask(b - a_u), while
+    x_u divides x^c iff x_u^2 divides the member.  Each star is joined
+    through the members holding x_u, and each member's variables lie in
+    the star of any of them, so the stars and the generator edges join
+    exactly the components that the members' variable sets and the same
+    edges do.  The route takes the star of the fiber's first variable u0,
+    and if every star meets it, the fiber is one component and nothing
+    more is done; when S_u0 is the whole mask every star meets it, as each
+    holds its own variable, and no other star is read.  Otherwise the set
+    S_u0 is grown by passes over the stars and edges until a pass adds no
+    bit, and the fiber is split iff the set is not the whole mask.  The
+    stars of a degree are one per pair (b - a_u, u) of an image one
+    degree lower and a variable, so reading them all costs at most n
+    times that degree's images.
+
+    Index-lex growth.  A monomial of degree e is read as its variable
+    indices i_1 <= ... <= i_e, and low(b) is the least largest index of a
+    member of b.  A member m of fiber b with largest index i is m' x_i,
+    with m' of image b - a_i and largest index at most i, so
+    low(b - a_i) <= i and the pair (b - a_i, i) is grown: every image is
+    reached.  Every pair grown, (b', i) with low(b') <= i, gives a member
+    m'_0 x_i of largest index i, with m'_0 a member of b' of largest index
+    low(b'), so low(b) is the least i of its pairs, which is the first
+    variable that reaches b.  Such a pair adds mask(b') and bit i, all
+    variables of members of b (x_i times a member of b' holding the
+    variable); and each variable of m = m' x_i is i or lies in
+    mask(b - a_i), by induction on the degree.  So each mask is its
+    fiber's full mask.  Distinct pairs give distinct monomials m'_0 x_i,
+    as i and b' = b - a_i are read off them, so a degree costs at most as
+    many steps as it has monomials.
+
+    Packed keys.  Column j packs to sum_r a_rj * B^r with
+    B = 2 * d * max|a| + 1 (:func:`_packed_columns`), and packing is
+    linear.  Every key the route compares is the packed image of a
+    monomial of degree at most d: an image of the degree grown, an image
+    b - a_u read for u in mask(b), one degree lower, or a generator's side
+    of degree at most d.  Each coordinate of such an image has absolute
+    value at most d * max|a|, so the two vectors behind any comparison
+    differ by at most 2 * d * max|a| = B - 1 per coordinate.  Equal keys
+    mean that difference packs to 0; its lowest nonzero coordinate c_r
+    would then be divisible by B, with |c_r| < B.  So equal keys are equal
+    images, for any matrix.  Both sides of a generator of degree at most d
+    are such monomials, so equal packed images mean equal images.
+
+    Witness.  Only a degree with a split fiber rebuilds members, and only
+    those of its split fibers, by a walk down the image layers: the
+    members of image b and degree e with largest index at most t are, for
+    each u <= t in mask(b) with low(b - a_u) <= u, the members of
+    b - a_u with largest index at most u followed by u.  The walk reads
+    only the bits of each mask, and the condition on low means each step
+    it takes ends in a member.  The representative is the member largest
+    in index-lex order, and the failing members are those whose first
+    variable lies outside the representative's component, grown as above
+    from the representative's variables; a member's variables all lie in
+    one component.  A fiber that is not split has no failing member, so
+    the largest (member, representative) pair over the split fibers is
+    the largest failing pair of the degree, which the next paragraph
+    shows to be the first of :func:`_kernel_binomials_by_degree`'s order.
+
     Within one degree, exponent-lex order is the reverse of index-lex
     order.  Take u != v of degree e and let j be the first variable where
     their exponents differ, say u_j > v_j.  Both index tuples start with
     the same c indices below j, and u's holds j at position c + v_j.  v's
     holds a larger index there: it has only c + v_j < c + u_j <= e indices
-    up to j.  So u is exponent-larger and index-smaller.  The bucket's
-    exponent-lex minimum, its star representative rep, is therefore its
-    last member, and the list sorts a degree's pairs (m, rep) by m's index
-    tuple in reverse, so the first failing pair is the largest.  A pair
-    sharing a variable with rep reduces to a lower degree's disjoint pair
-    (see :func:`enumerate_kernel_binomials`) and is not listed; it never
-    fails here either, as its sides share a set.
+    up to j.  So u is exponent-larger and index-smaller.  A fiber's
+    exponent-lex minimum, the representative rep that
+    :func:`enumerate_kernel_binomials` pairs every member with, is
+    therefore its index-lex maximum, and the list sorts a degree's pairs (m, rep) by m's
+    index tuple in reverse, so the first failing pair is the largest.  A
+    pair sharing a variable with rep reduces to a lower degree's disjoint
+    pair (see :func:`enumerate_kernel_binomials`) and is not listed; it
+    never fails here either, as its sides share a component.  A degree
+    with a failing pair returns its first one, so degree e + 1 is never
+    grown.
 
     Let G be the generators.  Each x^a - x^b of a fiber of degree e is
     checked only after every kernel binomial of degree below e is known to
@@ -348,18 +418,18 @@ def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound,
     x^b', then x^a' - x^b' is a kernel binomial of degree e - 1, so
     x_i (x^a' - x^b') lies in <G>; and g = x^u - x^v of degree e, with u and
     v in the fiber, lies in <G> itself.  So monomials whose variables meet
-    one set are joined, by induction along the merges, and a passing pair
-    lies in <G>.  Fail: <G> in multidegree b, the fiber's image, is
+    one component are joined, by induction along the merges, and a passing
+    pair lies in <G>.  Fail: <G> in multidegree b, the fiber's image, is
     spanned by the binomials x^c g with g = x^u - x^v in G and x^c x^u in
     the fiber, since every x^c g is homogeneous for the grading by images.
     With c != 1 both monomials of x^c g share c's variables; with c = 1, g
-    has degree e and is an edge of the bucket.  Either way both lie in one
-    set, so every element of <G> in that fiber has coefficients summing to
-    zero on the monomials of each set.  x^m - x^rep with m's variables
-    outside rep's set sums to 1 on m's set, so it is not in <G>.  Without
-    a search, each answer is that of the rewrite forest's search (exact
-    on balanced generators, with slack 0), and pairs come in its order, so
-    the witness is the same.
+    has degree e and is an edge of the fiber.  Either way both lie in one
+    component, so every element of <G> in that fiber has coefficients
+    summing to zero on the monomials of each component.  x^m - x^rep with
+    m's variables outside rep's component sums to 1 on m's, so it is not
+    in <G>.  Without a search, each answer is that of the rewrite forest's
+    search (exact on balanced generators, with slack 0), and pairs come in
+    its order, so the witness is the same.
     """
     joins: dict[int, list[int]] = {}
     for g, pair in zip(gens, images):
@@ -371,28 +441,79 @@ def _fiber_failure(p: Parametrization, gens: Sequence[Binomial], d: DegreeBound,
             plus, minus = g.u_plus, g.u_minus
             joins.setdefault(pair[0], []).append(1 << plus.index(next(filter(None, plus)))
                                                  | 1 << minus.index(next(filter(None, minus))))
-    for layer in _masked_layers(p, d):
-        failing: list[_Pair] = []
-        for image, members in _by_image(layer, {}).items():
-            if len(members) > 1:
-                # the last member is the exponent-lex minimum
-                rep, _, reach = members[-1]
-                for _, _, mask in members:
-                    if not mask & reach:
-                        break
-                else:
-                    continue
-                edges = [mask for _, _, mask in members] + joins.get(image, [])
-                grown = 0
-                while grown != reach:
-                    grown = reach
-                    for edge in edges:
-                        if edge & reach:
-                            reach |= edge
-                failing += [(indices, rep) for indices, _, mask in members if not mask & reach]
-        if failing:
-            return max(failing)
+    layers: list[_Fibers] = [({0: 0}, [0] + [1] * len(columns))]
+    for layer in _image_layers(columns, d):
+        below = layers[-1][0]
+        layers.append(layer)
+        split: list[tuple[int, list[int]]] = []
+        for image, mask in layer[0].items():
+            bit = mask & -mask
+            first = bit | below[image - columns[bit.bit_length() - 1]]
+            if first == mask:
+                continue
+            stars, rest = [], mask
+            while rest:
+                bit = rest & -rest
+                stars.append(bit | below[image - columns[bit.bit_length() - 1]])
+                rest ^= bit
+            if all(star & first for star in stars):
+                continue
+            edges = stars + joins.get(image, [])
+            if _component(first, edges) != mask:
+                split.append((image, edges))
+        if split:
+            return _split_pair(layers, columns, split)
     return None
+
+
+def _component(reach: int, edges: Sequence[int]) -> int:
+    """``reach`` grown by every edge that meets it, by passes until a pass adds no bit."""
+    grown = 0
+    while grown != reach:
+        grown = reach
+        for edge in edges:
+            if edge & reach:
+                reach |= edge
+    return reach
+
+
+def _split_pair(layers: Sequence[_Fibers], columns: Sequence[int],
+                split: Sequence[tuple[int, list[int]]]) -> _Pair:
+    """The largest failing pair (member, representative) of a degree's split fibers.
+
+    ``layers`` are the image layers of degrees 0 to e, and ``split`` holds
+    each split fiber of degree e as its image with its stars and generator
+    edges.  Each fiber's members are rebuilt by the walk down the layers
+    that :func:`_fiber_failure` describes.
+    """
+    # low(b) of every image of degrees 0 to e - 1, read off the offsets
+    lows = []
+    for masks, starts in layers[:-1]:
+        keys = list(masks)
+        lows.append({b: i for i in range(len(starts) - 1) for b in keys[starts[i]:starts[i + 1]]})
+
+    def walk(degree: int, image: int, top: int) -> list[tuple[int, ...]]:
+        """The members of ``image`` and ``degree`` whose largest index is at most ``top``."""
+        if degree == 0:
+            return [()]
+        members = []
+        rest = layers[degree][0][image] & (2 << top) - 1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            below = image - columns[u]
+            if lows[degree - 1][below] <= u:
+                members += [m + (u,) for m in walk(degree - 1, below, u)]
+        return members
+
+    pairs = []
+    for image, edges in split:
+        members = walk(len(layers) - 1, image, len(columns) - 1)
+        rep = max(members)
+        reach = _component(1 << rep[0], edges)
+        pairs.append((max(m for m in members if not reach >> m[0] & 1), rep))
+    return max(pairs)
 
 
 # (root, parent, move) of a tree node; the root's own entry has no parent
@@ -661,9 +782,10 @@ def certify_presentation(
     one degree at a time, in the order of
     :func:`enumerate_kernel_binomials`, so the witness is the first
     binomial of that list outside the ideal, and a failure at degree e
-    stops the check before any binomial of degree e + 1 is queried.  On
-    the fiber route it also stops before degree e + 1 is built; the
-    forest route builds every degree up to d first (see
+    stops the check before any binomial of degree e + 1 is queried.  The
+    fiber route grows each degree's images, not its monomials, and stops
+    before degree e + 1 is grown; the forest route builds the monomials
+    of every degree up to d first (see
     :func:`_kernel_binomials_by_degree`).  This is the one-input case of
     :func:`certify_family`.
     """
@@ -689,9 +811,11 @@ def certify_family(
     it unchanged, and an empty sum has no kernel binomial.  Every part's
     generators are tested against its own kernel first, in order, and only
     then is any kernel read (:func:`_in_kernel`: a generator of degree at
-    most d by comparing its sides' packed images, which the fiber route
-    reuses, any other by evaluating both sides): part by part, each kernel binomial up to the
-    degree bound must lie in the ideal of its part's generators.  The
+    most d by comparing its sides' packed images, any other by evaluating
+    both sides).  Each part's columns are packed once, and the fiber route
+    reuses them with the generators' packed images: part by part, each
+    kernel binomial up to the degree bound must lie in the ideal of its
+    part's generators.  The
     first failure is returned with the index in ``inputs`` of its part's
     first occurrence, over whose variables the witness is written; a pass
     has index None.
@@ -701,8 +825,10 @@ def certify_family(
     (:func:`~toricsum.parametrization._is_graded`, one forward
     elimination) is checked by fiber components, with no search and no
     forest (:func:`_fiber_failure`, which proves that its answers are
-    exact); its binomials are pairs of variable-index tuples, and only a
-    witness becomes a :class:`~toricsum.binomials.Binomial`.  Any other
+    exact).  It grows images with their fibers' variable masks, not
+    monomials; only a degree with a split fiber rebuilds that fiber's
+    members, as variable-index tuples, and only the witness becomes a
+    :class:`~toricsum.binomials.Binomial`.  Any other
     part is checked through one rewrite forest (:func:`_forest_failure`):
     it reads :func:`_kernel_binomials_by_degree`, and cap e + slack's
     trees are fetched once per degree, for all of its binomials
@@ -714,7 +840,7 @@ def certify_family(
     one root, each tree edge once.  Both routes take the binomials of
     :func:`enumerate_kernel_binomials` in its order, so the first failure
     is that list's first binomial outside the ideal, and returning there
-    queries no binomial of a later degree.  The fiber route has not built
+    queries no binomial of a later degree.  The fiber route has not grown
     a later degree either; the forest route has built them all, since
     without a grading a bucket of mixed degrees can reduce a pair with a
     member of degree up to d to a lower degree, so no degree's list is
@@ -790,12 +916,12 @@ def certify_family(
         for g, pair in zip(gens, images):
             if not _in_kernel(p, g, pair):
                 return CertificationVerdict(MISSING_IN_KERNEL, g, d.max_degree), index
-        premises.append(images)
-    for ((_, gens), (index, p)), images in zip(parts.items(), premises):
+        premises.append((columns, images))
+    for ((_, gens), (index, p)), premise in zip(parts.items(), premises):
         n = len(p.vars)
         _check_variables(gens, n)
         if _is_graded(p):
-            failing = _fiber_failure(p, gens, d, images)
+            failing = _fiber_failure(p, gens, d, *premise)
             witness = failing and Binomial(*(_exponents(side, n) for side in failing))
         else:
             witness = _forest_failure(p, gens, d)

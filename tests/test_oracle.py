@@ -666,16 +666,16 @@ class TestDegreeStream:
         # the twisted cubic less one quadric fails at degree 2, so the
         # monomials of degrees 3 and 4 are never grown, and the witness is
         # the one-shot list's first binomial outside the generators' ideal.
-        # The fiber route grows its layers with variable masks, the forest
-        # route without: both are recorded
+        # The fiber route grows image layers, the forest route monomial
+        # layers: the degree of each layer either grows is recorded
         gens = enumerate_kernel_binomials(TWISTED_CUBIC, DegreeBound(2))[1:]
         read = []
-        for name in ("_layers", "_masked_layers"):
+        for name in ("_layers", "_image_layers"):
             real = getattr(oracle, name)
 
-            def recording(p, d, real=real):
-                for layer in real(p, d):
-                    read.append(len(layer[0][0]))
+            def recording(*args, real=real):
+                for degree, layer in enumerate(real(*args), 1):
+                    read.append(degree)
                     yield layer
 
             monkeypatch.setattr(oracle, name, recording)
@@ -1201,7 +1201,8 @@ def first_outside_by_classes(p, gens, d):
 def fiber_failure(p, gens, d):
     """``oracle._fiber_failure`` on the packed side images the kernel premise reads."""
     columns = oracle._packed_columns(p, d)
-    return oracle._fiber_failure(p, gens, d, [oracle._packed_images(g, columns, d) for g in gens])
+    return oracle._fiber_failure(p, gens, d, columns,
+                                 [oracle._packed_images(g, columns, d) for g in gens])
 
 
 def set_fiber_failure(p, gens, d):
@@ -1357,6 +1358,102 @@ class TestFiberRoute:
                     gens = minors[:k] + minors[k + 1:]
                     got = fiber_failure(p, gens, d)
                     assert got is not None and got == set_fiber_failure(p, gens, d), (n, k)
+
+    def test_image_route_matches_the_set_fixpoint_to_degree_6(self):
+        # the member-level reference over the monomial layers, up to degree
+        # 6: on random graded parts whose generators are the kernel list up
+        # to a random degree, less two fifths of its top degree, so parts
+        # fail at every degree; and on the rational normal curves less each
+        # minor
+        rng = random.Random(113)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(3, 6)
+            rows = [[1] * n] + [[rng.randint(0, 4) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+            p = Parametrization(VariableSet(tuple(f"t{r}" for r in range(len(rows)))),
+                                VariableSet(tuple(f"x{j}" for j in range(n))),
+                                IntegerMatrix.from_rows(rows))
+            d = DegreeBound(rng.randint(1, 6))
+            top = rng.randint(1, d.max_degree + 1)
+            gens = [g for g in enumerate_kernel_binomials(p, DegreeBound(top))
+                    if g.degree < top or rng.random() < 0.6]
+            got = fiber_failure(p, gens, d)
+            assert got == set_fiber_failure(p, gens, d), (p, gens, d)
+            seen[len(got[0]) if got else "pass"] += 1
+        assert seen["pass"] > 100 and min(seen[1], seen[2]) > 10, seen
+        assert sum(seen[e] for e in range(3, 7)) > 30, seen
+        for n in range(4, 10):
+            p, minors = rnc_minors(n)
+            for d in map(DegreeBound, range(3, 7)):
+                assert fiber_failure(p, minors, d) is None
+                for k in range(len(minors)):
+                    gens = minors[:k] + minors[k + 1:]
+                    got = fiber_failure(p, gens, d)
+                    assert got is not None and got == set_fiber_failure(p, gens, d), (n, k, d)
+
+    def test_degree_one_fiber_joined_by_a_generator(self):
+        # x0 and x1 share a column, so their degree-1 fiber has two members
+        # and no shared variable: only the generator x0 - x1 joins it
+        p = Parametrization(VariableSet.of("t", "s"), VariableSet.of("x0", "x1", "x2"),
+                            IntegerMatrix.from_rows([[1, 1, 2], [0, 0, 1]]))
+        gens = [parse_binomial("x0 - x1", p.vars)]
+        for d in map(DegreeBound, range(1, 5)):
+            assert fiber_failure(p, gens, d) is None and set_fiber_failure(p, gens, d) is None
+            assert fiber_failure(p, [], d) == ((0,), (1,)) == set_fiber_failure(p, [], d)
+
+    def test_fiber_linked_through_a_squared_variable(self):
+        # the conic's fiber of x0*x2 holds x1^2, reached only by growing x1
+        # by itself; the generator's edge links x0 to the squared variable.
+        # At degree 3, x0*x1*x2 shares x1 with x1^3 and x0 with x0^2*x2
+        p = Parametrization(VariableSet.of("t", "s"), VariableSet.of("x0", "x1", "x2"),
+                            IntegerMatrix.from_rows([[2, 1, 0], [0, 1, 2]]))
+        gens = [parse_binomial("x0*x2 - x1^2", p.vars)]
+        for d in map(DegreeBound, range(2, 6)):
+            assert fiber_failure(p, gens, d) is None and set_fiber_failure(p, gens, d) is None
+            assert fiber_failure(p, [], d) == ((0, 2), (1, 1)) == set_fiber_failure(p, [], d)
+
+    def test_two_split_fibers_give_the_larger_pair(self):
+        # two conics on their own rows: at degree 2 the fibers of x0*x2 and
+        # x3*x5 are both split, and the larger pair is the later image's
+        p = Parametrization(VariableSet(("t0", "t1", "t2", "t3")),
+                            VariableSet(tuple(f"x{i}" for i in range(6))),
+                            IntegerMatrix.from_rows([[2, 1, 0, 0, 0, 0], [0, 1, 2, 0, 0, 0],
+                                                     [0, 0, 0, 2, 1, 0], [0, 0, 0, 0, 1, 2]]))
+        columns = oracle._packed_columns(p, DegreeBound(2))
+        _, (masks, _) = oracle._image_layers(columns, DegreeBound(2))
+        split = [image for image, mask in masks.items() if mask in (0b111, 0b111000)]
+        assert split == [columns[1] * 2, columns[4] * 2]
+        assert fiber_failure(p, [], DegreeBound(2)) == ((3, 5), (4, 4)) == \
+            set_fiber_failure(p, [], DegreeBound(2))
+        gens = [parse_binomial("x0*x2 - x1^2", p.vars)]
+        assert fiber_failure(p, gens, DegreeBound(2)) == ((3, 5), (4, 4)) == \
+            set_fiber_failure(p, gens, DegreeBound(2))
+
+    def test_rational_normal_curve_layers_grow_by_images(self):
+        # RNC(n) has e * n + 1 images of degree e, where it has
+        # C(n + e, e) monomials, and its fiber of index sum s holds every
+        # variable from s - (e - 1) * n to s.  Certification at degree 12
+        # grows those layers and never the monomial ones
+        n, d = 12, DegreeBound(12)
+        p, minors = rnc_minors(n)
+        columns = oracle._packed_columns(p, d)
+        layers = list(oracle._image_layers(columns, d))
+        assert [len(masks) for masks, _ in layers] == [e * n + 1 for e in range(1, 13)]
+        # column j packs to columns[0] + j * step
+        step = columns[1] - columns[0]
+        for e, (masks, _) in enumerate(layers, 1):
+            assert masks == {e * columns[0] + s * step: (2 << min(n, s)) - (1 << max(0, s - (e - 1) * n))
+                             for s in range(e * n + 1)}
+
+        def unreachable(*args):
+            raise AssertionError("monomial layers grown")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_layers", unreachable)
+            assert certify_presentation(p, minors, d) == \
+                CertificationVerdict(EQUAL_UP_TO_DEGREE, None, 12)
+            verdict = certify_presentation(p, minors[1:], d)
+        assert (verdict.status, verdict.witness) == (MISSING_IN_SUM, minors[0])
 
     def test_generator_outside_the_kernel_raises(self, monkeypatch):
         # kernel membership is tested first; accepted anyway, a generator
