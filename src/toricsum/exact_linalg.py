@@ -24,10 +24,14 @@ kernel basis is saturated, which reduces the basis's transpose.  The
 Hermite form of ``[M | I]`` is kept for the last matrix
 (:func:`_hermite_pass`), since the Smith form starts from it.
 
+Each Euclid step of the Hermite reduction reads only the nonzeros of its
+pivot row, so a long sparse matrix (the sum of a tree of ideals) reduces in
+time that follows its nonzeros, not its width; the fraction-free passes
+still update whole rows.
+
 Everything is a pure function on immutable values, and all arithmetic is
 arbitrary precision (Python ints and ``fractions.Fraction``); nothing here
-ever rounds.  Matrices are small and dense, so the classical quadratic
-algorithms are used throughout.
+ever rounds.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -318,6 +323,11 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * d if len(pivots) == m.rows else 0
 
 
+def _support(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero entries of ``row`` as ``(index, value)`` pairs, in index order."""
+    return list(compress(enumerate(row), row))
+
+
 def _hermite_echelon(rows: list[list[int]], ncols: int) -> list[int]:
     """Echelon pass of the Hermite reduction, by unimodular Euclid steps, in place.
 
@@ -335,6 +345,14 @@ def _hermite_echelon(rows: list[list[int]], ncols: int) -> list[int]:
     quotient.  Every step swaps two rows, negates one or subtracts an
     integer multiple of one from another, so the row lattice is preserved
     and a carried identity records a unimodular transform.
+
+    A subtraction touches only the columns where row ``r`` is nonzero: the
+    round lists them with their values (:func:`_support`) the first time
+    a quotient is nonzero, and updates each such row there, in place.
+    Elsewhere ``a - f * 0 == a``, so the rows are exactly those of the
+    whole-row update, and a round that changes no row lists nothing.
+    Rows are changed in place, not replaced, so each list in ``rows``
+    must be the caller's own and appear only once.
     """
     n = len(rows)
     pivots: list[int] = []
@@ -360,11 +378,15 @@ def _hermite_echelon(rows: list[list[int]], ncols: int) -> list[int]:
                 break
             pivot_row = rows[r]
             pv = pivot_row[c]
+            support = None
             for i in range(r + 1, n):
                 row = rows[i]
                 f = row[c] // pv
                 if f:
-                    rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+                    if support is None:
+                        support = _support(pivot_row)
+                    for j, b in support:
+                        row[j] -= f * b
         if best < 0:
             continue
         if rows[r][c] < 0:
@@ -390,16 +412,25 @@ def _hermite_rows(rows: list[list[int]], ncols: int) -> int:
     later column touch only rows below its pivot, so either way pivot ``k``
     is reduced against rows ``0..k-1`` after pivots ``0..k-1`` were, and
     with row ``k`` still as the echelon pass left it.
+
+    As in the echelon pass, each pivot row's nonzeros are listed once, the
+    first time a row above it has a nonzero quotient, and only those
+    columns of that row are updated, in place; the same contract on
+    ``rows`` holds.
     """
     pivots = _hermite_echelon(rows, ncols)
     for k, c in enumerate(pivots):
         pivot_row = rows[k]
         pv = pivot_row[c]
+        support = None
         for i in range(k):
             row = rows[i]
             f = row[c] // pv
             if f:
-                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+                if support is None:
+                    support = _support(pivot_row)
+                for j, b in support:
+                    row[j] -= f * b
     return len(pivots)
 
 
@@ -529,6 +560,11 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     ``span_Q K = ker_Q M``, hence ``span_Z K = ker_Z M``.  Unlike a check of
     ``U``, this also catches a wrong step after the reduction.
 
+    ``M K^T = 0`` is checked exactly, by nonzeros: the nonzeros of each
+    column of ``M`` are listed once per call, and each row ``v`` of ``K``
+    has ``M v`` summed over the columns where ``v`` is nonzero.  A product
+    with a zero factor adds nothing, so this is the whole product.
+
     Both reductions stop after the echelon pass (:func:`_hermite_echelon`).
     The first reads only the rows from ``r`` down, and the certificate only
     the rank and the diagonal of a ``k``-column echelon of rank ``k``, which
@@ -541,8 +577,15 @@ def kernel_lattice(m: IntegerMatrix) -> LatticeBasis:
     rows = [[*col, *unit] for col, unit in zip(columns, _identity_lists(n))]
     r = len(_hermite_echelon(rows, m.rows))
     basis = LatticeBasis.spanning([row[m.rows:] for row in rows[r:]], n)
-    if any(any(m.apply(v)) for v in basis.vectors):
-        raise RuntimeError("kernel lattice: M does not annihilate a basis vector")
+    column_nonzeros = [_support(col) for col in zip(*m.entries)] if m.rows else [[]] * n
+    for v in basis.vectors:
+        image = [0] * m.rows
+        for j in compress(range(n), v):
+            x = v[j]
+            for i, a in column_nonzeros[j]:
+                image[i] += x * a
+        if any(image):
+            raise RuntimeError("kernel lattice: M does not annihilate a basis vector")
     k = basis.rank
     kt = [list(col) for col in zip(*basis.vectors)]
     if k != n - r or len(_hermite_echelon(kt, k)) != k or any(kt[j][j] != 1 for j in range(k)):

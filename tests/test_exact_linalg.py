@@ -12,7 +12,9 @@ from helpers import boxed_kernel_vectors, random_matrix, reference_row_reduce
 from toricsum import (
     IntegerMatrix,
     LatticeBasis,
+    Parametrization,
     RationalMatrix,
+    VariableSet,
     determinant,
     hermite_normal_form,
     kernel_lattice,
@@ -21,8 +23,9 @@ from toricsum import (
     saturate_lattice,
     smith_normal_form,
     solve_row_rational,
+    sum_family,
 )
-from toricsum.exact_linalg import extend_to_basis, independent_rows, inverse_and_clear
+from toricsum.exact_linalg import annihilator, extend_to_basis, independent_rows, inverse_and_clear
 
 
 def assert_hnf_shape(h: IntegerMatrix):
@@ -123,15 +126,44 @@ def sparse_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
             for _ in range(nrows)]
 
 
+def dense_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[int]]:
+    """Entries in [-99, 99]."""
+    return [[rng.randint(-99, 99) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def cubic_tree_sum(tree: str, k: int) -> IntegerMatrix:
+    """The matrix of ``sum_family`` on ``k`` twisted cubics glued along a tree.
+
+    On a path cubic ``v`` shares one variable with cubic ``v - 1``.  In a
+    star each cubic is joined to the first earlier one with a free column,
+    so the centre takes four leaves, then its first leaf does, and so on.
+    Each cubic shares its middle columns first, whose support is both rows.
+    """
+    degree = [0] * k
+    names = [[f"a{v}", f"b{v}", f"c{v}", f"d{v}"] for v in range(k)]
+    for v in range(1, k):
+        u = v - 1 if tree == "path" else next(u for u in range(v) if degree[u] < 4)
+        for w in (u, v):
+            names[w][(1, 2, 0, 3)[degree[w]]] = f"s{v}"
+            degree[w] += 1
+    cubic = IntegerMatrix.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
+    ps = [Parametrization(VariableSet(("t", "s")), VariableSet(tuple(n)), cubic) for n in names]
+    return sum_family(ps)[0].matrix
+
+
 class TestHermiteKernel:
     def test_matches_reference_rows(self):
         import toricsum.exact_linalg as exact_linalg
 
         rng = random.Random(2828)
-        for trial in range(1500):
-            nrows, ncols = rng.randint(0, 8), rng.randint(0, 10)
-            rows = sparse_rows(rng, nrows, ncols)
-            if trial % 2:
+        for trial in range(1620):
+            if trial < 1500:
+                nrows, ncols = rng.randint(0, 8), rng.randint(0, 10)
+                rows = sparse_rows(rng, nrows, ncols)
+            else:  # identity-augmented, up to 16 x 32, sparse or dense in [-99, 99]
+                nrows, ncols = rng.randint(9, 16), rng.randint(9, 32)
+                rows = rng.choice((sparse_rows, dense_rows))(rng, nrows, ncols)
+            if trial % 2 or trial >= 1500:
                 rows = [row + unit for row, unit in zip(rows, exact_linalg._identity_lists(nrows))]
             expected = [list(row) for row in rows]
             r = reference_hermite_rows(expected, ncols)
@@ -167,6 +199,8 @@ class TestHermiteKernel:
         shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
         shapes += [(rng.randint(0, 8), rng.randint(0, 10)) for _ in range(200)]
         matrices = [IntegerMatrix(r, c, tuple(map(tuple, sparse_rows(rng, r, c)))) for r, c in shapes]
+        # long sparse sums: 7 x 19 up to 17 x 49
+        matrices += [cubic_tree_sum(tree, k) for tree in ("path", "star") for k in (6, 11, 16)]
         got = [results(m) for m in matrices]
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, "_hermite_rows", reference_hermite_rows)
@@ -175,6 +209,72 @@ class TestHermiteKernel:
             expected = [results(m) for m in matrices]
             exact_linalg._hermite_pass.cache_clear()
         assert got == expected
+
+    def test_reductions_get_rows_of_their_own(self, monkeypatch):
+        # Both passes update rows in place, so every call must get lists
+        # that are its own: none shared with the caller, none twice.
+        import toricsum.exact_linalg as exact_linalg
+
+        lists = [[[2, 4, 0], [6, 8, 0], [0, 0, 5]], [[1, 1, 1]], [[0, 3], [0, 3]]]
+        inputs = [row for rows in lists for row in rows]
+        real = exact_linalg._hermite_echelon
+        calls = []
+
+        def echelon(rows, ncols):
+            assert len({id(row) for row in rows}) == len(rows)
+            assert not {id(row) for row in rows} & {id(row) for row in inputs}
+            calls.append(len(rows))
+            return real(rows, ncols)
+
+        monkeypatch.setattr(exact_linalg, "_hermite_echelon", echelon)
+        exact_linalg._hermite_pass.cache_clear()
+        for rows in lists:
+            m = IntegerMatrix.from_rows(rows)
+            basis = LatticeBasis.spanning(rows, m.cols)
+            smith_normal_form(m)
+            hermite_normal_form(m)
+            kernel_lattice(m)
+            annihilator(basis)
+            saturate_lattice(basis)
+            parametrization_from_lattice(basis)
+        exact_linalg._hermite_pass.cache_clear()
+        assert calls
+
+    def test_inputs_are_left_as_they_were(self):
+        import toricsum.exact_linalg as exact_linalg
+
+        rng = random.Random(2830)
+        matrices = [cubic_tree_sum("path", 6), cubic_tree_sum("star", 6)]
+        matrices += [IntegerMatrix(r, c, tuple(map(tuple, sparse_rows(rng, r, c))))
+                     for r, c in ((rng.randint(1, 8), rng.randint(1, 10)) for _ in range(50))]
+        for m in matrices:
+            vectors = [list(row) for row in m.entries]
+            snapshot = [list(row) for row in vectors]
+            basis = LatticeBasis.spanning(vectors, m.cols)
+            assert vectors == snapshot
+            assert LatticeBasis.spanning(vectors, m.cols) == basis
+
+            kernel = kernel_lattice(m)
+            assert m.entries == tuple(map(tuple, snapshot))
+            orthogonal = annihilator(basis)
+            saturated = saturate_lattice(basis)
+            assert basis == LatticeBasis.spanning(snapshot, m.cols)
+            assert (kernel_lattice(m), annihilator(basis), saturate_lattice(basis)) == (
+                kernel, orthogonal, saturated)
+
+            # the Smith form reads the cached Hermite pass and must leave it as it was
+            exact_linalg._hermite_pass.cache_clear()
+            snf = smith_normal_form(m)
+            cached = exact_linalg._hermite_pass(m)
+            frozen = [[list(row) for row in part] for part in cached]
+            h, u = hermite_normal_form(m)
+            assert exact_linalg._hermite_pass(m) is cached
+            assert [[list(row) for row in part] for part in cached] == frozen
+            assert (h.entries, u.entries) == cached
+            exact_linalg._hermite_pass.cache_clear()
+            assert hermite_normal_form(m) == (h, u)
+            assert smith_normal_form(m) == snf
+        exact_linalg._hermite_pass.cache_clear()
 
 
 class TestSmith:
@@ -548,6 +648,23 @@ class TestKernelLattice:
         monkeypatch.setattr(LatticeBasis, "spanning", classmethod(corrupted))
         with pytest.raises(RuntimeError, match="kernel lattice: the basis is not saturated"):
             kernel_lattice(IntegerMatrix.from_rows([[1, 1, 1]]))
+
+    def test_corrupted_sparse_coordinate_is_caught(self, monkeypatch):
+        # The check M K^T = 0 reads M and each basis vector by their
+        # nonzeros.  A unit added in a coordinate whose column of M has one
+        # nonzero changes one entry of the image, which must still be read.
+        m = cubic_tree_sum("path", 16)
+        j = next(j for j in range(m.cols) if sum(map(bool, m.column(j))) == 1)
+        real = LatticeBasis.spanning
+
+        def corrupted(cls, vectors, ambient_dim):
+            first, *rest = real(vectors, ambient_dim).vectors
+            first = tuple(x + (c == j) for c, x in enumerate(first))
+            return cls(ambient_dim, (first, *rest))
+
+        monkeypatch.setattr(LatticeBasis, "spanning", classmethod(corrupted))
+        with pytest.raises(RuntimeError, match="kernel lattice: M does not annihilate a basis vector"):
+            kernel_lattice(m)
 
 
 class TestSaturate:
